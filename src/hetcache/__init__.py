@@ -41,10 +41,7 @@ from .experiments import (
     SweepSpec,
     Variant,
     run_sweep,
-    sweep_density,
-    sweep_sir_threshold,
     sweep_spec_from_config,
-    sweep_storage_bandwidth,
 )
 from .geometry_sim import (
     INTERFERENCE_ALL,
@@ -73,9 +70,7 @@ from .params import (
     db_to_linear,
     dbm_to_watts,
     parse_config_text,
-    read_config,
     replication_probability,
-    replication_vector,
     setup_from_config,
     zipf_request_distribution,
 )

@@ -126,7 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "mean": average.mean,
             "std_error": average.std_error,
             "trials": average.trials,
-            "seed": average.seed,
+            "seed": seed,
         },
         "per_content": [
             {"rank": rank, "mean": est.mean, "std_error": est.std_error}

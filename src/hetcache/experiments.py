@@ -20,11 +20,7 @@ import numpy as np
 
 from .analytic import average_outage
 from .errors import ConfigError
-from .geometry_sim import (
-    INTERFERENCE_BEYOND_SERVER,
-    default_window,
-    estimate_outage,
-)
+from .geometry_sim import default_window, estimate_outage
 from .params import (
     CachePolicy,
     ContentLibrary,
@@ -79,7 +75,6 @@ class SweepSpec:
     seed: int = 0
     workers: int = 1
     guard: float = 250.0
-    interference: str = INTERFERENCE_BEYOND_SERVER
 
     def __post_init__(self) -> None:
         for axis in filter(None, (self.axis1, self.axis2)):
@@ -229,7 +224,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                             realizations=spec.mc.realizations,
                             seed=_variant_seed(spec.seed, vi),
                             workers=spec.workers,
-                            interference=spec.interference,
                         )
                         value, std_error = avg.mean, avg.std_error
                     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -244,27 +238,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                         )
                     )
     return SweepResult(axis_names=spec.axis_names, rows=tuple(rows))
-
-
-def sweep_density(spec: SweepSpec) -> SweepResult:
-    """Average outage versus SBS density (axis1 must be lambda_sbs)."""
-    if spec.axis1[0] != "lambda_sbs":
-        raise ConfigError(f"density sweep requires axis1 = lambda_sbs, got '{spec.axis1[0]}'")
-    return run_sweep(spec)
-
-
-def sweep_storage_bandwidth(spec: SweepSpec) -> SweepResult:
-    """Average outage over the (cache size, spectrum access) grid."""
-    if spec.axis1[0] != "d_tilde" or spec.axis2 is None or spec.axis2[0] != "beta":
-        raise ConfigError("storage-bandwidth sweep requires axis1 = d_tilde and axis2 = beta")
-    return run_sweep(spec)
-
-
-def sweep_sir_threshold(spec: SweepSpec) -> SweepResult:
-    """Average outage versus SIR threshold (axis1 = gamma, values in dB)."""
-    if spec.axis1[0] != "gamma":
-        raise ConfigError(f"SIR-threshold sweep requires axis1 = gamma, got '{spec.axis1[0]}'")
-    return run_sweep(spec)
 
 
 # --------------------------------------------------------------------------

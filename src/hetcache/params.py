@@ -11,7 +11,8 @@ concurrent workers without synchronization.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,8 +35,9 @@ class SystemParams:
 
     Units: densities per m^2, radii in m, powers in W, ``gamma`` linear.
     The regime of interest has ``lambda_sbs >> lambda_mbs`` but this is not
-    enforced. ``bandwidth_w`` is informational metadata: no formula uses the
-    total bandwidth, only ``subchannels_b`` and ``beta`` appear.
+    enforced. Every value must be finite. The total bandwidth is not a
+    parameter because no formula uses it: only ``subchannels_b`` and
+    ``beta`` enter.
     """
 
     lambda_mbs: float  # macro-cell density, per m^2
@@ -48,9 +50,12 @@ class SystemParams:
     r_sbs: float       # SBS service radius, m
     r_mbs: float       # MBS service radius, m
     subchannels_b: int = 1
-    bandwidth_w: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name != "subchannels_b" and math.isinf(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if not self.lambda_mbs >= 0.0:
             raise ConfigError(f"lambda_mbs must be >= 0, got {self.lambda_mbs}")
         if not self.lambda_sbs >= 0.0:
@@ -72,8 +77,6 @@ class SystemParams:
             )
         if not (isinstance(self.subchannels_b, int) and self.subchannels_b >= 1):
             raise ConfigError(f"subchannels_b must be an integer >= 1, got {self.subchannels_b}")
-        if not self.bandwidth_w >= 0.0:
-            raise ConfigError(f"bandwidth_w must be >= 0, got {self.bandwidth_w}")
 
     @classmethod
     def from_db(
@@ -89,7 +92,6 @@ class SystemParams:
         r_sbs: float,
         r_mbs: float,
         subchannels_b: int = 1,
-        bandwidth_w: float = 0.0,
     ) -> "SystemParams":
         """Build params from boundary units (powers in dBm, threshold in dB)."""
         return cls(
@@ -103,7 +105,6 @@ class SystemParams:
             r_sbs=r_sbs,
             r_mbs=r_mbs,
             subchannels_b=subchannels_b,
-            bandwidth_w=bandwidth_w,
         )
 
     @property
@@ -235,15 +236,6 @@ def replication_probability(policy: CachePolicy, c: int, library: ContentLibrary
     return 1.0 if c <= library.cache_slots else 0.0
 
 
-def replication_vector(policy: CachePolicy, library: ContentLibrary) -> np.ndarray:
-    """P_c for every rank c = 1..|C|, as a vector."""
-    if policy is CachePolicy.UCP:
-        return np.full(library.size, library.cache_slots / library.size)
-    p = np.zeros(library.size)
-    p[: library.cache_slots] = 1.0
-    return p
-
-
 @dataclass(frozen=True)
 class ModelSetup:
     """One complete model instance: network, policy, library and requests."""
@@ -289,11 +281,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def read_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
-
-
 def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in cfg:
         if default is None:
@@ -322,7 +309,6 @@ SETUP_KEYS = frozenset(
     {
         "lambda_mbs",
         "lambda_sbs",
-        "bandwidth_w",
         "subchannels_b",
         "beta",
         "p_max_mbs",
@@ -353,7 +339,6 @@ def setup_from_config(cfg: dict[str, str]) -> ModelSetup:
         r_sbs=get_float(cfg, "r_sbs"),
         r_mbs=get_float(cfg, "r_mbs"),
         subchannels_b=get_int(cfg, "subchannels_b", 1),
-        bandwidth_w=get_float(cfg, "bandwidth_w", 0.0),
     )
     size = get_int(cfg, "library_size")
     if "cache_slots" in cfg and "d_tilde" in cfg:

@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
-These deliberately avoid the closed-form algebra under test: tier outage is
-recomputed as the defining distance-averaged quadrature of the
-Laplace-transform success probability, and distance laws come from the
-truncated-Rayleigh CDF written out directly.
+These deliberately avoid the closed-form algebra under test: the kernel is
+recomputed as adaptive quadrature of its defining integral, tier outage as
+the defining distance-averaged quadrature of the Laplace-transform success
+probability, and distance laws come from the truncated-Rayleigh CDF written
+out directly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,34 @@ def fig2_params(lambda_sbs: float = 0.2, beta: float = 0.05, gamma_db: float = -
         r_sbs=5.0,
         r_mbs=r_mbs,
     )
+
+
+def kernel_quadrature(power_ratio: float, alpha: float) -> float:
+    """x^(2/a) * integral_{x^(-2/a)}^inf du / (1 + u^(a/2)) by adaptive quadrature.
+
+    The infinite tail is removed exactly so that quad only sees smooth
+    finite-interval integrands: with p = a/2 and lower limit b, b <= 1 uses
+    the full-line value (pi/p) / sin(pi/p) minus the head over [0, b], and
+    b > 1 substitutes u = t^(-1/(p-1)). Relative accuracy is about 1e-11.
+    """
+    if power_ratio == 0.0:
+        return 0.0
+    p = alpha / 2.0
+    b = power_ratio ** (-1.0 / p)
+    if b <= 1.0:
+        full_line = (math.pi / p) / math.sin(math.pi / p)
+        head, _ = integrate.quad(
+            lambda u: 1.0 / (1.0 + u**p), 0.0, b, epsabs=0.0, epsrel=1e-10, limit=200
+        )
+        value = full_line - head
+    else:
+        q = 1.0 / (p - 1.0)
+        tail, _ = integrate.quad(
+            lambda t: 1.0 / (1.0 + t ** (p * q)), 0.0, b ** (-1.0 / q),
+            epsabs=0.0, epsrel=1e-10, limit=200,
+        )
+        value = q * tail
+    return power_ratio ** (1.0 / p) * value
 
 
 def success_sbs_integral(params: SystemParams, p_c: float) -> float:

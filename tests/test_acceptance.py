@@ -35,9 +35,6 @@ from hetcache import (
     run_sweep,
     sbs_hit_probability,
     simulate_outcomes,
-    sweep_density,
-    sweep_sir_threshold,
-    sweep_storage_bandwidth,
     zipf_request_distribution,
 )
 from hetcache.cli import _load_config
@@ -45,6 +42,7 @@ from hetcache.experiments import sweep_spec_from_config
 
 from oracles import (
     fig2_params,
+    kernel_quadrature,
     success_mbs_integral,
     success_sbs_integral,
     truncated_rayleigh_cdf,
@@ -76,9 +74,7 @@ def combo_table():
 def test_criterion_1_kernel_oracle():
     start = time.perf_counter()
     for gamma in (0.01, 0.1, 1.0, 10.0):
-        exact = kernel_integral(gamma, 4.0, method="exact")
-        quad = kernel_integral(gamma, 4.0, method="quadrature")
-        assert quad == pytest.approx(exact, rel=1e-8)
+        assert kernel_quadrature(gamma, 4.0) == pytest.approx(kernel_integral(gamma, 4.0), rel=1e-8)
     equal_power = kernels(
         SystemParams(
             lambda_mbs=1e-4, lambda_sbs=0.2, beta=0.5, p_max_mbs=4.0, p_max_sbs=2.0,
@@ -141,7 +137,7 @@ def test_criterion_4_served_distance_law():
     # beta*B*lambda_sbs*P_c, which keep their benchmark values)
     start = time.perf_counter()
     p = fig2_params(r_mbs=6.0)
-    window = SimWindow.square(40.0, guard=14.0)
+    window = SimWindow(40.0, guard=14.0)
     outcomes = simulate_outcomes(
         p, CachePolicy.PCP, library30(), content=1, window=window,
         realizations=20000, trials_per_content=1, seed=2024,
@@ -177,7 +173,7 @@ def _density_setup():
 def test_criterion_5_qualitative_figure_reproduction():
     setup, variants = _density_setup()
     grid = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.5)
-    res = sweep_density(SweepSpec(base=setup, axis1=("lambda_sbs", grid), variants=variants))
+    res = run_sweep(SweepSpec(base=setup, axis1=("lambda_sbs", grid), variants=variants))
 
     def curve(label):
         return [r.avg_outage for r in res.rows if r.variant == label]
@@ -194,7 +190,7 @@ def test_criterion_5_qualitative_figure_reproduction():
 
     # (c) every threshold-sweep curve is nondecreasing, both engines
     gammas = tuple(np.linspace(-20.0, 10.0, 13))
-    gres = sweep_sir_threshold(SweepSpec(base=setup, axis1=("gamma", gammas), variants=variants))
+    gres = run_sweep(SweepSpec(base=setup, axis1=("gamma", gammas), variants=variants))
     for label in ("none", "ucp:uniform", "pcp:zipf"):
         cv = [r.avg_outage for r in gres.rows if r.variant == label]
         assert all(b >= a - 1e-12 for a, b in zip(cv, cv[1:]))
@@ -212,7 +208,7 @@ def test_criterion_5_qualitative_figure_reproduction():
 def test_criterion_6_figure_read_soft_checks():
     # figure-read values with unknown grid coordinates: report, never fail
     spec = sweep_spec_from_config(_load_config("fig3.spec"))
-    res = sweep_storage_bandwidth(spec)
+    res = run_sweep(spec)
     verdicts = []
     for label, target in (("pcp", 0.46), ("ucp", 0.50)):
         full_spectrum = [r.avg_outage for r in res.rows if r.variant == label and r.axes[1] == 1.0]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from hetcache import (
@@ -27,7 +28,7 @@ from hetcache import (
     zipf_request_distribution,
 )
 
-from oracles import fig2_params, success_mbs_integral, success_sbs_integral
+from oracles import fig2_params, kernel_quadrature, success_mbs_integral, success_sbs_integral
 
 # Frozen oracle constants, computed with 50-digit mpmath evaluations of the
 # same definitions (arctan kernel form; tier outage closed forms) at the
@@ -44,8 +45,8 @@ TOTAL_PC0_FIG2 = 0.67571190733285751134
 AVG_PCP_ZIPF_FIG2 = 0.44097951029796712385
 AVG_UCP_FIG2 = 0.54167875525120705213
 
-# quadrature-path references for non-arctan path-loss exponents (mpmath
-# hypergeometric closed form of the tail integral)
+# references for non-arctan path-loss exponents (mpmath hypergeometric
+# closed form of the tail integral)
 RHO_ALPHA22 = {0.1: 0.99207409490795730717, 1.0: 9.4316568296129897202}
 RHO_ALPHA3 = {0.1: 0.1952671374379260562, 1.0: 1.6712976965294421067, 10.0: 10.262883117519118401}
 RHO_ALPHA6 = {0.1: 0.048116569153610955793, 1.0: 0.37355072789142418039, 10.0: 1.6288058268530196501}
@@ -76,16 +77,14 @@ class TestKernelIntegral:
 
     def test_quadrature_matches_arctan_form(self):
         for gamma in (0.01, 0.1, 1.0, 10.0):
-            exact = kernel_integral(gamma, 4.0, method="exact")
-            quad = kernel_integral(gamma, 4.0, method="quadrature")
-            assert quad == pytest.approx(exact, rel=1e-8)
+            assert kernel_quadrature(gamma, 4.0) == pytest.approx(kernel_integral(gamma, 4.0), rel=1e-8)
 
     @pytest.mark.parametrize(
         "alpha,table", [(2.2, RHO_ALPHA22), (3.0, RHO_ALPHA3), (6.0, RHO_ALPHA6)]
     )
     def test_quadrature_against_high_precision_reference(self, alpha, table):
         for x, expected in table.items():
-            assert kernel_integral(x, alpha) == pytest.approx(expected, rel=1e-10)
+            assert kernel_integral(x, alpha) == pytest.approx(expected, rel=1e-13)
 
     def test_divergent_for_alpha_at_most_two(self):
         for alpha in (2.0, 1.5, 0.5):
@@ -333,29 +332,73 @@ class TestAverageOutage:
             )
 
 
+@st.composite
+def system_params(draw) -> SystemParams:
+    r_sbs = draw(st.floats(0.5, 30.0))
+    return SystemParams(
+        lambda_mbs=10.0 ** draw(st.floats(-6.0, -3.0)),
+        lambda_sbs=10.0 ** draw(st.floats(-4.0, 0.5)),
+        beta=draw(st.floats(0.01, 1.0)),
+        p_max_mbs=10.0 ** draw(st.floats(-1.0, 2.0)),
+        p_max_sbs=10.0 ** draw(st.floats(-2.0, 1.0)),
+        alpha=draw(st.floats(2.1, 6.5)),
+        gamma=10.0 ** draw(st.floats(-3.0, 2.0)),
+        r_sbs=r_sbs,
+        r_mbs=r_sbs + draw(st.floats(1.0, 500.0)),
+        subchannels_b=draw(st.integers(1, 3)),
+    )
+
+
+# A fixed example set keeps the suite reproducible; 60 examples per
+# property keep the whole class near half a second.
+fast = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
 class TestRandomizedBounds:
-    def test_probabilities_stay_in_unit_interval(self):
-        # randomized parameter sweep; all outputs must be probabilities
-        rng = np.random.default_rng(20240817)
-        for _ in range(1000):
-            r_sbs = rng.uniform(0.5, 30.0)
-            p = SystemParams(
-                lambda_mbs=10.0 ** rng.uniform(-6, -3),
-                lambda_sbs=10.0 ** rng.uniform(-4, 0.5),
-                beta=rng.uniform(0.01, 1.0),
-                p_max_mbs=10.0 ** rng.uniform(-1, 2),
-                p_max_sbs=10.0 ** rng.uniform(-2, 1),
-                alpha=rng.uniform(2.1, 6.5),
-                gamma=10.0 ** rng.uniform(-3, 2),
-                r_sbs=r_sbs,
-                r_mbs=r_sbs + rng.uniform(1.0, 500.0),
-                subchannels_b=int(rng.integers(1, 4)),
-            )
-            p_c = rng.uniform(0.0, 1.0)
-            b = total_outage(p, p_c)
-            for v in (b.p_hit_sbs, b.p_hit_mbs, b.p_out_sbs, b.p_out_mbs, b.p_out_total):
-                assert 0.0 <= v <= 1.0
-            ks = kernels(p)
-            assert ks.k2 == ks.k3
-            for k in (ks.k1, ks.k2, ks.k4):
-                assert k >= 0.0 and math.isfinite(k)
+    @fast
+    @given(system_params(), st.floats(0.0, 1.0))
+    def test_probabilities_stay_in_unit_interval(self, p, p_c):
+        b = total_outage(p, p_c)
+        for v in (b.p_hit_sbs, b.p_hit_mbs, b.p_out_sbs, b.p_out_mbs, b.p_out_total):
+            assert 0.0 <= v <= 1.0
+        ks = kernels(p)
+        assert ks.k2 == ks.k3
+        for k in (ks.k1, ks.k2, ks.k4):
+            assert k >= 0.0 and math.isfinite(k)
+
+    @fast
+    @given(system_params(), st.floats(0.0, 1.0), st.floats(1.0, 10.0))
+    def test_outage_nondecreasing_in_threshold(self, p, p_c, factor):
+        higher = SystemParams(**{**p.__dict__, "gamma": p.gamma * factor})
+        assert total_outage(higher, p_c).p_out_total >= total_outage(p, p_c).p_out_total - 1e-12
+
+    @fast
+    @given(
+        st.floats(10.0**-2.5, 1.0), st.floats(0.01, 1.0), st.floats(-30.0, 20.0), st.floats(2.1, 6.5),
+        st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+    )
+    def test_pcp_outage_nonincreasing_in_cache_size(self, lam, beta, gamma_db, alpha, size, u, v, delta):
+        # Benchmark powers and radii, where SBS service never fares worse
+        # than the MBS fallback. With a weak SBS tier (0.01 W against 100 W)
+        # caching can raise the outage, so this does not hold everywhere.
+        p = fig2_params(lambda_sbs=lam, beta=beta, gamma_db=gamma_db, alpha=alpha)
+        requests = zipf_request_distribution(size, delta)
+        small, large = sorted((round(u * size), round(v * size)))
+        assert average_outage(
+            p, CachePolicy.PCP, ContentLibrary(size=size, cache_slots=large), requests
+        ) <= average_outage(p, CachePolicy.PCP, ContentLibrary(size=size, cache_slots=small), requests) + 1e-12
+
+    @fast
+    @given(system_params(), st.integers(1, 200), st.floats(0.0, 2.0))
+    def test_full_cache_policies_coincide(self, p, size, delta):
+        library = ContentLibrary(size=size, cache_slots=size)
+        requests = zipf_request_distribution(size, delta)
+        assert average_outage(p, CachePolicy.UCP, library, requests) == average_outage(
+            p, CachePolicy.PCP, library, requests
+        )
+
+    @fast
+    @given(st.floats(2.05, 8.0), st.floats(-6.0, 6.0))
+    def test_kernel_matches_defining_integral(self, alpha, log_x):
+        x = 10.0**log_x
+        assert kernel_integral(x, alpha) == pytest.approx(kernel_quadrature(x, alpha), rel=1e-9)

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -193,7 +195,34 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "analytic", "--config", "fig2.cfg", "--frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["lambda_sbs", "r_mbs"])
+    def test_infinite_value_named_and_exit_2(self, capsys, tmp_path, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(
+            f"{key} = inf" if line.startswith(f"{key} =") else line for line in SMALL_CFG.splitlines()
+        ))
+        for command in ("analytic", "simulate"):
+            code, _, err = run_cli(capsys, command, "--config", str(bad))
+            assert code == 2
+            assert key in err
+
+    def test_monte_carlo_refuses_several_subchannels(self, capsys, tmp_path):
+        cfg = tmp_path / "b2.cfg"
+        cfg.write_text(SMALL_CFG + "\nsubchannels_b = 2\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "subchannels_b" in err
+        code, out, _ = run_cli(capsys, "analytic", "--config", str(cfg))
+        assert code == 0
+        assert 0.0 <= json.loads(out)["p_out_total"] <= 1.0
+
     def test_invalid_rank_is_runtime_error(self, capsys, small_cfg):
         code, _, err = run_cli(capsys, "analytic", "--config", small_cfg, "--content-rank", "99")
         assert code == 1
         assert "rank" in err
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    probe = "import sys, hetcache; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

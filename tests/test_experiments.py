@@ -12,10 +12,7 @@ from hetcache import (
     Variant,
     parse_config_text,
     run_sweep,
-    sweep_density,
-    sweep_sir_threshold,
     sweep_spec_from_config,
-    sweep_storage_bandwidth,
     zipf_request_distribution,
 )
 from hetcache.cli import _load_config
@@ -64,16 +61,6 @@ class TestSweepSpecValidation:
             SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"),
                       engines=("exact",))
 
-    def test_named_sweeps_check_their_axes(self):
-        s = base_setup()
-        spec = SweepSpec(base=s, axis1=("beta", (0.1, 0.2)), variants=variants(s, "pcp"))
-        with pytest.raises(ConfigError):
-            sweep_density(spec)
-        with pytest.raises(ConfigError):
-            sweep_sir_threshold(spec)
-        with pytest.raises(ConfigError):
-            sweep_storage_bandwidth(spec)
-
 
 class TestRunSweep:
     def test_single_point_grid_row_count(self):
@@ -82,7 +69,7 @@ class TestRunSweep:
             base=s, axis1=("lambda_sbs", (0.02,)), variants=variants(s, "pcp"),
             engines=("analytic", "montecarlo"), mc=McBudget(1, 10), seed=3,
         )
-        res = sweep_density(spec)
+        res = run_sweep(spec)
         assert len(res.rows) == 2
         assert [r.engine for r in res.rows] == ["analytic", "montecarlo"]
         assert res.rows[0].std_error is None
@@ -105,7 +92,7 @@ class TestRunSweep:
             base=s, axis1=("d_tilde", (0.5, 1.0)), axis2=("beta", (0.05, 1.0)),
             variants=variants(s, "ucp", "pcp"),
         )
-        res = sweep_storage_bandwidth(spec)
+        res = run_sweep(spec)
         for beta in (0.05, 1.0):
             by = {r.variant: r.avg_outage for r in res.rows if r.axes == (1.0, beta)}
             assert by["ucp"] == by["pcp"]
@@ -116,7 +103,7 @@ class TestRunSweep:
             base=s, axis1=("lambda_sbs", (0.01, 0.05, 0.1, 0.2, 0.5)),
             variants=variants(s, "none"),
         )
-        res = sweep_density(spec)
+        res = run_sweep(spec)
         curve = [r.avg_outage for r in res.rows]
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
@@ -126,7 +113,7 @@ class TestRunSweep:
             base=s, axis1=("d_tilde", (0.1, 0.9)), axis2=("beta", (0.05,)),
             variants=variants(s, "none"),
         )
-        res = sweep_storage_bandwidth(spec)
+        res = run_sweep(spec)
         vals = [r.avg_outage for r in res.rows]
         assert vals[0] == vals[1]  # cache pinned at zero either way
 
@@ -134,7 +121,7 @@ class TestRunSweep:
         s = base_setup()
         spec = SweepSpec(base=s, axis1=("gamma", (-20.0, -10.0, 0.0)),
                          variants=variants(s, "pcp"))
-        res = sweep_sir_threshold(spec)
+        res = run_sweep(spec)
         assert [r.axes[0] for r in res.rows] == [-20.0, -10.0, 0.0]
         curve = [r.avg_outage for r in res.rows]
         assert all(b >= a for a, b in zip(curve, curve[1:]))
@@ -148,7 +135,7 @@ class TestRunSweep:
             variants=variants(s, "pcp"), engines=("montecarlo",),
             mc=McBudget(1, 25), seed=5,
         )
-        res = sweep_sir_threshold(spec)
+        res = run_sweep(spec)
         curve = [r.avg_outage for r in res.rows]
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 

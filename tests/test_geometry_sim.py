@@ -69,53 +69,47 @@ class TestStreams:
 
 class TestWindow:
     def test_area_and_coverage(self):
-        sq = SimWindow.square(1000.0)
+        sq = SimWindow(1000.0)
         assert sq.area() == 1e6
         assert sq.covered_radius() == 500.0
-        disc = SimWindow.disc(300.0)
-        assert disc.area() == pytest.approx(math.pi * 9e4)
-        assert disc.covered_radius() == 300.0
 
     def test_default_window_side(self):
-        assert default_window(fig2_params()).extent == 1000.0
+        assert default_window(fig2_params()).side == 1000.0
         wide = default_window(fig2_params(r_mbs=400.0))
-        assert wide.extent == 1300.0
+        assert wide.side == 1300.0
 
     def test_points_stay_inside(self):
         rng = stream_rng(1, "geometry", 0)
-        sq = SimWindow.square(100.0)
+        sq = SimWindow(100.0)
         pts = sq.sample_points(1000, rng)
         assert np.all(np.abs(pts) <= 50.0)
-        disc = SimWindow.disc(40.0)
-        pts = disc.sample_points(1000, rng)
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 40.0)
 
     def test_too_small_window_rejected(self):
         p = fig2_params()
         lib = ContentLibrary(size=10, cache_slots=3)
         with pytest.raises(ConfigError):
-            realize_network(p, CachePolicy.PCP, lib, SimWindow.square(600.0),
+            realize_network(p, CachePolicy.PCP, lib, SimWindow(600.0),
                             stream_rng(0, "geometry", 0))
 
 
 class TestSamplePpp:
     def test_zero_intensity_empty(self):
-        pts = sample_ppp(0.0, SimWindow.square(1000.0), stream_rng(0, "geometry", 0))
+        pts = sample_ppp(0.0, SimWindow(1000.0), stream_rng(0, "geometry", 0))
         assert pts.shape == (0, 2)
 
     def test_determinism(self):
-        win = SimWindow.square(500.0)
+        win = SimWindow(500.0)
         a = sample_ppp(0.01, win, stream_rng(13, "geometry", 2))
         b = sample_ppp(0.01, win, stream_rng(13, "geometry", 2))
         assert np.array_equal(a, b)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(Exception):
-            sample_ppp(-1.0, SimWindow.square(100.0), stream_rng(0, "geometry", 0))
+            sample_ppp(-1.0, SimWindow(100.0), stream_rng(0, "geometry", 0))
 
     def test_count_law(self):
         # mean count over 1e4 draws within the 1e-4-significance band
-        win = SimWindow.square(1000.0)
+        win = SimWindow(1000.0)
         rng = stream_rng(11, "geometry", 0)
         counts = np.array([len(sample_ppp(0.01, win, rng)) for _ in range(10000)])
         z = (counts.mean() - 1e4) / (math.sqrt(1e4) / math.sqrt(counts.size))
@@ -132,7 +126,7 @@ class TestThinning:
         # direct sampling at beta*lambda vs thinning a lambda process:
         # equal count means (z-test) and equal nearest-distance law (KS),
         # both at significance 1e-3
-        win = SimWindow.square(200.0, guard=0.0)
+        win = SimWindow(200.0, guard=0.0)
         rng_a = stream_rng(21, "geometry", 1)
         rng_b = stream_rng(22, "geometry", 2)
         lam, beta = 0.002, 0.3
@@ -165,7 +159,6 @@ class TestRealizeNetwork:
         expected = np.zeros(20, dtype=bool)
         expected[:6] = True
         assert np.all(real.sbs_caches == expected)
-        assert np.array_equal(real.cache_contents(0), np.arange(1, 7))
 
     def test_ucp_full_cache(self):
         p = fig2_params(lambda_sbs=0.05)
@@ -194,8 +187,8 @@ class TestRealizeNetwork:
         lib = ContentLibrary(size=5, cache_slots=1)
         win = default_window(p)
         real = realize_network(p, CachePolicy.UCP, lib, win, stream_rng(4, "geometry", 0))
-        assert np.all(np.abs(real.active_sbs_points) <= win.extent / 2)
-        assert np.all(np.abs(real.mbs_points) <= win.extent / 2)
+        assert np.all(np.abs(real.active_sbs_points) <= win.side / 2)
+        assert np.all(np.abs(real.mbs_points) <= win.side / 2)
 
 
 class TestSimulateRequest:
@@ -352,7 +345,7 @@ class TestDistributionLaws:
         # Benchmark SBS-side parameters; r_mbs shrunk so the window stays
         # small (the SBS laws depend only on beta*B*lambda_sbs*P_c and r_sbs)
         p = fig2_params(r_mbs=6.0)
-        win = SimWindow.square(40.0, guard=14.0)
+        win = SimWindow(40.0, guard=14.0)
         lib = ContentLibrary.from_normalized(0.3, 100)
         outcomes = simulate_outcomes(p, CachePolicy.PCP, lib, content=1, window=win,
                                      realizations=4000, trials_per_content=1, seed=77)
@@ -374,6 +367,6 @@ class TestDistributionLaws:
         _, base = estimate_outage(p, CachePolicy.PCP, lib, req,
                                   window=default_window(p), realizations=2000, seed=9)
         _, doubled = estimate_outage(p, CachePolicy.PCP, lib, req,
-                                     window=SimWindow.square(2000.0), realizations=2000, seed=9)
+                                     window=SimWindow(2000.0), realizations=2000, seed=9)
         shift = abs(base.mean - doubled.mean)
         assert shift <= 0.005 + 3.0 * math.hypot(base.std_error, doubled.std_error)

@@ -16,7 +16,6 @@ from hetcache import (
     dbm_to_watts,
     parse_config_text,
     replication_probability,
-    replication_vector,
     setup_from_config,
     zipf_request_distribution,
 )
@@ -60,6 +59,9 @@ class TestSystemParams:
             ("gamma", 0.0),
             ("lambda_mbs", -1.0),
             ("r_sbs", 0.0),
+            ("lambda_sbs", math.inf),
+            ("r_mbs", math.inf),
+            ("p_max_sbs", math.inf),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -164,13 +166,6 @@ class TestReplication:
         for c in (1, 20, 21, 50):
             for policy in CachePolicy:
                 assert replication_probability(policy, c, a) == replication_probability(policy, c, b)
-
-    def test_replication_vector_matches_scalar(self):
-        lib = ContentLibrary(size=20, cache_slots=7)
-        for policy in CachePolicy:
-            vec = replication_vector(policy, lib)
-            expect = [replication_probability(policy, c, lib) for c in range(1, 21)]
-            assert np.array_equal(vec, np.array(expect))
 
 
 class TestCacheSizing:
