@@ -87,6 +87,8 @@ class SweepSpec:
                 raise ConfigError(f"axis '{name}': value list must be nonempty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"axis '{name}': values must be sorted ascending")
+            for value in values:  # refuse an out-of-model value before any row runs
+                _apply_axis(self.base.params, self.base.library, name, value, fixed_cache=False)
         if not self.variants:
             raise ConfigError("at least one variant is required")
         if not self.engines:

@@ -20,13 +20,19 @@ from .errors import ConfigError, InvalidLibraryError, InvalidRankError
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a dB ratio to a linear ratio."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a dB ratio to a linear ratio (inf when it overflows a float)."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:  # SystemParams refuses inf, naming the field
+        return math.inf
 
 
 def dbm_to_watts(value_dbm: float) -> float:
-    """Convert a dBm power to watts."""
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    """Convert a dBm power to watts (inf when it overflows a float)."""
+    try:
+        return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    except OverflowError:  # SystemParams refuses inf, naming the field
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -99,3 +99,33 @@ def truncated_rayleigh_cdf(density: float, radius: float):
         return np.expm1(-density * math.pi * r**2) / math.expm1(-density * math.pi * radius**2)
 
     return cdf
+
+
+def unit_fade_request(realization, content: int, params: SystemParams, beyond_server: bool):
+    """(server distance or None, SIR or None) of one request with every fade 1.
+
+    The per-request loop the batched simulator kernel replaced: nearest SBS
+    within r_sbs caching the rank (ties to the lower index, as argmin),
+    else nearest MBS within r_mbs, else a miss; interference sums P r^-alpha
+    over every other transmitter, or only those at or beyond the server.
+    """
+    sbs = np.hypot(*realization.active_sbs_points.T)
+    mbs = np.hypot(*realization.mbs_points.T)
+    rows = {int(j): i for i, j in enumerate(realization.cached_sbs)}
+    holders = [j for j in range(sbs.size)
+               if sbs[j] <= params.r_sbs and realization.sbs_caches[rows[j], content - 1]]
+    if holders:
+        tier, index = "sbs", min(holders, key=lambda j: (sbs[j], j))
+        dist, power = sbs[index], params.p_sbs
+    elif mbs.size and mbs.min() <= params.r_mbs:
+        tier, index = "mbs", int(np.argmin(mbs))
+        dist, power = mbs[index], params.p_mbs
+    else:
+        return None, None
+    interference = 0.0
+    tiers = (("mbs", mbs, params.p_mbs), ("sbs", sbs, params.p_sbs if sbs.size else 0.0))
+    for name, distances, p in tiers:
+        for j, r in enumerate(distances):
+            if (name, j) != (tier, index) and (r >= dist or not beyond_server):
+                interference += p * r ** -params.alpha
+    return dist, math.inf if interference == 0.0 else power * dist ** -params.alpha / interference

@@ -216,6 +216,33 @@ class TestExitCodes:
         assert code == 0
         assert 0.0 <= json.loads(out)["p_out_total"] <= 1.0
 
+    def test_overflowing_db_value_named_and_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG.replace("gamma = -10", "gamma = 4000"))
+        code, _, err = run_cli(capsys, "analytic", "--config", str(bad))
+        assert code == 2
+        assert "gamma" in err
+
+    def test_overflowing_gamma_axis_value_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "gamma.spec"
+        spec.write_text(
+            SMALL_SPEC.replace("axis1 = d_tilde", "axis1 = gamma")
+            .replace("axis1_values = 0.2, 1.0", "axis1_values = -10, 4000")
+        )
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_path))
+        assert code == 2
+        assert "gamma" in err
+        assert not out_path.exists()
+
+    def test_out_of_scale_window_refused_before_sampling(self, capsys, tmp_path):
+        text = _load_config("fig2.cfg") | {"r_mbs": "1e7", "realizations": "1"}
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "budget" in err
+
     def test_invalid_rank_is_runtime_error(self, capsys, small_cfg):
         code, _, err = run_cli(capsys, "analytic", "--config", small_cfg, "--content-rank", "99")
         assert code == 1

@@ -55,6 +55,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(base=s, axis1=("beta", (0.5, 0.1)), variants=variants(s, "pcp"))
 
+    @pytest.mark.parametrize("axis, bad", [("gamma", 4000.0), ("beta", 2.0), ("d_tilde", 1.5)])
+    def test_out_of_model_axis_value_refused_at_construction(self, axis, bad):
+        s = base_setup()
+        with pytest.raises(ConfigError, match=axis):
+            SweepSpec(base=s, axis1=(axis, (0.5, bad)), variants=variants(s, "pcp"))
+
     def test_unknown_engine(self):
         s = base_setup()
         with pytest.raises(ConfigError):

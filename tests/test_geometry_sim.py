@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hetcache import (
     ConfigError,
     ContentLibrary,
     INTERFERENCE_ALL,
+    INTERFERENCE_BEYOND_SERVER,
     InvalidRankError,
     NetworkRealization,
     SimWindow,
@@ -26,7 +29,9 @@ from hetcache import (
     zipf_request_distribution,
 )
 
-from oracles import fig2_params, truncated_rayleigh_cdf
+from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _serve
+
+from oracles import fig2_params, truncated_rayleigh_cdf, unit_fade_request
 
 
 class FixedGains:
@@ -149,13 +154,20 @@ class TestThinning:
         assert ks.pvalue > 1e-3
 
 
+def within_r_sbs(real, params):
+    return np.flatnonzero(np.hypot(*real.active_sbs_points.T) <= params.r_sbs)
+
+
 class TestRealizeNetwork:
     def test_pcp_caches_identical_top_d(self):
-        p = fig2_params(lambda_sbs=0.05)
+        p = fig2_params(lambda_sbs=0.2, beta=1.0)
         lib = ContentLibrary(size=20, cache_slots=6)
         real = realize_network(p, CachePolicy.PCP, lib, default_window(p),
                                stream_rng(1, "geometry", 0))
-        assert real.sbs_caches.shape == (len(real.active_sbs_points), 20)
+        near = within_r_sbs(real, p)
+        assert near.size > 0
+        assert np.array_equal(real.cached_sbs, near)
+        assert real.sbs_caches.shape == (near.size, 20)
         expected = np.zeros(20, dtype=bool)
         expected[:6] = True
         assert np.all(real.sbs_caches == expected)
@@ -168,19 +180,47 @@ class TestRealizeNetwork:
         assert np.all(real.sbs_caches)
 
     def test_ucp_cache_sizes_and_inclusion_frequency(self):
-        # one realization with ~1e4 active SBSs; every content's inclusion
-        # frequency within 3 sigma of d / |C|
-        p = fig2_params()
+        # caches are drawn only within r_sbs, so widen it to ~6e3 cache rows;
+        # every content's inclusion frequency within 3 sigma of d / |C|
+        p = replace(fig2_params(beta=1.0), r_sbs=100.0)
         lib = ContentLibrary(size=100, cache_slots=30)
         real = realize_network(p, CachePolicy.UCP, lib, default_window(p),
                                stream_rng(3, "geometry", 0),
                                cache_rng=stream_rng(3, "caches", 0))
-        m = len(real.active_sbs_points)
+        assert np.array_equal(real.cached_sbs, within_r_sbs(real, p))
+        m = real.sbs_caches.shape[0]
         assert m > 5000
         assert np.all(real.sbs_caches.sum(axis=1) == 30)
         freq = real.sbs_caches.mean(axis=0)
         sigma = math.sqrt(0.3 * 0.7 / m)
         assert np.all(np.abs(freq - 0.3) <= 3.0 * sigma)
+
+    def test_ucp_cache_rows_only_within_r_sbs(self):
+        # beta = 1, lambda_sbs = 0.2, |C| = 1e4: a row per active SBS would
+        # be ~2e5 x 1e4 bools (~2 GB); only the SBSs within r_sbs get one
+        p = fig2_params(lambda_sbs=0.2, beta=1.0)
+        lib = ContentLibrary(size=10_000, cache_slots=3000)
+        real = realize_network(p, CachePolicy.UCP, lib, default_window(p),
+                               stream_rng(4, "geometry", 0),
+                               cache_rng=stream_rng(4, "caches", 0))
+        near = within_r_sbs(real, p)
+        assert len(real.active_sbs_points) > 150_000
+        assert np.array_equal(real.cached_sbs, near)
+        assert real.sbs_caches.shape == (near.size, 10_000)
+        assert np.all(real.sbs_caches.sum(axis=1) == 3000)
+
+    def test_cached_sbs_validated(self):
+        with pytest.raises(ConfigError):
+            NetworkRealization(np.empty((0, 2)), np.zeros((2, 2)), np.ones((1, 1), bool))
+        with pytest.raises(ConfigError):
+            NetworkRealization(np.empty((0, 2)), np.zeros((2, 2)), np.ones((2, 1), bool),
+                               cached_sbs=[1, 0])
+
+    def test_serving_sbs_without_cache_row_refused(self):
+        real = NetworkRealization(np.empty((0, 2)), [(1.0, 0.0), (30.0, 0.0)],
+                                  np.ones((1, 1), bool), cached_sbs=[1])
+        with pytest.raises(ConfigError):
+            simulate_request(real, 1, single_content_params(), FixedGains())
 
     def test_points_inside_window(self):
         p = fig2_params(lambda_sbs=0.01)
@@ -268,6 +308,150 @@ class TestSimulateRequest:
         real = make_realization([(1.0, 0.0)], [True])
         with pytest.raises(InvalidRankError):
             simulate_request(real, 2, single_content_params(), stream_rng(9, "fading", 0))
+
+
+class CountingExponential:
+    """RNG stub exposing only ``exponential(scale, size)`` with an integer size."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def exponential(self, scale=1.0, size=None):
+        assert isinstance(size, int)
+        self.calls += 1
+        return self._rng.exponential(scale, size)
+
+
+class TestRealizationKernel:
+    # Unit fades, alpha = 4, p_sbs = 1, p_mbs = 4. SBS a (1, 0) holds rank 1,
+    # b (0, 2) holds rank 2, c (10, 0) lies beyond r_sbs = 5 holding every
+    # rank; MBSs at 100 m and 200 m. Ranks 3 and 4 fall back to the MBS, or
+    # miss when both MBSs sit beyond r_mbs = 250.
+    PARAMS = SystemParams(
+        lambda_mbs=1e-4, lambda_sbs=1.0, beta=1.0, p_max_mbs=4.0, p_max_sbs=1.0,
+        alpha=4.0, gamma=10.0, r_sbs=5.0, r_mbs=250.0,
+    )
+    A, B, C = 1.0, 2.0**-4, 10.0**-4
+
+    def realization(self, mbs_xy):
+        caches = np.zeros((3, 4), dtype=bool)
+        caches[0, 0] = caches[1, 1] = True
+        caches[2, :] = True
+        return NetworkRealization(
+            mbs_points=np.array(mbs_xy, dtype=float),
+            active_sbs_points=np.array([(1.0, 0.0), (0.0, 2.0), (10.0, 0.0)]),
+            sbs_caches=caches,
+        )
+
+    def expected(self, interference, mbs_near, mbs_far):
+        """(tiers, distances, SIRs) by hand, for MBS gains 4 r^-4."""
+        a, b, c, m1, m2 = self.A, self.B, self.C, 4.0 * mbs_near**-4, 4.0 * mbs_far**-4
+        if interference == INTERFERENCE_ALL:
+            sir = [a / (b + c + m1 + m2), b / (a + c + m1 + m2), m1 / (a + b + c + m2)]
+        else:
+            sir = [a / (b + c + m1 + m2), b / (c + m1 + m2), m1 / m2]
+        if mbs_near > self.PARAMS.r_mbs:
+            return [Tier.SBS, Tier.SBS, Tier.MISS, Tier.MISS], [1.0, 2.0], sir[:2]
+        return [Tier.SBS, Tier.SBS, Tier.MBS, Tier.MBS], [1.0, 2.0, mbs_near, mbs_near], sir + sir[2:]
+
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    @pytest.mark.parametrize("mbs_near, mbs_far", [(100.0, 200.0), (300.0, 400.0)])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_multi_content_against_hand_values(self, interference, mbs_near, mbs_far, trials):
+        real = self.realization([(mbs_near, 0.0), (0.0, mbs_far)])
+        served = _serve(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials,
+                        keep_sir=True)
+        tiers, distances, sir = self.expected(interference, mbs_near, mbs_far)
+        assert [served.outcomes(i, self.PARAMS.gamma)[0].tier for i in range(4)] == tiers
+        n_served = len(distances)
+        assert np.array_equal(served.distances[:n_served], distances)
+        assert np.all(np.isnan(served.distances[n_served:]))
+        assert served.sir.shape == (4, trials)
+        np.testing.assert_allclose(served.sir[:n_served], np.repeat([sir], trials, axis=0).T, rtol=1e-12)
+        assert np.all(np.isnan(served.sir[n_served:]))
+        failures = [0 if s > self.PARAMS.gamma else trials for s in sir] + [trials] * (4 - n_served)
+        assert served.failures.tolist() == failures
+        counted = _serve(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials)
+        assert counted.sir is None
+        assert counted.failures.tolist() == failures
+        for rank in range(1, 5):
+            out = simulate_request(real, rank, self.PARAMS, FixedGains(), interference)
+            assert out.tier is tiers[rank - 1]
+            assert out.success == (failures[rank - 1] == 0)
+            if rank <= n_served:
+                assert out.sir == pytest.approx(sir[rank - 1], rel=1e-12)
+
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_matches_per_request_loop(self, policy, interference):
+        # random geometry with ~16 SBSs within r_sbs and ~8 MBSs
+        p = replace(fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
+        lib = ContentLibrary(size=40, cache_slots=12)
+        for r in range(3):
+            real = realize_network(p, policy, lib, SimWindow(40.0, guard=0.0),
+                                   stream_rng(9, "geometry", r), cache_rng=stream_rng(9, "caches", r))
+            served = _serve(real, np.arange(1, lib.size + 1), p, FixedGains(), interference, 1,
+                            keep_sir=True)
+            for rank in range(1, lib.size + 1):
+                dist, sir = unit_fade_request(real, rank, p, interference == INTERFERENCE_BEYOND_SERVER)
+                out = served.outcomes(rank - 1, p.gamma)[0]
+                assert out.server_distance == dist
+                assert out.sir == (None if sir is None else pytest.approx(sir, rel=1e-12))
+
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_one_fading_call_per_server_block(self, policy):
+        # a per-rank loop would make |C| * trials calls; the kernel makes at
+        # most (distinct servers) x (blocks per server)
+        # ~16 SBSs within r_sbs among ~320 in a small window
+        p = fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0)
+        window = SimWindow(40.0, guard=0.0)
+        lib = ContentLibrary(size=100, cache_slots=30)
+        trials = 3
+        for r in range(5):
+            real = realize_network(p, policy, lib, window, stream_rng(8, "geometry", r),
+                                   cache_rng=stream_rng(8, "caches", r))
+            counter = CountingExponential(stream_rng(8, "fading", r))
+            served = _serve(real, np.arange(1, lib.size + 1), p, counter,
+                            INTERFERENCE_BEYOND_SERVER, trials)
+            servers = {d for d in served.distances if not np.isnan(d)}
+            width = len(real.mbs_points) + len(real.active_sbs_points)
+            blocks = math.ceil(lib.size * trials / max(1, FADE_BLOCK_DOUBLES // width))
+            assert len(servers) * blocks < lib.size * trials
+            assert len(servers) > (policy is CachePolicy.UCP)
+            assert 0 < counter.calls <= len(servers) * blocks
+
+
+    def test_failure_counts_match_kept_sirs(self):
+        # blocks split ranks mid-row-run: 3 ranks x 7 trials in blocks of 2 rows
+        p = replace(fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
+        lib = ContentLibrary(size=30, cache_slots=9)
+        real = realize_network(p, CachePolicy.UCP, lib, SimWindow(40.0, guard=0.0),
+                               stream_rng(5, "geometry", 0), cache_rng=stream_rng(5, "caches", 0))
+        contents = np.arange(1, lib.size + 1)
+        kept = _serve(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7,
+                      keep_sir=True)
+        counted = _serve(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
+        assert 0 < counted.failures.sum() < lib.size * 7
+        expected = 7 - np.count_nonzero(kept.sir > p.gamma, axis=1)
+        assert np.array_equal(counted.failures, expected)
+
+    def test_memory_flat_in_trials(self):
+        # 4 ranks x 250k trials: a kept SIR matrix alone would be 8 MB
+        real = self.realization([(100.0, 0.0), (0.0, 200.0)])
+        trials = 250_000
+        tracemalloc.start()
+        try:
+            served = _serve(real, np.arange(1, 5), self.PARAMS, stream_rng(1, "fading", 0),
+                            INTERFERENCE_ALL, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert served.sir is None
+        sbs_ranks, mbs_ranks = served.failures[:2], served.failures[2:]
+        assert np.all((sbs_ranks > 0) & (sbs_ranks < trials))
+        assert np.all(mbs_ranks == trials)  # SIR m1 / (a + b + c + m2) is far below gamma
+        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
 
 
 class TestEstimateOutage:
