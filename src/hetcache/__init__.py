@@ -58,7 +58,6 @@ from .geometry_sim import (
     simulate_outcomes,
     simulate_request,
     stream_rng,
-    thin,
 )
 from .params import (
     CachePolicy,

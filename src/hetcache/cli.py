@@ -18,6 +18,7 @@ from .analytic import total_outage
 from .errors import ConfigError
 from .experiments import SWEEP_KEYS, run_sweep, sweep_spec_from_config
 from .geometry_sim import (
+    DEFAULT_GUARD,
     INTERFERENCE_ALL,
     INTERFERENCE_BEYOND_SERVER,
     default_window,
@@ -108,7 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
     seed = _resolve_seed(args.seed, cfg)
-    guard = get_float(cfg, "guard", 250.0)
+    guard = get_float(cfg, "guard", DEFAULT_GUARD)
     per_content, average = estimate_outage(
         setup.params,
         setup.policy,

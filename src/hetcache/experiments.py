@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import average_outage
 from .errors import ConfigError
-from .geometry_sim import default_window, estimate_outage
+from .geometry_sim import DEFAULT_GUARD, default_window, estimate_outage
 from .params import (
     CachePolicy,
     ContentLibrary,
@@ -74,7 +74,7 @@ class SweepSpec:
     mc: McBudget = McBudget()
     seed: int = 0
     workers: int = 1
-    guard: float = 250.0
+    guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
         for axis in filter(None, (self.axis1, self.axis2)):
@@ -338,5 +338,5 @@ def sweep_spec_from_config(cfg: dict[str, str], seed: int | None = None, workers
         ),
         seed=get_int(cfg, "seed", 0) if seed is None else seed,
         workers=workers,
-        guard=get_float(cfg, "guard", 250.0),
+        guard=get_float(cfg, "guard", DEFAULT_GUARD),
     )

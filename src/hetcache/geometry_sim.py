@@ -8,16 +8,15 @@ interference limited.
 
 Realization kernel
 ------------------
-Every request path (:func:`simulate_request`, :func:`estimate_outage` and
-:func:`simulate_outcomes`) runs through one per-realization kernel. It
-associates all requested ranks at once over the SBSs inside r_sbs, groups the
-requests by server (PCP has at most 2 distinct servers, UCP at most the SBSs
-inside r_sbs plus one), builds each server's interferer gains once, and draws
-that group's fades in blocks of at most :data:`FADE_BLOCK_DOUBLES` doubles.
-Each block is reduced to per-rank failure counts at once, so memory stays
-flat in trials x interferers; only the one-rank callers keep the SIRs. The
-reduction is an ``einsum`` rather than a BLAS product, so one worker stays
-one thread.
+One generator, ``_servers``, associates all requested ranks of a realization
+at once and yields one group per distinct server (PCP has at most 2, UCP at
+most the SBSs inside r_sbs plus one) with its interferer gains, built once.
+Two reducers draw a group's fades in blocks of at most
+:data:`FADE_BLOCK_DOUBLES` doubles: ``_failures`` (:func:`estimate_outage`)
+counts each block's failures at once, so memory stays flat in trials x
+interferers, and ``_outcomes`` (:func:`simulate_request`,
+:func:`simulate_outcomes`) keeps one rank's SIRs. SIRs are reduced with
+``einsum``, not a BLAS product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -58,7 +57,9 @@ share geometry and caches but redraw fading.
 - ``fading``: per distinct server, in association order (SBSs nearest first,
   then the MBS), one row per (requested rank, trial) in rank-major order;
   a row is the serving-link fade followed by the interferer fades, MBSs
-  before SBSs in index order. Rows are drawn in blocks of whole rows. No
+  before SBSs in index order. Rows are drawn in blocks of whole rows, which
+  gives the same values as drawing them one by one. :func:`simulate_outcomes`
+  requests one rank, so a realization's trials form one server group. No
   draw depends on gamma, so outcomes along a gamma axis share their fades.
 """
 
@@ -68,7 +69,7 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -150,14 +151,6 @@ def sample_ppp(intensity: float, window: SimWindow, rng: np.random.Generator) ->
     return window.sample_points(count, rng)
 
 
-def thin(points: np.ndarray, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Independent thinning: retain each point with probability keep_prob."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise DomainError(f"keep_prob must lie in [0, 1], got {keep_prob}")
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    return points[rng.random(len(points)) < keep_prob]
-
-
 def _distances(points: np.ndarray) -> np.ndarray:
     return np.hypot(points[:, 0], points[:, 1])
 
@@ -171,9 +164,9 @@ class NetworkRealization:
     ``sbs_caches[i, c-1]`` means rank c is cached there. ``cached_sbs`` is
     strictly increasing; None means every active SBS, in order.
     :func:`realize_network` gives caches only to the SBSs within r_sbs, the
-    only ones that can serve; association refuses a realization lacking a
-    cache row for an SBS within r_sbs. Distances and attenuations from the
-    reference user are cached lazily.
+    only ones that can serve; association refuses a realization in which an
+    SBS within r_sbs has no row. Distances and path gains from the reference
+    user are cached lazily.
     """
 
     mbs_points: np.ndarray
@@ -197,45 +190,23 @@ class NetworkRealization:
             and np.all(np.diff(self.cached_sbs) > 0)
         ):
             raise ConfigError(f"cached_sbs must be strictly increasing indices in [0, {n_active})")
-        self._attenuation_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._path_gains: dict[float, np.ndarray] = {}
 
     @property
     def library_size(self) -> int:
         return int(self.sbs_caches.shape[1])
 
     @cached_property
-    def mbs_distances(self) -> np.ndarray:
-        return _distances(self.mbs_points)
+    def distances(self) -> np.ndarray:
+        """Distances of the MBSs, then of the active SBSs, in index order."""
+        return _distances(np.concatenate((self.mbs_points, self.active_sbs_points)))
 
-    @cached_property
-    def sbs_distances(self) -> np.ndarray:
-        return _distances(self.active_sbs_points)
-
-    def attenuations(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(mbs, sbs) path-gain arrays distance**(-alpha), cached per alpha."""
-        if alpha not in self._attenuation_cache:
+    def path_gains(self, alpha: float) -> np.ndarray:
+        """``distances ** -alpha``, cached per alpha."""
+        if alpha not in self._path_gains:
             with np.errstate(divide="ignore"):
-                self._attenuation_cache[alpha] = (
-                    self.mbs_distances ** (-alpha),
-                    self.sbs_distances ** (-alpha),
-                )
-        return self._attenuation_cache[alpha]
-
-    @cached_property
-    def _cache_row_of(self) -> np.ndarray:
-        row_of = np.full(len(self.active_sbs_points), -1)
-        row_of[self.cached_sbs] = np.arange(self.cached_sbs.size)
-        return row_of
-
-    def _cache_rows(self, sbs: np.ndarray) -> np.ndarray:
-        """Rows of ``sbs_caches`` holding the caches of active SBSs ``sbs``."""
-        rows = self._cache_row_of[sbs]
-        if np.any(rows < 0):
-            raise ConfigError(
-                f"active SBS {int(sbs[rows < 0][0])} can serve but the realization "
-                "holds no cache for it"
-            )
-        return rows
+                self._path_gains[alpha] = self.distances ** (-alpha)
+        return self._path_gains[alpha]
 
 
 def realize_network(
@@ -305,32 +276,6 @@ class ServiceOutcome:
     success: bool
 
 
-@dataclass(frozen=True)
-class _Served:
-    """Kernel output for n requested ranks.
-
-    ``server[i]`` is the position of rank i's server among the ``sbs_count``
-    SBSs within r_sbs (nearest first), ``sbs_count`` for the MBS, or -1 for
-    a miss. ``distances`` (n,) is NaN for a miss. ``failures`` (n,) counts
-    the trials whose SIR does not exceed gamma (a miss fails every trial).
-    ``sir`` (n, trials) is kept only on request, NaN for a miss.
-    """
-
-    server: np.ndarray
-    sbs_count: int
-    distances: np.ndarray
-    failures: np.ndarray
-    sir: np.ndarray | None
-
-    def outcomes(self, request: int, gamma: float) -> list[ServiceOutcome]:
-        server = self.server[request]
-        if server < 0:
-            return [ServiceOutcome(Tier.MISS, None, None, False)] * self.sir.shape[1]
-        tier = Tier.SBS if server < self.sbs_count else Tier.MBS
-        distance = float(self.distances[request])
-        return [ServiceOutcome(tier, distance, float(s), bool(s > gamma)) for s in self.sir[request]]
-
-
 def _fading_sir(signal_gain: float, gains: np.ndarray, rows: int, rng: np.random.Generator):
     """SIRs of ``rows`` independent fading draws of one server and its interferers.
 
@@ -350,76 +295,94 @@ def _fading_sir(signal_gain: float, gains: np.ndarray, rows: int, rng: np.random
             yield start, np.full(n, math.inf)
 
 
-def _serve(
+def _servers(
+    realization: NetworkRealization,
+    contents: np.ndarray,
+    params: SystemParams,
+    interference: str,
+):
+    """Associate every rank in ``contents``; yield one group per distinct server.
+
+    A rank's server is the nearest SBS within r_sbs caching it (ties by
+    index), else the nearest MBS within r_mbs, else none (a miss, in no
+    group). Groups come SBSs nearest first, then the MBS, as (positions in
+    ``contents``, tier, distance, signal gain, interferer gains); a gain is
+    transmit power times path gain, interferers MBSs first, in index order.
+    """
+    if interference not in _CONVENTIONS:
+        raise ConfigError(f"unknown interference convention {interference!r}")
+    dist = realization.distances  # MBSs, then SBSs: the order of the interferer gains
+    mbs_dist, sbs_dist = np.split(dist, [len(realization.mbs_points)])
+    path_gain = realization.path_gains(params.alpha)
+    gain = params.p_mbs * path_gain
+    if sbs_dist.size:  # p_sbs is undefined at beta = 0, where no SBS is active
+        gain[mbs_dist.size :] = params.p_sbs * path_gain[mbs_dist.size :]
+
+    rows = np.flatnonzero(sbs_dist[realization.cached_sbs] <= params.r_sbs)
+    if rows.size < np.count_nonzero(sbs_dist <= params.r_sbs):
+        raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
+    rows = rows[np.argsort(sbs_dist[realization.cached_sbs[rows]], kind="stable")]
+    # candidate servers, as indices into dist: the SBSs within r_sbs nearest
+    # first, then the nearest MBS; argmax over the all-True MBS row finds a
+    # rank's first holder
+    mbs = int(np.argmin(mbs_dist)) if mbs_dist.size else -1
+    candidates = np.append(mbs_dist.size + realization.cached_sbs[rows], mbs)
+    holds = np.ones((candidates.size, contents.size), dtype=bool)
+    holds[:-1] = realization.sbs_caches[rows[:, None], contents - 1]
+    server = holds.argmax(axis=0)
+    if mbs < 0 or dist[mbs] > params.r_mbs:
+        server[server == rows.size] = -1
+
+    beyond = interference == INTERFERENCE_BEYOND_SERVER
+    for code in np.unique(server[server >= 0]):
+        index = candidates[code]
+        interferers = dist >= dist[index] if beyond else np.ones(dist.size, dtype=bool)
+        interferers[index] = False
+        tier = Tier.SBS if code < rows.size else Tier.MBS
+        yield np.flatnonzero(server == code), tier, float(dist[index]), gain[index], gain[interferers]
+
+
+def _failures(
     realization: NetworkRealization,
     contents: np.ndarray,
     params: SystemParams,
     rng: np.random.Generator,
     interference: str,
     trials: int,
-    keep_sir: bool = False,
-) -> _Served:
-    """Associate every rank in ``contents`` and count its failures over ``trials``.
+) -> np.ndarray:
+    """Per-rank counts of the ``trials`` whose SIR does not exceed gamma.
 
-    The server of a rank is the nearest SBS within r_sbs caching it (ties by
-    index), else the nearest MBS within r_mbs, else none. Requests sharing a
-    server share its interferer set; see the module docstring for the order
-    of the fading draws. Each block of draws is reduced to failure counts at
-    once, so memory does not grow with trials unless ``keep_sir``.
+    A missed rank fails every trial. Each block of fading draws is reduced
+    to counts at once, so memory does not grow with trials.
     """
-    if interference not in _CONVENTIONS:
-        raise ConfigError(f"unknown interference convention {interference!r}")
-    sbs_dist = realization.sbs_distances
-    mbs_dist = realization.mbs_distances
-    mbs_att, sbs_att = realization.attenuations(params.alpha)
-
-    near = np.flatnonzero(sbs_dist <= params.r_sbs)
-    near = near[np.argsort(sbs_dist[near], kind="stable")]
-    # one all-True row below the candidates: argmax finds the first holder,
-    # or near.size (the MBS fallback) when no candidate holds the rank
-    holds = np.ones((near.size + 1, contents.size), dtype=bool)
-    holds[:-1] = realization.sbs_caches[realization._cache_rows(near)[:, None], contents - 1]
-    server = holds.argmax(axis=0)
-    mbs_server = int(np.argmin(mbs_dist)) if mbs_dist.size else -1
-    if mbs_server < 0 or mbs_dist[mbs_server] > params.r_mbs:
-        server[server == near.size] = -1
-
-    distances = np.full(contents.size, np.nan)
     failures = np.full(contents.size, trials)
-    sir = np.full((contents.size, trials), np.nan) if keep_sir else None
-    beyond = interference == INTERFERENCE_BEYOND_SERVER
-    for code in np.unique(server[server >= 0]):
-        requests = np.flatnonzero(server == code)
-        sbs_served = code < near.size
-        if sbs_served:
-            index, dist, power, att = near[code], sbs_dist, params.p_sbs, sbs_att
-        else:
-            index, dist, power, att = mbs_server, mbs_dist, params.p_mbs, mbs_att
-        r = dist[index]
-        mbs_mask = mbs_dist >= r if beyond else np.ones(mbs_dist.size, dtype=bool)
-        sbs_mask = sbs_dist >= r if beyond else np.ones(sbs_dist.size, dtype=bool)
-        (sbs_mask if sbs_served else mbs_mask)[index] = False
-        gains = params.p_mbs * mbs_att[mbs_mask]
-        if sbs_dist.size:
-            gains = np.concatenate((gains, params.p_sbs * sbs_att[sbs_mask]))
-        group_failures = np.zeros(requests.size, dtype=failures.dtype)
-        kept = []
-        for start, block in _fading_sir(power * att[index], gains, requests.size * trials, rng):
+    for requests, _, _, signal_gain, gains in _servers(realization, contents, params, interference):
+        failures[requests] = 0
+        for start, sir in _fading_sir(signal_gain, gains, requests.size * trials, rng):
             # rows are rank-major: row k belongs to request k // trials
-            first, last = start // trials, (start + block.size - 1) // trials
-            failed = start + np.flatnonzero(~(block > params.gamma))
-            group_failures[first : last + 1] += np.bincount(
-                failed // trials - first, minlength=last + 1 - first
-            )
-            if keep_sir:
-                kept.append(block)
-        failures[requests] = group_failures
-        if keep_sir:
-            sir[requests] = np.concatenate(kept).reshape(requests.size, trials)
-        distances[requests] = r
-    return _Served(
-        server=server, sbs_count=near.size, distances=distances, failures=failures, sir=sir
-    )
+            failed = start + np.flatnonzero(~(sir > params.gamma))
+            failures[requests] += np.bincount(failed // trials, minlength=requests.size)
+    return failures
+
+
+def _outcomes(
+    realization: NetworkRealization,
+    content: int,
+    params: SystemParams,
+    rng: np.random.Generator,
+    interference: str,
+    trials: int,
+) -> list[ServiceOutcome]:
+    """``trials`` outcomes of requests for rank ``content``, one server group."""
+    group = next(_servers(realization, np.array([content]), params, interference), None)
+    if group is None:
+        return [ServiceOutcome(Tier.MISS, None, None, False)] * trials
+    _, tier, distance, signal_gain, gains = group
+    return [
+        ServiceOutcome(tier, distance, float(s), bool(s > params.gamma))
+        for _, sir in _fading_sir(signal_gain, gains, trials, rng)
+        for s in sir
+    ]
 
 
 def simulate_request(
@@ -432,23 +395,19 @@ def simulate_request(
     """Simulate one request for ``content`` by the reference user.
 
     Association: nearest active SBS caching the content within r_sbs, else
-    nearest MBS within r_mbs, else miss. Fading is drawn fresh per trial for
-    the serving link and every interferer link, in one call of
-    ``rng.exponential(size=n)`` per block (one block unless the interferers
-    outnumber :data:`FADE_BLOCK_DOUBLES`). Interferers are every other
-    transmitter under ``"all"``, or only those at or beyond the serving
-    distance under the default ``"beyond_server"`` (the geometry the closed
-    forms integrate). This is the realization kernel of
-    :func:`estimate_outage` applied to one rank and one trial.
+    nearest MBS within r_mbs, else miss. The serving-link and interferer
+    fades are drawn in one call of ``rng.exponential(size=n)`` (one call per
+    block when the interferers outnumber :data:`FADE_BLOCK_DOUBLES`).
+    Interferers are every other transmitter under ``"all"``, or only those at
+    or beyond the serving distance under the default ``"beyond_server"`` (the
+    geometry the closed forms integrate). This is the kernel of
+    :func:`simulate_outcomes` at one trial.
     """
     if not 1 <= content <= realization.library_size:
         raise InvalidRankError(
             f"content rank must lie in 1..{realization.library_size}, got {content}"
         )
-    served = _serve(
-        realization, np.array([content]), params, rng, interference, trials=1, keep_sir=True
-    )
-    return served.outcomes(0, params.gamma)[0]
+    return _outcomes(realization, content, params, rng, interference, trials=1)[0]
 
 
 @dataclass(frozen=True)
@@ -465,7 +424,8 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
-def _check_simulable(params: SystemParams, window: SimWindow) -> None:
+def _checked_window(params: SystemParams, window: SimWindow | None) -> SimWindow:
+    window = default_window(params) if window is None else window
     if params.subchannels_b > 1:
         raise ConfigError(
             f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
@@ -477,6 +437,7 @@ def _check_simulable(params: SystemParams, window: SimWindow) -> None:
             f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
             f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
         )
+    return window
 
 
 def _realization(
@@ -495,13 +456,20 @@ def _realization(
     return realization, rng_fading
 
 
-def _realization_failures(args: tuple) -> np.ndarray:
-    """Per-content failure counts for one network realization."""
-    params, policy, library, window, seed, r_index, trials_per_content, interference = args
+def _realization_failures(
+    params: SystemParams,
+    policy: CachePolicy,
+    library: ContentLibrary,
+    window: SimWindow,
+    seed: int,
+    trials_per_content: int,
+    interference: str,
+    r_index: int,
+) -> np.ndarray:
+    """Per-content failure counts for network realization ``r_index``."""
     realization, rng_fading = _realization(params, policy, library, window, seed, r_index)
     contents = np.arange(1, library.size + 1)
-    served = _serve(realization, contents, params, rng_fading, interference, trials_per_content)
-    return served.failures
+    return _failures(realization, contents, params, rng_fading, interference, trials_per_content)
 
 
 def estimate_outage(
@@ -540,19 +508,17 @@ def estimate_outage(
             f"request distribution size {requests.size} does not match "
             f"library_size {library.size}"
         )
-    if window is None:
-        window = default_window(params)
-    _check_simulable(params, window)
-    tasks = [
-        (params, policy, library, window, seed, r, trials_per_content, interference)
-        for r in range(realizations)
-    ]
+    window = _checked_window(params, window)
+    task = partial(
+        _realization_failures, params, policy, library, window, seed, trials_per_content,
+        interference,
+    )
     if workers <= 1:
-        counts = [_realization_failures(task) for task in tasks]
+        counts = list(map(task, range(realizations)))
     else:
         chunk = max(1, realizations // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_realization_failures, tasks, chunksize=chunk))
+            counts = list(pool.map(task, range(realizations), chunksize=chunk))
     failure_matrix = np.stack(counts)  # (realizations, |C|)
     failures = failure_matrix.sum(axis=0)
     trials = realizations * trials_per_content
@@ -583,15 +549,9 @@ def simulate_outcomes(
     """Raw per-trial outcomes for one content rank (for distribution checks)."""
     if not 1 <= content <= library.size:
         raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {content}")
-    if window is None:
-        window = default_window(params)
-    _check_simulable(params, window)
+    window = _checked_window(params, window)
     outcomes: list[ServiceOutcome] = []
     for r in range(realizations):
         realization, rng_fading = _realization(params, policy, library, window, seed, r)
-        served = _serve(
-            realization, np.array([content]), params, rng_fading, interference, trials_per_content,
-            keep_sir=True,
-        )
-        outcomes += served.outcomes(0, params.gamma)
+        outcomes += _outcomes(realization, content, params, rng_fading, interference, trials_per_content)
     return outcomes

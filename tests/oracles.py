@@ -101,6 +101,11 @@ def truncated_rayleigh_cdf(density: float, radius: float):
     return cdf
 
 
+def thin(points: np.ndarray, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Independent thinning: retain each point with probability keep_prob."""
+    return points[rng.random(len(points)) < keep_prob]
+
+
 def unit_fade_request(realization, content: int, params: SystemParams, beyond_server: bool):
     """(server distance or None, SIR or None) of one request with every fade 1.
 

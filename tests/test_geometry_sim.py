@@ -25,13 +25,13 @@ from hetcache import (
     simulate_outcomes,
     simulate_request,
     stream_rng,
-    thin,
     zipf_request_distribution,
 )
 
-from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _serve
+from hetcache import geometry_sim
+from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _fading_sir, _failures, _outcomes, _servers
 
-from oracles import fig2_params, truncated_rayleigh_cdf, unit_fade_request
+from oracles import fig2_params, thin, truncated_rayleigh_cdf, unit_fade_request
 
 
 class FixedGains:
@@ -122,13 +122,9 @@ class TestSamplePpp:
 
 
 class TestThinning:
-    def test_bounds(self):
-        rng = stream_rng(0, "caches", 0)
-        with pytest.raises(Exception):
-            thin(np.zeros((3, 2)), 1.5, rng)
-
     def test_equivalence_to_direct_sampling(self):
-        # direct sampling at beta*lambda vs thinning a lambda process:
+        # realize_network samples at beta*lambda directly; the thinning
+        # theorem says that equals thinning a lambda process (oracle thin):
         # equal count means (z-test) and equal nearest-distance law (KS),
         # both at significance 1e-3
         win = SimWindow(200.0, guard=0.0)
@@ -360,27 +356,28 @@ class TestRealizationKernel:
     @pytest.mark.parametrize("trials", [1, 3])
     def test_multi_content_against_hand_values(self, interference, mbs_near, mbs_far, trials):
         real = self.realization([(mbs_near, 0.0), (0.0, mbs_far)])
-        served = _serve(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials,
-                        keep_sir=True)
         tiers, distances, sir = self.expected(interference, mbs_near, mbs_far)
-        assert [served.outcomes(i, self.PARAMS.gamma)[0].tier for i in range(4)] == tiers
         n_served = len(distances)
-        assert np.array_equal(served.distances[:n_served], distances)
-        assert np.all(np.isnan(served.distances[n_served:]))
-        assert served.sir.shape == (4, trials)
-        np.testing.assert_allclose(served.sir[:n_served], np.repeat([sir], trials, axis=0).T, rtol=1e-12)
-        assert np.all(np.isnan(served.sir[n_served:]))
+        groups = [(requests.tolist(), tier, distance) for requests, tier, distance, _, _
+                  in _servers(real, np.arange(1, 5), self.PARAMS, interference)]
+        expected_groups = [([0], Tier.SBS, 1.0), ([1], Tier.SBS, 2.0)]
+        if n_served == 4:
+            expected_groups.append(([2, 3], Tier.MBS, mbs_near))
+        assert groups == expected_groups
         failures = [0 if s > self.PARAMS.gamma else trials for s in sir] + [trials] * (4 - n_served)
-        assert served.failures.tolist() == failures
-        counted = _serve(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials)
-        assert counted.sir is None
-        assert counted.failures.tolist() == failures
+        counted = _failures(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials)
+        assert counted.tolist() == failures
         for rank in range(1, 5):
-            out = simulate_request(real, rank, self.PARAMS, FixedGains(), interference)
-            assert out.tier is tiers[rank - 1]
-            assert out.success == (failures[rank - 1] == 0)
+            outs = _outcomes(real, rank, self.PARAMS, FixedGains(), interference, trials)
+            assert len(outs) == trials
+            assert all(o.tier is tiers[rank - 1] for o in outs)
+            assert sum(not o.success for o in outs) == failures[rank - 1]
             if rank <= n_served:
-                assert out.sir == pytest.approx(sir[rank - 1], rel=1e-12)
+                assert all(o.server_distance == distances[rank - 1] for o in outs)
+                assert all(o.sir == pytest.approx(sir[rank - 1], rel=1e-12) for o in outs)
+            else:
+                assert all(o.server_distance is None and o.sir is None for o in outs)
+            assert simulate_request(real, rank, self.PARAMS, FixedGains(), interference) == outs[0]
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
@@ -388,16 +385,20 @@ class TestRealizationKernel:
         # random geometry with ~16 SBSs within r_sbs and ~8 MBSs
         p = replace(fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
         lib = ContentLibrary(size=40, cache_slots=12)
+        contents = np.arange(1, lib.size + 1)
         for r in range(3):
             real = realize_network(p, policy, lib, SimWindow(40.0, guard=0.0),
                                    stream_rng(9, "geometry", r), cache_rng=stream_rng(9, "caches", r))
-            served = _serve(real, np.arange(1, lib.size + 1), p, FixedGains(), interference, 1,
-                            keep_sir=True)
-            for rank in range(1, lib.size + 1):
+            served = {}
+            for requests, _, distance, signal_gain, gains in _servers(real, contents, p, interference):
+                sir = signal_gain / gains.sum() if gains.size else math.inf
+                served.update((int(contents[i]), (distance, sir)) for i in requests)
+            for rank in contents:
                 dist, sir = unit_fade_request(real, rank, p, interference == INTERFERENCE_BEYOND_SERVER)
-                out = served.outcomes(rank - 1, p.gamma)[0]
-                assert out.server_distance == dist
-                assert out.sir == (None if sir is None else pytest.approx(sir, rel=1e-12))
+                expected = (dist, None if sir is None else pytest.approx(sir, rel=1e-12))
+                assert served.get(rank, (None, None)) == expected
+                out = _outcomes(real, rank, p, FixedGains(), interference, 1)[0]
+                assert (out.server_distance, out.sir) == expected
 
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
     def test_one_fading_call_per_server_block(self, policy):
@@ -407,34 +408,41 @@ class TestRealizationKernel:
         p = fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0)
         window = SimWindow(40.0, guard=0.0)
         lib = ContentLibrary(size=100, cache_slots=30)
+        contents = np.arange(1, lib.size + 1)
         trials = 3
         for r in range(5):
             real = realize_network(p, policy, lib, window, stream_rng(8, "geometry", r),
                                    cache_rng=stream_rng(8, "caches", r))
             counter = CountingExponential(stream_rng(8, "fading", r))
-            served = _serve(real, np.arange(1, lib.size + 1), p, counter,
-                            INTERFERENCE_BEYOND_SERVER, trials)
-            servers = {d for d in served.distances if not np.isnan(d)}
+            _failures(real, contents, p, counter, INTERFERENCE_BEYOND_SERVER, trials)
+            servers = sum(1 for _ in _servers(real, contents, p, INTERFERENCE_BEYOND_SERVER))
             width = len(real.mbs_points) + len(real.active_sbs_points)
             blocks = math.ceil(lib.size * trials / max(1, FADE_BLOCK_DOUBLES // width))
-            assert len(servers) * blocks < lib.size * trials
-            assert len(servers) > (policy is CachePolicy.UCP)
-            assert 0 < counter.calls <= len(servers) * blocks
+            assert servers * blocks < lib.size * trials
+            assert servers > (policy is CachePolicy.UCP)
+            assert 0 < counter.calls <= servers * blocks
 
-
-    def test_failure_counts_match_kept_sirs(self):
-        # blocks split ranks mid-row-run: 3 ranks x 7 trials in blocks of 2 rows
+    def test_failure_counts_match_sirs(self, monkeypatch):
+        # blocks of 2 rows split the 7-trial runs of the ranks mid-run; the
+        # counts must equal those of each server's whole SIR matrix, and
+        # those of the default blocks (the fades do not depend on the blocks)
         p = replace(fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
         lib = ContentLibrary(size=30, cache_slots=9)
         real = realize_network(p, CachePolicy.UCP, lib, SimWindow(40.0, guard=0.0),
                                stream_rng(5, "geometry", 0), cache_rng=stream_rng(5, "caches", 0))
         contents = np.arange(1, lib.size + 1)
-        kept = _serve(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7,
-                      keep_sir=True)
-        counted = _serve(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
-        assert 0 < counted.failures.sum() < lib.size * 7
-        expected = 7 - np.count_nonzero(kept.sir > p.gamma, axis=1)
-        assert np.array_equal(counted.failures, expected)
+        default = _failures(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
+        expected = np.full(lib.size, 7)
+        rng = stream_rng(5, "fading", 0)
+        for requests, _, _, signal_gain, gains in _servers(real, contents, p, INTERFERENCE_ALL):
+            sir = np.concatenate([b for _, b in _fading_sir(signal_gain, gains, requests.size * 7, rng)])
+            expected[requests] = 7 - np.count_nonzero(sir.reshape(-1, 7) > p.gamma, axis=1)
+        width = len(real.mbs_points) + len(real.active_sbs_points)  # "all": every point
+        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", 2 * width)
+        split = _failures(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
+        assert 0 < split.sum() < lib.size * 7
+        assert np.array_equal(split, expected)
+        assert np.array_equal(default, expected)
 
     def test_memory_flat_in_trials(self):
         # 4 ranks x 250k trials: a kept SIR matrix alone would be 8 MB
@@ -442,13 +450,12 @@ class TestRealizationKernel:
         trials = 250_000
         tracemalloc.start()
         try:
-            served = _serve(real, np.arange(1, 5), self.PARAMS, stream_rng(1, "fading", 0),
-                            INTERFERENCE_ALL, trials)
+            failures = _failures(real, np.arange(1, 5), self.PARAMS, stream_rng(1, "fading", 0),
+                                 INTERFERENCE_ALL, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert served.sir is None
-        sbs_ranks, mbs_ranks = served.failures[:2], served.failures[2:]
+        sbs_ranks, mbs_ranks = failures[:2], failures[2:]
         assert np.all((sbs_ranks > 0) & (sbs_ranks < trials))
         assert np.all(mbs_ranks == trials)  # SIR m1 / (a + b + c + m2) is far below gamma
         assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
@@ -554,3 +561,66 @@ class TestDistributionLaws:
                                      window=SimWindow(2000.0), realizations=2000, seed=9)
         shift = abs(base.mean - doubled.mean)
         assert shift <= 0.005 + 3.0 * math.hypot(base.std_error, doubled.std_error)
+
+
+class TestFrozenDrawOrder:
+    # Frozen simulator outputs: any change to association, interferer sets or
+    # the order of the draws on any stream moves them. r_mbs = 60 m makes
+    # misses common.
+    PARAMS = fig2_params(lambda_sbs=0.2, r_mbs=60.0)
+    LIBRARY = ContentLibrary(size=10, cache_slots=3)
+    FAILURES = {
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [9, 9, 7, 13, 15, 12, 14, 14, 13, 13],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [25, 25, 21, 37, 39, 42, 38, 41, 40, 38],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [10, 9, 9, 19, 17, 19, 18, 19, 19, 19],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [28, 28, 27, 57, 57, 56, 55, 57, 56, 57],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [10, 14, 10, 10, 11, 12, 11, 13, 7, 11],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [33, 34, 26, 31, 32, 32, 29, 37, 25, 33],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [17, 15, 14, 17, 14, 15, 13, 16, 13, 17],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [47, 42, 42, 50, 46, 45, 43, 53, 37, 48],
+    }
+    # simulate_outcomes for rank 2, 4 realizations x 3 trials: one tier and
+    # distance per realization, SIRs per trial. Realization 0 misses; 1 and 3
+    # are served alike under both policies, 2 by an SBS (PCP) or the MBS (UCP).
+    TIERS = {CachePolicy.PCP: "xmss", CachePolicy.UCP: "xmms"}
+    DISTANCES = {
+        CachePolicy.PCP: [None, 8.082734321373445, 0.29624465940983874, 4.581370335280274],
+        CachePolicy.UCP: [None, 8.082734321373445, 50.29091763056887, 4.581370335280274],
+    }
+    SIRS_R1 = {
+        INTERFERENCE_BEYOND_SERVER: [0.19482283043074977, 1.1709469720895378, 7.0184229202387325],
+        INTERFERENCE_ALL: [0.10794929372123432, 0.10369980913731539, 2.8481188941369338],
+    }
+    SIRS_R2 = {
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER): [5646.498322354418, 2999.7947742304036, 14722.570038626058],
+        (CachePolicy.PCP, INTERFERENCE_ALL): [5646.498322354418, 2999.7947742304036, 14722.570038626058],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER): [0.056512931930099146, 0.17013841395269602, 0.07151087222883568],
+        (CachePolicy.UCP, INTERFERENCE_ALL): [7.3738256177046415e-09, 1.776130381400901e-09, 2.8444938710826768e-08],
+    }
+    SIRS_R3 = [0.07901233606544349, 0.7768535547395935, 1.1513207514236021]
+
+    @pytest.mark.parametrize("policy, interference, trials", list(FAILURES))
+    def test_estimate_outage_failure_counts(self, policy, interference, trials):
+        per_content, _ = estimate_outage(
+            self.PARAMS, policy, self.LIBRARY, zipf_request_distribution(10, 0.8),
+            realizations=20, trials_per_content=trials, seed=8, interference=interference,
+        )
+        counts = [round(est.mean * est.trials) for est in per_content]
+        assert counts == self.FAILURES[policy, interference, trials]
+
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_simulate_outcomes_trials(self, policy, interference):
+        outcomes = simulate_outcomes(self.PARAMS, policy, self.LIBRARY, content=2, realizations=4,
+                                     trials_per_content=3, seed=8, interference=interference)
+        tiers = {"x": Tier.MISS, "m": Tier.MBS, "s": Tier.SBS}
+        expected_tiers = [tiers[t] for t in self.TIERS[policy] for _ in range(3)]
+        assert [o.tier for o in outcomes] == expected_tiers
+        assert [o.server_distance for o in outcomes] == [d for d in self.DISTANCES[policy] for _ in range(3)]
+        sirs = [None] * 3 + self.SIRS_R1[interference] + self.SIRS_R2[policy, interference] + self.SIRS_R3
+        for outcome, sir in zip(outcomes, sirs, strict=True):
+            if sir is None:
+                assert outcome.sir is None and outcome.success is False
+            else:
+                assert outcome.sir == pytest.approx(sir, rel=1e-12)
+                assert outcome.success == (outcome.sir > self.PARAMS.gamma)
