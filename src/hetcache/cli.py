@@ -154,6 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage analysis of cache-enabled two-tier Poisson networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = "parallel worker cap, at least 1; capped at the realizations and CPUs (default 1)"
 
     analytic = sub.add_parser("analytic", help="closed-form outage breakdown for one content rank")
     analytic.add_argument("--config", required=True, help="key = value config file")
@@ -163,14 +164,14 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Monte-Carlo outage estimate with standard errors")
     simulate.add_argument("--config", required=True, help="key = value config file")
     simulate.add_argument("--seed", type=int, default=None, help="master seed (beats HETCACHE_SEED)")
-    simulate.add_argument("--workers", type=int, default=1, help="parallel worker cap (default 1)")
+    simulate.add_argument("--workers", type=int, default=1, help=workers_help)
     simulate.set_defaults(func=_cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep and write a CSV table")
     sweep.add_argument("--spec", required=True, help="sweep spec file (config keys + axes)")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--seed", type=int, default=None, help="master seed (beats HETCACHE_SEED)")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel worker cap (default 1)")
+    sweep.add_argument("--workers", type=int, default=1, help=workers_help)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

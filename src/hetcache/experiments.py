@@ -96,6 +96,8 @@ class SweepSpec:
         for engine in self.engines:
             if engine not in _ENGINES:
                 raise ConfigError(f"unknown engine {engine!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def axis_names(self) -> tuple[str, ...]:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -497,12 +497,15 @@ def estimate_outage(
 
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
-    index) alone, merged in index order.
+    index) alone, merged in index order. At most min(workers, realizations,
+    CPUs) processes start; one runs serially, without a pool.
     """
     if trials_per_content < 1:
         raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if requests.size != library.size:
         raise ConfigError(
             f"request distribution size {requests.size} does not match "
@@ -513,11 +516,15 @@ def estimate_outage(
         _realization_failures, params, policy, library, window, seed, trials_per_content,
         interference,
     )
-    if workers <= 1:
+    processes = min(workers, realizations, os.cpu_count() or 1)
+    if processes == 1:
         counts = list(map(task, range(realizations)))
     else:
-        chunk = max(1, realizations // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, realizations // (4 * processes))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = list(pool.map(task, range(realizations), chunksize=chunk))
     failure_matrix = np.stack(counts)  # (realizations, |C|)
     failures = failure_matrix.sum(axis=0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,14 @@ RHO_ALPHA3 = {0.1: 0.1952671374379260562, 1.0: 1.6712976965294421067, 10.0: 10.2
 RHO_ALPHA6 = {0.1: 0.048116569153610955793, 1.0: 0.37355072789142418039, 10.0: 1.6288058268530196501}
 
 
+def mpmath_kernel(x, alpha):
+    """x / (p - 1) * 2F1(1, 1 - 1/p; 2 - 1/p; -x), p = alpha / 2, at 40 digits."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(alpha) / 2
+        x = mpmath.mpf(float(x))
+        return float(x / (p - 1) * mpmath.hyp2f1(1, 1 - 1 / p, 2 - 1 / p, -x))
+
+
 def equal_power_params(gamma_db=0.0, alpha=4.0):
     # beta * p_max_mbs == p_max_sbs makes the per-channel powers equal
     return SystemParams(
@@ -85,6 +94,22 @@ class TestKernelIntegral:
     def test_quadrature_against_high_precision_reference(self, alpha, table):
         for x, expected in table.items():
             assert kernel_integral(x, alpha) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [2.0001, 2.05, 2.5, 3.0, 3.5, 5.0, 8.0, 20.0, 100.0, 1000.0])
+    def test_against_mpmath_hypergeometric(self, alpha):
+        # alpha near 2 and far above 8 probe the two ends of b = 1 - 2/alpha;
+        # just above x = 1 the x > 1 branch would cancel without its rearrangement
+        for x in np.concatenate([np.logspace(-6, 6, 97), np.linspace(1.0, 4.0, 61)]):
+            assert kernel_integral(float(x), alpha) == pytest.approx(mpmath_kernel(x, alpha), rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.5, 8.0, 100.0])
+    def test_continuous_across_branch_switch(self, alpha):
+        # x <= 1 takes the Pfaff series, x > 1 the rearranged 1/x form
+        xs = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+        below, at, above = (kernel_integral(x, alpha) for x in xs)
+        for x, value in zip(xs, (below, at, above)):
+            assert value == pytest.approx(mpmath_kernel(x, alpha), rel=5e-15, abs=0.0)
+        assert abs(above - below) <= 2e-15 * at
 
     def test_divergent_for_alpha_at_most_two(self):
         for alpha in (2.0, 1.5, 0.5):

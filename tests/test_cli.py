@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import math
 import subprocess
@@ -249,7 +250,47 @@ class TestExitCodes:
         assert "rank" in err
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    probe = "import sys, hetcache; print('scipy.integrate' in sys.modules)"
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    probe = (
+        "import sys, hetcache; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import fail in the child
+    spec = tmp_path / "fig3_alpha35.spec"
+    bundled = importlib.resources.files("hetcache").joinpath("configs", "fig3.spec").read_text()
+    assert "\nalpha = 4\n" in bundled
+    spec.write_text(bundled.replace("\nalpha = 4\n", "\nalpha = 3.5\n"))
+    small = tmp_path / "small.cfg"
+    small.write_text(SMALL_CFG)
+    commands = [
+        ["analytic", "--config", "fig2.cfg"],
+        ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")],
+        ["simulate", "--config", str(small), "--seed", "7"],
+    ]
+    probe = (
+        "import json, sys; sys.modules['scipy'] = None; "
+        "from hetcache.cli import main; "
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(json.dumps([codes, 'concurrent.futures.process' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], False]
+    assert len(SweepResult.from_csv_text((tmp_path / "out.csv").read_text()).rows) == 154
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_fewer_than_one_worker_exit_2(capsys, small_cfg, small_spec, tmp_path, command, workers):
+    if command == "simulate":
+        source = ["--config", small_cfg]
+    else:
+        source = ["--spec", small_spec, "--out", str(tmp_path / "out.csv")]
+    code, out, err = run_cli(capsys, command, *source, "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert "workers must be >= 1" in err

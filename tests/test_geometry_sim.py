@@ -1,6 +1,8 @@
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -475,6 +477,51 @@ class TestEstimateOutage:
                                                     seed=5, workers=3)
         assert ref_pc == again_pc and ref_avg == again_avg
         assert ref_pc == parallel_pc and ref_avg == parallel_avg
+
+    @pytest.mark.parametrize(
+        "workers,realizations,cpus,started",
+        [
+            (5000, 100, 2, 2),  # capped at the CPUs
+            (5000, 3, 8, 3),  # capped at the realizations
+            (2, 30, 8, 2),
+            (4, 30, None, None),  # CPU count unknown: serial
+            (3, 1, 8, None),  # one realization: serial
+            (1, 30, 8, None),
+        ],
+    )
+    def test_pool_size_capped(self, monkeypatch, workers, realizations, cpus, started):
+        # a stub records the pool size and maps in-process, so no process starts
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: cpus)
+        p = fig2_params(lambda_sbs=0.02)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        req = zipf_request_distribution(4, 0.8)
+        run = partial(estimate_outage, p, CachePolicy.PCP, lib, req, realizations=realizations, seed=2)
+        pooled = run(workers=workers)
+        assert sizes == ([] if started is None else [started])
+        assert pooled == run(workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_refused(self, workers):
+        lib = ContentLibrary(size=4, cache_slots=2)
+        with pytest.raises(ConfigError, match="workers"):
+            estimate_outage(fig2_params(), CachePolicy.PCP, lib, zipf_request_distribution(4, 0.8),
+                            realizations=2, workers=workers)
 
     def test_nothing_can_serve_gives_exact_one(self):
         p = SystemParams(
