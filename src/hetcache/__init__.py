@@ -4,7 +4,13 @@ Closed forms (module ``analytic``) and an independent Monte-Carlo simulator
 (module ``geometry_sim``) for the storage-bandwidth tradeoff in a macro +
 small-cell network with Zipf content popularity, plus sweep orchestration
 (``experiments``) and a CLI (``cli``).
+
+The closed forms, sweeps of them and the CLI run in pure ``math``: numpy is
+loaded only by the Monte-Carlo engine. ``geometry_sim`` and the names below
+that come from it are therefore imported on first access (PEP 562).
 """
+
+import importlib
 
 from .analytic import (
     InterferenceKernels,
@@ -43,22 +49,6 @@ from .experiments import (
     run_sweep,
     sweep_spec_from_config,
 )
-from .geometry_sim import (
-    INTERFERENCE_ALL,
-    INTERFERENCE_BEYOND_SERVER,
-    McEstimate,
-    NetworkRealization,
-    ServiceOutcome,
-    SimWindow,
-    Tier,
-    default_window,
-    estimate_outage,
-    realize_network,
-    sample_ppp,
-    simulate_outcomes,
-    simulate_request,
-    stream_rng,
-)
 from .params import (
     CachePolicy,
     ContentLibrary,
@@ -75,3 +65,29 @@ from .params import (
 )
 
 __version__ = "0.1.0"
+
+_SIMULATOR_NAMES = frozenset(
+    {
+        "INTERFERENCE_ALL",
+        "INTERFERENCE_BEYOND_SERVER",
+        "McEstimate",
+        "NetworkRealization",
+        "ServiceOutcome",
+        "SimWindow",
+        "Tier",
+        "default_window",
+        "estimate_outage",
+        "realize_network",
+        "sample_ppp",
+        "simulate_outcomes",
+        "simulate_request",
+        "stream_rng",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name != "geometry_sim" and name not in _SIMULATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    geometry_sim = importlib.import_module(".geometry_sim", __name__)
+    return geometry_sim if name == "geometry_sim" else getattr(geometry_sim, name)

@@ -285,17 +285,21 @@ def combine_outage(p_hit_sbs: float, p_hit_mbs: float, p_out_sbs: float, p_out_m
     )
 
 
-def total_outage(params: SystemParams, p_c: float) -> OutageBreakdown:
+def total_outage(
+    params: SystemParams, p_c: float, ks: InterferenceKernels | None = None
+) -> OutageBreakdown:
     """Per-content outage breakdown.
 
     The SBS branch is undefined when beta * P_c == 0; the mixture gives it
     zero weight there, so the stored SBS outage of 1.0 is irrelevant rather
     than an error. Same routing for a vanishing MBS tier. The kernels are
-    evaluated once and shared by both branches.
+    evaluated once and shared by both branches; ``ks`` passes kernels
+    already evaluated for ``params``.
     """
     hit_s = sbs_hit_probability(params, p_c)
     hit_m = mbs_hit_probability(params)
-    ks = kernels(params) if hit_s > 0.0 or hit_m > 0.0 else None
+    if ks is None:
+        ks = _kernels_if_served(params, p_c)
     out_s = _outage_sbs(params, p_c, _sbs_serving_density(params, p_c), ks) if hit_s > 0.0 else 1.0
     out_m = _outage_mbs(params, ks) if hit_m > 0.0 else 1.0
     total = combine_outage(hit_s, hit_m, out_s, out_m)
@@ -308,6 +312,13 @@ def total_outage(params: SystemParams, p_c: float) -> OutageBreakdown:
     )
 
 
+def _kernels_if_served(params: SystemParams, p_c: float) -> InterferenceKernels | None:
+    """The kernels, or None when no tier can serve a content of replication P_c."""
+    if sbs_hit_probability(params, p_c) > 0.0 or mbs_hit_probability(params) > 0.0:
+        return kernels(params)
+    return None
+
+
 def average_outage(
     params: SystemParams,
     policy: CachePolicy,
@@ -318,9 +329,9 @@ def average_outage(
 
     Both policies give P_c one value on the cached ranks 1..d and one on
     the rest, so the sum is grouped by distinct P_c: one total_outage call
-    per value that carries nonzero request mass. The grouping reorders the
-    floating-point sum, so the result can differ from the rank-order sum
-    in the last bits.
+    per value that carries nonzero request mass, all sharing one kernel
+    evaluation. The grouping reorders the floating-point sum, so the result
+    can differ from the rank-order sum in the last bits.
     """
     if requests.size != library.size:
         raise DomainError(
@@ -329,11 +340,13 @@ def average_outage(
     d = library.cache_slots
     mass: dict[float, float] = {}
     # rank 1 stands for the head 1..d and rank |C| for the tail d+1..|C|
-    for rank, weights in ((1, requests.weights[:d]), (library.size, requests.weights[d:])):
+    for rank, q in ((1, requests.mass(1, d)), (library.size, requests.mass(d + 1, library.size))):
         p_c = replication_probability(policy, rank, library)
-        mass[p_c] = mass.get(p_c, 0.0) + float(weights.sum())
+        mass[p_c] = mass.get(p_c, 0.0) + q
+    served = [p_c for p_c, q in mass.items() if q > 0.0]
+    # the SBS hit probability grows with P_c: the largest P_c needs kernels if any does
+    ks = _kernels_if_served(params, max(served))
     acc = 0.0
-    for p_c, q in mass.items():
-        if q > 0.0:
-            acc += q * total_outage(params, p_c).p_out_total
+    for p_c in served:
+        acc += mass[p_c] * total_outage(params, p_c, ks).p_out_total
     return _check_probability(acc, "average outage")

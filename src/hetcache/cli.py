@@ -16,15 +16,9 @@ import sys
 
 from .analytic import total_outage
 from .errors import ConfigError
-from .experiments import SWEEP_KEYS, run_sweep, sweep_spec_from_config
-from .geometry_sim import (
-    DEFAULT_GUARD,
-    INTERFERENCE_ALL,
-    INTERFERENCE_BEYOND_SERVER,
-    default_window,
-    estimate_outage,
-)
+from .experiments import SWEEP_KEYS, estimate_outage, run_sweep, sweep_spec_from_config
 from .params import (
+    DEFAULT_GUARD,
     SETUP_KEYS,
     get_float,
     get_int,
@@ -75,6 +69,8 @@ def _seed_override(flag_seed: int | None) -> int | None:
 
 
 def _interference_from(cfg: dict[str, str]) -> str:
+    from .geometry_sim import INTERFERENCE_ALL, INTERFERENCE_BEYOND_SERVER
+
     value = cfg.get("interference", INTERFERENCE_BEYOND_SERVER)
     if value not in (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL):
         raise ConfigError(
@@ -109,13 +105,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
     seed = _resolve_seed(args.seed, cfg)
-    guard = get_float(cfg, "guard", DEFAULT_GUARD)
     per_content, average = estimate_outage(
         setup.params,
         setup.policy,
         setup.library,
         setup.requests,
-        window=default_window(setup.params, guard),
+        guard=get_float(cfg, "guard", DEFAULT_GUARD),
         trials_per_content=get_int(cfg, "trials_per_content", 1),
         realizations=get_int(cfg, "realizations", 100),
         seed=seed,

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analytic import average_outage
 from .errors import ConfigError
-from .geometry_sim import DEFAULT_GUARD, default_window, estimate_outage
 from .params import (
+    DEFAULT_GUARD,
     CachePolicy,
     ContentLibrary,
     ModelSetup,
@@ -33,6 +32,9 @@ from .params import (
     setup_from_config,
     zipf_request_distribution,
 )
+
+if TYPE_CHECKING:
+    from .geometry_sim import McEstimate
 
 ENGINE_ANALYTIC = "analytic"
 ENGINE_MONTECARLO = "montecarlo"
@@ -190,9 +192,30 @@ def _apply_axis(
     raise ConfigError(f"axis '{name}' is not sweepable")
 
 
+def estimate_outage(
+    params: SystemParams,
+    policy: CachePolicy,
+    library: ContentLibrary,
+    requests: RequestDistribution,
+    guard: float = DEFAULT_GUARD,
+    **options,
+) -> tuple[list[McEstimate], McEstimate]:
+    """:func:`geometry_sim.estimate_outage` in the default window with margin ``guard``.
+
+    The simulator, and with it numpy, is imported on the first call, so
+    closed-form commands never load it. ``options`` are passed through.
+    """
+    from . import geometry_sim
+
+    window = geometry_sim.default_window(params, guard)
+    return geometry_sim.estimate_outage(params, policy, library, requests, window=window, **options)
+
+
 def _variant_seed(master: int, variant_index: int) -> int:
     # Stable per-variant derivation; shared across grid points on purpose
     # (common random numbers along the axis).
+    import numpy as np
+
     return int(np.random.SeedSequence([int(master), variant_index]).generate_state(1, np.uint64)[0])
 
 
@@ -223,7 +246,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                             variant.policy,
                             library,
                             variant.requests,
-                            window=default_window(params, spec.guard),
+                            guard=spec.guard,
                             trials_per_content=spec.mc.trials_per_content,
                             realizations=spec.mc.realizations,
                             seed=_variant_seed(spec.seed, vi),

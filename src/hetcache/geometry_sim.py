@@ -6,6 +6,11 @@ SBS within r_sbs, else nearest MBS within r_mbs, else miss), draws unit-mean
 exponential fading per link, and tests SIR > gamma. No noise: the model is
 interference limited.
 
+numpy is loaded only for Monte-Carlo: by this module, by the request weight
+vector it reads and by a sweep's per-variant seeds. The package and the
+sweeps import this module on first use, so closed-form commands never load
+numpy.
+
 Realization kernel
 ------------------
 One generator, ``_servers``, associates all requested ranks of a realization
@@ -74,13 +79,11 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidRankError
-from .params import CachePolicy, ContentLibrary, RequestDistribution, SystemParams
+from .params import DEFAULT_GUARD, CachePolicy, ContentLibrary, RequestDistribution, SystemParams
 
 INTERFERENCE_BEYOND_SERVER = "beyond_server"
 INTERFERENCE_ALL = "all"
 _CONVENTIONS = (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL)
-
-DEFAULT_GUARD = 250.0
 
 #: Most doubles one block of fading draws holds (512 KiB). A row wider than
 #: this is drawn alone.

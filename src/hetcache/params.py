@@ -5,18 +5,29 @@ threshold in dB and transmit powers in dBm; everything is converted to linear
 units exactly once, here. The computational core never sees dB again.
 
 All types are immutable after construction and safe to share across
-concurrent workers without synchronization.
+concurrent workers without synchronization (a RequestDistribution caches the
+sums it has made, which never changes a value). Nothing here imports numpy
+unless the Monte-Carlo engine asks for the request weight vector.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
-
-import numpy as np
+import numbers
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InvalidLibraryError, InvalidRankError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Default margin, in m, between the disc of radius r_mbs and the edge of the
+#: Monte-Carlo window.
+DEFAULT_GUARD = 250.0
 
 
 def db_to_linear(value_db: float) -> float:
@@ -173,50 +184,66 @@ def cache_slots_from_normalized(d_tilde: float, library_size: int) -> int:
     return max(0, min(library_size, slots))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RequestDistribution:
-    """Request probabilities q_c over popularity ranks c = 1..|C|.
+    """Zipf request law q_c = c^(-skew) / sum_i i^(-skew) over ranks c = 1..size.
 
-    ``weights[c-1]`` is the probability of requesting rank c. Weights are
-    normalized and nonincreasing in rank; ``skew == 0`` is the uniform
-    distribution.
+    The law is held as its two parameters; ``skew == 0`` is the uniform
+    distribution. The closed forms read request masses of rank ranges
+    (:meth:`mass`) summed in pure ``math``; only the Monte-Carlo engine reads
+    the full :attr:`weights` vector, which is the one place numpy is loaded.
     """
 
-    weights: np.ndarray
+    size: int
     skew: float
+    _masses: dict[tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidLibraryError("request weights must be a non-empty 1-D vector")
+        if not (isinstance(self.size, int) and self.size >= 1):
+            raise InvalidLibraryError(f"library_size must be an integer >= 1, got {self.size}")
         if not self.skew >= 0.0:
-            raise ConfigError(f"skew must be >= 0, got {self.skew}")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ConfigError(f"request weights must sum to 1 within 1e-12, got {w.sum()!r}")
-        if np.any(np.diff(w) > 0.0):
-            raise ConfigError("request weights must be nonincreasing in rank")
-        w.setflags(write=False)
+            raise ConfigError(f"delta (the Zipf skew) must be >= 0, got {self.skew}")
 
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
+    def _power_sum(self, first: int, last: int) -> float:
+        return math.fsum(map(pow, range(first, last + 1), repeat(-self.skew)))
+
+    @cached_property
+    def _normalizer(self) -> float:
+        return self._power_sum(1, self.size)
+
+    def mass(self, first: int, last: int) -> float:
+        """Request probability of ranks first..last; 0.0 for an empty range.
+
+        Each range is summed once (correctly rounded by ``math.fsum``) and
+        cached, so a sweep pays for each distinct cache size once.
+        """
+        key = (first, last)
+        if key not in self._masses:
+            self._masses[key] = self._power_sum(first, last) / self._normalizer
+        return self._masses[key]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only float64 vector, ``weights[c-1]`` = q_c, built on first access."""
+        import numpy as np
+
+        ranks = np.arange(1, self.size + 1, dtype=float)
+        weights = np.power(ranks, -self.skew)
+        weights /= weights.sum()
+        weights.setflags(write=False)
+        return weights
 
 
 def zipf_request_distribution(library_size: int, delta: float) -> RequestDistribution:
     """Zipf request distribution q_c = c^(-delta) / sum_i i^(-delta).
 
     ``delta`` controls the skew of the popularity profile; delta = 0
-    reproduces the uniform distribution exactly.
+    reproduces the uniform distribution exactly. Nothing is summed here:
+    masses and weights are computed when first asked for.
     """
-    if not (isinstance(library_size, int) and library_size >= 1):
-        raise InvalidLibraryError(f"library_size must be an integer >= 1, got {library_size}")
-    if not delta >= 0.0:
-        raise ConfigError(f"delta must be >= 0, got {delta}")
-    ranks = np.arange(1, library_size + 1, dtype=float)
-    weights = np.power(ranks, -float(delta))
-    weights /= weights.sum()
-    return RequestDistribution(weights=weights, skew=float(delta))
+    return RequestDistribution(size=library_size, skew=float(delta))
 
 
 class CachePolicy(enum.Enum):
@@ -235,7 +262,7 @@ def replication_probability(policy: CachePolicy, c: int, library: ContentLibrary
 
     UCP: d / |C| for every rank. PCP: 1 for c <= d, else 0.
     """
-    if not (isinstance(c, (int, np.integer)) and 1 <= c <= library.size):
+    if not (isinstance(c, numbers.Integral) and 1 <= c <= library.size):
         raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {c}")
     if policy is CachePolicy.UCP:
         return library.cache_slots / library.size

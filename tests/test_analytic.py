@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from hetcache import analytic
 from hetcache import (
     CachePolicy,
     ContentLibrary,
@@ -77,7 +78,7 @@ class TestKernelIntegral:
             assert k == pytest.approx(math.pi / 4.0, rel=1e-12)
 
     def test_equal_power_value_at_gamma_01(self):
-        assert kernel_integral(0.1, 4.0) == pytest.approx(K_EQUAL_POWER_G01, rel=1e-13)
+        assert kernel_integral(0.1, 4.0) == pytest.approx(K_EQUAL_POWER_G01, rel=1e-13, abs=0.0)
 
     def test_vanishing_threshold(self):
         for x in (1e-12, 1e-9):
@@ -93,7 +94,7 @@ class TestKernelIntegral:
     )
     def test_quadrature_against_high_precision_reference(self, alpha, table):
         for x, expected in table.items():
-            assert kernel_integral(x, alpha) == pytest.approx(expected, rel=1e-13)
+            assert kernel_integral(x, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [2.0001, 2.05, 2.5, 3.0, 3.5, 5.0, 8.0, 20.0, 100.0, 1000.0])
     def test_against_mpmath_hypergeometric(self, alpha):
@@ -130,16 +131,16 @@ class TestKernelIntegral:
 
     def test_fig2_kernels(self):
         ks = kernels(fig2_params())
-        assert ks.k1 == pytest.approx(K1_FIG2, rel=1e-12)
-        assert ks.k2 == pytest.approx(K_EQUAL_POWER_G01, rel=1e-12)
+        assert ks.k1 == pytest.approx(K1_FIG2, rel=1e-12, abs=0.0)
+        assert ks.k2 == pytest.approx(K_EQUAL_POWER_G01, rel=1e-12, abs=0.0)
         assert ks.k3 == ks.k2
-        assert ks.k4 == pytest.approx(K4_FIG2, rel=1e-12)
+        assert ks.k4 == pytest.approx(K4_FIG2, rel=1e-12, abs=0.0)
 
 
 class TestHitProbabilities:
     def test_sbs_hit_benchmark_value(self):
         # exponent 0.05 * 0.2 * pi * 25 = pi/4
-        assert sbs_hit_probability(fig2_params(), 1.0) == pytest.approx(HIT_SBS_FIG2, rel=1e-14)
+        assert sbs_hit_probability(fig2_params(), 1.0) == pytest.approx(HIT_SBS_FIG2, rel=1e-14, abs=0.0)
 
     def test_sbs_hit_zero_cases(self):
         p = fig2_params()
@@ -148,7 +149,7 @@ class TestHitProbabilities:
         assert sbs_hit_probability(fig2_params(lambda_sbs=0.0), 1.0) == 0.0
 
     def test_mbs_hit_benchmark_value(self):
-        assert mbs_hit_probability(fig2_params()) == pytest.approx(HIT_MBS_FIG2, rel=1e-14)
+        assert mbs_hit_probability(fig2_params()) == pytest.approx(HIT_MBS_FIG2, rel=1e-14, abs=0.0)
 
     def test_mbs_hit_vanishing_cases(self):
         p = fig2_params()
@@ -224,7 +225,7 @@ class TestOutageSbs:
         assert outage_sbs(p, 1.0) <= 1e-6
 
     def test_benchmark_regression(self):
-        assert outage_sbs(fig2_params(), 1.0) == pytest.approx(OUT_SBS_FIG2, rel=1e-12)
+        assert outage_sbs(fig2_params(), 1.0) == pytest.approx(OUT_SBS_FIG2, rel=1e-12, abs=0.0)
 
     def test_matches_defining_integral(self):
         for lam in (0.05, 0.2):
@@ -253,7 +254,7 @@ class TestOutageMbs:
         assert outage_mbs(p) <= 1e-6
 
     def test_benchmark_regression(self):
-        assert outage_mbs(fig2_params()) == pytest.approx(OUT_MBS_FIG2, rel=1e-12)
+        assert outage_mbs(fig2_params()) == pytest.approx(OUT_MBS_FIG2, rel=1e-12, abs=0.0)
 
     def test_matches_defining_integral(self):
         for lam in (0.05, 0.2):
@@ -294,10 +295,10 @@ class TestTotalOutage:
         b = total_outage(fig2_params(), 0.0)
         assert b.p_hit_sbs == 0.0
         assert b.p_out_sbs == 1.0  # stored placeholder with zero weight
-        assert b.p_out_total == pytest.approx(TOTAL_PC0_FIG2, rel=1e-12)
+        assert b.p_out_total == pytest.approx(TOTAL_PC0_FIG2, rel=1e-12, abs=0.0)
 
     def test_benchmark_values(self):
-        assert total_outage(fig2_params(), 1.0).p_out_total == pytest.approx(TOTAL_PC1_FIG2, rel=1e-12)
+        assert total_outage(fig2_params(), 1.0).p_out_total == pytest.approx(TOTAL_PC1_FIG2, rel=1e-12, abs=0.0)
 
 
 class TestAverageOutage:
@@ -333,10 +334,10 @@ class TestAverageOutage:
         lib = ContentLibrary.from_normalized(0.3, 100)
         zipf = zipf_request_distribution(100, 0.8)
         assert average_outage(p, CachePolicy.PCP, lib, zipf) == pytest.approx(
-            AVG_PCP_ZIPF_FIG2, rel=1e-12
+            AVG_PCP_ZIPF_FIG2, rel=1e-12, abs=0.0
         )
         assert average_outage(p, CachePolicy.UCP, lib, zipf) == pytest.approx(
-            AVG_UCP_FIG2, rel=1e-12
+            AVG_UCP_FIG2, rel=1e-12, abs=0.0
         )
 
     def test_full_cache_policies_identical_bitwise(self):
@@ -346,6 +347,24 @@ class TestAverageOutage:
         assert average_outage(p, CachePolicy.UCP, lib, req) == average_outage(
             p, CachePolicy.PCP, lib, req
         )
+
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_kernels_evaluated_once_per_average(self, monkeypatch, policy):
+        # PCP has two P_c groups (cached head, uncached tail); both share
+        # one evaluation of the three distinct kernels
+        ratios = []
+        kernel = analytic.kernel_integral
+        monkeypatch.setattr(analytic, "kernel_integral", lambda x, a: ratios.append(x) or kernel(x, a))
+        lib = ContentLibrary.from_normalized(0.3, 1000)
+        average_outage(fig2_params(alpha=3.5), policy, lib, zipf_request_distribution(1000, 0.8))
+        assert len(ratios) == 3
+
+    def test_no_kernels_when_no_tier_serves(self, monkeypatch):
+        # no MBS and nothing cached: every request is a miss, no kernel is needed
+        monkeypatch.setattr(analytic, "kernels", None)
+        p = SystemParams(**{**fig2_params().__dict__, "lambda_mbs": 0.0})
+        lib = ContentLibrary(size=10, cache_slots=0)
+        assert average_outage(p, CachePolicy.PCP, lib, zipf_request_distribution(10, 0.8)) == 1.0
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):

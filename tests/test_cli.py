@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,12 +252,83 @@ class TestExitCodes:
 
 
 def test_import_loads_neither_scipy_nor_the_process_pool():
+    # numpy stays out too: only the Monte-Carlo engine loads it
+    loaded = (
+        "sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'numpy') or m == 'concurrent.futures.process')"
+    )
+    probe = f"import sys, hetcache; print({loaded}); import hetcache.cli; print({loaded})"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]", "[]"]
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path):
+    # sys.modules["numpy"] = None makes every numpy import fail in the child
+    commands = [
+        ["analytic", "--config", "fig2.cfg"],
+        ["sweep", "--spec", "fig3.spec", "--out", str(tmp_path / "fig3.csv")],
+        ["sweep", "--spec", "fig4.spec", "--out", str(tmp_path / "fig4.csv")],
+    ]
     probe = (
-        "import sys, hetcache; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+        "import json, sys; sys.modules['numpy'] = None; "
+        "from hetcache.cli import main; "
+        f"print(json.dumps([main(argv) for argv in {commands!r}]))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0]
+    assert len(SweepResult.from_csv_text((tmp_path / "fig3.csv").read_text()).rows) == 154
+
+
+def test_simulator_names_resolve_from_the_package():
+    import hetcache
+    from hetcache import estimate_outage, geometry_sim
+
+    assert estimate_outage is geometry_sim.estimate_outage
+    assert hetcache.stream_rng is geometry_sim.stream_rng
+    assert geometry_sim.DEFAULT_GUARD == hetcache.params.DEFAULT_GUARD
+    with pytest.raises(AttributeError):
+        hetcache.no_such_name
+
+
+MC_SPEC = SMALL_CFG.replace("realizations = 20", "realizations = 2") + (
+    "axis1 = gamma\naxis1_values = -10, 0\nvariants = pcp\nengines = analytic, montecarlo\n"
+)
+
+
+def test_benchmark_span_targets_resolve_and_record(tmp_path):
+    # perfbench/spans.py times calls by replacing module attributes named in
+    # its TARGETS; on a fresh import every target must resolve, and the
+    # Monte-Carlo calls of simulate and sweep must go through the patched names
+    spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    cfg, spec = tmp_path / "small.cfg", tmp_path / "mc.spec"
+    cfg.write_text(SMALL_CFG)
+    spec.write_text(MC_SPEC)
+    commands = [
+        ["simulate", "--config", str(cfg)],
+        ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")],
+    ]
+    probe = f"""
+import importlib.util, json, sys
+loader = importlib.util.spec_from_file_location("spans", {str(spans_py)!r})
+spans = importlib.util.module_from_spec(loader)
+loader.loader.exec_module(spans)
+import hetcache, hetcache.cli
+missing = [[m, a] for m, a, _ in spans.TARGETS if not hasattr(getattr(hetcache, m, None), a)]
+codes, calls = [], {{}}
+if not missing:
+    recorder = spans.SpanRecorder()
+    recorder.install(hetcache)
+    codes = [hetcache.cli.main(argv) for argv in {commands!r}]
+    calls = {{name: s["calls"] for name, s in spans.summarize(recorder.spans).items()}}
+print(json.dumps([missing, codes, calls]))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    missing, codes, calls = json.loads(out.stdout.strip().splitlines()[-1])
+    assert missing == []
+    assert codes == [0, 0]
+    assert calls["geometry_sim.estimate_outage"] == 1 + 2  # simulate, then two Monte-Carlo rows
+    assert calls["geometry_sim.realize_network"] == 20 + 2 * 2
+    assert calls["analytic.average_outage"] == 2
 
 
 def test_commands_run_without_scipy(tmp_path):

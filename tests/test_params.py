@@ -10,6 +10,7 @@ from hetcache import (
     InvalidLibraryError,
     InvalidRankError,
     ModelSetup,
+    RequestDistribution,
     SystemParams,
     cache_slots_from_normalized,
     db_to_linear,
@@ -134,6 +135,48 @@ class TestZipfDistribution:
             zipf_request_distribution(10, -0.5)
 
 
+class TestZipfMasses:
+    @pytest.mark.parametrize("size", [1, 2, 257, 10_000])
+    @pytest.mark.parametrize("delta", [0.0, 0.4, 0.8, 1.2, 3.0])
+    def test_masses_match_weights(self, size, delta):
+        q = zipf_request_distribution(size, delta)
+        for d in (0, 1, size // 3, size):
+            head, tail = q.mass(1, d), q.mass(d + 1, size)
+            assert abs(head - math.fsum(q.weights[:d])) <= 1e-15
+            assert abs(tail - math.fsum(q.weights[d:])) <= 1e-15
+            if delta == 0.0:
+                assert head == d / size
+                assert tail == (size - d) / size
+        assert q.mass(1, size) == 1.0
+
+    def test_each_range_summed_once(self, monkeypatch):
+        sums = []
+        power_sum = RequestDistribution._power_sum
+        monkeypatch.setattr(
+            RequestDistribution, "_power_sum",
+            lambda self, first, last: sums.append((first, last)) or power_sum(self, first, last),
+        )
+        q = zipf_request_distribution(100, 0.8)
+        for _ in range(3):
+            q.mass(1, 30)
+            q.mass(31, 100)
+        assert sorted(sums) == [(1, 30), (1, 100), (31, 100)]
+
+    def test_weights_cached_and_read_only(self):
+        q = zipf_request_distribution(10, 0.8)
+        assert q.weights is q.weights
+        assert q.weights.dtype == np.float64
+        with pytest.raises(ValueError):
+            q.weights[0] = 1.0
+
+    def test_law_is_its_parameters(self):
+        assert zipf_request_distribution(10, 0.8) == RequestDistribution(size=10, skew=0.8)
+        with pytest.raises(InvalidLibraryError):
+            RequestDistribution(size=0, skew=0.8)
+        with pytest.raises(ConfigError):
+            RequestDistribution(size=10, skew=-1.0)
+
+
 class TestReplication:
     def test_pcp_top_d(self):
         lib = ContentLibrary(size=100, cache_slots=5)
@@ -151,6 +194,12 @@ class TestReplication:
         for c in (0, 11, -2):
             with pytest.raises(InvalidRankError):
                 replication_probability(CachePolicy.UCP, c, lib)
+
+    def test_rank_must_be_integral(self):
+        lib = ContentLibrary(size=10, cache_slots=3)
+        assert replication_probability(CachePolicy.PCP, np.int64(3), lib) == 1.0
+        with pytest.raises(InvalidRankError):
+            replication_probability(CachePolicy.PCP, 3.0, lib)
 
     def test_total_replication_equals_cache_size(self):
         lib = ContentLibrary(size=100, cache_slots=30)
