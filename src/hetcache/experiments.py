@@ -9,11 +9,19 @@ in-memory result.
 Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
 outage exactly monotone per trial, since only the threshold changes.
+
+A sweep with Monte-Carlo rows and more than one worker runs inside
+:func:`geometry_sim.shared_pool`: its rows share one process pool, opened by
+the first row that starts processes and shut down when :func:`run_sweep`
+returns or raises. A single :func:`estimate_outage` call outside a sweep
+opens and shuts down its own pool. Other sweeps import neither the
+simulator nor the pool.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -64,6 +72,12 @@ class Variant:
 class McBudget:
     trials_per_content: int = 1
     realizations: int = 100
+
+    def __post_init__(self) -> None:
+        if self.trials_per_content < 1:
+            raise ConfigError(f"trials_per_content must be >= 1, got {self.trials_per_content}")
+        if self.realizations < 1:
+            raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,22 @@ def _variant_seed(master: int, variant_index: int) -> int:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid; rows ordered by (grid index, variant, engine)."""
+    """Evaluate the grid; rows ordered by (grid index, variant, engine).
+
+    Monte-Carlo rows at more than one worker share one process pool, shut
+    down before this returns or raises.
+    """
+    pool_scope = nullcontext()
+    if ENGINE_MONTECARLO in spec.engines and spec.workers > 1:
+        from .geometry_sim import shared_pool
+
+        pool_scope = shared_pool()
+    with pool_scope:
+        rows = _run_rows(spec)
+    return SweepResult(axis_names=spec.axis_names, rows=tuple(rows))
+
+
+def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     axis2_values = spec.axis2[1] if spec.axis2 else (None,)
     rows: list[SweepRow] = []
     for v1 in spec.axis1[1]:
@@ -264,7 +293,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                             wall_ms=wall_ms,
                         )
                     )
-    return SweepResult(axis_names=spec.axis_names, rows=tuple(rows))
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,15 @@ vector it reads and by a sweep's per-variant seeds. The package and the
 sweeps import this module on first use, so closed-form commands never load
 numpy.
 
+Process pools
+-------------
+:func:`estimate_outage` runs its realizations on a process pool when it may
+start two or more processes. Inside a :func:`shared_pool` block every call
+reuses one pool per process count, opened on the first call that needs it
+and shut down when the block exits, so a sweep's Monte-Carlo rows run on
+warm workers. Outside such a block each call opens and shuts down its own
+pool. Serial runs never load ``concurrent.futures``.
+
 Realization kernel
 ------------------
 One generator, ``_servers``, associates all requested ranks of a realization
@@ -73,6 +82,8 @@ from __future__ import annotations
 import enum
 import math
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -95,6 +106,10 @@ FADE_BLOCK_DOUBLES = 1 << 16
 MAX_POINTS_PER_REALIZATION = 5_000_000
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
+
+#: The process pools of the innermost active :func:`shared_pool` block, by
+#: process count; None outside every block.
+_shared_pools: ContextVar[dict | None] = ContextVar("hetcache_shared_pools", default=None)
 
 
 def stream_rng(seed: int, stream: str, *indices: int) -> np.random.Generator:
@@ -475,6 +490,29 @@ def _realization_failures(
     return _failures(realization, contents, params, rng_fading, interference, trials_per_content)
 
 
+@contextmanager
+def shared_pool():
+    """Let the :func:`estimate_outage` calls inside this block share process pools.
+
+    Yields the block's pools by process count. A pool opens on the first
+    call that needs it; all of them shut down, waiting for their workers,
+    when the outermost block exits, also on an exception. A nested block
+    shares its enclosing block's pools. Opening the block starts nothing.
+    """
+    pools = _shared_pools.get()
+    if pools is not None:
+        yield pools
+        return
+    pools = {}
+    token = _shared_pools.set(pools)
+    try:
+        yield pools
+    finally:
+        _shared_pools.reset(token)
+        for pool in pools.values():
+            pool.shutdown()
+
+
 def estimate_outage(
     params: SystemParams,
     policy: CachePolicy,
@@ -501,7 +539,9 @@ def estimate_outage(
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
     index) alone, merged in index order. At most min(workers, realizations,
-    CPUs) processes start; one runs serially, without a pool.
+    CPUs) processes start; one runs serially, without a pool. Inside a
+    :func:`shared_pool` block the pool of that size is reused across calls;
+    otherwise the call opens its own and shuts it down before returning.
     """
     if trials_per_content < 1:
         raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
@@ -527,8 +567,10 @@ def estimate_outage(
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, realizations // (4 * processes))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            counts = list(pool.map(task, range(realizations), chunksize=chunk))
+        with shared_pool() as pools:
+            if processes not in pools:
+                pools[processes] = ProcessPoolExecutor(max_workers=processes)
+            counts = list(pools[processes].map(task, range(realizations), chunksize=chunk))
     failure_matrix = np.stack(counts)  # (realizations, |C|)
     failures = failure_matrix.sum(axis=0)
     trials = realizations * trials_per_content

@@ -2,6 +2,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 # make tests/oracles.py importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -9,3 +11,57 @@ sys.path.insert(0, str(Path(__file__).parent))
 # package too when pytest alone put src/ on sys.path
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a worker process running.
+
+    Looks only when a test already loaded multiprocessing, so the check
+    itself imports nothing. Leaked processes are terminated, so the next
+    test starts clean.
+    """
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None:
+        leaked = multiprocessing.active_children()
+        for process in leaked:
+            process.terminate()
+            process.join(timeout=10)
+        if leaked:
+            pytest.fail(f"worker processes outlived the test: {leaked}", pytrace=False)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace ProcessPoolExecutor by a stub that maps in-process; list the stubs made.
+
+    Each stub records its size and whether it was shut down, so no process
+    starts.
+    """
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.shut_down = False
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            assert not self.shut_down, "map on a pool that was shut down"
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True):
+            self.shut_down = True
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return pools

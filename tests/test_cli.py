@@ -263,19 +263,23 @@ def test_import_loads_neither_scipy_nor_the_process_pool():
 
 
 def test_closed_form_commands_run_without_numpy(tmp_path):
-    # sys.modules["numpy"] = None makes every numpy import fail in the child
+    # sys.modules["numpy"] = None makes every numpy import fail in the child;
+    # an analytic sweep loads neither the simulator nor the process pool,
+    # even at two workers
     commands = [
         ["analytic", "--config", "fig2.cfg"],
-        ["sweep", "--spec", "fig3.spec", "--out", str(tmp_path / "fig3.csv")],
+        ["sweep", "--spec", "fig3.spec", "--out", str(tmp_path / "fig3.csv"), "--workers", "2"],
         ["sweep", "--spec", "fig4.spec", "--out", str(tmp_path / "fig4.csv")],
     ]
     probe = (
         "import json, sys; sys.modules['numpy'] = None; "
         "from hetcache.cli import main; "
-        f"print(json.dumps([main(argv) for argv in {commands!r}]))"
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(json.dumps([codes, sorted({'concurrent.futures.process', 'hetcache.geometry_sim'} "
+        "& set(sys.modules))]))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], []]
     assert len(SweepResult.from_csv_text((tmp_path / "fig3.csv").read_text()).rows) == 154
 
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from hetcache import (
     SweepResult,
     SweepSpec,
     Variant,
+    experiments,
+    geometry_sim,
     parse_config_text,
     run_sweep,
     sweep_spec_from_config,
     zipf_request_distribution,
 )
-from hetcache.cli import _load_config
+from hetcache.cli import _load_config, main
 
 from oracles import fig2_params
 
@@ -66,6 +70,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"),
                       engines=("exact",))
+
+    @pytest.mark.parametrize("trials, realizations", [(0, 10), (1, 0), (-1, 10), (1, -3)])
+    def test_monte_carlo_budget_below_one_refused(self, trials, realizations):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            McBudget(trials_per_content=trials, realizations=realizations)
 
 
 class TestRunSweep:
@@ -226,3 +235,67 @@ class TestSpecFiles:
         fig4 = sweep_spec_from_config(_load_config("fig4.spec"))
         assert fig4.axis1[0] == "gamma"
         assert [v.label for v in fig4.variants] == ["none", "ucp:zipf", "pcp:zipf"]
+
+
+def strip_wall_ms(result):
+    return [(r.axes, r.variant, r.engine, r.avg_outage, r.std_error) for r in result.rows]
+
+
+class TestSharedPool:
+    MC_SPEC = TestSpecFiles.SPEC_TEXT.replace(
+        "engines = analytic", "engines = analytic, montecarlo\n        realizations = 4"
+    )
+
+    def mc_spec(self, workers):
+        s = base_setup(size=10, slots=3)
+        return SweepSpec(
+            base=s, axis1=("lambda_sbs", (0.02, 0.05)), variants=variants(s, "pcp", "ucp"),
+            engines=("analytic", "montecarlo"), mc=McBudget(1, 6), seed=7, workers=workers,
+        )
+
+    def run_cli_sweep(self, tmp_path, text, *flags):
+        spec = tmp_path / "mc.spec"
+        spec.write_text(text)
+        return main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv"), *flags])
+
+    def test_monte_carlo_rows_share_one_pool(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        pooled = run_sweep(self.mc_spec(workers=2))
+        assert [pool.max_workers for pool in recorded_pools] == [2]
+        assert recorded_pools[0].shut_down
+        assert geometry_sim._shared_pools.get() is None
+        assert strip_wall_ms(pooled) == strip_wall_ms(run_sweep(self.mc_spec(workers=1)))
+        assert len(recorded_pools) == 1  # the serial sweep opened none
+
+    def test_real_pool_matches_serial_and_leaves_no_worker(self):
+        pooled = run_sweep(self.mc_spec(workers=2))
+        assert multiprocessing.active_children() == []
+        assert strip_wall_ms(pooled) == strip_wall_ms(run_sweep(self.mc_spec(workers=1)))
+
+    def test_pool_shut_down_when_a_row_raises(self, monkeypatch, recorded_pools, tmp_path, capsys):
+        # the second lambda_sbs expects 1e9 points in the window, over the
+        # simulator's budget, after the first row opened the pool
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
+        assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
+        assert "budget" in capsys.readouterr().err
+        assert [pool.max_workers for pool in recorded_pools] == [2]
+        assert recorded_pools[0].shut_down
+        assert geometry_sim._shared_pools.get() is None
+
+    def test_analytic_sweep_opens_no_pool(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        spec = sweep_spec_from_config(parse_config_text(TestSpecFiles.SPEC_TEXT), workers=2)
+        run_sweep(spec)
+        assert recorded_pools == []
+
+    @pytest.mark.parametrize("key", ["realizations", "trials_per_content"])
+    def test_bad_budget_refused_before_any_row(self, monkeypatch, tmp_path, capsys, key):
+        calls = []
+        real = experiments.average_outage
+        monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a) or real(*a))
+        text = self.MC_SPEC.replace("realizations = 4", f"{key} = 0")
+        assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out.csv").exists()

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -489,32 +488,45 @@ class TestEstimateOutage:
             (1, 30, 8, None),
         ],
     )
-    def test_pool_size_capped(self, monkeypatch, workers, realizations, cpus, started):
-        # a stub records the pool size and maps in-process, so no process starts
-        sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    def test_pool_size_capped(self, monkeypatch, recorded_pools, workers, realizations, cpus, started):
         monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: cpus)
         p = fig2_params(lambda_sbs=0.02)
         lib = ContentLibrary(size=4, cache_slots=2)
         req = zipf_request_distribution(4, 0.8)
         run = partial(estimate_outage, p, CachePolicy.PCP, lib, req, realizations=realizations, seed=2)
         pooled = run(workers=workers)
-        assert sizes == ([] if started is None else [started])
+        assert [pool.max_workers for pool in recorded_pools] == ([] if started is None else [started])
+        assert all(pool.shut_down for pool in recorded_pools)
         assert pooled == run(workers=1)
+
+    def test_standalone_calls_open_a_pool_each(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
+                      zipf_request_distribution(4, 0.8), realizations=4, workers=2)
+        run(seed=1)
+        assert len(recorded_pools) == 1 and recorded_pools[0].shut_down
+        run(seed=2)
+        assert len(recorded_pools) == 2 and recorded_pools[1].shut_down
+        assert geometry_sim._shared_pools.get() is None
+
+    def test_shared_pool_reused_until_the_outermost_block_exits(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 8)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
+                      zipf_request_distribution(4, 0.8), realizations=4, seed=3)
+        with geometry_sim.shared_pool() as pools:
+            assert pools == {} and recorded_pools == []  # opening the block starts nothing
+            first = run(workers=2)
+            with geometry_sim.shared_pool() as inner:
+                assert inner is pools
+                assert run(workers=2) == first
+            assert run(workers=3) == first  # another size gets its own pool
+            assert run(workers=1) == first  # serial runs need none
+            assert [pool.max_workers for pool in recorded_pools] == [2, 3]
+            assert not any(pool.shut_down for pool in recorded_pools)
+        assert all(pool.shut_down for pool in recorded_pools)
+        assert geometry_sim._shared_pools.get() is None
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_refused(self, workers):
