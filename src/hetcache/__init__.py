@@ -23,9 +23,6 @@ from .analytic import (
     outage_mbs,
     outage_sbs,
     sbs_hit_probability,
-    serving_distance_cdf_sbs,
-    serving_distance_pdf_mbs,
-    serving_distance_pdf_sbs,
     total_outage,
 )
 from .errors import (

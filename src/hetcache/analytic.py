@@ -2,9 +2,8 @@
 
 Everything here is a pure function of immutable inputs. The building blocks
 are the four interference kernels (Laplace-transform exponents of the
-shot-noise interference), the tier cache-hit probabilities, and the
-truncated-Rayleigh serving-distance densities. They combine into the
-per-tier outage closed forms, the per-content total outage, and the
+shot-noise interference) and the tier cache-hit probabilities. They combine
+into the per-tier outage closed forms, the per-content total outage, and the
 request-averaged outage.
 
 Numerical conventions:
@@ -158,35 +157,6 @@ def mbs_hit_probability(params: SystemParams) -> float:
     return -math.expm1(-params.lambda_mbs * math.pi * params.r_mbs**2)
 
 
-def serving_distance_pdf_sbs(params: SystemParams, p_c: float, r: float) -> float:
-    """Density of the distance to the nearest content-holding SBS.
-
-    Truncated Rayleigh on [0, r_sbs], conditioned on the content existing
-    within r_sbs; requires beta * P_c > 0.
-    """
-    nu = _sbs_serving_density(params, p_c)
-    if not 0.0 <= r <= params.r_sbs:
-        raise DomainError(f"r must lie in [0, {params.r_sbs}], got {r}")
-    return _truncated_rayleigh_pdf(nu, params.r_sbs, r)
-
-
-def serving_distance_cdf_sbs(params: SystemParams, p_c: float, r: float) -> float:
-    """Distribution function matching :func:`serving_distance_pdf_sbs`."""
-    nu = _sbs_serving_density(params, p_c)
-    if not 0.0 <= r <= params.r_sbs:
-        raise DomainError(f"r must lie in [0, {params.r_sbs}], got {r}")
-    return math.expm1(-nu * math.pi * r**2) / math.expm1(-nu * math.pi * params.r_sbs**2)
-
-
-def serving_distance_pdf_mbs(params: SystemParams, r: float) -> float:
-    """Density of the distance to the nearest MBS, truncated at r_mbs."""
-    if params.lambda_mbs <= 0.0:
-        raise DegenerateNetworkError("serving-distance density undefined for lambda_mbs == 0")
-    if not 0.0 <= r <= params.r_mbs:
-        raise DomainError(f"r must lie in [0, {params.r_mbs}], got {r}")
-    return _truncated_rayleigh_pdf(params.lambda_mbs, params.r_mbs, r)
-
-
 def _sbs_serving_density(params: SystemParams, p_c: float) -> float:
     if not 0.0 <= p_c <= 1.0:
         raise DomainError(f"replication probability must lie in [0, 1], got {p_c}")
@@ -195,13 +165,6 @@ def _sbs_serving_density(params: SystemParams, p_c: float) -> float:
             "no SBS can hold the content: beta * P_c == 0 (the distance law requires beta * P_c > 0)"
         )
     return params.beta * params.subchannels_b * params.lambda_sbs * p_c
-
-
-def _truncated_rayleigh_pdf(density: float, radius: float, r: float) -> float:
-    norm = -math.expm1(-density * math.pi * radius**2)
-    if norm <= 0.0:
-        raise DegenerateNetworkError("empty serving process: truncated density undefined")
-    return 2.0 * math.pi * density * r * math.exp(-density * math.pi * r**2) / norm
 
 
 def _success_ratio(c_dens: float, d_dens: float, area: float) -> float:

@@ -13,7 +13,7 @@ class InvalidLibraryError(ConfigError):
     """Content library is empty or inconsistent."""
 
 
-class InvalidRankError(HetcacheError, IndexError):
+class InvalidRankError(ConfigError, IndexError):
     """Content rank outside 1..library size."""
 
 

@@ -2,9 +2,10 @@
 
 A sweep is a grid over one or two configuration axes, evaluated for a set of
 caching/popularity variants with one row per (grid point, variant, engine).
-Rows are emitted in deterministic grid order and serialize to CSV with
-17-significant-digit floats, so a written table re-parses to the exact
-in-memory result.
+A row holds results only, so the table is a function of the spec and its
+seed, the same for any worker count. Rows are emitted in deterministic grid
+order and serialize to CSV with 17-significant-digit floats, so a written
+table re-parses to an equal :class:`SweepResult`.
 
 Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
@@ -20,7 +21,6 @@ simulator nor the pool.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -114,6 +114,8 @@ class SweepSpec:
                 raise ConfigError(f"unknown engine {engine!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -128,23 +130,32 @@ class SweepRow:
     engine: str
     avg_outage: float
     std_error: float | None
-    wall_ms: float
+
+
+#: The columns after the axis names in a sweep CSV header.
+_RESULT_COLUMNS = ("policy", "engine", "avg_outage", "std_error")
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows in grid order.
+
+    The table is a function of the spec and its seed, the same for any
+    worker count, and a written table re-parses to an equal result.
+    """
+
     axis_names: tuple[str, ...]
     rows: tuple[SweepRow, ...]
 
     def header(self) -> tuple[str, ...]:
-        return self.axis_names + ("policy", "engine", "avg_outage", "std_error", "wall_ms")
+        return self.axis_names + _RESULT_COLUMNS
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.header())]
         for row in self.rows:
             fields = [_fmt(v) for v in row.axes]
             fields += [row.variant, row.engine, _fmt(row.avg_outage)]
-            fields += ["" if row.std_error is None else _fmt(row.std_error), _fmt(row.wall_ms)]
+            fields += ["" if row.std_error is None else _fmt(row.std_error)]
             lines.append(",".join(fields))
         return "\n".join(lines) + "\n"
 
@@ -154,29 +165,37 @@ class SweepResult:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SweepResult":
-        lines = [line for line in text.splitlines() if line]
+        """Parse :meth:`to_csv_text` output; a malformed line raises ConfigError naming it."""
+        lines = [(n, line.split(",")) for n, line in enumerate(text.splitlines(), start=1) if line]
         if not lines:
             raise ConfigError("empty sweep CSV")
-        header = lines[0].split(",")
-        if header[-5:] != ["policy", "engine", "avg_outage", "std_error", "wall_ms"]:
-            raise ConfigError(f"unexpected sweep CSV header: {lines[0]!r}")
-        axis_names = tuple(header[:-5])
+        (n, header), body = lines[0], lines[1:]
+        axis_names = tuple(header[: -len(_RESULT_COLUMNS)])
+        if tuple(header[len(axis_names) :]) != _RESULT_COLUMNS:
+            raise ConfigError(
+                f"sweep CSV line {n}: header must end in {','.join(_RESULT_COLUMNS)}, "
+                f"got {','.join(header)!r}"
+            )
         rows = []
-        for line in lines[1:]:
-            fields = line.split(",")
-            n_axes = len(axis_names)
-            axes = tuple(float(v) for v in fields[:n_axes])
-            variant, engine, avg, se, wall = fields[n_axes:]
-            rows.append(
-                SweepRow(
-                    axes=axes,
+        for n, fields in body:
+            if len(fields) != len(header):
+                raise ConfigError(
+                    f"sweep CSV line {n}: {len(fields)} fields, but the header has {len(header)}"
+                )
+            *axes, variant, engine, avg, se = fields
+            try:
+                row = SweepRow(
+                    axes=tuple(float(v) for v in axes),
                     variant=variant,
                     engine=engine,
                     avg_outage=float(avg),
                     std_error=None if se == "" else float(se),
-                    wall_ms=float(wall),
                 )
-            )
+            except ValueError:
+                raise ConfigError(
+                    f"sweep CSV line {n}: non-numeric value in {','.join(fields)!r}"
+                ) from None
+            rows.append(row)
         return cls(axis_names=axis_names, rows=tuple(rows))
 
     @classmethod
@@ -265,7 +284,6 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                     )
                 axes = (v1,) if v2 is None else (v1, v2)
                 for engine in spec.engines:
-                    start = time.perf_counter()
                     if engine == ENGINE_ANALYTIC:
                         value = average_outage(params, variant.policy, library, variant.requests)
                         std_error = None
@@ -282,7 +300,6 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                             workers=spec.workers,
                         )
                         value, std_error = avg.mean, avg.std_error
-                    wall_ms = (time.perf_counter() - start) * 1000.0
                     rows.append(
                         SweepRow(
                             axes=axes,
@@ -290,7 +307,6 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                             engine=engine,
                             avg_outage=value,
                             std_error=std_error,
-                            wall_ms=wall_ms,
                         )
                     )
     return rows
@@ -344,16 +360,13 @@ def _parse_variant(token: str, base: ModelSetup) -> Variant:
             fixed_cache=True,
         )
     policy_name, _, requests_name = token.partition(":")
-    policy = CachePolicy(policy_name)
     if requests_name == "uniform":
         requests = zipf_request_distribution(base.library.size, 0.0)
-    elif requests_name == "zipf":
-        requests = zipf_request_distribution(base.library.size, base.requests.skew)
-    else:
+    else:  # "zipf" is the base law; sharing it shares its cached masses
         requests = base.requests
     return Variant(
         label=token,
-        policy=policy,
+        policy=CachePolicy(policy_name),
         cache_slots=base.library.cache_slots,
         requests=requests,
     )

@@ -52,8 +52,10 @@ serving-distance exponents while the interference keeps density
 beta * lambda_sbs, so the two would disagree (at B = 2, lambda_sbs = 0.05:
 analytic 0.293 against Monte-Carlo 0.332 +- 0.018). :func:`estimate_outage`
 and :func:`simulate_outcomes` therefore refuse B > 1 with ConfigError; the
-closed forms accept any B. They also refuse a window whose expected point
-count exceeds :data:`MAX_POINTS_PER_REALIZATION`, before sampling anything.
+closed forms accept any B. Before sampling anything they also refuse a
+negative seed, a window whose expected point count exceeds
+:data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
+:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`.
 
 RNG discipline
 --------------
@@ -104,6 +106,11 @@ FADE_BLOCK_DOUBLES = 1 << 16
 #: about 250 MB of positions, distances and path gains. The fig2 operating
 #: point needs about 1e4.
 MAX_POINTS_PER_REALIZATION = 5_000_000
+
+#: Most expected cache-matrix entries, beta * lambda_sbs * pi * r_sbs^2 * |C|,
+#: one realization may hold: about 170 MB of UCP scores and their partition.
+#: The fig2 operating point needs about 80.
+MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
 
@@ -442,7 +449,12 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
-def _checked_window(params: SystemParams, window: SimWindow | None) -> SimWindow:
+def _checked_run(
+    params: SystemParams, library: ContentLibrary, window: SimWindow | None, seed: int
+) -> SimWindow:
+    """The run's window, once the run is known to fit the model and the budgets."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     window = default_window(params) if window is None else window
     if params.subchannels_b > 1:
         raise ConfigError(
@@ -454,6 +466,13 @@ def _checked_window(params: SystemParams, window: SimWindow | None) -> SimWindow
         raise ConfigError(
             f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
             f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
+        )
+    entries = params.beta * params.lambda_sbs * math.pi * params.r_sbs**2 * library.size
+    if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
+        raise ConfigError(
+            f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
+            f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
+            "the SBS density or library_size"
         )
     return window
 
@@ -554,7 +573,7 @@ def estimate_outage(
             f"request distribution size {requests.size} does not match "
             f"library_size {library.size}"
         )
-    window = _checked_window(params, window)
+    window = _checked_run(params, library, window, seed)
     task = partial(
         _realization_failures, params, policy, library, window, seed, trials_per_content,
         interference,
@@ -601,7 +620,7 @@ def simulate_outcomes(
     """Raw per-trial outcomes for one content rank (for distribution checks)."""
     if not 1 <= content <= library.size:
         raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {content}")
-    window = _checked_window(params, window)
+    window = _checked_run(params, library, window, seed)
     outcomes: list[ServiceOutcome] = []
     for r in range(realizations):
         realization, rng_fading = _realization(params, policy, library, window, seed, r)

@@ -271,11 +271,6 @@ def _cli(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _strip_wall_column(csv_bytes: bytes) -> list[list[str]]:
-    rows = [line.split(",") for line in csv_bytes.decode().splitlines()]
-    return [row[:-1] for row in rows]
-
-
 def test_criterion_8_cli_determinism(tmp_path):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(MINI_CFG)
@@ -304,10 +299,9 @@ def test_criterion_8_cli_determinism(tmp_path):
                             "--seed", "9", "--workers", workers)
         assert code == 0
         stdouts.append(out.replace(str(out_csv).encode(), b"OUT"))
-        tables.append(_strip_wall_column(out_csv.read_bytes()))
-    # wall_ms is a measurement and is excluded from the byte comparison
+        tables.append(out_csv.read_bytes())
     assert tables[0] == tables[1]
     assert stdouts[0] == stdouts[1]
     parsed = json.loads(runs[0][1])
     note(8, f"PASS: byte-identical analytic/simulate output (avg mean {parsed['average']['mean']:.3f}); "
-            "sweep CSV identical up to the wall-clock column, for any worker count")
+            "sweep CSV byte-identical for any worker count")

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from hetcache import analytic
 from hetcache import (
@@ -23,9 +22,6 @@ from hetcache import (
     outage_mbs,
     outage_sbs,
     sbs_hit_probability,
-    serving_distance_cdf_sbs,
-    serving_distance_pdf_mbs,
-    serving_distance_pdf_sbs,
     total_outage,
     zipf_request_distribution,
 )
@@ -168,55 +164,6 @@ class TestHitProbabilities:
         assert sbs_hit_probability(bigger_r, 0.5) > h0
         two_ch = SystemParams(**{**p0.__dict__, "subchannels_b": 2})
         assert sbs_hit_probability(two_ch, 0.5) > h0
-
-
-class TestServingDistances:
-    def test_pdf_integrates_to_one(self):
-        p = fig2_params()
-        for p_c in (0.1, 0.3, 1.0):
-            total, _ = integrate.quad(lambda r: serving_distance_pdf_sbs(p, p_c, r), 0.0, p.r_sbs)
-            assert total == pytest.approx(1.0, abs=1e-9)
-        total, _ = integrate.quad(lambda r: serving_distance_pdf_mbs(p, r), 0.0, p.r_mbs)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_pdf_vanishes_at_origin(self):
-        assert serving_distance_pdf_sbs(fig2_params(), 1.0, 0.0) == 0.0
-
-    def test_pdf_plugin_value(self):
-        assert serving_distance_pdf_sbs(fig2_params(), 1.0, 2.0) == pytest.approx(
-            0.20369788427204087462, rel=1e-13
-        )
-
-    def test_cdf_matches_pdf_quadrature(self):
-        p = fig2_params()
-        for r in (1.0, 2.0, 4.5):
-            ref, _ = integrate.quad(lambda t: serving_distance_pdf_sbs(p, 0.3, t), 0.0, r)
-            assert serving_distance_cdf_sbs(p, 0.3, r) == pytest.approx(ref, abs=1e-10)
-        assert serving_distance_cdf_sbs(p, 1.0, 2.0) == pytest.approx(
-            0.21704998590864898298, rel=1e-13
-        )
-
-    def test_unreachable_content(self):
-        p = fig2_params()
-        with pytest.raises(ContentUnreachableError):
-            serving_distance_pdf_sbs(p, 0.0, 1.0)
-        with pytest.raises(ContentUnreachableError):
-            serving_distance_pdf_sbs(fig2_params(beta=0.0), 1.0, 1.0)
-
-    def test_domain_errors(self):
-        p = fig2_params()
-        with pytest.raises(DomainError):
-            serving_distance_pdf_sbs(p, 1.0, -0.1)
-        with pytest.raises(DomainError):
-            serving_distance_pdf_sbs(p, 1.0, p.r_sbs + 0.1)
-        with pytest.raises(DomainError):
-            serving_distance_pdf_mbs(p, p.r_mbs + 1.0)
-
-    def test_mbs_pdf_degenerate(self):
-        p = fig2_params()
-        empty = SystemParams(**{**p.__dict__, "lambda_mbs": 0.0})
-        with pytest.raises(DegenerateNetworkError):
-            serving_distance_pdf_mbs(empty, 1.0)
 
 
 class TestOutageSbs:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from hetcache import (
     CachePolicy,
     SweepResult,
+    geometry_sim,
     replication_probability,
     setup_from_config,
     total_outage,
@@ -149,7 +151,7 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--spec", small_spec, "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().splitlines()
-        assert lines[0] == "d_tilde,beta,policy,engine,avg_outage,std_error,wall_ms"
+        assert lines[0] == "d_tilde,beta,policy,engine,avg_outage,std_error"
         assert len(lines) == 1 + 2 * 2 * 2  # grid 2x2, two variants, one engine
         assert str(out_path) in out
 
@@ -245,9 +247,33 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err
 
-    def test_invalid_rank_is_runtime_error(self, capsys, small_cfg):
-        code, _, err = run_cli(capsys, "analytic", "--config", small_cfg, "--content-rank", "99")
-        assert code == 1
+    def test_oversized_cache_matrix_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
+        # beta = 1 and r_sbs = 200 m put ~2.5e4 SBSs within r_sbs: ~2.5e8 UCP
+        # cache entries (~2 GB of scores), though the window holds ~2e5 points
+        calls = []
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        text = _load_config("fig2.cfg") | {
+            "beta": "1", "r_sbs": "200", "library_size": "10000", "policy": "ucp", "realizations": "1",
+        }
+        cfg = tmp_path / "caches.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and "r_sbs" in err
+        assert calls == []
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("rank", ["0", "99"])
+    def test_invalid_rank_exit_2(self, capsys, small_cfg, rank):
+        code, out, err = run_cli(capsys, "analytic", "--config", small_cfg, "--content-rank", rank)
+        assert code == 2
+        assert out == ""
         assert "rank" in err
 
 
@@ -370,3 +396,33 @@ def test_fewer_than_one_worker_exit_2(capsys, small_cfg, small_spec, tmp_path, c
     assert code == 2
     assert out == ""
     assert "workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_negative_seed_exit_2(capsys, monkeypatch, tmp_path, command, source):
+    calls = []
+    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
+    text = SMALL_CFG if command == "simulate" else MC_SPEC
+    assert "\nseed = 3\n" in text
+    flags = []
+    if source == "flag":
+        flags = ["--seed", "-3"]
+    elif source == "environment":
+        monkeypatch.setenv("HETCACHE_SEED", "-3")
+    else:
+        text = text.replace("\nseed = 3\n", "\nseed = -3\n")
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out_path = tmp_path / "out.csv"
+    if command == "simulate":
+        source_args = ["--config", str(path)]
+    else:
+        source_args = ["--spec", str(path), "--out", str(out_path)]
+    code, out, err = run_cli(capsys, command, *source_args, *flags)
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -3" in err
+    assert calls == []
+    assert not out_path.exists()

@@ -568,6 +568,23 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError):
             estimate_outage(p, CachePolicy.UCP, lib, req, trials_per_content=0)
 
+    @pytest.mark.parametrize("run", ["estimate_outage", "simulate_outcomes"])
+    def test_refused_before_sampling(self, monkeypatch, run):
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+
+        def call(p, lib, **options):
+            if run == "estimate_outage":
+                requests = zipf_request_distribution(lib.size, 0.8)
+                return estimate_outage(p, CachePolicy.UCP, lib, requests, realizations=1, **options)
+            return simulate_outcomes(p, CachePolicy.UCP, lib, 1, realizations=1, **options)
+
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            call(fig2_params(), ContentLibrary(size=4, cache_slots=2), seed=-1)
+        # ~2.5e8 expected cache entries in a window of ~2e5 expected points
+        wide = replace(fig2_params(lambda_sbs=0.2, beta=1.0), r_sbs=200.0)
+        with pytest.raises(ConfigError, match="cache.*budget"):
+            call(wide, ContentLibrary(size=10_000, cache_slots=3000))
+
     def test_request_size_mismatch(self):
         p = fig2_params()
         with pytest.raises(ConfigError):
