@@ -287,6 +287,7 @@ def average_outage(
     policy: CachePolicy,
     library: ContentLibrary,
     requests: RequestDistribution,
+    ks: InterferenceKernels | None = None,
 ) -> float:
     """Request-averaged outage sum_c q_c * total_outage(P_c).
 
@@ -294,7 +295,9 @@ def average_outage(
     the rest, so the sum is grouped by distinct P_c: one total_outage call
     per value that carries nonzero request mass, all sharing one kernel
     evaluation. The grouping reorders the floating-point sum, so the result
-    can differ from the rank-order sum in the last bits.
+    can differ from the rank-order sum in the last bits. ``ks`` passes
+    kernels already evaluated for ``params``, as in :func:`total_outage`;
+    without them the kernels are evaluated here when some tier can serve.
     """
     if requests.size != library.size:
         raise DomainError(
@@ -307,8 +310,9 @@ def average_outage(
         p_c = replication_probability(policy, rank, library)
         mass[p_c] = mass.get(p_c, 0.0) + q
     served = [p_c for p_c, q in mass.items() if q > 0.0]
-    # the SBS hit probability grows with P_c: the largest P_c needs kernels if any does
-    ks = _kernels_if_served(params, max(served))
+    if ks is None:
+        # the SBS hit probability grows with P_c: the largest P_c needs kernels if any does
+        ks = _kernels_if_served(params, max(served))
     acc = 0.0
     for p_c in served:
         acc += mass[p_c] * total_outage(params, p_c, ks).p_out_total

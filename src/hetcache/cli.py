@@ -137,6 +137,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.spec)
     _check_unknown_keys(cfg, SWEEP_FILE_KEYS)
     spec = sweep_spec_from_config(cfg, seed=_seed_override(args.seed), workers=args.workers)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):  # refuse before any row runs
+        raise ConfigError(f"--out: directory {out_dir} does not exist")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out: {args.out} is a directory")
     result = run_sweep(spec)
     result.write_csv(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

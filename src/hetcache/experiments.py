@@ -11,6 +11,15 @@ Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
 outage exactly monotone per trial, since only the threshold changes.
 
+A sweep evaluates each distinct input once. The axis values are applied once
+per grid point and the variants share the resulting parameters; only the
+content library depends on the variant. The interference kernels are
+evaluated once per distinct parameter set, and a row's value once per
+distinct (params, policy, library, requests), plus the variant seed for
+Monte-Carlo. Both engines are deterministic in these inputs, so a repeated
+input (the ``none`` variant along a d_tilde axis, say) reuses the earlier
+value exactly. These memos live for one sweep and never hold an error.
+
 A sweep with Monte-Carlo rows and more than one worker runs inside
 :func:`geometry_sim.shared_pool`: its rows share one process pool, opened by
 the first row that starts processes and shut down when :func:`run_sweep`
@@ -25,7 +34,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .analytic import average_outage
+from .analytic import InterferenceKernels, _kernels_if_served, average_outage
 from .errors import ConfigError
 from .params import (
     DEFAULT_GUARD,
@@ -104,7 +113,7 @@ class SweepSpec:
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"axis '{name}': values must be sorted ascending")
             for value in values:  # refuse an out-of-model value before any row runs
-                _apply_axis(self.base.params, self.base.library, name, value, fixed_cache=False)
+                _apply_axis(self.base.params, self.base.library, name, value)
         if not self.variants:
             raise ConfigError("at least one variant is required")
         if not self.engines:
@@ -210,7 +219,7 @@ def _fmt(value: float) -> str:
 
 
 def _apply_axis(
-    params: SystemParams, library: ContentLibrary, name: str, value: float, fixed_cache: bool
+    params: SystemParams, library: ContentLibrary, name: str, value: float
 ) -> tuple[SystemParams, ContentLibrary]:
     if name == "lambda_sbs":
         return replace(params, lambda_sbs=value), library
@@ -219,8 +228,6 @@ def _apply_axis(
     if name == "gamma":
         return replace(params, gamma=db_to_linear(value)), library
     if name == "d_tilde":
-        if fixed_cache:
-            return params, library
         return params, ContentLibrary.from_normalized(value, library.size)
     raise ConfigError(f"axis '{name}' is not sweepable")
 
@@ -255,8 +262,10 @@ def _variant_seed(master: int, variant_index: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows ordered by (grid index, variant, engine).
 
-    Monte-Carlo rows at more than one worker share one process pool, shut
-    down before this returns or raises.
+    Each distinct input is evaluated once: parameters per grid point,
+    kernels per parameter set, a row's value per distinct row input (see
+    the module docstring). Monte-Carlo rows at more than one worker share
+    one process pool, shut down before this returns or raises.
     """
     pool_scope = nullcontext()
     if ENGINE_MONTECARLO in spec.engines and spec.workers > 1:
@@ -269,37 +278,49 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _run_rows(spec: SweepSpec) -> list[SweepRow]:
+    # Sweep-local, so every sweep evaluates afresh; an error propagates
+    # before its row stores anything.
+    kernels_by_params: dict[SystemParams, InterferenceKernels | None] = {}
+    value_by_input: dict[tuple, tuple[float, float | None]] = {}
+    own_libraries = [ContentLibrary(spec.base.library.size, v.cache_slots) for v in spec.variants]
+    d_tilde_axis = "d_tilde" in spec.axis_names
     axis2_values = spec.axis2[1] if spec.axis2 else (None,)
     rows: list[SweepRow] = []
     for v1 in spec.axis1[1]:
         for v2 in axis2_values:
+            axes = (v1,) if v2 is None else (v1, v2)
+            params, axis_library = spec.base.params, spec.base.library
+            for name, value in zip(spec.axis_names, axes):
+                params, axis_library = _apply_axis(params, axis_library, name, value)
             for vi, variant in enumerate(spec.variants):
-                params, library = _apply_axis(
-                    spec.base.params, ContentLibrary(spec.base.library.size, variant.cache_slots),
-                    spec.axis1[0], v1, variant.fixed_cache,
-                )
-                if spec.axis2:
-                    params, library = _apply_axis(
-                        params, library, spec.axis2[0], v2, variant.fixed_cache
-                    )
-                axes = (v1,) if v2 is None else (v1, v2)
+                library = own_libraries[vi]
+                if d_tilde_axis and not variant.fixed_cache:
+                    library = axis_library
                 for engine in spec.engines:
-                    if engine == ENGINE_ANALYTIC:
-                        value = average_outage(params, variant.policy, library, variant.requests)
-                        std_error = None
+                    inputs = (params, variant.policy, library, variant.requests)
+                    key = inputs
+                    if engine == ENGINE_MONTECARLO:
+                        key += (_variant_seed(spec.seed, vi),)
+                    if key in value_by_input:
+                        pass
+                    elif engine == ENGINE_ANALYTIC:
+                        if params not in kernels_by_params:
+                            # P_c = 1 bounds the SBS hit probability of every
+                            # row, so these kernels serve each row that needs any
+                            kernels_by_params[params] = _kernels_if_served(params, 1.0)
+                        value = average_outage(*inputs, kernels_by_params[params])
+                        value_by_input[key] = (value, None)
                     else:
                         _, avg = estimate_outage(
-                            params,
-                            variant.policy,
-                            library,
-                            variant.requests,
+                            *inputs,
                             guard=spec.guard,
                             trials_per_content=spec.mc.trials_per_content,
                             realizations=spec.mc.realizations,
-                            seed=_variant_seed(spec.seed, vi),
+                            seed=key[-1],
                             workers=spec.workers,
                         )
-                        value, std_error = avg.mean, avg.std_error
+                        value_by_input[key] = (avg.mean, avg.std_error)
+                    value, std_error = value_by_input[key]
                     rows.append(
                         SweepRow(
                             axes=axes,

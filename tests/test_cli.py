@@ -11,6 +11,7 @@ import pytest
 from hetcache import (
     CachePolicy,
     SweepResult,
+    experiments,
     geometry_sim,
     replication_probability,
     setup_from_config,
@@ -238,6 +239,25 @@ class TestExitCodes:
         assert code == 2
         assert "gamma" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "out, named", [("missing/x.csv", "missing"), ("existing", "existing")]
+    )
+    def test_unwritable_output_refused_before_any_row(
+        self, capsys, small_spec, tmp_path, monkeypatch, out, named
+    ):
+        # a missing directory, or an existing directory given as the output file
+        (tmp_path / "existing").mkdir()
+        calls = []
+        monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a))
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--spec", small_spec, "--out", str(tmp_path / out)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert str(tmp_path / named) in err
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
 
     def test_out_of_scale_window_refused_before_sampling(self, capsys, tmp_path):
         text = _load_config("fig2.cfg") | {"r_mbs": "1e7", "realizations": "1"}

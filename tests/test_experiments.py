@@ -1,4 +1,6 @@
 import multiprocessing
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from hetcache import (
     SweepResult,
     SweepSpec,
     Variant,
+    analytic,
+    average_outage,
+    db_to_linear,
     experiments,
     geometry_sim,
     parse_config_text,
@@ -155,6 +160,95 @@ class TestRunSweep:
         res = run_sweep(spec)
         curve = [r.avg_outage for r in res.rows]
         assert all(b >= a for a, b in zip(curve, curve[1:]))
+
+
+class TestEvaluateOnce:
+    # the analytic-grid shape: 16 gamma x 20 d_tilde x {none, ucp, pcp} at
+    # alpha 3.5 and |C| = 1000
+    GAMMAS_DB = tuple(float(g) for g in range(-20, -4))
+    D_TILDES = tuple(round(0.05 * k, 2) for k in range(1, 21))
+
+    def grid_spec(self, gamma_first):
+        s = ModelSetup(
+            params=fig2_params(alpha=3.5),
+            policy=CachePolicy.PCP,
+            library=ContentLibrary(size=1000, cache_slots=300),
+            requests=zipf_request_distribution(1000, 0.8),
+        )
+        axes = [("gamma", self.GAMMAS_DB), ("d_tilde", self.D_TILDES)]
+        if not gamma_first:
+            axes.reverse()
+        return SweepSpec(
+            base=s, axis1=axes[0], axis2=axes[1], variants=variants(s, "none", "ucp", "pcp")
+        )
+
+    @pytest.mark.parametrize("gamma_first", [True, False])
+    def test_rows_equal_standalone_calls(self, gamma_first):
+        spec = self.grid_spec(gamma_first)
+        rows = run_sweep(spec).rows
+        assert len(rows) == 960
+        table = {v.label: v for v in spec.variants}
+        for row in rows:
+            axes = dict(zip(spec.axis_names, row.axes))
+            variant = table[row.variant]
+            params = replace(spec.base.params, gamma=db_to_linear(axes["gamma"]))
+            library = ContentLibrary(1000, 0) if variant.fixed_cache else (
+                ContentLibrary.from_normalized(axes["d_tilde"], 1000)
+            )
+            alone = average_outage(params, variant.policy, library, variant.requests)
+            assert row.avg_outage == alone
+
+    def test_kernels_per_gamma_and_rows_per_distinct_input(self, monkeypatch):
+        kernel_gammas, row_inputs = [], []
+        real_kernels, real_average = analytic.kernels, experiments.average_outage
+        monkeypatch.setattr(
+            analytic, "kernels", lambda p: kernel_gammas.append(p.gamma) or real_kernels(p)
+        )
+        monkeypatch.setattr(
+            experiments, "average_outage", lambda *a: row_inputs.append(a[:4]) or real_average(*a)
+        )
+        run_sweep(self.grid_spec(gamma_first=True))
+        assert sorted(kernel_gammas) == [db_to_linear(g) for g in self.GAMMAS_DB]
+        assert len(row_inputs) == 656 == len(set(row_inputs))  # 16 none + 2 * 16 * 20
+
+    def test_monte_carlo_none_rows_estimated_once(self, monkeypatch):
+        s = base_setup(size=10, slots=3)
+        spec = SweepSpec(
+            base=s, axis1=("d_tilde", (0.2, 0.5, 0.9)), variants=variants(s, "none", "pcp"),
+            engines=("montecarlo",), mc=McBudget(1, 4), seed=11,
+        )
+        calls = []
+        real = experiments.estimate_outage
+        monkeypatch.setattr(
+            experiments, "estimate_outage", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        rows = run_sweep(spec).rows
+        assert len(calls) == 1 + 3
+        assert sum(a[2].cache_slots == 0 for a in calls) == 1
+        _, alone = real(
+            s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests,
+            trials_per_content=1, realizations=4, seed=experiments._variant_seed(11, 0), workers=1,
+        )
+        none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
+        assert none_rows == [(alone.mean, alone.std_error)] * 3
+
+    def test_errors_are_not_memoized(self, monkeypatch, tmp_path, capsys):
+        message = "p_sbs is undefined: beta * subchannels_b == 0"
+        s = base_setup()
+        spec = SweepSpec(base=s, axis1=("beta", (0.0, 0.05)), variants=variants(s, "none", "pcp"))
+        kernel_calls = []
+        real = analytic.kernels
+        monkeypatch.setattr(analytic, "kernels", lambda p: kernel_calls.append(p) or real(p))
+        for attempt in (1, 2):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run_sweep(spec)
+            assert len(kernel_calls) == attempt  # the first row raises afresh every time
+        spec_file = tmp_path / "beta.spec"
+        spec_file.write_text(TestSpecFiles.SPEC_TEXT.replace("axis1 = lambda_sbs", "axis1 = beta")
+                             .replace("axis1_values = 0.01, 0.05", "axis1_values = 0, 0.05"))
+        assert main(["sweep", "--spec", str(spec_file), "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestCsvRoundTrip:
