@@ -76,7 +76,6 @@ _SIMULATOR_NAMES = frozenset(
         "estimate_outage",
         "realize_network",
         "sample_ppp",
-        "simulate_outcomes",
         "simulate_request",
         "stream_rng",
     }

@@ -43,6 +43,7 @@ from .params import (
     ModelSetup,
     RequestDistribution,
     SystemParams,
+    check_guard,
     db_to_linear,
     get_float,
     get_int,
@@ -125,6 +126,7 @@ class SweepSpec:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_guard(self.guard)
 
     @property
     def axis_names(self) -> tuple[str, ...]:

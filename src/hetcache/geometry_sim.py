@@ -25,12 +25,12 @@ Realization kernel
 One generator, ``_servers``, associates all requested ranks of a realization
 at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
-Two reducers draw a group's fades in blocks of at most
-:data:`FADE_BLOCK_DOUBLES` doubles: ``_failures`` (:func:`estimate_outage`)
-counts each block's failures at once, so memory stays flat in trials x
-interferers, and ``_outcomes`` (:func:`simulate_request`,
-:func:`simulate_outcomes`) keeps one rank's SIRs. SIRs are reduced with
-``einsum``, not a BLAS product, so one worker stays one thread.
+One reducer, ``_failures`` (:func:`estimate_outage`), draws a group's fades
+in blocks of at most :data:`FADE_BLOCK_DOUBLES` doubles and counts each
+block's failures at once, so memory stays flat in trials x interferers.
+:func:`simulate_request` draws one trial of one rank's group and keeps its
+tier, distance and SIR. SIRs are reduced with ``einsum``, not a BLAS
+product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -51,9 +51,9 @@ beta * lambda_sbs. For B > 1 the closed forms use beta*B in the hit and
 serving-distance exponents while the interference keeps density
 beta * lambda_sbs, so the two would disagree (at B = 2, lambda_sbs = 0.05:
 analytic 0.293 against Monte-Carlo 0.332 +- 0.018). :func:`estimate_outage`
-and :func:`simulate_outcomes` therefore refuse B > 1 with ConfigError; the
-closed forms accept any B. Before sampling anything they also refuse a
-negative seed, a window whose expected point count exceeds
+therefore refuses B > 1 with ConfigError; the closed forms accept any B.
+Before sampling anything it also refuses a negative seed, an unknown
+interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
 :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`.
 
@@ -74,9 +74,10 @@ share geometry and caches but redraw fading.
   then the MBS), one row per (requested rank, trial) in rank-major order;
   a row is the serving-link fade followed by the interferer fades, MBSs
   before SBSs in index order. Rows are drawn in blocks of whole rows, which
-  gives the same values as drawing them one by one. :func:`simulate_outcomes`
-  requests one rank, so a realization's trials form one server group. No
-  draw depends on gamma, so outcomes along a gamma axis share their fades.
+  gives the same values as drawing them one by one, so repeated
+  :func:`simulate_request` calls on a realization's stream draw the trials
+  of a run that requests one rank. No draw depends on gamma, so outcomes
+  along a gamma axis share their fades.
 """
 
 from __future__ import annotations
@@ -92,7 +93,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidRankError
-from .params import DEFAULT_GUARD, CachePolicy, ContentLibrary, RequestDistribution, SystemParams
+from .params import (
+    DEFAULT_GUARD,
+    CachePolicy,
+    ContentLibrary,
+    RequestDistribution,
+    SystemParams,
+    check_guard,
+)
 
 INTERFERENCE_BEYOND_SERVER = "beyond_server"
 INTERFERENCE_ALL = "all"
@@ -147,8 +155,7 @@ class SimWindow:
     def __post_init__(self) -> None:
         if not self.side > 0.0:
             raise ConfigError(f"window side must be > 0, got {self.side}")
-        if not self.guard >= 0.0:
-            raise ConfigError(f"guard must be >= 0, got {self.guard}")
+        check_guard(self.guard)
 
     def area(self) -> float:
         return self.side**2
@@ -301,6 +308,11 @@ class ServiceOutcome:
     success: bool
 
 
+def _check_interference(interference: str) -> None:
+    if interference not in _CONVENTIONS:
+        raise ConfigError(f"unknown interference convention {interference!r}")
+
+
 def _fading_sir(signal_gain: float, gains: np.ndarray, rows: int, rng: np.random.Generator):
     """SIRs of ``rows`` independent fading draws of one server and its interferers.
 
@@ -334,8 +346,6 @@ def _servers(
     ``contents``, tier, distance, signal gain, interferer gains); a gain is
     transmit power times path gain, interferers MBSs first, in index order.
     """
-    if interference not in _CONVENTIONS:
-        raise ConfigError(f"unknown interference convention {interference!r}")
     dist = realization.distances  # MBSs, then SBSs: the order of the interferer gains
     mbs_dist, sbs_dist = np.split(dist, [len(realization.mbs_points)])
     path_gain = realization.path_gains(params.alpha)
@@ -390,26 +400,6 @@ def _failures(
     return failures
 
 
-def _outcomes(
-    realization: NetworkRealization,
-    content: int,
-    params: SystemParams,
-    rng: np.random.Generator,
-    interference: str,
-    trials: int,
-) -> list[ServiceOutcome]:
-    """``trials`` outcomes of requests for rank ``content``, one server group."""
-    group = next(_servers(realization, np.array([content]), params, interference), None)
-    if group is None:
-        return [ServiceOutcome(Tier.MISS, None, None, False)] * trials
-    _, tier, distance, signal_gain, gains = group
-    return [
-        ServiceOutcome(tier, distance, float(s), bool(s > params.gamma))
-        for _, sir in _fading_sir(signal_gain, gains, trials, rng)
-        for s in sir
-    ]
-
-
 def simulate_request(
     realization: NetworkRealization,
     content: int,
@@ -421,18 +411,24 @@ def simulate_request(
 
     Association: nearest active SBS caching the content within r_sbs, else
     nearest MBS within r_mbs, else miss. The serving-link and interferer
-    fades are drawn in one call of ``rng.exponential(size=n)`` (one call per
-    block when the interferers outnumber :data:`FADE_BLOCK_DOUBLES`).
-    Interferers are every other transmitter under ``"all"``, or only those at
-    or beyond the serving distance under the default ``"beyond_server"`` (the
-    geometry the closed forms integrate). This is the kernel of
-    :func:`simulate_outcomes` at one trial.
+    fades are drawn in one call of ``rng.exponential(size=n)``; a miss draws
+    nothing. Interferers are every other transmitter under ``"all"``, or
+    only those at or beyond the serving distance under the default
+    ``"beyond_server"`` (the geometry the closed forms integrate). Repeated
+    calls on one stream draw its rows in the order a server group of
+    :func:`estimate_outage` draws its trials.
     """
     if not 1 <= content <= realization.library_size:
         raise InvalidRankError(
             f"content rank must lie in 1..{realization.library_size}, got {content}"
         )
-    return _outcomes(realization, content, params, rng, interference, trials=1)[0]
+    _check_interference(interference)
+    group = next(_servers(realization, np.array([content]), params, interference), None)
+    if group is None:
+        return ServiceOutcome(Tier.MISS, None, None, False)
+    _, tier, distance, signal_gain, gains = group
+    _, sir = next(_fading_sir(signal_gain, gains, 1, rng))
+    return ServiceOutcome(tier, distance, float(sir[0]), bool(sir[0] > params.gamma))
 
 
 @dataclass(frozen=True)
@@ -449,50 +445,6 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
-def _checked_run(
-    params: SystemParams, library: ContentLibrary, window: SimWindow | None, seed: int
-) -> SimWindow:
-    """The run's window, once the run is known to fit the model and the budgets."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    window = default_window(params) if window is None else window
-    if params.subchannels_b > 1:
-        raise ConfigError(
-            f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
-            "is supported by the closed forms only"
-        )
-    expected = (params.lambda_mbs + params.beta * params.lambda_sbs) * window.area()
-    if expected > MAX_POINTS_PER_REALIZATION:
-        raise ConfigError(
-            f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
-            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
-        )
-    entries = params.beta * params.lambda_sbs * math.pi * params.r_sbs**2 * library.size
-    if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
-        raise ConfigError(
-            f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
-            f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
-            "the SBS density or library_size"
-        )
-    return window
-
-
-def _realization(
-    params: SystemParams,
-    policy: CachePolicy,
-    library: ContentLibrary,
-    window: SimWindow,
-    seed: int,
-    r_index: int,
-) -> tuple[NetworkRealization, np.random.Generator]:
-    """Realization ``r_index`` of a run, and the fading stream for its trials."""
-    rng_geometry = stream_rng(seed, "geometry", r_index)
-    rng_caches = stream_rng(seed, "caches", r_index)
-    rng_fading = stream_rng(seed, "fading", r_index)
-    realization = realize_network(params, policy, library, window, rng_geometry, cache_rng=rng_caches)
-    return realization, rng_fading
-
-
 def _realization_failures(
     params: SystemParams,
     policy: CachePolicy,
@@ -504,8 +456,12 @@ def _realization_failures(
     r_index: int,
 ) -> np.ndarray:
     """Per-content failure counts for network realization ``r_index``."""
-    realization, rng_fading = _realization(params, policy, library, window, seed, r_index)
+    realization = realize_network(
+        params, policy, library, window, stream_rng(seed, "geometry", r_index),
+        cache_rng=stream_rng(seed, "caches", r_index),
+    )
     contents = np.arange(1, library.size + 1)
+    rng_fading = stream_rng(seed, "fading", r_index)
     return _failures(realization, contents, params, rng_fading, interference, trials_per_content)
 
 
@@ -573,7 +529,28 @@ def estimate_outage(
             f"request distribution size {requests.size} does not match "
             f"library_size {library.size}"
         )
-    window = _checked_run(params, library, window, seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_interference(interference)
+    window = default_window(params) if window is None else window
+    if params.subchannels_b > 1:
+        raise ConfigError(
+            f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
+            "is supported by the closed forms only"
+        )
+    expected = (params.lambda_mbs + params.beta * params.lambda_sbs) * window.area()
+    if expected > MAX_POINTS_PER_REALIZATION:
+        raise ConfigError(
+            f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
+            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
+        )
+    entries = params.beta * params.lambda_sbs * math.pi * params.r_sbs**2 * library.size
+    if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
+        raise ConfigError(
+            f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
+            f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
+            "the SBS density or library_size"
+        )
     task = partial(
         _realization_failures, params, policy, library, window, seed, trials_per_content,
         interference,
@@ -604,25 +581,3 @@ def estimate_outage(
         avg_se = math.sqrt(float((requests.weights**2) @ (means * (1.0 - means) / trials)))
     average = McEstimate(mean=avg_mean, std_error=avg_se, trials=trials * library.size)
     return per_content, average
-
-
-def simulate_outcomes(
-    params: SystemParams,
-    policy: CachePolicy,
-    library: ContentLibrary,
-    content: int,
-    window: SimWindow | None = None,
-    realizations: int = 100,
-    trials_per_content: int = 1,
-    seed: int = 0,
-    interference: str = INTERFERENCE_BEYOND_SERVER,
-) -> list[ServiceOutcome]:
-    """Raw per-trial outcomes for one content rank (for distribution checks)."""
-    if not 1 <= content <= library.size:
-        raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {content}")
-    window = _checked_run(params, library, window, seed)
-    outcomes: list[ServiceOutcome] = []
-    for r in range(realizations):
-        realization, rng_fading = _realization(params, policy, library, window, seed, r)
-        outcomes += _outcomes(realization, content, params, rng_fading, interference, trials_per_content)
-    return outcomes

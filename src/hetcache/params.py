@@ -30,6 +30,12 @@ if TYPE_CHECKING:
 DEFAULT_GUARD = 250.0
 
 
+def check_guard(guard: float) -> None:
+    """Refuse a Monte-Carlo window margin that is negative or not finite."""
+    if not (math.isfinite(guard) and guard >= 0.0):
+        raise ConfigError(f"guard must be a finite margin >= 0 m, got {guard}")
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a dB ratio to a linear ratio (inf when it overflows a float)."""
     try:
@@ -158,11 +164,6 @@ class ContentLibrary:
             raise ConfigError(
                 f"cache_slots must be an integer in [0, {self.size}], got {self.cache_slots}"
             )
-
-    @property
-    def normalized_cache(self) -> float:
-        """Cache size as a fraction of the library, d / |C|."""
-        return self.cache_slots / self.size
 
     @classmethod
     def from_normalized(cls, d_tilde: float, size: int) -> "ContentLibrary":

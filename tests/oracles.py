@@ -14,7 +14,14 @@ import math
 import numpy as np
 from scipy import integrate
 
-from hetcache import SystemParams, kernels
+from hetcache import (
+    INTERFERENCE_BEYOND_SERVER,
+    SystemParams,
+    kernels,
+    realize_network,
+    simulate_request,
+    stream_rng,
+)
 
 
 def fig2_params(lambda_sbs: float = 0.2, beta: float = 0.05, gamma_db: float = -10.0,
@@ -134,3 +141,21 @@ def unit_fade_request(realization, content: int, params: SystemParams, beyond_se
             if (name, j) != (tier, index) and (r >= dist or not beyond_server):
                 interference += p * r ** -params.alpha
     return dist, math.inf if interference == 0.0 else power * dist ** -params.alpha / interference
+
+
+def request_outcomes(params: SystemParams, policy, library, content: int, window, realizations: int,
+                     trials: int, seed: int, interference: str = INTERFERENCE_BEYOND_SERVER):
+    """``trials`` outcomes of a request for ``content`` in each of ``realizations`` networks.
+
+    Realization r is sampled on the ``geometry``, ``caches`` and ``fading``
+    streams (seed, r) that :func:`estimate_outage` gives it; the outcomes
+    come realization by realization.
+    """
+    outcomes = []
+    for r in range(realizations):
+        realization = realize_network(params, policy, library, window, stream_rng(seed, "geometry", r),
+                                      cache_rng=stream_rng(seed, "caches", r))
+        fading = stream_rng(seed, "fading", r)
+        outcomes += [simulate_request(realization, content, params, fading, interference)
+                     for _ in range(trials)]
+    return outcomes

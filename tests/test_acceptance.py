@@ -34,7 +34,6 @@ from hetcache import (
     outage_sbs,
     run_sweep,
     sbs_hit_probability,
-    simulate_outcomes,
     zipf_request_distribution,
 )
 from hetcache.cli import _load_config
@@ -43,6 +42,7 @@ from hetcache.experiments import sweep_spec_from_config
 from oracles import (
     fig2_params,
     kernel_quadrature,
+    request_outcomes,
     success_mbs_integral,
     success_sbs_integral,
     truncated_rayleigh_cdf,
@@ -138,9 +138,9 @@ def test_criterion_4_served_distance_law():
     start = time.perf_counter()
     p = fig2_params(r_mbs=6.0)
     window = SimWindow(40.0, guard=14.0)
-    outcomes = simulate_outcomes(
+    outcomes = request_outcomes(
         p, CachePolicy.PCP, library30(), content=1, window=window,
-        realizations=20000, trials_per_content=1, seed=2024,
+        realizations=20000, trials=1, seed=2024,
     )
     served = np.array([o.server_distance for o in outcomes if o.tier is Tier.SBS])
     assert served.size >= 10000

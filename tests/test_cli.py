@@ -289,6 +289,22 @@ class TestExitCodes:
         assert calls == []
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("command, guard", [("sweep", "-5"), ("simulate", "inf")])
+    def test_bad_guard_named_and_exit_2(self, capsys, tmp_path, command, guard):
+        # an analytic-only sweep never opens a window, yet refuses the margin too
+        path = tmp_path / "guard.txt"
+        path.write_text((SMALL_SPEC if command == "sweep" else SMALL_CFG) + f"guard = {guard}\n")
+        out_path = tmp_path / "out.csv"
+        if command == "sweep":
+            source_args = ["--spec", str(path), "--out", str(out_path)]
+        else:
+            source_args = ["--config", str(path)]
+        code, out, err = run_cli(capsys, command, *source_args)
+        assert code == 2
+        assert out == ""
+        assert "guard" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("rank", ["0", "99"])
     def test_invalid_rank_exit_2(self, capsys, small_cfg, rank):
         code, out, err = run_cli(capsys, "analytic", "--config", small_cfg, "--content-rank", rank)
@@ -331,10 +347,9 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
 
 def test_simulator_names_resolve_from_the_package():
     import hetcache
-    from hetcache import estimate_outage, geometry_sim
 
-    assert estimate_outage is geometry_sim.estimate_outage
-    assert hetcache.stream_rng is geometry_sim.stream_rng
+    for name in sorted(hetcache._SIMULATOR_NAMES):
+        assert getattr(hetcache, name) is getattr(geometry_sim, name), name
     assert geometry_sim.DEFAULT_GUARD == hetcache.params.DEFAULT_GUARD
     with pytest.raises(AttributeError):
         hetcache.no_such_name

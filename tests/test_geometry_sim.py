@@ -23,16 +23,15 @@ from hetcache import (
     realize_network,
     sample_ppp,
     sbs_hit_probability,
-    simulate_outcomes,
     simulate_request,
     stream_rng,
     zipf_request_distribution,
 )
 
 from hetcache import geometry_sim
-from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _fading_sir, _failures, _outcomes, _servers
+from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _fading_sir, _failures, _servers
 
-from oracles import fig2_params, thin, truncated_rayleigh_cdf, unit_fade_request
+from oracles import fig2_params, request_outcomes, thin, truncated_rayleigh_cdf, unit_fade_request
 
 
 class FixedGains:
@@ -306,6 +305,11 @@ class TestSimulateRequest:
         with pytest.raises(InvalidRankError):
             simulate_request(real, 2, single_content_params(), stream_rng(9, "fading", 0))
 
+    def test_unknown_interference_convention(self):
+        real = make_realization([(1.0, 0.0)], [True])
+        with pytest.raises(ConfigError, match="interference convention 'bogus'"):
+            simulate_request(real, 1, single_content_params(), FixedGains(), interference="bogus")
+
 
 class CountingExponential:
     """RNG stub exposing only ``exponential(scale, size)`` with an integer size."""
@@ -369,8 +373,8 @@ class TestRealizationKernel:
         counted = _failures(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials)
         assert counted.tolist() == failures
         for rank in range(1, 5):
-            outs = _outcomes(real, rank, self.PARAMS, FixedGains(), interference, trials)
-            assert len(outs) == trials
+            outs = [simulate_request(real, rank, self.PARAMS, FixedGains(), interference)
+                    for _ in range(trials)]
             assert all(o.tier is tiers[rank - 1] for o in outs)
             assert sum(not o.success for o in outs) == failures[rank - 1]
             if rank <= n_served:
@@ -378,7 +382,6 @@ class TestRealizationKernel:
                 assert all(o.sir == pytest.approx(sir[rank - 1], rel=1e-12) for o in outs)
             else:
                 assert all(o.server_distance is None and o.sir is None for o in outs)
-            assert simulate_request(real, rank, self.PARAMS, FixedGains(), interference) == outs[0]
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
@@ -398,7 +401,7 @@ class TestRealizationKernel:
                 dist, sir = unit_fade_request(real, rank, p, interference == INTERFERENCE_BEYOND_SERVER)
                 expected = (dist, None if sir is None else pytest.approx(sir, rel=1e-12))
                 assert served.get(rank, (None, None)) == expected
-                out = _outcomes(real, rank, p, FixedGains(), interference, 1)[0]
+                out = simulate_request(real, rank, p, FixedGains(), interference)
                 assert (out.server_distance, out.sir) == expected
 
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
@@ -568,18 +571,17 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError):
             estimate_outage(p, CachePolicy.UCP, lib, req, trials_per_content=0)
 
-    @pytest.mark.parametrize("run", ["estimate_outage", "simulate_outcomes"])
-    def test_refused_before_sampling(self, monkeypatch, run):
+    def test_refused_before_sampling(self, monkeypatch):
         monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
 
         def call(p, lib, **options):
-            if run == "estimate_outage":
-                requests = zipf_request_distribution(lib.size, 0.8)
-                return estimate_outage(p, CachePolicy.UCP, lib, requests, realizations=1, **options)
-            return simulate_outcomes(p, CachePolicy.UCP, lib, 1, realizations=1, **options)
+            requests = zipf_request_distribution(lib.size, 0.8)
+            return estimate_outage(p, CachePolicy.UCP, lib, requests, realizations=1, **options)
 
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             call(fig2_params(), ContentLibrary(size=4, cache_slots=2), seed=-1)
+        with pytest.raises(ConfigError, match="interference convention 'bogus'"):
+            call(fig2_params(), ContentLibrary(size=4, cache_slots=2), interference="bogus")
         # ~2.5e8 expected cache entries in a window of ~2e5 expected points
         wide = replace(fig2_params(lambda_sbs=0.2, beta=1.0), r_sbs=200.0)
         with pytest.raises(ConfigError, match="cache.*budget"):
@@ -614,8 +616,8 @@ class TestDistributionLaws:
         p = fig2_params(r_mbs=6.0)
         win = SimWindow(40.0, guard=14.0)
         lib = ContentLibrary.from_normalized(0.3, 100)
-        outcomes = simulate_outcomes(p, CachePolicy.PCP, lib, content=1, window=win,
-                                     realizations=4000, trials_per_content=1, seed=77)
+        outcomes = request_outcomes(p, CachePolicy.PCP, lib, content=1, window=win,
+                                    realizations=4000, trials=1, seed=77)
         hits = np.array([o.tier is Tier.SBS for o in outcomes])
         ana = sbs_hit_probability(p, 1.0)
         z = (hits.mean() - ana) / math.sqrt(ana * (1.0 - ana) / hits.size)
@@ -655,7 +657,7 @@ class TestFrozenDrawOrder:
         (CachePolicy.UCP, INTERFERENCE_ALL, 1): [17, 15, 14, 17, 14, 15, 13, 16, 13, 17],
         (CachePolicy.UCP, INTERFERENCE_ALL, 3): [47, 42, 42, 50, 46, 45, 43, 53, 37, 48],
     }
-    # simulate_outcomes for rank 2, 4 realizations x 3 trials: one tier and
+    # request_outcomes for rank 2, 4 realizations x 3 trials: one tier and
     # distance per realization, SIRs per trial. Realization 0 misses; 1 and 3
     # are served alike under both policies, 2 by an SBS (PCP) or the MBS (UCP).
     TIERS = {CachePolicy.PCP: "xmss", CachePolicy.UCP: "xmms"}
@@ -686,9 +688,10 @@ class TestFrozenDrawOrder:
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
-    def test_simulate_outcomes_trials(self, policy, interference):
-        outcomes = simulate_outcomes(self.PARAMS, policy, self.LIBRARY, content=2, realizations=4,
-                                     trials_per_content=3, seed=8, interference=interference)
+    def test_request_outcomes_trials(self, policy, interference):
+        outcomes = request_outcomes(self.PARAMS, policy, self.LIBRARY, content=2,
+                                    window=default_window(self.PARAMS), realizations=4, trials=3,
+                                    seed=8, interference=interference)
         tiers = {"x": Tier.MISS, "m": Tier.MBS, "s": Tier.SBS}
         expected_tiers = [tiers[t] for t in self.TIERS[policy] for _ in range(3)]
         assert [o.tier for o in outcomes] == expected_tiers

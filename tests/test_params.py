@@ -236,7 +236,6 @@ class TestCacheSizing:
     def test_library_consistency(self):
         lib = ContentLibrary.from_normalized(0.3, 100)
         assert lib.cache_slots == 30
-        assert lib.normalized_cache == 0.3
         with pytest.raises(ConfigError):
             ContentLibrary(size=10, cache_slots=11)
 
