@@ -5,26 +5,17 @@ Closed forms (module ``analytic``) and an independent Monte-Carlo simulator
 small-cell network with Zipf content popularity, plus sweep orchestration
 (``experiments``) and a CLI (``cli``).
 
-The closed forms, sweeps of them and the CLI run in pure ``math``: numpy is
-loaded only by the Monte-Carlo engine. ``geometry_sim`` and the names below
-that come from it are therefore imported on first access (PEP 562).
+``import hetcache`` loads only the configuration layer, ``errors`` and
+``params``: enough to parse a config and build a :class:`ModelSetup`. Every
+other name below, and the modules ``analytic``, ``experiments`` and
+``geometry_sim`` themselves, load on first access (PEP 562), each from the
+module named in ``_LAZY``. ``experiments`` loads ``analytic``; ``cli`` loads
+both. The closed forms, sweeps of them and the CLI run in pure ``math``:
+only ``geometry_sim``, the Monte-Carlo engine, loads numpy.
 """
 
 import importlib
 
-from .analytic import (
-    InterferenceKernels,
-    OutageBreakdown,
-    average_outage,
-    combine_outage,
-    kernel_integral,
-    kernels,
-    mbs_hit_probability,
-    outage_mbs,
-    outage_sbs,
-    sbs_hit_probability,
-    total_outage,
-)
 from .errors import (
     ConfigError,
     ContentUnreachableError,
@@ -34,17 +25,6 @@ from .errors import (
     HetcacheError,
     InvalidLibraryError,
     InvalidRankError,
-)
-from .experiments import (
-    ENGINE_ANALYTIC,
-    ENGINE_MONTECARLO,
-    McBudget,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    Variant,
-    run_sweep,
-    sweep_spec_from_config,
 )
 from .params import (
     CachePolicy,
@@ -63,27 +43,68 @@ from .params import (
 
 __version__ = "0.1.0"
 
-_SIMULATOR_NAMES = frozenset(
-    {
-        "INTERFERENCE_ALL",
-        "INTERFERENCE_BEYOND_SERVER",
-        "McEstimate",
-        "NetworkRealization",
-        "ServiceOutcome",
-        "SimWindow",
-        "Tier",
-        "default_window",
-        "estimate_outage",
-        "realize_network",
-        "sample_ppp",
-        "simulate_request",
-        "stream_rng",
-    }
-)
+#: Every lazily loaded public name, with the module that defines it.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "InterferenceKernels",
+            "OutageBreakdown",
+            "average_outage",
+            "combine_outage",
+            "kernel_integral",
+            "kernels",
+            "mbs_hit_probability",
+            "outage_mbs",
+            "outage_sbs",
+            "sbs_hit_probability",
+            "total_outage",
+        ),
+        "analytic",
+    ),
+    **dict.fromkeys(
+        (
+            "ENGINE_ANALYTIC",
+            "ENGINE_MONTECARLO",
+            "McBudget",
+            "SweepResult",
+            "SweepRow",
+            "SweepSpec",
+            "Variant",
+            "run_sweep",
+            "sweep_spec_from_config",
+        ),
+        "experiments",
+    ),
+    **dict.fromkeys(
+        (
+            "INTERFERENCE_ALL",
+            "INTERFERENCE_BEYOND_SERVER",
+            "McEstimate",
+            "NetworkRealization",
+            "ServiceOutcome",
+            "SimWindow",
+            "Tier",
+            "default_window",
+            "estimate_outage",
+            "realize_network",
+            "sample_ppp",
+            "simulate_request",
+            "stream_rng",
+        ),
+        "geometry_sim",
+    ),
+}
 
 
 def __getattr__(name: str):
-    if name != "geometry_sim" and name not in _SIMULATOR_NAMES:
+    if name in _LAZY.values():  # importing a submodule binds it here
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    geometry_sim = importlib.import_module(".geometry_sim", __name__)
-    return geometry_sim if name == "geometry_sim" else getattr(geometry_sim, name)
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

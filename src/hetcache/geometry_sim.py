@@ -146,16 +146,16 @@ class SimWindow:
     """Square simulation window of side ``side`` centered on the reference user.
 
     The window must contain the disc of radius r_mbs plus the guard margin;
-    :func:`realize_network` enforces this.
+    :func:`realize_network` and :func:`estimate_outage` enforce this.
     """
 
     side: float
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        if not self.side > 0.0:
-            raise ConfigError(f"window side must be > 0, got {self.side}")
-        check_guard(self.guard)
+        check_guard(self.guard)  # an infinite guard makes an infinite side: name the cause
+        if not (self.side > 0.0 and math.isfinite(self.side * self.side)):
+            raise ConfigError(f"window side must be > 0 with a finite area, got {self.side}")
 
     def area(self) -> float:
         return self.side**2
@@ -241,6 +241,14 @@ class NetworkRealization:
         return self._path_gains[alpha]
 
 
+def _check_window(params: SystemParams, window: SimWindow) -> None:
+    if window.covered_radius() < params.r_mbs + window.guard:
+        raise ConfigError(
+            f"window (covered radius {window.covered_radius()} m) does not contain "
+            f"r_mbs + guard = {params.r_mbs + window.guard} m"
+        )
+
+
 def realize_network(
     params: SystemParams,
     policy: CachePolicy,
@@ -259,11 +267,7 @@ def realize_network(
     play no part in interference. PCP caches are the top d ranks; UCP caches
     are independent uniform d-subsets per SBS, drawn from ``cache_rng``.
     """
-    if window.covered_radius() < params.r_mbs + window.guard:
-        raise ConfigError(
-            f"window (covered radius {window.covered_radius()} m) does not contain "
-            f"r_mbs + guard = {params.r_mbs + window.guard} m"
-        )
+    _check_window(params, window)
     if cache_rng is None:
         cache_rng = rng
     mbs = sample_ppp(params.lambda_mbs, window, rng)
@@ -533,6 +537,7 @@ def estimate_outage(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     _check_interference(interference)
     window = default_window(params) if window is None else window
+    _check_window(params, window)
     if params.subchannels_b > 1:
         raise ConfigError(
             f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "

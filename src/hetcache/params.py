@@ -58,9 +58,9 @@ class SystemParams:
 
     Units: densities per m^2, radii in m, powers in W, ``gamma`` linear.
     The regime of interest has ``lambda_sbs >> lambda_mbs`` but this is not
-    enforced. Every value must be finite. The total bandwidth is not a
-    parameter because no formula uses it: only ``subchannels_b`` and
-    ``beta`` enter.
+    enforced. Every value must be finite, and so must the MBS service area
+    pi * r_mbs^2. The total bandwidth is not a parameter because no formula
+    uses it: only ``subchannels_b`` and ``beta`` enter.
     """
 
     lambda_mbs: float  # macro-cell density, per m^2
@@ -97,6 +97,10 @@ class SystemParams:
             raise ConfigError(
                 f"service radii must satisfy r_mbs > r_sbs > 0, "
                 f"got r_mbs={self.r_mbs}, r_sbs={self.r_sbs}"
+            )
+        if not math.isfinite(math.pi * self.r_mbs * self.r_mbs):  # bounds the SBS disc too
+            raise ConfigError(
+                f"r_mbs must have a finite disc area pi * r_mbs^2, got r_mbs={self.r_mbs}"
             )
         if not (isinstance(self.subchannels_b, int) and self.subchannels_b >= 1):
             raise ConfigError(f"subchannels_b must be an integer >= 1, got {self.subchannels_b}")

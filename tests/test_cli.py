@@ -1,3 +1,4 @@
+import importlib
 import importlib.resources
 import json
 import math
@@ -211,6 +212,21 @@ class TestExitCodes:
             assert code == 2
             assert key in err
 
+    @pytest.mark.parametrize(
+        "command, r_mbs, named",
+        [("analytic", "1e200", "r_mbs"), ("simulate", "1e200", "r_mbs"),
+         ("simulate", "7e153", "window side")],
+    )
+    def test_overflowing_area_named_and_exit_2(self, capsys, tmp_path, command, r_mbs, named):
+        # pi * r_mbs^2 overflows a float at 1e200; at 7e153 only the area of
+        # the default window, (2 * (r_mbs + guard))^2, does
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG.replace("r_mbs = 250", f"r_mbs = {r_mbs}"))
+        code, out, err = run_cli(capsys, command, "--config", str(bad))
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_monte_carlo_refuses_several_subchannels(self, capsys, tmp_path):
         cfg = tmp_path / "b2.cfg"
         cfg.write_text(SMALL_CFG + "\nsubchannels_b = 2\n")
@@ -314,14 +330,29 @@ class TestExitCodes:
 
 
 def test_import_loads_neither_scipy_nor_the_process_pool():
-    # numpy stays out too: only the Monte-Carlo engine loads it
-    loaded = (
+    # numpy stays out too: only the Monte-Carlo engine loads it. Import and
+    # setup load only the configuration layer; the CLI adds the closed forms
+    # and the sweeps, and the simulator loads on first use
+    heavy = (
         "sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'numpy') or m == 'concurrent.futures.process')"
     )
-    probe = f"import sys, hetcache; print({loaded}); import hetcache.cli; print({loaded})"
+    engines = (
+        "sorted(m for m in sys.modules "
+        "if m in ('hetcache.analytic', 'hetcache.experiments', 'hetcache.geometry_sim'))"
+    )
+    cfg = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg").read_text()
+    probe = (
+        "import json, sys, hetcache; "
+        f"hetcache.setup_from_config(hetcache.parse_config_text({cfg!r})); "
+        f"print(json.dumps([{heavy}, {engines}])); "
+        f"import hetcache.cli; print(json.dumps([{heavy}, {engines}]))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert [json.loads(line) for line in out.stdout.splitlines()] == [
+        [[], []],
+        [[], ["hetcache.analytic", "hetcache.experiments"]],
+    ]
 
 
 def test_closed_form_commands_run_without_numpy(tmp_path):
@@ -345,11 +376,19 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     assert len(SweepResult.from_csv_text((tmp_path / "fig3.csv").read_text()).rows) == 154
 
 
-def test_simulator_names_resolve_from_the_package():
+def test_lazy_names_resolve_from_the_package():
     import hetcache
 
-    for name in sorted(hetcache._SIMULATOR_NAMES):
-        assert getattr(hetcache, name) is getattr(geometry_sim, name), name
+    assert set(hetcache._LAZY.values()) == {"analytic", "experiments", "geometry_sim"}
+    for name, module in sorted(hetcache._LAZY.items()):
+        defining = importlib.import_module(f"hetcache.{module}")
+        assert getattr(hetcache, name) is getattr(defining, name), name
+        assert getattr(hetcache, module) is defining
+        assert {name, module} <= set(dir(hetcache))
+    from hetcache import average_outage, estimate_outage, run_sweep
+
+    assert average_outage is hetcache.analytic.average_outage and run_sweep is experiments.run_sweep
+    assert estimate_outage is geometry_sim.estimate_outage  # not the wrapper in experiments
     assert geometry_sim.DEFAULT_GUARD == hetcache.params.DEFAULT_GUARD
     with pytest.raises(AttributeError):
         hetcache.no_such_name

@@ -78,6 +78,11 @@ class TestWindow:
         assert sq.area() == 1e6
         assert sq.covered_radius() == 500.0
 
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf, 1.4e154])
+    def test_side_needs_a_finite_positive_area(self, side):
+        with pytest.raises(ConfigError, match="window side"):
+            SimWindow(side)
+
     def test_default_window_side(self):
         assert default_window(fig2_params()).side == 1000.0
         wide = default_window(fig2_params(r_mbs=400.0))
@@ -586,6 +591,15 @@ class TestEstimateOutage:
         wide = replace(fig2_params(lambda_sbs=0.2, beta=1.0), r_sbs=200.0)
         with pytest.raises(ConfigError, match="cache.*budget"):
             call(wide, ContentLibrary(size=10_000, cache_slots=3000))
+
+    def test_too_small_window_refused_before_any_pool(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        with pytest.raises(ConfigError, match=r"covered radius 50.0 m.*r_mbs \+ guard = 500.0 m"):
+            estimate_outage(fig2_params(), CachePolicy.PCP, lib, zipf_request_distribution(4, 0.8),
+                            window=SimWindow(100.0), realizations=4, workers=2)
+        assert recorded_pools == []
 
     def test_request_size_mismatch(self):
         p = fig2_params()

@@ -62,6 +62,8 @@ class TestSystemParams:
             ("r_sbs", 0.0),
             ("lambda_sbs", math.inf),
             ("r_mbs", math.inf),
+            ("r_mbs", 1e200),  # r_mbs**2 alone overflows
+            ("r_mbs", 7.6e153),  # only pi * r_mbs**2 does
             ("p_max_sbs", math.inf),
         ],
     )
