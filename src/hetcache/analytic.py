@@ -16,7 +16,7 @@ Numerical conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ContentUnreachableError,
@@ -115,14 +115,14 @@ def _hyp2f1_unit(b: float, x: float) -> float:
     return b / x * (pole_gap * x_c + x_c_minus_1 / c + x * w * tail)
 
 
-@dataclass(frozen=True)
-class InterferenceKernels:
+class InterferenceKernels(NamedTuple):
     """The four interference kernels, by (server tier, interferer tier).
 
     k1: SBS server, MBS interferers;  k2: SBS server, SBS interferers;
     k3: MBS server, MBS interferers;  k4: MBS server, SBS interferers.
     k2 == k3 because both reduce to the equal-power kernel at ratio gamma.
-    All four coincide when the per-channel powers are equal.
+    All four coincide when the per-channel powers are equal. A plain
+    record: it iterates as (k1, k2, k3, k4) and compares equal to that tuple.
     """
 
     k1: float
@@ -223,12 +223,12 @@ def _outage_mbs(params: SystemParams, ks: InterferenceKernels) -> float:
     return _check_probability(1.0 - succ, "MBS outage")
 
 
-@dataclass(frozen=True)
-class OutageBreakdown:
+class OutageBreakdown(NamedTuple):
     """Hit probabilities, per-tier outage, and their total combination.
 
     When a tier can never serve (hit probability 0) its outage value is
-    stored as 1.0 and carries zero weight in the total.
+    stored as 1.0 and carries zero weight in the total. A plain record: it
+    iterates in field order and compares equal to the tuple of its values.
     """
 
     p_hit_sbs: float
@@ -288,6 +288,7 @@ def average_outage(
     library: ContentLibrary,
     requests: RequestDistribution,
     ks: InterferenceKernels | None = None,
+    totals: dict[float, float] | None = None,
 ) -> float:
     """Request-averaged outage sum_c q_c * total_outage(P_c).
 
@@ -298,6 +299,12 @@ def average_outage(
     can differ from the rank-order sum in the last bits. ``ks`` passes
     kernels already evaluated for ``params``, as in :func:`total_outage`;
     without them the kernels are evaluated here when some tier can serve.
+
+    ``totals`` maps P_c to the total outage already evaluated for
+    ``params``. It is read and filled in place, so callers that average
+    many libraries or request laws at one ``params`` evaluate each P_c once.
+    A cached value is the same float that :func:`total_outage` returns, so
+    the result is bit for bit the one computed without it.
     """
     if requests.size != library.size:
         raise DomainError(
@@ -313,7 +320,11 @@ def average_outage(
     if ks is None:
         # the SBS hit probability grows with P_c: the largest P_c needs kernels if any does
         ks = _kernels_if_served(params, max(served))
+    if totals is None:
+        totals = {}
     acc = 0.0
     for p_c in served:
-        acc += mass[p_c] * total_outage(params, p_c, ks).p_out_total
+        if p_c not in totals:
+            totals[p_c] = total_outage(params, p_c, ks).p_out_total
+        acc += mass[p_c] * totals[p_c]
     return _check_probability(acc, "average outage")

@@ -9,8 +9,6 @@ environment, then the config file's ``seed`` key.
 from __future__ import annotations
 
 import argparse
-import importlib.resources
-import json
 import os
 import sys
 
@@ -36,6 +34,8 @@ def _load_config(path: str) -> dict[str, str]:
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:
             return parse_config_text(handle.read())
+    import importlib.resources  # only the bundled-config fallback needs it
+
     bundled = importlib.resources.files("hetcache").joinpath("configs", os.path.basename(path))
     if bundled.is_file():
         return parse_config_text(bundled.read_text(encoding="utf-8"))
@@ -81,6 +81,8 @@ def _interference_from(cfg: dict[str, str]) -> str:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
+    import json
+
     cfg = _load_config(args.config)
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
@@ -101,6 +103,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import json
+
     cfg = _load_config(args.config)
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)

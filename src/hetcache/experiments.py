@@ -11,14 +11,20 @@ Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
 outage exactly monotone per trial, since only the threshold changes.
 
-A sweep evaluates each distinct input once. The axis values are applied once
-per grid point and the variants share the resulting parameters; only the
-content library depends on the variant. The interference kernels are
-evaluated once per distinct parameter set, and a row's value once per
-distinct (params, policy, library, requests), plus the variant seed for
-Monte-Carlo. Both engines are deterministic in these inputs, so a repeated
-input (the ``none`` variant along a d_tilde axis, say) reuses the earlier
-value exactly. These memos live for one sweep and never hold an error.
+A sweep evaluates each distinct input once. Each axis1 value is applied once,
+each axis2 value once per axis1 value, and the variants share the resulting
+parameters; only the content library depends on the variant. The
+interference kernels are evaluated once per distinct parameter set, the
+per-content total outage once per distinct (params, P_c), and a row's value
+once per distinct (params, policy, library, requests), plus the variant seed
+for Monte-Carlo. Both engines are deterministic in these inputs, so a
+repeated input (the ``none`` variant along a d_tilde axis, say) reuses the
+earlier value exactly, bit for bit. These memos live for one sweep and never
+hold an error.
+
+A spec names each axis, variant label and engine at most once: a repeat
+would write duplicate columns or rows, and a repeated Monte-Carlo variant
+would carry two estimates under one label.
 
 A sweep with Monte-Carlo rows and more than one worker runs inside
 :func:`geometry_sim.shared_pool`: its rows share one process pool, opened by
@@ -30,9 +36,10 @@ simulator nor the pool.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analytic import InterferenceKernels, _kernels_if_served, average_outage
 from .errors import ConfigError
@@ -63,12 +70,12 @@ _ENGINES = (ENGINE_ANALYTIC, ENGINE_MONTECARLO)
 SWEEPABLE_AXES = ("lambda_sbs", "beta", "gamma", "d_tilde")
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     """One caching/popularity combination evaluated across the grid.
 
     ``fixed_cache`` pins the cache size (used by the no-caching baseline so a
-    d_tilde axis cannot re-enable caching for it).
+    d_tilde axis cannot re-enable caching for it). A plain record: it
+    iterates in field order and compares equal to the tuple of its values.
     """
 
     label: str
@@ -115,13 +122,17 @@ class SweepSpec:
                 raise ConfigError(f"axis '{name}': values must be sorted ascending")
             for value in values:  # refuse an out-of-model value before any row runs
                 _apply_axis(self.base.params, self.base.library, name, value)
+        if self.axis2 and self.axis2[0] == self.axis1[0]:
+            raise ConfigError(f"axis '{self.axis1[0]}' is given as both axis1 and axis2")
         if not self.variants:
             raise ConfigError("at least one variant is required")
+        _refuse_repeats("variant", [variant.label for variant in self.variants])
         if not self.engines:
             raise ConfigError("at least one engine is required")
         for engine in self.engines:
             if engine not in _ENGINES:
                 raise ConfigError(f"unknown engine {engine!r}")
+        _refuse_repeats("engine", self.engines)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
@@ -134,8 +145,21 @@ class SweepSpec:
         return names + (self.axis2[0],) if self.axis2 else names
 
 
-@dataclass(frozen=True)
-class SweepRow:
+def _refuse_repeats(kind: str, names: Iterable[str]) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{kind} {name!r} is given more than once")
+        seen.add(name)
+
+
+class SweepRow(NamedTuple):
+    """One row of a sweep table.
+
+    A plain record: it iterates in field order and compares equal to the
+    tuple of its values.
+    """
+
     axes: tuple[float, ...]
     variant: str
     engine: str
@@ -147,12 +171,13 @@ class SweepRow:
 _RESULT_COLUMNS = ("policy", "engine", "avg_outage", "std_error")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """A sweep's rows in grid order.
 
     The table is a function of the spec and its seed, the same for any
-    worker count, and a written table re-parses to an equal result.
+    worker count, and a written table re-parses to an equal result. A plain
+    record: it iterates as (axis_names, rows) and compares equal to that
+    tuple.
     """
 
     axis_names: tuple[str, ...]
@@ -264,10 +289,11 @@ def _variant_seed(master: int, variant_index: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows ordered by (grid index, variant, engine).
 
-    Each distinct input is evaluated once: parameters per grid point,
-    kernels per parameter set, a row's value per distinct row input (see
-    the module docstring). Monte-Carlo rows at more than one worker share
-    one process pool, shut down before this returns or raises.
+    Each distinct input is evaluated once: parameters per axis value,
+    kernels per parameter set, total outage per (parameter set, P_c), a
+    row's value per distinct row input (see the module docstring).
+    Monte-Carlo rows at more than one worker share one process pool, shut
+    down before this returns or raises.
     """
     pool_scope = nullcontext()
     if ENGINE_MONTECARLO in spec.engines and spec.workers > 1:
@@ -281,19 +307,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # Sweep-local, so every sweep evaluates afresh; an error propagates
-    # before its row stores anything.
-    kernels_by_params: dict[SystemParams, InterferenceKernels | None] = {}
+    # before its memo stores anything.
+    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
     value_by_input: dict[tuple, tuple[float, float | None]] = {}
     own_libraries = [ContentLibrary(spec.base.library.size, v.cache_slots) for v in spec.variants]
     d_tilde_axis = "d_tilde" in spec.axis_names
-    axis2_values = spec.axis2[1] if spec.axis2 else (None,)
+    name1, values1 = spec.axis1
+    name2, values2 = spec.axis2 or (None, (None,))
     rows: list[SweepRow] = []
-    for v1 in spec.axis1[1]:
-        for v2 in axis2_values:
-            axes = (v1,) if v2 is None else (v1, v2)
-            params, axis_library = spec.base.params, spec.base.library
-            for name, value in zip(spec.axis_names, axes):
-                params, axis_library = _apply_axis(params, axis_library, name, value)
+    for v1 in values1:
+        params1, library1 = _apply_axis(spec.base.params, spec.base.library, name1, v1)
+        for v2 in values2:
+            if v2 is None:
+                axes, params, axis_library = (v1,), params1, library1
+            else:
+                axes = (v1, v2)
+                params, axis_library = _apply_axis(params1, library1, name2, v2)
             for vi, variant in enumerate(spec.variants):
                 library = own_libraries[vi]
                 if d_tilde_axis and not variant.fixed_cache:
@@ -303,16 +332,16 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                     key = inputs
                     if engine == ENGINE_MONTECARLO:
                         key += (_variant_seed(spec.seed, vi),)
-                    if key in value_by_input:
-                        pass
-                    elif engine == ENGINE_ANALYTIC:
-                        if params not in kernels_by_params:
+                    result = value_by_input.get(key)
+                    if result is None and engine == ENGINE_ANALYTIC:
+                        if params not in memo_by_params:
                             # P_c = 1 bounds the SBS hit probability of every
-                            # row, so these kernels serve each row that needs any
-                            kernels_by_params[params] = _kernels_if_served(params, 1.0)
-                        value = average_outage(*inputs, kernels_by_params[params])
-                        value_by_input[key] = (value, None)
-                    else:
+                            # row, so these kernels serve each row that needs
+                            # any; the dict collects total outage by P_c
+                            memo_by_params[params] = (_kernels_if_served(params, 1.0), {})
+                        ks, totals = memo_by_params[params]
+                        result = value_by_input[key] = (average_outage(*inputs, ks, totals), None)
+                    elif result is None:
                         _, avg = estimate_outage(
                             *inputs,
                             guard=spec.guard,
@@ -321,17 +350,8 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                             seed=key[-1],
                             workers=spec.workers,
                         )
-                        value_by_input[key] = (avg.mean, avg.std_error)
-                    value, std_error = value_by_input[key]
-                    rows.append(
-                        SweepRow(
-                            axes=axes,
-                            variant=variant.label,
-                            engine=engine,
-                            avg_outage=value,
-                            std_error=std_error,
-                        )
-                    )
+                        result = value_by_input[key] = (avg.mean, avg.std_error)
+                    rows.append(SweepRow(axes, variant.label, engine, *result))
     return rows
 
 

@@ -89,6 +89,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,14 +297,14 @@ class Tier(enum.Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
-class ServiceOutcome:
+class ServiceOutcome(NamedTuple):
     """Result of one request trial.
 
     ``server_distance`` and ``sir`` are None for a miss; ``sir`` is +inf
     when no interferer transmits. Success means the content was delivered:
     a server exists and its SIR strictly exceeds gamma (ties count as
-    failure; they have probability zero).
+    failure; they have probability zero). A plain record: it iterates in
+    field order and compares equal to the tuple of its values.
     """
 
     tier: Tier
@@ -435,9 +436,12 @@ def simulate_request(
     return ServiceOutcome(tier, distance, float(sir[0]), bool(sir[0] > params.gamma))
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Binary Monte-Carlo estimate with its binomial standard error."""
+class McEstimate(NamedTuple):
+    """Binary Monte-Carlo estimate with its binomial standard error.
+
+    A plain record: it iterates as (mean, std_error, trials) and compares
+    equal to that tuple.
+    """
 
     mean: float
     std_error: float

@@ -2,6 +2,7 @@ import importlib
 import importlib.resources
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -256,6 +257,20 @@ class TestExitCodes:
         assert "gamma" in err
         assert not out_path.exists()
 
+    def test_repeated_axis_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "gamma2.spec"
+        spec.write_text(
+            SMALL_SPEC.replace("axis1 = d_tilde", "axis1 = gamma")
+            .replace("axis1_values = 0.2, 1.0", "axis1_values = -10, 0")
+            .replace("axis2 = beta", "axis2 = gamma")
+            .replace("axis2_values = 0.05, 1.0", "axis2_values = -5")
+        )
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_path))
+        assert code == 2
+        assert "axis 'gamma' is given as both axis1 and axis2" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "out, named", [("missing/x.csv", "missing"), ("existing", "existing")]
     )
@@ -353,6 +368,22 @@ def test_import_loads_neither_scipy_nor_the_process_pool():
         [[], []],
         [[], ["hetcache.analytic", "hetcache.experiments"]],
     ]
+
+
+def test_cli_import_loads_neither_json_nor_importlib_resources():
+    # -S keeps site hooks from preloading either module; the child reports
+    # with print, so its report imports neither
+    import hetcache
+
+    probe = (
+        "import sys, hetcache.cli; "
+        "print(sorted({'json', 'importlib.resources'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hetcache.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_closed_form_commands_run_without_numpy(tmp_path):

@@ -76,6 +76,23 @@ class TestSweepSpecValidation:
             SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"),
                       engines=("exact",))
 
+    def test_repeated_axis_refused(self):
+        s = base_setup()
+        with pytest.raises(ConfigError, match="axis 'gamma' is given as both axis1 and axis2"):
+            SweepSpec(base=s, axis1=("gamma", (-10.0, 0.0)), axis2=("gamma", (-5.0,)),
+                      variants=variants(s, "pcp"))
+
+    def test_repeated_variant_label_refused(self):
+        s = base_setup()
+        with pytest.raises(ConfigError, match="variant 'pcp' is given more than once"):
+            SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp", "ucp", "pcp"))
+
+    def test_repeated_engine_refused(self):
+        s = base_setup()
+        with pytest.raises(ConfigError, match="engine 'analytic' is given more than once"):
+            SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"),
+                      engines=("analytic", "montecarlo", "analytic"))
+
     def test_negative_seed_refused(self):
         s = base_setup()
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -211,6 +228,19 @@ class TestEvaluateOnce:
         assert sorted(kernel_gammas) == [db_to_linear(g) for g in self.GAMMAS_DB]
         assert len(row_inputs) == 656 == len(set(row_inputs))  # 16 none + 2 * 16 * 20
 
+    @pytest.mark.parametrize("gamma_first", [True, False])
+    def test_total_outage_once_per_gamma_and_replication(self, monkeypatch, gamma_first):
+        # per gamma: P_c 0 (none, PCP tail), 1 (PCP head, UCP at d_tilde 1)
+        # and the 19 other UCP fractions d_tilde
+        inputs = []
+        real = analytic.total_outage
+        monkeypatch.setattr(
+            analytic, "total_outage",
+            lambda p, p_c, ks=None: inputs.append((p.gamma, p_c)) or real(p, p_c, ks),
+        )
+        run_sweep(self.grid_spec(gamma_first))
+        assert len(inputs) == 336 == len(set(inputs)) == 16 * 21
+
     def test_monte_carlo_none_rows_estimated_once(self, monkeypatch):
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
@@ -340,6 +370,20 @@ class TestSpecFiles:
         with pytest.raises(ConfigError, match="lfu"):
             sweep_spec_from_config(parse_config_text(text))
 
+    @pytest.mark.parametrize(
+        "tokens, named",
+        [("pcp, pcp", "'pcp'"), ("ucp, UCP", "'ucp'"), ("ucp:zipf, Ucp:Zipf", "'ucp:zipf'")],
+    )
+    def test_repeated_variant_token_refused(self, tokens, named):
+        text = self.SPEC_TEXT.replace("none, ucp:uniform, pcp:zipf", tokens)
+        with pytest.raises(ConfigError, match=f"variant {named} is given more than once"):
+            sweep_spec_from_config(parse_config_text(text))
+
+    def test_distinct_variant_labels_kept(self):
+        text = self.SPEC_TEXT.replace("none, ucp:uniform, pcp:zipf", "ucp, ucp:zipf")
+        spec = sweep_spec_from_config(parse_config_text(text))
+        assert [v.label for v in spec.variants] == ["ucp", "ucp:zipf"]
+
     def test_bundled_specs_load(self):
         fig3 = sweep_spec_from_config(_load_config("fig3.spec"))
         assert fig3.axis1[0] == "d_tilde" and fig3.axis2[0] == "beta"
@@ -407,3 +451,48 @@ class TestSharedPool:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out.csv").exists()
+
+
+PLAIN_RECORDS = {
+    "InterferenceKernels": (analytic.InterferenceKernels, dict(k1=0.5, k2=0.25, k3=0.25, k4=0.125)),
+    "OutageBreakdown": (
+        analytic.OutageBreakdown,
+        dict(p_hit_sbs=0.1, p_hit_mbs=0.9, p_out_sbs=0.2, p_out_mbs=0.3, p_out_total=0.4),
+    ),
+    "Variant": (
+        Variant,
+        dict(label="pcp", policy=CachePolicy.PCP, cache_slots=3,
+             requests=zipf_request_distribution(10, 0.8), fixed_cache=True),
+    ),
+    "SweepRow": (
+        experiments.SweepRow,
+        dict(axes=(0.1, -10.0), variant="pcp", engine="analytic", avg_outage=0.5, std_error=None),
+    ),
+    "SweepResult": (
+        SweepResult,
+        dict(
+            axis_names=("beta",),
+            rows=(experiments.SweepRow((0.1,), "ucp", "montecarlo", 0.5, 0.01),),
+        ),
+    ),
+    "McEstimate": (geometry_sim.McEstimate, dict(mean=0.5, std_error=0.05, trials=100)),
+    "ServiceOutcome": (
+        geometry_sim.ServiceOutcome,
+        dict(tier=geometry_sim.Tier.SBS, server_distance=2.5, sir=3.0, success=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_RECORDS))
+def test_plain_records_keep_keywords_attributes_and_equality(name):
+    record, values = PLAIN_RECORDS[name]
+    built = record(**values)
+    assert {field: getattr(built, field) for field in values} == values
+    assert built == record(**values) and hash(built) == hash(record(**values))
+    first = next(iter(values))
+    assert built != record(**{**values, first: None})
+    with pytest.raises(AttributeError):
+        setattr(built, first, None)
+    # NamedTuple semantics: iterable, and equal to the plain tuple of its values
+    assert tuple(built) == tuple(values.values()) == built
+    assert not {"count", "index"} & set(record._fields)
