@@ -109,10 +109,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
     seed = _resolve_seed(args.seed, cfg)
-    per_content, average = estimate_outage(
-        setup.params,
+    [(per_content, average)] = estimate_outage(
+        [(setup.params, setup.library)],
         setup.policy,
-        setup.library,
         setup.requests,
         guard=get_float(cfg, "guard", DEFAULT_GUARD),
         trials_per_content=get_int(cfg, "trials_per_content", 1),

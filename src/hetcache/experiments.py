@@ -9,11 +9,19 @@ table re-parses to an equal :class:`SweepResult`.
 
 Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
-outage exactly monotone per trial, since only the threshold changes.
+outage exactly monotone per trial, since only the threshold changes. They
+share the draws too: a variant's distinct Monte-Carlo points run as a few
+batches of consecutive grid points, one :func:`estimate_outage` call each,
+and in every realization the points of a batch read one fading stream that
+is drawn once (see :mod:`geometry_sim`). Each row still equals the
+standalone estimate of its point bit for bit. Every point of every batch is
+checked before the first realization runs.
 
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
-each axis2 value once per axis1 value, and the variants share the resulting
-parameters; only the content library depends on the variant. The
+a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
+axis1 leaves the parameters alone) and a d_tilde axis2 value once per axis1
+value; the variants share the resulting parameters, and only the content
+library depends on the variant. The
 interference kernels are evaluated once per distinct parameter set, the
 per-content total outage once per distinct (params, P_c), and a row's value
 once per distinct (params, policy, library, requests), plus the variant seed
@@ -27,8 +35,8 @@ would write duplicate columns or rows, and a repeated Monte-Carlo variant
 would carry two estimates under one label.
 
 A sweep with Monte-Carlo rows and more than one worker runs inside
-:func:`geometry_sim.shared_pool`: its rows share one process pool, opened by
-the first row that starts processes and shut down when :func:`run_sweep`
+:func:`geometry_sim.shared_pool`: its batches share one process pool, opened
+by the first batch that starts processes and shut down when :func:`run_sweep`
 returns or raises. A single :func:`estimate_outage` call outside a sweep
 opens and shuts down its own pool. Other sweeps import neither the
 simulator nor the pool.
@@ -36,7 +44,7 @@ simulator nor the pool.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -260,22 +268,28 @@ def _apply_axis(
 
 
 def estimate_outage(
-    params: SystemParams,
+    points: Iterable[tuple[SystemParams, ContentLibrary]],
     policy: CachePolicy,
-    library: ContentLibrary,
     requests: RequestDistribution,
     guard: float = DEFAULT_GUARD,
     **options,
-) -> tuple[list[McEstimate], McEstimate]:
-    """:func:`geometry_sim.estimate_outage` in the default window with margin ``guard``.
+) -> list[tuple[list[McEstimate], McEstimate]]:
+    """:func:`geometry_sim.estimate_batch` over (params, library) grid points.
 
-    The simulator, and with it numpy, is imported on the first call, so
-    closed-form commands never load it. ``options`` are passed through.
+    Each point runs in its default window with margin ``guard``; one
+    (per-content, average) estimate per point, in order. The simulator, and
+    with it numpy, is imported on the first call, so closed-form commands
+    never load it. ``options`` are passed through.
     """
     from . import geometry_sim
 
-    window = geometry_sim.default_window(params, guard)
-    return geometry_sim.estimate_outage(params, policy, library, requests, window=window, **options)
+    return geometry_sim.estimate_batch(_windowed(points, guard), policy, requests, **options)
+
+
+def _windowed(points: Iterable[tuple[SystemParams, ContentLibrary]], guard: float) -> list:
+    from .geometry_sim import default_window
+
+    return [(params, library, default_window(params, guard)) for params, library in points]
 
 
 def _variant_seed(master: int, variant_index: int) -> int:
@@ -291,9 +305,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each distinct input is evaluated once: parameters per axis value,
     kernels per parameter set, total outage per (parameter set, P_c), a
-    row's value per distinct row input (see the module docstring).
-    Monte-Carlo rows at more than one worker share one process pool, shut
-    down before this returns or raises.
+    row's value per distinct row input (see the module docstring). Every
+    Monte-Carlo point is checked before any row is evaluated. Monte-Carlo
+    rows at more than one worker share one process pool, shut down before
+    this returns or raises.
     """
     pool_scope = nullcontext()
     if ENGINE_MONTECARLO in spec.engines and spec.workers > 1:
@@ -305,54 +320,99 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(axis_names=spec.axis_names, rows=tuple(rows))
 
 
+def _grid(spec: SweepSpec) -> Iterator[tuple[tuple[float, ...], SystemParams, ContentLibrary]]:
+    """(axis values, params, axis library) per grid point, in grid order.
+
+    Each axis1 value is applied once, and a parameter axis2 value once per
+    distinct axis1 parameter set.
+    """
+    name1, values1 = spec.axis1
+    name2, values2 = spec.axis2 or (None, ())
+    params_by_input: dict[tuple[SystemParams, float], SystemParams] = {}
+    for v1 in values1:
+        params1, library1 = _apply_axis(spec.base.params, spec.base.library, name1, v1)
+        if name2 is None:
+            yield (v1,), params1, library1
+        for v2 in values2:
+            if name2 == "d_tilde":
+                yield (v1, v2), *_apply_axis(params1, library1, name2, v2)
+                continue
+            params = params_by_input.get((params1, v2))
+            if params is None:
+                params = params_by_input[params1, v2] = _apply_axis(params1, library1, name2, v2)[0]
+            yield (v1, v2), params, library1
+
+
 def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # Sweep-local, so every sweep evaluates afresh; an error propagates
     # before its memo stores anything.
-    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
-    value_by_input: dict[tuple, tuple[float, float | None]] = {}
     own_libraries = [ContentLibrary(spec.base.library.size, v.cache_slots) for v in spec.variants]
     d_tilde_axis = "d_tilde" in spec.axis_names
-    name1, values1 = spec.axis1
-    name2, values2 = spec.axis2 or (None, (None,))
-    rows: list[SweepRow] = []
-    for v1 in values1:
-        params1, library1 = _apply_axis(spec.base.params, spec.base.library, name1, v1)
-        for v2 in values2:
-            if v2 is None:
-                axes, params, axis_library = (v1,), params1, library1
-            else:
-                axes = (v1, v2)
-                params, axis_library = _apply_axis(params1, library1, name2, v2)
-            for vi, variant in enumerate(spec.variants):
-                library = own_libraries[vi]
-                if d_tilde_axis and not variant.fixed_cache:
-                    library = axis_library
-                for engine in spec.engines:
-                    inputs = (params, variant.policy, library, variant.requests)
-                    key = inputs
-                    if engine == ENGINE_MONTECARLO:
-                        key += (_variant_seed(spec.seed, vi),)
-                    result = value_by_input.get(key)
-                    if result is None and engine == ENGINE_ANALYTIC:
-                        if params not in memo_by_params:
-                            # P_c = 1 bounds the SBS hit probability of every
-                            # row, so these kernels serve each row that needs
-                            # any; the dict collects total outage by P_c
-                            memo_by_params[params] = (_kernels_if_served(params, 1.0), {})
-                        ks, totals = memo_by_params[params]
-                        result = value_by_input[key] = (average_outage(*inputs, ks, totals), None)
-                    elif result is None:
-                        _, avg = estimate_outage(
-                            *inputs,
-                            guard=spec.guard,
-                            trials_per_content=spec.mc.trials_per_content,
-                            realizations=spec.mc.realizations,
-                            seed=key[-1],
-                            workers=spec.workers,
-                        )
-                        result = value_by_input[key] = (avg.mean, avg.std_error)
-                    rows.append(SweepRow(axes, variant.label, engine, *result))
-    return rows
+    # One slot in values per distinct row input. A Monte-Carlo input ends in
+    # its variant's index (its seed), an analytic one in None, so variants
+    # share analytic values only.
+    slots: dict[tuple, int] = {}
+    plan: list[tuple[tuple[float, ...], str, str, int]] = []
+    for axes, params, axis_library in _grid(spec):
+        for vi, variant in enumerate(spec.variants):
+            library = own_libraries[vi]
+            if d_tilde_axis and not variant.fixed_cache:
+                library = axis_library
+            for engine in spec.engines:
+                mc = vi if engine == ENGINE_MONTECARLO else None
+                key = (params, variant.policy, library, variant.requests, mc)
+                plan.append((axes, variant.label, engine, slots.setdefault(key, len(slots))))
+    values: list = [None] * len(slots)
+    analytic_inputs = []
+    mc_slots: list[dict[tuple[SystemParams, ContentLibrary], int]] = [{} for _ in spec.variants]
+    for (params, policy, library, requests, vi), slot in slots.items():
+        if vi is None:
+            analytic_inputs.append((slot, (params, policy, library, requests)))
+        else:
+            mc_slots[vi][params, library] = slot
+    batches = _mc_batches(spec, mc_slots)  # refuses a bad point before any work
+    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
+    for slot, inputs in analytic_inputs:
+        params = inputs[0]
+        if params not in memo_by_params:
+            # P_c = 1 bounds the SBS hit probability of every row, so these
+            # kernels serve each row that needs any; the dict collects total
+            # outage by P_c
+            memo_by_params[params] = (_kernels_if_served(params, 1.0), {})
+        values[slot] = (average_outage(*inputs, *memo_by_params[params]), None)
+    for vi, points in batches:
+        variant = spec.variants[vi]
+        estimates = estimate_outage(
+            points,
+            variant.policy,
+            variant.requests,
+            guard=spec.guard,
+            trials_per_content=spec.mc.trials_per_content,
+            realizations=spec.mc.realizations,
+            seed=_variant_seed(spec.seed, vi),
+            workers=spec.workers,
+        )
+        for point, (_, avg) in zip(points, estimates):
+            values[mc_slots[vi][point]] = (avg.mean, avg.std_error)
+    return [SweepRow(axes, label, engine, *values[slot]) for axes, label, engine, slot in plan]
+
+
+def _mc_batches(spec: SweepSpec, mc_slots: list[dict]) -> list[tuple[int, list]]:
+    """(variant index, grid points) per Monte-Carlo batch, in grid order per variant.
+
+    Checks every point of every variant first, so a bad point is refused
+    before any realization runs or any pool opens.
+    """
+    if ENGINE_MONTECARLO not in spec.engines:
+        return []
+    from .geometry_sim import plan_batches
+
+    batches = []
+    for vi, variant in enumerate(spec.variants):
+        points = list(mc_slots[vi])
+        for batch in plan_batches(_windowed(points, spec.guard), variant.requests):
+            batches.append((vi, points[batch]))
+    return batches
 
 
 # --------------------------------------------------------------------------

@@ -13,24 +13,28 @@ numpy.
 
 Process pools
 -------------
-:func:`estimate_outage` runs its realizations on a process pool when it may
-start two or more processes. Inside a :func:`shared_pool` block every call
-reuses one pool per process count, opened on the first call that needs it
-and shut down when the block exits, so a sweep's Monte-Carlo rows run on
-warm workers. Outside such a block each call opens and shuts down its own
-pool. Serial runs never load ``concurrent.futures``.
+:func:`estimate_batch`, and with it :func:`estimate_outage`, its one-point
+case, runs its realizations on a process pool when it may start two or
+more processes. Inside a :func:`shared_pool` block every call reuses one
+pool per process count, opened on the first call that needs it and shut
+down when the block exits, so a sweep's Monte-Carlo batches run on warm
+workers. Outside such a block each call opens and shuts down its own pool.
+Serial runs never load ``concurrent.futures``.
 
 Realization kernel
 ------------------
 One generator, ``_servers``, associates all requested ranks of a realization
 at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
-One reducer, ``_failures`` (:func:`estimate_outage`), draws a group's fades
-in blocks of at most :data:`FADE_BLOCK_DOUBLES` doubles and counts each
-block's failures at once, so memory stays flat in trials x interferers.
-:func:`simulate_request` draws one trial of one rank's group and keeps its
-tier, distance and SIR. SIRs are reduced with ``einsum``, not a BLAS
-product, so one worker stays one thread.
+One reducer, ``_read_fades``, serves the groups of several grid points from
+one fading stream: each point is a reader with its own cursor that takes
+only whole rows, a block of at most :data:`FADE_BLOCK_DOUBLES` doubles is
+drawn once for all of them, and each block's failures are counted at once,
+so memory stays flat in trials x interferers. ``_failures`` is its
+one-reader case. A task of :func:`estimate_batch` is one realization index
+over a batch of grid points. :func:`simulate_request` draws one trial of one
+rank's group and keeps its tier, distance and SIR. SIRs are reduced with
+``einsum``, not a BLAS product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -50,12 +54,14 @@ it with probability beta, giving the thinned interferer process of density
 beta * lambda_sbs. For B > 1 the closed forms use beta*B in the hit and
 serving-distance exponents while the interference keeps density
 beta * lambda_sbs, so the two would disagree (at B = 2, lambda_sbs = 0.05:
-analytic 0.293 against Monte-Carlo 0.332 +- 0.018). :func:`estimate_outage`
+analytic 0.293 against Monte-Carlo 0.332 +- 0.018). :func:`estimate_batch`
 therefore refuses B > 1 with ConfigError; the closed forms accept any B.
 Before sampling anything it also refuses a negative seed, an unknown
 interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
-:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`.
+:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`. The budgets bound what one task
+holds, so they bound a batch's points summed; :func:`plan_batches` checks
+every point and splits a grid into batches that fit.
 
 RNG discipline
 --------------
@@ -73,11 +79,21 @@ share geometry and caches but redraw fading.
 - ``fading``: per distinct server, in association order (SBSs nearest first,
   then the MBS), one row per (requested rank, trial) in rank-major order;
   a row is the serving-link fade followed by the interferer fades, MBSs
-  before SBSs in index order. Rows are drawn in blocks of whole rows, which
+  before SBSs in index order. Drawing the stream in blocks of any size
   gives the same values as drawing them one by one, so repeated
   :func:`simulate_request` calls on a realization's stream draw the trials
   of a run that requests one rank. No draw depends on gamma, so outcomes
   along a gamma axis share their fades.
+
+The grid points of one :func:`estimate_batch` call share the seed, so for a
+realization index they read the same three streams. Each point samples its
+own network and caches from the ``geometry`` and ``caches`` streams, since
+its densities differ. They read one ``fading`` stream together: a point
+reads the values at the stream positions it would read alone, so each
+result equals its one-point call bit for bit, but the stream is drawn once,
+as far as the point that needs the most. Points differ in where their rows
+start and how wide they are, because their interferer sets and server
+groups differ; only along a gamma axis do they read the same rows.
 """
 
 from __future__ import annotations
@@ -85,6 +101,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -107,8 +124,8 @@ INTERFERENCE_BEYOND_SERVER = "beyond_server"
 INTERFERENCE_ALL = "all"
 _CONVENTIONS = (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL)
 
-#: Most doubles one block of fading draws holds (512 KiB). A row wider than
-#: this is drawn alone.
+#: Most doubles one block of fading draws holds (512 KiB). A block is drawn
+#: larger only when no reader could otherwise finish a row.
 FADE_BLOCK_DOUBLES = 1 << 16
 
 #: Most expected points (MBSs plus active SBSs) one realization may sample,
@@ -318,23 +335,28 @@ def _check_interference(interference: str) -> None:
         raise ConfigError(f"unknown interference convention {interference!r}")
 
 
+def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray:
+    """SIR of each row of ``fades``: the serving-link fade, then one fade per interferer.
+
+    ``signal_gain`` and ``gains`` are transmit power times path gain.
+    """
+    if gains.size:
+        return signal_gain * fades[:, 0] / np.einsum("ij,j->i", fades[:, 1:], gains)
+    return np.full(len(fades), math.inf)
+
+
 def _fading_sir(signal_gain: float, gains: np.ndarray, rows: int, rng: np.random.Generator):
     """SIRs of ``rows`` independent fading draws of one server and its interferers.
 
-    ``signal_gain`` and ``gains`` are transmit power times path gain. Each row
-    draws the signal fade, then one fade per interferer. Yields (first row,
-    SIRs) per block of whole rows, at most :data:`FADE_BLOCK_DOUBLES` draws
-    unless one row is wider.
+    Each row draws the signal fade, then one fade per interferer. Yields
+    (first row, SIRs) per block of whole rows, at most
+    :data:`FADE_BLOCK_DOUBLES` draws unless one row is wider.
     """
     width = gains.size + 1
     per_block = max(1, FADE_BLOCK_DOUBLES // width)
     for start in range(0, rows, per_block):
         n = min(per_block, rows - start)
-        fades = rng.exponential(size=n * width).reshape(n, width)
-        if gains.size:
-            yield start, signal_gain * fades[:, 0] / np.einsum("ij,j->i", fades[:, 1:], gains)
-        else:
-            yield start, np.full(n, math.inf)
+        yield start, _sir(signal_gain, gains, rng.exponential(size=n * width).reshape(n, width))
 
 
 def _servers(
@@ -382,6 +404,103 @@ def _servers(
         yield np.flatnonzero(server == code), tier, float(dist[index]), gain[index], gain[interferers]
 
 
+class _FadeReader:
+    """One point's server groups, reading their fading rows from a shared stream.
+
+    ``cursor`` is the stream position of the reader's next row and ``width``
+    that row's length. ``failures`` counts, per requested rank, the trials
+    whose SIR does not exceed gamma; a missed rank, in no group, fails every
+    trial.
+    """
+
+    __slots__ = ("_groups", "_gamma", "_trials", "_group", "_row", "_rows", "failures", "cursor", "width")
+
+    def __init__(self, groups, ranks: int, gamma: float, trials: int) -> None:
+        self._groups, self._gamma, self._trials = groups, gamma, trials
+        self.failures = np.full(ranks, trials)
+        self.cursor = 0
+        self._next_group()
+
+    def _next_group(self) -> None:
+        self._group = next(self._groups, None)
+        if self._group is not None:
+            requests, _, _, _, gains = self._group
+            self.failures[requests] = 0
+            self._row, self._rows, self.width = 0, requests.size * self._trials, gains.size + 1
+
+    @property
+    def done(self) -> bool:
+        return self._group is None
+
+    @property
+    def group_end(self) -> int:
+        """Stream position just past the current group's rows."""
+        return self.cursor + (self._rows - self._row) * self.width
+
+    def read(self, chunks: list[tuple[int, np.ndarray]], drawn: int) -> None:
+        """Count the failures of every whole row held from the cursor on.
+
+        ``chunks`` are (stream position, values) in stream order, ending at
+        position ``drawn``. Rows inside the last chunk are read as views. A
+        read leaves less than one row unread, so at most one row begins in
+        an older chunk; it is joined and counted alone.
+        """
+        last_start, last = chunks[-1]
+        while self._group is not None:
+            rows = min(self._rows - self._row, (drawn - self.cursor) // self.width)
+            if rows == 0:
+                return
+            if self.cursor < last_start:
+                rows = 1
+                stop = self.cursor + self.width
+                fades = np.concatenate([c[max(self.cursor - s, 0) : stop - s] for s, c in chunks if s < stop])
+            else:
+                stop = self.cursor + rows * self.width
+                fades = last[self.cursor - last_start : stop - last_start]
+            requests, _, _, signal_gain, gains = self._group
+            sir = _sir(signal_gain, gains, fades.reshape(rows, self.width))
+            # rows are rank-major: row k of a group belongs to request k // trials
+            failed = self._row + np.flatnonzero(~(sir > self._gamma))
+            self.failures[requests] += np.bincount(failed // self._trials, minlength=requests.size)
+            self.cursor, self._row = stop, self._row + rows
+            if self._row == self._rows:
+                self._next_group()
+
+
+def _read_fades(readers: list[_FadeReader], rng: np.random.Generator) -> None:
+    """Let every reader count its failures from the one fading stream ``rng``.
+
+    Readers at the same stream position read the same values, so each
+    reader sees exactly the stream it would draw alone. Blocks hold at most
+    :data:`FADE_BLOCK_DOUBLES` doubles, more only when no reader could
+    otherwise finish a row, and are trimmed to the farthest end of the
+    readers' current server groups: nothing is drawn past the largest
+    reader's need. Values before the lowest live cursor are dropped, so at
+    most one block plus the widest row is held.
+    """
+    live = [reader for reader in readers if not reader.done]
+    chunks: list[tuple[int, np.ndarray]] = []
+    drawn = 0
+    while live:
+        end = drawn + max(FADE_BLOCK_DOUBLES, min(reader.cursor + reader.width for reader in live) - drawn)
+        # end on a row boundary of the widest reader when that still draws, so
+        # its rows are never joined (a lone reader draws whole rows only)
+        wide = max(live, key=lambda reader: reader.width)
+        aligned = end - (end - wide.cursor) % wide.width
+        end = min(aligned if aligned > drawn else end, max(reader.group_end for reader in live))
+        chunks.append((drawn, rng.exponential(size=end - drawn)))
+        drawn = end
+        for reader in live:
+            reader.read(chunks, drawn)
+        live = [reader for reader in live if not reader.done]
+        if live:
+            low = min(reader.cursor for reader in live)
+            chunks = [(s, c) for s, c in chunks if s + c.size > low]
+            if chunks and chunks[0][0] < low:  # copy the needed tail, so the block is freed
+                start, oldest = chunks[0]
+                chunks[0] = (low, oldest[low - start :].copy())
+
+
 def _failures(
     realization: NetworkRealization,
     contents: np.ndarray,
@@ -392,17 +511,14 @@ def _failures(
 ) -> np.ndarray:
     """Per-rank counts of the ``trials`` whose SIR does not exceed gamma.
 
-    A missed rank fails every trial. Each block of fading draws is reduced
-    to counts at once, so memory does not grow with trials.
+    A missed rank fails every trial. The one-point case of
+    :func:`_read_fades`: each block of fading draws is reduced to counts at
+    once, so memory does not grow with trials.
     """
-    failures = np.full(contents.size, trials)
-    for requests, _, _, signal_gain, gains in _servers(realization, contents, params, interference):
-        failures[requests] = 0
-        for start, sir in _fading_sir(signal_gain, gains, requests.size * trials, rng):
-            # rows are rank-major: row k belongs to request k // trials
-            failed = start + np.flatnonzero(~(sir > params.gamma))
-            failures[requests] += np.bincount(failed // trials, minlength=requests.size)
-    return failures
+    groups = _servers(realization, contents, params, interference)
+    reader = _FadeReader(groups, contents.size, params.gamma, trials)
+    _read_fades([reader], rng)
+    return reader.failures
 
 
 def simulate_request(
@@ -453,29 +569,39 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
-def _realization_failures(
-    params: SystemParams,
+#: One Monte-Carlo grid point: the parameters, the library and the window.
+McPoint = tuple[SystemParams, ContentLibrary, SimWindow]
+
+
+def _batch_failures(
+    points: tuple[McPoint, ...],
     policy: CachePolicy,
-    library: ContentLibrary,
-    window: SimWindow,
     seed: int,
     trials_per_content: int,
     interference: str,
     r_index: int,
-) -> np.ndarray:
-    """Per-content failure counts for network realization ``r_index``."""
-    realization = realize_network(
-        params, policy, library, window, stream_rng(seed, "geometry", r_index),
-        cache_rng=stream_rng(seed, "caches", r_index),
-    )
-    contents = np.arange(1, library.size + 1)
-    rng_fading = stream_rng(seed, "fading", r_index)
-    return _failures(realization, contents, params, rng_fading, interference, trials_per_content)
+) -> list[np.ndarray]:
+    """Per-content failure counts of every point for network realization ``r_index``.
+
+    Each point samples its own network from the ``geometry`` and ``caches``
+    streams; all of them read the one ``fading`` stream together.
+    """
+    readers = []
+    for params, library, window in points:
+        realization = realize_network(
+            params, policy, library, window, stream_rng(seed, "geometry", r_index),
+            cache_rng=stream_rng(seed, "caches", r_index),
+        )
+        contents = np.arange(1, library.size + 1)
+        groups = _servers(realization, contents, params, interference)
+        readers.append(_FadeReader(groups, contents.size, params.gamma, trials_per_content))
+    _read_fades(readers, stream_rng(seed, "fading", r_index))
+    return [reader.failures for reader in readers]
 
 
 @contextmanager
 def shared_pool():
-    """Let the :func:`estimate_outage` calls inside this block share process pools.
+    """Let the :func:`estimate_batch` calls inside this block share process pools.
 
     Yields the block's pools by process count. A pool opens on the first
     call that needs it; all of them shut down, waiting for their workers,
@@ -494,6 +620,139 @@ def shared_pool():
         _shared_pools.reset(token)
         for pool in pools.values():
             pool.shutdown()
+
+
+def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
+    """Expected points and cache entries of one realization at a grid point."""
+    points = (params.lambda_mbs + params.beta * params.lambda_sbs) * window.area()
+    entries = params.beta * params.lambda_sbs * math.pi * params.r_sbs**2 * library.size
+    return points, entries
+
+
+def _check_point(point: McPoint, requests: RequestDistribution) -> None:
+    params, library, window = point
+    if requests.size != library.size:
+        raise ConfigError(
+            f"request distribution size {requests.size} does not match "
+            f"library_size {library.size}"
+        )
+    _check_window(params, window)
+    if params.subchannels_b > 1:
+        raise ConfigError(
+            f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
+            "is supported by the closed forms only"
+        )
+    expected, entries = _point_load(*point)
+    if expected > MAX_POINTS_PER_REALIZATION:
+        raise ConfigError(
+            f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
+            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
+        )
+    if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
+        raise ConfigError(
+            f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
+            f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
+            "the SBS density or library_size"
+        )
+
+
+def plan_batches(points: Sequence[McPoint], requests: RequestDistribution) -> list[slice]:
+    """Check every point, then split them, in order, into batches one task may hold.
+
+    Refuses, before anything is sampled, a point :func:`estimate_batch`
+    would refuse. Each batch is a slice of consecutive points whose summed
+    expected points and cache entries stay within
+    :data:`MAX_POINTS_PER_REALIZATION` and
+    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, so a task of a batch holds no
+    more than one realization of a single point may.
+    """
+    for point in points:
+        _check_point(point, requests)
+    batches: list[slice] = []
+    start, used = 0, (0.0, 0.0)
+    for i, point in enumerate(points):
+        load = _point_load(*point)
+        used = (used[0] + load[0], used[1] + load[1])
+        if used[0] > MAX_POINTS_PER_REALIZATION or used[1] > MAX_CACHE_ENTRIES_PER_REALIZATION:
+            batches.append(slice(start, i))
+            start, used = i, load
+    batches.append(slice(start, len(points)))
+    return batches
+
+
+def estimate_batch(
+    points: Sequence[McPoint],
+    policy: CachePolicy,
+    requests: RequestDistribution,
+    trials_per_content: int = 1,
+    realizations: int = 100,
+    seed: int = 0,
+    workers: int = 1,
+    interference: str = INTERFERENCE_BEYOND_SERVER,
+) -> list[tuple[list[McEstimate], McEstimate]]:
+    """:func:`estimate_outage` at several grid points at once, one result per point.
+
+    Every point reads the streams of (seed, realization index) that it
+    would read alone, so each result equals the one-point call bit for
+    bit. A task is one realization index over all points: each point
+    samples its own network and all of them read one ``fading`` stream,
+    which is drawn once, as far as the point that needs the most draws.
+    Every point is checked before anything is sampled; the batch must fit
+    the per-realization budgets together, as :func:`plan_batches` splits
+    it.
+    """
+    if trials_per_content < 1:
+        raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
+    if realizations < 1:
+        raise ConfigError(f"realizations must be >= 1, got {realizations}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_interference(interference)
+    points = tuple(points)
+    if len(plan_batches(points, requests)) > 1:
+        raise ConfigError(
+            f"{len(points)} grid points together exceed the simulator's per-realization "
+            "budgets; split them with plan_batches"
+        )
+    task = partial(_batch_failures, points, policy, seed, trials_per_content, interference)
+    processes = min(workers, realizations, os.cpu_count() or 1)
+    if processes == 1:
+        counts = list(map(task, range(realizations)))
+    else:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, realizations // (4 * processes))
+        with shared_pool() as pools:
+            if processes not in pools:
+                pools[processes] = ProcessPoolExecutor(max_workers=processes)
+            counts = list(pools[processes].map(task, range(realizations), chunksize=chunk))
+    return [
+        _estimates(np.stack([per_point[i] for per_point in counts]), requests, trials_per_content)
+        for i in range(len(points))
+    ]
+
+
+def _estimates(
+    failure_matrix: np.ndarray, requests: RequestDistribution, trials_per_content: int
+) -> tuple[list[McEstimate], McEstimate]:
+    """Per-content and average estimates from (realizations, |C|) failure counts."""
+    realizations, size = failure_matrix.shape
+    failures = failure_matrix.sum(axis=0)
+    trials = realizations * trials_per_content
+    per_content = [_binary_estimate(int(f), trials) for f in failures]
+    per_realization = failure_matrix @ requests.weights / trials_per_content
+    avg_mean = float(per_realization.mean())
+    if realizations > 1:
+        avg_se = float(per_realization.std(ddof=1)) / math.sqrt(realizations)
+    else:
+        # single cluster: fall back to independence propagation
+        means = failures / trials
+        avg_se = math.sqrt(float((requests.weights**2) @ (means * (1.0 - means) / trials)))
+    average = McEstimate(mean=avg_mean, std_error=avg_se, trials=trials * size)
+    return per_content, average
 
 
 def estimate_outage(
@@ -525,68 +784,11 @@ def estimate_outage(
     CPUs) processes start; one runs serially, without a pool. Inside a
     :func:`shared_pool` block the pool of that size is reused across calls;
     otherwise the call opens its own and shuts it down before returning.
+    The one-point :func:`estimate_batch`.
     """
-    if trials_per_content < 1:
-        raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
-    if realizations < 1:
-        raise ConfigError(f"realizations must be >= 1, got {realizations}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if requests.size != library.size:
-        raise ConfigError(
-            f"request distribution size {requests.size} does not match "
-            f"library_size {library.size}"
-        )
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    _check_interference(interference)
     window = default_window(params) if window is None else window
-    _check_window(params, window)
-    if params.subchannels_b > 1:
-        raise ConfigError(
-            f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
-            "is supported by the closed forms only"
-        )
-    expected = (params.lambda_mbs + params.beta * params.lambda_sbs) * window.area()
-    if expected > MAX_POINTS_PER_REALIZATION:
-        raise ConfigError(
-            f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
-            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
-        )
-    entries = params.beta * params.lambda_sbs * math.pi * params.r_sbs**2 * library.size
-    if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
-        raise ConfigError(
-            f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
-            f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
-            "the SBS density or library_size"
-        )
-    task = partial(
-        _realization_failures, params, policy, library, window, seed, trials_per_content,
-        interference,
+    [result] = estimate_batch(
+        [(params, library, window)], policy, requests, trials_per_content=trials_per_content,
+        realizations=realizations, seed=seed, workers=workers, interference=interference,
     )
-    processes = min(workers, realizations, os.cpu_count() or 1)
-    if processes == 1:
-        counts = list(map(task, range(realizations)))
-    else:
-        # imported here so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, realizations // (4 * processes))
-        with shared_pool() as pools:
-            if processes not in pools:
-                pools[processes] = ProcessPoolExecutor(max_workers=processes)
-            counts = list(pools[processes].map(task, range(realizations), chunksize=chunk))
-    failure_matrix = np.stack(counts)  # (realizations, |C|)
-    failures = failure_matrix.sum(axis=0)
-    trials = realizations * trials_per_content
-    per_content = [_binary_estimate(int(f), trials) for f in failures]
-    per_realization = failure_matrix @ requests.weights / trials_per_content
-    avg_mean = float(per_realization.mean())
-    if realizations > 1:
-        avg_se = float(per_realization.std(ddof=1)) / math.sqrt(realizations)
-    else:
-        # single cluster: fall back to independence propagation
-        means = failures / trials
-        avg_se = math.sqrt(float((requests.weights**2) @ (means * (1.0 - means) / trials)))
-    average = McEstimate(mean=avg_mean, std_error=avg_se, trials=trials * library.size)
-    return per_content, average
+    return result

@@ -267,7 +267,7 @@ def replication_probability(policy: CachePolicy, c: int, library: ContentLibrary
 
     UCP: d / |C| for every rank. PCP: 1 for c <= d, else 0.
     """
-    if not (isinstance(c, numbers.Integral) and 1 <= c <= library.size):
+    if not ((type(c) is int or isinstance(c, numbers.Integral)) and 1 <= c <= library.size):
         raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {c}")
     if policy is CachePolicy.UCP:
         return library.cache_slots / library.size

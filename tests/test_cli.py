@@ -461,7 +461,7 @@ print(json.dumps([missing, codes, calls]))
     missing, codes, calls = json.loads(out.stdout.strip().splitlines()[-1])
     assert missing == []
     assert codes == [0, 0]
-    assert calls["geometry_sim.estimate_outage"] == 1 + 2  # simulate, then two Monte-Carlo rows
+    assert calls["geometry_sim.estimate_outage"] == 1 + 1  # simulate, then one batch of two rows
     assert calls["geometry_sim.realize_network"] == 20 + 2 * 2
     assert calls["analytic.average_outage"] == 2
 

@@ -241,6 +241,20 @@ class TestEvaluateOnce:
         run_sweep(self.grid_spec(gamma_first))
         assert len(inputs) == 336 == len(set(inputs)) == 16 * 21
 
+    def test_parameter_axis2_applied_once_per_axis1_params(self, monkeypatch):
+        # d_tilde x gamma: every d_tilde value shares one axis1 parameter set,
+        # so each gamma value builds its SystemParams once, not once per d_tilde
+        spec = self.grid_spec(gamma_first=False)
+        whole = run_sweep(spec)
+        applied = []
+        real = experiments._apply_axis
+        monkeypatch.setattr(
+            experiments, "_apply_axis", lambda p, lib, name, v: applied.append(name) or real(p, lib, name, v)
+        )
+        assert run_sweep(spec) == whole
+        assert applied.count("gamma") == 16
+        assert applied.count("d_tilde") == 20
+
     def test_monte_carlo_none_rows_estimated_once(self, monkeypatch):
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
@@ -253,10 +267,12 @@ class TestEvaluateOnce:
             experiments, "estimate_outage", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         rows = run_sweep(spec).rows
-        assert len(calls) == 1 + 3
-        assert sum(a[2].cache_slots == 0 for a in calls) == 1
-        _, alone = real(
-            s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests,
+        # one batch per variant: the none variant's one distinct point, then pcp's three
+        assert [len(a[0]) for a in calls] == [1, 3]
+        assert [library.cache_slots for _, library in calls[0][0]] == [0]
+        assert len({point for a in calls for point in a[0]}) == 1 + 3
+        [(_, alone)] = real(
+            [(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests,
             trials_per_content=1, realizations=4, seed=experiments._variant_seed(11, 0), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
@@ -279,6 +295,67 @@ class TestEvaluateOnce:
         assert main(["sweep", "--spec", str(spec_file), "--out", str(tmp_path / "out.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestSharedFading:
+    # the grid points of a variant read one fading stream per realization;
+    # every Monte-Carlo row must equal the standalone estimate of its point
+    GRIDS = {
+        "lambda_sbs x beta": (("lambda_sbs", (0.01, 0.05)), ("beta", (0.05, 0.2))),
+        "d_tilde x gamma": (("d_tilde", (0.2, 0.9)), ("gamma", (-10.0, 5.0))),
+    }
+
+    def spec(self, grid, trials, workers):
+        s = base_setup(size=10, slots=3)
+        axis1, axis2 = self.GRIDS[grid]
+        return SweepSpec(
+            base=s, axis1=axis1, axis2=axis2, variants=variants(s, "none", "ucp", "pcp"),
+            engines=("montecarlo",), mc=McBudget(trials, 3), seed=13, workers=workers,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_rows_equal_standalone_estimates(self, grid, trials, workers):
+        spec = self.spec(grid, trials, workers)
+        rows = run_sweep(spec).rows
+        assert multiprocessing.active_children() == []
+        for row in rows:
+            vi, variant = next((i, v) for i, v in enumerate(spec.variants) if v.label == row.variant)
+            params, library = spec.base.params, ContentLibrary(10, variant.cache_slots)
+            for name, value in zip(spec.axis_names, row.axes):
+                if name == "d_tilde":
+                    library = library if variant.fixed_cache else ContentLibrary.from_normalized(value, 10)
+                else:
+                    params = replace(params, **{name: db_to_linear(value) if name == "gamma" else value})
+            _, alone = geometry_sim.estimate_outage(
+                params, variant.policy, library, variant.requests,
+                window=geometry_sim.default_window(params, spec.guard), trials_per_content=trials,
+                realizations=3, seed=experiments._variant_seed(13, vi),
+            )
+            assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
+
+    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch):
+        # expected points per realization: 600, 1100 and 2600 in the 1000 m
+        # window; a budget of 3000 puts the first two in one batch
+        s = base_setup(size=10, slots=3)
+        spec = SweepSpec(
+            base=s, axis1=("lambda_sbs", (0.01, 0.02, 0.05)), variants=variants(s, "ucp", "pcp"),
+            engines=("montecarlo",), mc=McBudget(1, 3), seed=2,
+        )
+        whole = run_sweep(spec)
+        batches = []
+        real = experiments.estimate_outage
+        monkeypatch.setattr(
+            experiments, "estimate_outage",
+            lambda points, *a, **k: batches.append([p.lambda_sbs for p, _ in points]) or real(points, *a, **k),
+        )
+        assert run_sweep(spec) == whole
+        assert batches == [[0.01, 0.02, 0.05]] * 2
+        batches.clear()
+        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", 3000)
+        assert run_sweep(spec) == whole
+        assert batches == [[0.01, 0.02], [0.05]] * 2
 
 
 class TestCsvRoundTrip:
@@ -425,15 +502,36 @@ class TestSharedPool:
         assert pooled == run_sweep(self.mc_spec(workers=1))
 
     def test_pool_shut_down_when_a_row_raises(self, monkeypatch, recorded_pools, tmp_path, capsys):
-        # the second lambda_sbs expects 1e9 points in the window, over the
-        # simulator's budget, after the first row opened the pool
+        # the pcp:zipf batch raises after the batches before it opened the pool
         monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
-        text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
-        assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
-        assert "budget" in capsys.readouterr().err
+        real = geometry_sim.realize_network
+
+        def realize(params, policy, *args, **kwargs):
+            if policy is CachePolicy.PCP:
+                raise RuntimeError("sampling failed")
+            return real(params, policy, *args, **kwargs)
+
+        monkeypatch.setattr(geometry_sim, "realize_network", realize)
+        assert self.run_cli_sweep(tmp_path, self.MC_SPEC, "--workers", "2") == 1
+        assert "sampling failed" in capsys.readouterr().err
         assert [pool.max_workers for pool in recorded_pools] == [2]
         assert recorded_pools[0].shut_down
         assert geometry_sim._shared_pools.get() is None
+
+    def test_bad_point_refused_before_any_work(self, monkeypatch, recorded_pools, tmp_path, capsys):
+        # the second lambda_sbs expects 1e9 points in the window, over the
+        # simulator's budget: refused before any row, realization or pool
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        calls = []
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        real = experiments.average_outage
+        monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a) or real(*a))
+        text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
+        assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
+        assert "budget" in capsys.readouterr().err
+        assert calls == []
+        assert recorded_pools == []
+        assert not (tmp_path / "out.csv").exists()
 
     def test_analytic_sweep_opens_no_pool(self, monkeypatch, recorded_pools):
         monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)

@@ -29,7 +29,15 @@ from hetcache import (
 )
 
 from hetcache import geometry_sim
-from hetcache.geometry_sim import FADE_BLOCK_DOUBLES, _fading_sir, _failures, _servers
+from hetcache.geometry_sim import (
+    FADE_BLOCK_DOUBLES,
+    _batch_failures,
+    _FadeReader,
+    _fading_sir,
+    _failures,
+    _read_fades,
+    _servers,
+)
 
 from oracles import fig2_params, request_outcomes, thin, truncated_rayleigh_cdf, unit_fade_request
 
@@ -322,10 +330,12 @@ class CountingExponential:
     def __init__(self, rng):
         self._rng = rng
         self.calls = 0
+        self.drawn = 0
 
     def exponential(self, scale=1.0, size=None):
         assert isinstance(size, int)
         self.calls += 1
+        self.drawn += size
         return self._rng.exponential(scale, size)
 
 
@@ -468,6 +478,101 @@ class TestRealizationKernel:
         assert np.all((sbs_ranks > 0) & (sbs_ranks < trials))
         assert np.all(mbs_ranks == trials)  # SIR m1 / (a + b + c + m2) is far below gamma
         assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
+
+
+class TestSharedFading:
+    # three grid points of one variant: lambda_sbs 0.05, 0.1 and 0.2 in a small
+    # window, so their interferer sets, server groups and row widths differ
+    WINDOW = SimWindow(40.0, guard=0.0)
+    LIBRARY = ContentLibrary(size=30, cache_slots=9)
+
+    def points(self):
+        base = replace(fig2_params(beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
+        return tuple((replace(base, lambda_sbs=lam), self.LIBRARY, self.WINDOW) for lam in (0.05, 0.1, 0.2))
+
+    def alone(self, point, policy, interference, trials, r, rng=None):
+        """The point's failure counts and fading need when it reads the stream alone."""
+        params, library, window = point
+        real = realize_network(params, policy, library, window, stream_rng(6, "geometry", r),
+                               cache_rng=stream_rng(6, "caches", r))
+        contents = np.arange(1, library.size + 1)
+        need = sum(requests.size * trials * (gains.size + 1)
+                   for requests, _, _, _, gains in _servers(real, contents, params, interference))
+        rng = stream_rng(6, "fading", r) if rng is None else rng
+        return _failures(real, contents, params, rng, interference, trials), need
+
+    def counted_batch(self, monkeypatch, points, policy, interference, trials, r):
+        streams = []
+        real_stream = geometry_sim.stream_rng
+
+        def stream(seed, name, *indices):
+            rng = real_stream(seed, name, *indices)
+            if name == "fading":
+                rng = CountingExponential(rng)
+                streams.append(rng)
+            return rng
+
+        monkeypatch.setattr(geometry_sim, "stream_rng", stream)
+        counts = _batch_failures(points, policy, 6, trials, interference, r)
+        monkeypatch.undo()
+        assert len(streams) == 1  # one fading stream per realization, whatever the points
+        return counts, streams[0]
+
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_draws_the_largest_need_once(self, monkeypatch, policy, interference):
+        points = self.points()
+        for r in range(3):
+            counts, stream = self.counted_batch(monkeypatch, points, policy, interference, 3, r)
+            alone = [self.alone(point, policy, interference, 3, r) for point in points]
+            needs = [need for _, need in alone]
+            assert stream.drawn == max(needs) < sum(needs)
+            for shared, (single, _) in zip(counts, alone, strict=True):
+                assert np.array_equal(shared, single)
+
+    @pytest.mark.parametrize("block", [3, 64, 1000])
+    def test_unequal_widths_with_small_blocks(self, monkeypatch, block):
+        # blocks smaller than a row (3), a few rows (64) or many rows (1000):
+        # every point still counts what it counts alone at the default size
+        points = self.points()
+        expected = [self.alone(point, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0)[0] for point in points]
+        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", block)
+        counts, stream = self.counted_batch(monkeypatch, points, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0)
+        assert stream.calls > 1
+        for shared, single in zip(counts, expected, strict=True):
+            assert 0 < shared.sum() < self.LIBRARY.size * 7
+            assert np.array_equal(shared, single)
+
+    def test_memory_flat_in_trials_with_three_readers(self):
+        # widths 4, 5 and 6 under "all"; 3 x 4 ranks x 250k trials: the
+        # readers' kept SIR matrices alone would be 24 MB
+        kernel = TestRealizationKernel()
+        layouts = [[(100.0, 0.0)], [(100.0, 0.0), (0.0, 200.0)], [(100.0, 0.0), (0.0, 200.0), (300.0, 0.0)]]
+        realizations = [kernel.realization(mbs) for mbs in layouts]
+        contents, params, trials = np.arange(1, 5), kernel.PARAMS, 250_000
+        tracemalloc.start()
+        try:
+            readers = [_FadeReader(_servers(real, contents, params, INTERFERENCE_ALL), 4, params.gamma, trials)
+                       for real in realizations]
+            _read_fades(readers, stream_rng(1, "fading", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
+        for reader, real in zip(readers, realizations, strict=True):
+            alone = _failures(real, contents, params, stream_rng(1, "fading", 0), INTERFERENCE_ALL, trials)
+            assert np.array_equal(reader.failures, alone)
+            assert np.all((alone[:2] > 0) & (alone[:2] < trials))
+
+    def test_batch_over_the_budgets_refused(self, monkeypatch):
+        points = self.points()
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        loads = [(p.lambda_mbs + p.beta * p.lambda_sbs) * w.area() for p, _, w in points]
+        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
+        batches = geometry_sim.plan_batches(list(points), requests)
+        assert [(b.start, b.stop) for b in batches] == [(0, 2), (2, 3)]
+        with pytest.raises(ConfigError, match="split them with plan_batches"):
+            geometry_sim.estimate_batch(points, CachePolicy.UCP, requests, realizations=1)
 
 
 class TestEstimateOutage:
