@@ -109,14 +109,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
     seed = _resolve_seed(args.seed, cfg)
-    [(per_content, average)] = estimate_outage(
-        [(setup.params, setup.library)],
-        setup.policy,
-        setup.requests,
+    [[(per_content, average)]] = estimate_outage(
+        [([(setup.params, setup.library)], setup.policy, setup.requests, seed)],
         guard=get_float(cfg, "guard", DEFAULT_GUARD),
         trials_per_content=get_int(cfg, "trials_per_content", 1),
         realizations=get_int(cfg, "realizations", 100),
-        seed=seed,
         workers=args.workers,
         interference=_interference_from(cfg),
     )

@@ -10,12 +10,12 @@ table re-parses to an equal :class:`SweepResult`.
 Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
 outage exactly monotone per trial, since only the threshold changes. They
-share the draws too: a variant's distinct Monte-Carlo points run as a few
-batches of consecutive grid points, one :func:`estimate_outage` call each,
-and in every realization the points of a batch read one fading stream that
-is drawn once (see :mod:`geometry_sim`). Each row still equals the
-standalone estimate of its point bit for bit. Every point of every batch is
-checked before the first realization runs.
+share the draws too: a sweep makes one :func:`estimate_outage` call, with
+one run of distinct grid points per variant, and in every realization the
+points of a run read one fading stream that is drawn once (see
+:mod:`geometry_sim`). Each row still equals the standalone estimate of its
+point bit for bit. Every point of every run is checked before the first
+realization runs.
 
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
 a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
@@ -34,18 +34,18 @@ A spec names each axis, variant label and engine at most once: a repeat
 would write duplicate columns or rows, and a repeated Monte-Carlo variant
 would carry two estimates under one label.
 
-A sweep with Monte-Carlo rows and more than one worker runs inside
-:func:`geometry_sim.shared_pool`: its batches share one process pool, opened
-by the first batch that starts processes and shut down when :func:`run_sweep`
-returns or raises. A single :func:`estimate_outage` call outside a sweep
-opens and shuts down its own pool. Other sweeps import neither the
-simulator nor the pool.
+A sweep evaluates the interference kernels of every analytic parameter set
+first, then makes its one Monte-Carlo call, then evaluates the closed-form
+rows. So a parameter set the closed forms refuse (beta * B = 0) is refused
+before any realization, and a point the simulator refuses before any
+closed-form row. The Monte-Carlo call opens at most one process pool and
+shuts it down before it returns or raises. Sweeps without Monte-Carlo rows
+import neither the simulator nor the pool.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -268,28 +268,27 @@ def _apply_axis(
 
 
 def estimate_outage(
-    points: Iterable[tuple[SystemParams, ContentLibrary]],
-    policy: CachePolicy,
-    requests: RequestDistribution,
+    runs: Iterable[tuple],
     guard: float = DEFAULT_GUARD,
     **options,
-) -> list[tuple[list[McEstimate], McEstimate]]:
-    """:func:`geometry_sim.estimate_batch` over (params, library) grid points.
+) -> list[list[tuple[list[McEstimate], McEstimate]]]:
+    """:func:`geometry_sim.estimate_batch` over runs of (params, library) grid points.
 
-    Each point runs in its default window with margin ``guard``; one
-    (per-content, average) estimate per point, in order. The simulator, and
-    with it numpy, is imported on the first call, so closed-form commands
-    never load it. ``options`` are passed through.
+    A run holds the fields of :class:`geometry_sim.McRun`: (points, policy,
+    requests, seed). Each point runs in its default window with margin
+    ``guard``; one list of (per-content, average) estimates per run, one
+    per point, in order. The simulator, and with it numpy, is imported on
+    the first call, so closed-form commands never load it. ``options`` are
+    passed through.
     """
-    from . import geometry_sim
+    from .geometry_sim import McRun, default_window, estimate_batch
 
-    return geometry_sim.estimate_batch(_windowed(points, guard), policy, requests, **options)
-
-
-def _windowed(points: Iterable[tuple[SystemParams, ContentLibrary]], guard: float) -> list:
-    from .geometry_sim import default_window
-
-    return [(params, library, default_window(params, guard)) for params, library in points]
+    windowed = [
+        McRun(tuple((params, library, default_window(params, guard)) for params, library in points),
+              policy, requests, seed)
+        for points, policy, requests, seed in runs
+    ]
+    return estimate_batch(windowed, **options)
 
 
 def _variant_seed(master: int, variant_index: int) -> int:
@@ -305,19 +304,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each distinct input is evaluated once: parameters per axis value,
     kernels per parameter set, total outage per (parameter set, P_c), a
-    row's value per distinct row input (see the module docstring). Every
-    Monte-Carlo point is checked before any row is evaluated. Monte-Carlo
-    rows at more than one worker share one process pool, shut down before
-    this returns or raises.
+    row's value per distinct row input (see the module docstring). All
+    Monte-Carlo rows come from one :func:`estimate_outage` call, which
+    checks every point before any closed-form row is evaluated.
     """
-    pool_scope = nullcontext()
-    if ENGINE_MONTECARLO in spec.engines and spec.workers > 1:
-        from .geometry_sim import shared_pool
-
-        pool_scope = shared_pool()
-    with pool_scope:
-        rows = _run_rows(spec)
-    return SweepResult(axis_names=spec.axis_names, rows=tuple(rows))
+    return SweepResult(axis_names=spec.axis_names, rows=tuple(_run_rows(spec)))
 
 
 def _grid(spec: SweepSpec) -> Iterator[tuple[tuple[float, ...], SystemParams, ContentLibrary]]:
@@ -364,55 +355,37 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
                 plan.append((axes, variant.label, engine, slots.setdefault(key, len(slots))))
     values: list = [None] * len(slots)
     analytic_inputs = []
+    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
     mc_slots: list[dict[tuple[SystemParams, ContentLibrary], int]] = [{} for _ in spec.variants]
     for (params, policy, library, requests, vi), slot in slots.items():
-        if vi is None:
-            analytic_inputs.append((slot, (params, policy, library, requests)))
-        else:
+        if vi is not None:
             mc_slots[vi][params, library] = slot
-    batches = _mc_batches(spec, mc_slots)  # refuses a bad point before any work
-    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
-    for slot, inputs in analytic_inputs:
-        params = inputs[0]
+            continue
+        analytic_inputs.append((slot, (params, policy, library, requests)))
         if params not in memo_by_params:
             # P_c = 1 bounds the SBS hit probability of every row, so these
             # kernels serve each row that needs any; the dict collects total
-            # outage by P_c
+            # outage by P_c. Evaluated before any realization, so a parameter
+            # set the closed forms refuse stops the sweep first
             memo_by_params[params] = (_kernels_if_served(params, 1.0), {})
-        values[slot] = (average_outage(*inputs, *memo_by_params[params]), None)
-    for vi, points in batches:
-        variant = spec.variants[vi]
-        estimates = estimate_outage(
-            points,
-            variant.policy,
-            variant.requests,
+    if ENGINE_MONTECARLO in spec.engines:
+        runs = [
+            (list(points), variant.policy, variant.requests, _variant_seed(spec.seed, vi))
+            for vi, (variant, points) in enumerate(zip(spec.variants, mc_slots))
+        ]
+        estimates = estimate_outage(  # refuses a bad point before any closed-form row
+            runs,
             guard=spec.guard,
             trials_per_content=spec.mc.trials_per_content,
             realizations=spec.mc.realizations,
-            seed=_variant_seed(spec.seed, vi),
             workers=spec.workers,
         )
-        for point, (_, avg) in zip(points, estimates):
-            values[mc_slots[vi][point]] = (avg.mean, avg.std_error)
+        for points, run_estimates in zip(mc_slots, estimates):
+            for slot, (_, avg) in zip(points.values(), run_estimates):
+                values[slot] = (avg.mean, avg.std_error)
+    for slot, inputs in analytic_inputs:
+        values[slot] = (average_outage(*inputs, *memo_by_params[inputs[0]]), None)
     return [SweepRow(axes, label, engine, *values[slot]) for axes, label, engine, slot in plan]
-
-
-def _mc_batches(spec: SweepSpec, mc_slots: list[dict]) -> list[tuple[int, list]]:
-    """(variant index, grid points) per Monte-Carlo batch, in grid order per variant.
-
-    Checks every point of every variant first, so a bad point is refused
-    before any realization runs or any pool opens.
-    """
-    if ENGINE_MONTECARLO not in spec.engines:
-        return []
-    from .geometry_sim import plan_batches
-
-    batches = []
-    for vi, variant in enumerate(spec.variants):
-        points = list(mc_slots[vi])
-        for batch in plan_batches(_windowed(points, spec.guard), variant.requests):
-            batches.append((vi, points[batch]))
-    return batches
 
 
 # --------------------------------------------------------------------------

@@ -13,13 +13,12 @@ numpy.
 
 Process pools
 -------------
-:func:`estimate_batch`, and with it :func:`estimate_outage`, its one-point
-case, runs its realizations on a process pool when it may start two or
-more processes. Inside a :func:`shared_pool` block every call reuses one
-pool per process count, opened on the first call that needs it and shut
-down when the block exits, so a sweep's Monte-Carlo batches run on warm
-workers. Outside such a block each call opens and shuts down its own pool.
-Serial runs never load ``concurrent.futures``.
+:func:`estimate_batch` runs every Monte-Carlo point of a sweep in one call,
+and :func:`estimate_outage` is its one-point case. When the call may start
+two or more processes it maps all its batches on one process pool, which
+it opens itself and shuts down before it returns or raises; a sweep, which
+makes one call, therefore opens at most one pool. Serial runs never load
+``concurrent.futures``.
 
 Realization kernel
 ------------------
@@ -60,8 +59,8 @@ Before sampling anything it also refuses a negative seed, an unknown
 interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
 :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`. The budgets bound what one task
-holds, so they bound a batch's points summed; :func:`plan_batches` checks
-every point and splits a grid into batches that fit.
+holds, so they bound a batch's points summed: the call splits each run of
+grid points into batches that fit.
 
 RNG discipline
 --------------
@@ -85,8 +84,8 @@ share geometry and caches but redraw fading.
   of a run that requests one rank. No draw depends on gamma, so outcomes
   along a gamma axis share their fades.
 
-The grid points of one :func:`estimate_batch` call share the seed, so for a
-realization index they read the same three streams. Each point samples its
+The grid points of one run of :func:`estimate_batch` share the seed, so for
+a realization index they read the same three streams. Each point samples its
 own network and caches from the ``geometry`` and ``caches`` streams, since
 its densities differ. They read one ``fading`` stream together: a point
 reads the values at the stream positions it would read alone, so each
@@ -102,8 +101,6 @@ import enum
 import math
 import os
 from collections.abc import Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -139,10 +136,6 @@ MAX_POINTS_PER_REALIZATION = 5_000_000
 MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
-
-#: The process pools of the innermost active :func:`shared_pool` block, by
-#: process count; None outside every block.
-_shared_pools: ContextVar[dict | None] = ContextVar("hetcache_shared_pools", default=None)
 
 
 def stream_rng(seed: int, stream: str, *indices: int) -> np.random.Generator:
@@ -345,20 +338,6 @@ def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray
     return np.full(len(fades), math.inf)
 
 
-def _fading_sir(signal_gain: float, gains: np.ndarray, rows: int, rng: np.random.Generator):
-    """SIRs of ``rows`` independent fading draws of one server and its interferers.
-
-    Each row draws the signal fade, then one fade per interferer. Yields
-    (first row, SIRs) per block of whole rows, at most
-    :data:`FADE_BLOCK_DOUBLES` draws unless one row is wider.
-    """
-    width = gains.size + 1
-    per_block = max(1, FADE_BLOCK_DOUBLES // width)
-    for start in range(0, rows, per_block):
-        n = min(per_block, rows - start)
-        yield start, _sir(signal_gain, gains, rng.exponential(size=n * width).reshape(n, width))
-
-
 def _servers(
     realization: NetworkRealization,
     contents: np.ndarray,
@@ -548,8 +527,8 @@ def simulate_request(
     if group is None:
         return ServiceOutcome(Tier.MISS, None, None, False)
     _, tier, distance, signal_gain, gains = group
-    _, sir = next(_fading_sir(signal_gain, gains, 1, rng))
-    return ServiceOutcome(tier, distance, float(sir[0]), bool(sir[0] > params.gamma))
+    [sir] = _sir(signal_gain, gains, rng.exponential(size=gains.size + 1).reshape(1, -1))
+    return ServiceOutcome(tier, distance, float(sir), bool(sir > params.gamma))
 
 
 class McEstimate(NamedTuple):
@@ -599,29 +578,6 @@ def _batch_failures(
     return [reader.failures for reader in readers]
 
 
-@contextmanager
-def shared_pool():
-    """Let the :func:`estimate_batch` calls inside this block share process pools.
-
-    Yields the block's pools by process count. A pool opens on the first
-    call that needs it; all of them shut down, waiting for their workers,
-    when the outermost block exits, also on an exception. A nested block
-    shares its enclosing block's pools. Opening the block starts nothing.
-    """
-    pools = _shared_pools.get()
-    if pools is not None:
-        yield pools
-        return
-    pools = {}
-    token = _shared_pools.set(pools)
-    try:
-        yield pools
-    finally:
-        _shared_pools.reset(token)
-        for pool in pools.values():
-            pool.shutdown()
-
-
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
     """Expected points and cache entries of one realization at a grid point."""
     points = (params.lambda_mbs + params.beta * params.lambda_sbs) * window.area()
@@ -656,18 +612,28 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
         )
 
 
-def plan_batches(points: Sequence[McPoint], requests: RequestDistribution) -> list[slice]:
-    """Check every point, then split them, in order, into batches one task may hold.
+class McRun(NamedTuple):
+    """One policy's Monte-Carlo grid points under one master seed.
 
-    Refuses, before anything is sampled, a point :func:`estimate_batch`
-    would refuse. Each batch is a slice of consecutive points whose summed
-    expected points and cache entries stay within
-    :data:`MAX_POINTS_PER_REALIZATION` and
+    Every point of a run reads the streams of (seed, realization index), so
+    the points of a run share their fading draws. A plain record: it
+    iterates in field order and compares equal to the tuple of its values.
+    """
+
+    points: tuple[McPoint, ...]
+    policy: CachePolicy
+    requests: RequestDistribution
+    seed: int
+
+
+def _plan_batches(points: Sequence[McPoint]) -> list[slice]:
+    """Split checked points, in order, into batches one task may hold.
+
+    Each batch is a slice of consecutive points whose summed expected points
+    and cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
     :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, so a task of a batch holds no
     more than one realization of a single point may.
     """
-    for point in points:
-        _check_point(point, requests)
     batches: list[slice] = []
     start, used = 0, (0.0, 0.0)
     for i, point in enumerate(points):
@@ -681,25 +647,23 @@ def plan_batches(points: Sequence[McPoint], requests: RequestDistribution) -> li
 
 
 def estimate_batch(
-    points: Sequence[McPoint],
-    policy: CachePolicy,
-    requests: RequestDistribution,
+    runs: Sequence[McRun],
     trials_per_content: int = 1,
     realizations: int = 100,
-    seed: int = 0,
     workers: int = 1,
     interference: str = INTERFERENCE_BEYOND_SERVER,
-) -> list[tuple[list[McEstimate], McEstimate]]:
-    """:func:`estimate_outage` at several grid points at once, one result per point.
+) -> list[list[tuple[list[McEstimate], McEstimate]]]:
+    """:func:`estimate_outage` at every grid point of several runs, one result per point.
 
-    Every point reads the streams of (seed, realization index) that it
-    would read alone, so each result equals the one-point call bit for
-    bit. A task is one realization index over all points: each point
-    samples its own network and all of them read one ``fading`` stream,
-    which is drawn once, as far as the point that needs the most draws.
-    Every point is checked before anything is sampled; the batch must fit
-    the per-realization budgets together, as :func:`plan_batches` splits
-    it.
+    Returns, per run, one (per-content, average) estimate per point, in
+    order. Every point reads the streams of (its run's seed, realization
+    index) that it would read alone, so each result equals the one-point
+    call bit for bit. Every seed and every point is checked before anything
+    is sampled. Each run is then split into batches that fit the
+    per-realization budgets together; a task is one realization index over
+    a batch, whose points each sample their own network and all read one
+    ``fading`` stream, drawn once, as far as the point that needs the most.
+    All batches share one process pool, opened and shut down by this call.
     """
     if trials_per_content < 1:
         raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
@@ -707,32 +671,34 @@ def estimate_batch(
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     _check_interference(interference)
-    points = tuple(points)
-    if len(plan_batches(points, requests)) > 1:
-        raise ConfigError(
-            f"{len(points)} grid points together exceed the simulator's per-realization "
-            "budgets; split them with plan_batches"
-        )
-    task = partial(_batch_failures, points, policy, seed, trials_per_content, interference)
+    for run in runs:
+        if run.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {run.seed}")
+        for point in run.points:
+            _check_point(point, run.requests)
+    batches = [(run, run.points[part]) for run in runs for part in _plan_batches(run.points)]
+    tasks = [
+        partial(_batch_failures, points, run.policy, run.seed, trials_per_content, interference)
+        for run, points in batches
+    ]
     processes = min(workers, realizations, os.cpu_count() or 1)
     if processes == 1:
-        counts = list(map(task, range(realizations)))
+        counts = [list(map(task, range(realizations))) for task in tasks]
     else:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, realizations // (4 * processes))
-        with shared_pool() as pools:
-            if processes not in pools:
-                pools[processes] = ProcessPoolExecutor(max_workers=processes)
-            counts = list(pools[processes].map(task, range(realizations), chunksize=chunk))
-    return [
-        _estimates(np.stack([per_point[i] for per_point in counts]), requests, trials_per_content)
-        for i in range(len(points))
-    ]
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            counts = [list(pool.map(task, range(realizations), chunksize=chunk)) for task in tasks]
+    # one estimate per point, in run, batch and point order
+    estimates = (
+        _estimates(np.stack([per_point[k] for per_point in batch_counts]), run.requests, trials_per_content)
+        for (run, points), batch_counts in zip(batches, counts)
+        for k in range(len(points))
+    )
+    return [[next(estimates) for _ in run.points] for run in runs]
 
 
 def _estimates(
@@ -781,14 +747,14 @@ def estimate_outage(
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
     index) alone, merged in index order. At most min(workers, realizations,
-    CPUs) processes start; one runs serially, without a pool. Inside a
-    :func:`shared_pool` block the pool of that size is reused across calls;
-    otherwise the call opens its own and shuts it down before returning.
-    The one-point :func:`estimate_batch`.
+    CPUs) processes start; one runs serially, without a pool. A pool is
+    opened for the call and shut down before it returns. The one-run,
+    one-point :func:`estimate_batch`.
     """
     window = default_window(params) if window is None else window
-    [result] = estimate_batch(
-        [(params, library, window)], policy, requests, trials_per_content=trials_per_content,
-        realizations=realizations, seed=seed, workers=workers, interference=interference,
+    [[result]] = estimate_batch(
+        [McRun(((params, library, window),), policy, requests, seed)],
+        trials_per_content=trials_per_content, realizations=realizations, workers=workers,
+        interference=interference,
     )
     return result

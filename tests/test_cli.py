@@ -437,7 +437,7 @@ def test_benchmark_span_targets_resolve_and_record(tmp_path):
     spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     cfg, spec = tmp_path / "small.cfg", tmp_path / "mc.spec"
     cfg.write_text(SMALL_CFG)
-    spec.write_text(MC_SPEC)
+    spec.write_text(MC_SPEC.replace("variants = pcp", "variants = ucp, pcp"))
     commands = [
         ["simulate", "--config", str(cfg)],
         ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")],
@@ -461,9 +461,10 @@ print(json.dumps([missing, codes, calls]))
     missing, codes, calls = json.loads(out.stdout.strip().splitlines()[-1])
     assert missing == []
     assert codes == [0, 0]
-    assert calls["geometry_sim.estimate_outage"] == 1 + 1  # simulate, then one batch of two rows
-    assert calls["geometry_sim.realize_network"] == 20 + 2 * 2
-    assert calls["analytic.average_outage"] == 2
+    # one call for simulate and one for the sweep, whatever its variants
+    assert calls["geometry_sim.estimate_outage"] == 1 + 1
+    assert calls["geometry_sim.realize_network"] == 20 + 2 * 2 * 2  # 2 variants x 2 points x 2 realizations
+    assert calls["analytic.average_outage"] == 2 * 2
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -264,16 +264,17 @@ class TestEvaluateOnce:
         calls = []
         real = experiments.estimate_outage
         monkeypatch.setattr(
-            experiments, "estimate_outage", lambda *a, **k: calls.append(a) or real(*a, **k)
+            experiments, "estimate_outage", lambda runs, **k: calls.append(runs) or real(runs, **k)
         )
         rows = run_sweep(spec).rows
-        # one batch per variant: the none variant's one distinct point, then pcp's three
-        assert [len(a[0]) for a in calls] == [1, 3]
-        assert [library.cache_slots for _, library in calls[0][0]] == [0]
-        assert len({point for a in calls for point in a[0]}) == 1 + 3
-        [(_, alone)] = real(
-            [(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests,
-            trials_per_content=1, realizations=4, seed=experiments._variant_seed(11, 0), workers=1,
+        # one call, one run per variant: the none variant's one distinct point, then pcp's three
+        [runs] = calls
+        assert [len(points) for points, *_ in runs] == [1, 3]
+        assert [library.cache_slots for _, library in runs[0][0]] == [0]
+        assert len({point for points, *_ in runs for point in points}) == 1 + 3
+        [[(_, alone)]] = real(
+            [([(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests, experiments._variant_seed(11, 0))],
+            trials_per_content=1, realizations=4, workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
         assert none_rows == [(alone.mean, alone.std_error)] * 3
@@ -335,27 +336,33 @@ class TestSharedFading:
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 
-    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch, recorded_pools, workers):
         # expected points per realization: 600, 1100 and 2600 in the 1000 m
         # window; a budget of 3000 puts the first two in one batch
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
             base=s, axis1=("lambda_sbs", (0.01, 0.02, 0.05)), variants=variants(s, "ucp", "pcp"),
-            engines=("montecarlo",), mc=McBudget(1, 3), seed=2,
+            engines=("montecarlo",), mc=McBudget(1, 3), seed=2, workers=workers,
         )
-        whole = run_sweep(spec)
-        batches = []
-        real = experiments.estimate_outage
-        monkeypatch.setattr(
-            experiments, "estimate_outage",
-            lambda points, *a, **k: batches.append([p.lambda_sbs for p, _ in points]) or real(points, *a, **k),
-        )
-        assert run_sweep(spec) == whole
-        assert batches == [[0.01, 0.02, 0.05]] * 2
-        batches.clear()
+        tasks = []
+        real = geometry_sim._batch_failures
+
+        def task(points, *args):
+            tasks.append(tuple(params.lambda_sbs for params, _, _ in points))
+            return real(points, *args)
+
+        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
+        whole = run_sweep(replace(spec, workers=1))
+        assert tasks == [(0.01, 0.02, 0.05)] * 3 * 2  # one batch per variant, mapped over 3 realizations
+        tasks.clear()
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", 3000)
         assert run_sweep(spec) == whole
-        assert batches == [[0.01, 0.02], [0.05]] * 2
+        assert tasks == ([(0.01, 0.02)] * 3 + [(0.05,)] * 3) * 2
+        # the four batches of both variants share one pool, shut down before the sweep returns
+        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
+        assert all(pool.shut_down for pool in recorded_pools)
 
 
 class TestCsvRoundTrip:
@@ -492,7 +499,6 @@ class TestSharedPool:
         pooled = run_sweep(self.mc_spec(workers=2))
         assert [pool.max_workers for pool in recorded_pools] == [2]
         assert recorded_pools[0].shut_down
-        assert geometry_sim._shared_pools.get() is None
         assert pooled == run_sweep(self.mc_spec(workers=1))
         assert len(recorded_pools) == 1  # the serial sweep opened none
 
@@ -502,7 +508,7 @@ class TestSharedPool:
         assert pooled == run_sweep(self.mc_spec(workers=1))
 
     def test_pool_shut_down_when_a_row_raises(self, monkeypatch, recorded_pools, tmp_path, capsys):
-        # the pcp:zipf batch raises after the batches before it opened the pool
+        # the pcp:zipf run raises after the runs before it used the pool
         monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
         real = geometry_sim.realize_network
 
@@ -516,7 +522,6 @@ class TestSharedPool:
         assert "sampling failed" in capsys.readouterr().err
         assert [pool.max_workers for pool in recorded_pools] == [2]
         assert recorded_pools[0].shut_down
-        assert geometry_sim._shared_pools.get() is None
 
     def test_bad_point_refused_before_any_work(self, monkeypatch, recorded_pools, tmp_path, capsys):
         # the second lambda_sbs expects 1e9 points in the window, over the
@@ -529,6 +534,20 @@ class TestSharedPool:
         text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
         assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
         assert "budget" in capsys.readouterr().err
+        assert calls == []
+        assert recorded_pools == []
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_closed_form_refusal_before_any_realization(self, monkeypatch, recorded_pools, tmp_path, capsys):
+        # beta = 0 leaves p_sbs undefined: the kernels refuse it before the
+        # Monte-Carlo call samples anything or opens a pool
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        calls = []
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        text = self.MC_SPEC.replace("axis1 = lambda_sbs", "axis1 = beta")
+        text = text.replace("axis1_values = 0.01, 0.05", "axis1_values = 0, 0.05")
+        assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
+        assert "p_sbs is undefined" in capsys.readouterr().err
         assert calls == []
         assert recorded_pools == []
         assert not (tmp_path / "out.csv").exists()
@@ -574,6 +593,11 @@ PLAIN_RECORDS = {
         ),
     ),
     "McEstimate": (geometry_sim.McEstimate, dict(mean=0.5, std_error=0.05, trials=100)),
+    "McRun": (
+        geometry_sim.McRun,
+        dict(points=((fig2_params(), ContentLibrary(10, 3), geometry_sim.SimWindow(1000.0)),),
+             policy=CachePolicy.PCP, requests=zipf_request_distribution(10, 0.8), seed=3),
+    ),
     "ServiceOutcome": (
         geometry_sim.ServiceOutcome,
         dict(tier=geometry_sim.Tier.SBS, server_distance=2.5, sir=3.0, success=True),

@@ -33,10 +33,10 @@ from hetcache.geometry_sim import (
     FADE_BLOCK_DOUBLES,
     _batch_failures,
     _FadeReader,
-    _fading_sir,
     _failures,
     _read_fades,
     _servers,
+    _sir,
 )
 
 from oracles import fig2_params, request_outcomes, thin, truncated_rayleigh_cdf, unit_fade_request
@@ -454,7 +454,8 @@ class TestRealizationKernel:
         expected = np.full(lib.size, 7)
         rng = stream_rng(5, "fading", 0)
         for requests, _, _, signal_gain, gains in _servers(real, contents, p, INTERFERENCE_ALL):
-            sir = np.concatenate([b for _, b in _fading_sir(signal_gain, gains, requests.size * 7, rng)])
+            rows, width = requests.size * 7, gains.size + 1
+            sir = _sir(signal_gain, gains, rng.exponential(size=rows * width).reshape(rows, width))
             expected[requests] = 7 - np.count_nonzero(sir.reshape(-1, 7) > p.gamma, axis=1)
         width = len(real.mbs_points) + len(real.active_sbs_points)  # "all": every point
         monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", 2 * width)
@@ -564,15 +565,36 @@ class TestSharedFading:
             assert np.array_equal(reader.failures, alone)
             assert np.all((alone[:2] > 0) & (alone[:2] < trials))
 
-    def test_batch_over_the_budgets_refused(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, recorded_pools, workers):
+        # two runs whose three points fit the point budget only as (0, 1), (2)
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
         points = self.points()
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
         loads = [(p.lambda_mbs + p.beta * p.lambda_sbs) * w.area() for p, _, w in points]
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
-        batches = geometry_sim.plan_batches(list(points), requests)
-        assert [(b.start, b.stop) for b in batches] == [(0, 2), (2, 3)]
-        with pytest.raises(ConfigError, match="split them with plan_batches"):
-            geometry_sim.estimate_batch(points, CachePolicy.UCP, requests, realizations=1)
+        assert [(b.start, b.stop) for b in geometry_sim._plan_batches(points)] == [(0, 2), (2, 3)]
+        tasks = []
+        real = geometry_sim._batch_failures
+
+        def task(batch, policy, seed, *args):
+            tasks.append((policy, len(batch), seed))
+            return real(batch, policy, seed, *args)
+
+        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
+        policies = ((CachePolicy.UCP, 6), (CachePolicy.PCP, 7))
+        runs = [geometry_sim.McRun(points, policy, requests, seed) for policy, seed in policies]
+        results = geometry_sim.estimate_batch(runs, trials_per_content=2, realizations=3, workers=workers)
+        # each run split into its two batches, each batch mapped over the 3 realizations
+        assert tasks == [(policy, size, seed) for policy, seed in policies for size in (2, 1) for _ in range(3)]
+        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
+        assert all(pool.shut_down for pool in recorded_pools)
+        monkeypatch.undo()
+        for run, run_results in zip(runs, results, strict=True):
+            for (params, library, window), result in zip(points, run_results, strict=True):
+                alone = estimate_outage(params, run.policy, library, requests, window=window,
+                                        trials_per_content=2, realizations=3, seed=run.seed)
+                assert result == alone
 
 
 class TestEstimateOutage:
@@ -621,25 +643,6 @@ class TestEstimateOutage:
         assert len(recorded_pools) == 1 and recorded_pools[0].shut_down
         run(seed=2)
         assert len(recorded_pools) == 2 and recorded_pools[1].shut_down
-        assert geometry_sim._shared_pools.get() is None
-
-    def test_shared_pool_reused_until_the_outermost_block_exits(self, monkeypatch, recorded_pools):
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 8)
-        lib = ContentLibrary(size=4, cache_slots=2)
-        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
-                      zipf_request_distribution(4, 0.8), realizations=4, seed=3)
-        with geometry_sim.shared_pool() as pools:
-            assert pools == {} and recorded_pools == []  # opening the block starts nothing
-            first = run(workers=2)
-            with geometry_sim.shared_pool() as inner:
-                assert inner is pools
-                assert run(workers=2) == first
-            assert run(workers=3) == first  # another size gets its own pool
-            assert run(workers=1) == first  # serial runs need none
-            assert [pool.max_workers for pool in recorded_pools] == [2, 3]
-            assert not any(pool.shut_down for pool in recorded_pools)
-        assert all(pool.shut_down for pool in recorded_pools)
-        assert geometry_sim._shared_pools.get() is None
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_refused(self, workers):
