@@ -30,16 +30,22 @@ SWEEP_FILE_KEYS = SETUP_KEYS | SWEEP_KEYS
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Read a config file from disk, falling back to the bundled examples."""
-    if os.path.exists(path):
+    """Read a config file from disk; a bare file name not on disk may name a bundled example."""
+    if os.path.basename(path) == path and not os.path.exists(path):
+        import importlib.resources  # only the bundled-config fallback needs it
+
+        bundled = importlib.resources.files("hetcache").joinpath("configs", path)
+        if bundled.is_file():
+            return parse_config_text(bundled.read_text(encoding="utf-8"))
+    try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_config_text(handle.read())
-    import importlib.resources  # only the bundled-config fallback needs it
-
-    bundled = importlib.resources.files("hetcache").joinpath("configs", os.path.basename(path))
-    if bundled.is_file():
-        return parse_config_text(bundled.read_text(encoding="utf-8"))
-    raise ConfigError(f"config file not found: {path}")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
 
 
 def _check_unknown_keys(cfg: dict[str, str], allowed: frozenset[str] | set[str]) -> None:

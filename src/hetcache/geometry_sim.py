@@ -27,13 +27,15 @@ at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
 One reducer, ``_read_fades``, serves the groups of several grid points from
 one fading stream: each point is a reader with its own cursor that takes
-only whole rows, a block of at most :data:`FADE_BLOCK_DOUBLES` doubles is
-drawn once for all of them, and each block's failures are counted at once,
-so memory stays flat in trials x interferers. ``_failures`` is its
-one-reader case. A task of :func:`estimate_batch` is one realization index
-over a batch of grid points. :func:`simulate_request` draws one trial of one
-rank's group and keeps its tier, distance and SIR. SIRs are reduced with
-``einsum``, not a BLAS product, so one worker stays one thread.
+only whole rows. One array holds the stream from the lowest live cursor on:
+a block of at most :data:`FADE_BLOCK_DOUBLES` doubles is drawn once for all
+readers and appended to the unread tail, and every reader counts the
+failures of its whole rows as views of that array at once, so memory stays
+flat in trials x interferers. ``_failures`` is its one-reader case. A task
+of :func:`estimate_batch` is one realization index over a batch of grid
+points. :func:`simulate_request` draws one trial of one rank's group and
+keeps its tier, distance and SIR. SIRs are reduced with ``einsum``, not a
+BLAS product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -416,28 +418,21 @@ class _FadeReader:
         """Stream position just past the current group's rows."""
         return self.cursor + (self._rows - self._row) * self.width
 
-    def read(self, chunks: list[tuple[int, np.ndarray]], drawn: int) -> None:
-        """Count the failures of every whole row held from the cursor on.
+    def read(self, fades: np.ndarray, start: int) -> None:
+        """Count the failures of every whole row of ``fades`` from the cursor on.
 
-        ``chunks`` are (stream position, values) in stream order, ending at
-        position ``drawn``. Rows inside the last chunk are read as views. A
-        read leaves less than one row unread, so at most one row begins in
-        an older chunk; it is joined and counted alone.
+        ``fades`` holds the stream from position ``start`` on; the whole
+        rows of a server group are read as one view. A read leaves less than
+        one row unread.
         """
-        last_start, last = chunks[-1]
+        drawn = start + fades.size
         while self._group is not None:
             rows = min(self._rows - self._row, (drawn - self.cursor) // self.width)
             if rows == 0:
                 return
-            if self.cursor < last_start:
-                rows = 1
-                stop = self.cursor + self.width
-                fades = np.concatenate([c[max(self.cursor - s, 0) : stop - s] for s, c in chunks if s < stop])
-            else:
-                stop = self.cursor + rows * self.width
-                fades = last[self.cursor - last_start : stop - last_start]
+            stop = self.cursor + rows * self.width
             requests, _, _, signal_gain, gains = self._group
-            sir = _sir(signal_gain, gains, fades.reshape(rows, self.width))
+            sir = _sir(signal_gain, gains, fades[self.cursor - start : stop - start].reshape(rows, self.width))
             # rows are rank-major: row k of a group belongs to request k // trials
             failed = self._row + np.flatnonzero(~(sir > self._gamma))
             self.failures[requests] += np.bincount(failed // self._trials, minlength=requests.size)
@@ -454,30 +449,24 @@ def _read_fades(readers: list[_FadeReader], rng: np.random.Generator) -> None:
     :data:`FADE_BLOCK_DOUBLES` doubles, more only when no reader could
     otherwise finish a row, and are trimmed to the farthest end of the
     readers' current server groups: nothing is drawn past the largest
-    reader's need. Values before the lowest live cursor are dropped, so at
-    most one block plus the widest row is held.
+    reader's need. One array, ``fades``, holds the stream from the lowest
+    live cursor, ``start``, up to ``drawn``. Each step keeps its unread
+    tail, which is shorter than the widest row, appends a new block, and
+    lets every reader take all its whole rows as views. Between steps it
+    holds at most one block plus the widest row; a step briefly adds the
+    new block and the old array.
     """
     live = [reader for reader in readers if not reader.done]
-    chunks: list[tuple[int, np.ndarray]] = []
-    drawn = 0
+    fades, start, drawn = np.empty(0), 0, 0
     while live:
         end = drawn + max(FADE_BLOCK_DOUBLES, min(reader.cursor + reader.width for reader in live) - drawn)
-        # end on a row boundary of the widest reader when that still draws, so
-        # its rows are never joined (a lone reader draws whole rows only)
-        wide = max(live, key=lambda reader: reader.width)
-        aligned = end - (end - wide.cursor) % wide.width
-        end = min(aligned if aligned > drawn else end, max(reader.group_end for reader in live))
-        chunks.append((drawn, rng.exponential(size=end - drawn)))
-        drawn = end
+        end = min(end, max(reader.group_end for reader in live))
+        low = min(reader.cursor for reader in live)
+        fades = np.concatenate((fades[low - start :], rng.exponential(size=end - drawn)))
+        start, drawn = low, end
         for reader in live:
-            reader.read(chunks, drawn)
+            reader.read(fades, start)
         live = [reader for reader in live if not reader.done]
-        if live:
-            low = min(reader.cursor for reader in live)
-            chunks = [(s, c) for s, c in chunks if s + c.size > low]
-            if chunks and chunks[0][0] < low:  # copy the needed tail, so the block is freed
-                start, oldest = chunks[0]
-                chunks[0] = (low, oldest[low - start :].copy())
 
 
 def _failures(
@@ -689,9 +678,9 @@ def estimate_batch(
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, realizations // (4 * processes))
+        per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            counts = [list(pool.map(task, range(realizations), chunksize=chunk)) for task in tasks]
+            counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
     # one estimate per point, in run, batch and point order
     estimates = (
         _estimates(np.stack([per_point[k] for per_point in batch_counts]), run.requests, trials_per_content)

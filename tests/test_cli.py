@@ -198,6 +198,37 @@ class TestExitCodes:
         assert code == 2
         assert "does-not-exist.cfg" in err
 
+    @pytest.mark.parametrize("command", ["analytic", "sweep"])
+    def test_missing_path_with_a_directory_does_not_run_the_bundled_file(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # only a bare file name may name a bundled example; the directory
+        # part may be absolute or relative
+        monkeypatch.chdir(tmp_path)
+        if command == "analytic":
+            path = str(tmp_path / "no" / "such" / "dir" / "fig2.cfg")
+            args = ["analytic", "--config", path]
+        else:
+            path = os.path.join(".", "typo", "fig4.spec")
+            args = ["sweep", "--spec", path, "--out", "x.csv"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert f"config file not found: {path}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_config_named_and_exit_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "fig2.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"alpha = 4\n\xff\xfe\x00\x81\n")
+        code, out, err = run_cli(capsys, "analytic", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "analytic", "--config", "fig2.cfg", "--frobnicate")
         assert code == 2

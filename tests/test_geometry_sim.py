@@ -331,11 +331,13 @@ class CountingExponential:
         self._rng = rng
         self.calls = 0
         self.drawn = 0
+        self.largest = 0
 
     def exponential(self, scale=1.0, size=None):
         assert isinstance(size, int)
         self.calls += 1
         self.drawn += size
+        self.largest = max(self.largest, size)
         return self._rng.exponential(scale, size)
 
 
@@ -492,15 +494,17 @@ class TestSharedFading:
         return tuple((replace(base, lambda_sbs=lam), self.LIBRARY, self.WINDOW) for lam in (0.05, 0.1, 0.2))
 
     def alone(self, point, policy, interference, trials, r, rng=None):
-        """The point's failure counts and fading need when it reads the stream alone."""
+        """The point's failure counts, fading need and widest row when it reads the stream alone."""
         params, library, window = point
         real = realize_network(params, policy, library, window, stream_rng(6, "geometry", r),
                                cache_rng=stream_rng(6, "caches", r))
         contents = np.arange(1, library.size + 1)
-        need = sum(requests.size * trials * (gains.size + 1)
-                   for requests, _, _, _, gains in _servers(real, contents, params, interference))
+        groups = [(requests.size, gains.size + 1)
+                  for requests, _, _, _, gains in _servers(real, contents, params, interference)]
+        need = sum(ranks * trials * width for ranks, width in groups)
+        widest = max((width for _, width in groups), default=0)
         rng = stream_rng(6, "fading", r) if rng is None else rng
-        return _failures(real, contents, params, rng, interference, trials), need
+        return _failures(real, contents, params, rng, interference, trials), need, widest
 
     def counted_batch(self, monkeypatch, points, policy, interference, trials, r):
         streams = []
@@ -526,9 +530,11 @@ class TestSharedFading:
         for r in range(3):
             counts, stream = self.counted_batch(monkeypatch, points, policy, interference, 3, r)
             alone = [self.alone(point, policy, interference, 3, r) for point in points]
-            needs = [need for _, need in alone]
+            needs = [need for _, need, _ in alone]
             assert stream.drawn == max(needs) < sum(needs)
-            for shared, (single, _) in zip(counts, alone, strict=True):
+            # a block exceeds FADE_BLOCK_DOUBLES only to finish a row
+            assert stream.largest <= max(FADE_BLOCK_DOUBLES, *(widest for _, _, widest in alone))
+            for shared, (single, _, _) in zip(counts, alone, strict=True):
                 assert np.array_equal(shared, single)
 
     @pytest.mark.parametrize("block", [3, 64, 1000])
@@ -536,10 +542,13 @@ class TestSharedFading:
         # blocks smaller than a row (3), a few rows (64) or many rows (1000):
         # every point still counts what it counts alone at the default size
         points = self.points()
-        expected = [self.alone(point, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0)[0] for point in points]
+        alone = [self.alone(point, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0) for point in points]
+        expected = [single for single, _, _ in alone]
         monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", block)
         counts, stream = self.counted_batch(monkeypatch, points, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0)
         assert stream.calls > 1
+        # a block exceeds the block size only to finish a row
+        assert stream.largest <= max(block, *(widest for _, _, widest in alone))
         for shared, single in zip(counts, expected, strict=True):
             assert 0 < shared.sum() < self.LIBRARY.size * 7
             assert np.array_equal(shared, single)
@@ -562,6 +571,39 @@ class TestSharedFading:
         assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
         for reader, real in zip(readers, realizations, strict=True):
             alone = _failures(real, contents, params, stream_rng(1, "fading", 0), INTERFERENCE_ALL, trials)
+            assert np.array_equal(reader.failures, alone)
+            assert np.all((alone[:2] > 0) & (alone[:2] < trials))
+
+    def test_reader_done_before_any_draw(self):
+        # the middle realization has its one MBS beyond r_mbs and no SBS, so
+        # every rank misses and its reader is done before the first block;
+        # it must not pin the buffer at stream position 0 (4 ranks x 50k
+        # trials x width 5 would keep 8 MB)
+        kernel = TestRealizationKernel()
+        missed = NetworkRealization(mbs_points=np.array([(300.0, 0.0)]), active_sbs_points=np.empty((0, 2)),
+                                    sbs_caches=np.empty((0, 4), dtype=bool))
+        realizations = [kernel.realization([(100.0, 0.0)]), missed,
+                        kernel.realization([(100.0, 0.0), (0.0, 200.0)])]
+        contents, params, trials = np.arange(1, 5), kernel.PARAMS, 50_000
+        stream = CountingExponential(stream_rng(2, "fading", 0))
+        tracemalloc.start()
+        try:
+            readers = [_FadeReader(_servers(real, contents, params, INTERFERENCE_ALL), 4, params.gamma, trials)
+                       for real in realizations]
+            assert [reader.done for reader in readers] == [False, True, False]
+            _read_fades(readers, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
+        assert readers[1].failures.tolist() == [trials] * 4
+        needs = [sum(requests.size * trials * (gains.size + 1)
+                     for requests, _, _, _, gains in _servers(real, contents, params, INTERFERENCE_ALL))
+                 for real in realizations]
+        assert needs[1] == 0
+        assert stream.drawn == max(needs)
+        for reader, real in zip(readers[::2], realizations[::2], strict=True):
+            alone = _failures(real, contents, params, stream_rng(2, "fading", 0), INTERFERENCE_ALL, trials)
             assert np.array_equal(reader.failures, alone)
             assert np.all((alone[:2] > 0) & (alone[:2] < trials))
 
