@@ -36,9 +36,9 @@ def _load_config(path: str) -> dict[str, str]:
 
         bundled = importlib.resources.files("hetcache").joinpath("configs", path)
         if bundled.is_file():
-            return parse_config_text(bundled.read_text(encoding="utf-8"))
+            return parse_config_text(bundled.read_text(encoding="utf-8-sig"))
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return parse_config_text(handle.read())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -94,17 +94,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     setup = setup_from_config(cfg)
     p_c = replication_probability(setup.policy, args.content_rank, setup.library)
     breakdown = total_outage(setup.params, p_c)
-    print(
-        json.dumps(
-            {
-                "p_hit_sbs": breakdown.p_hit_sbs,
-                "p_hit_mbs": breakdown.p_hit_mbs,
-                "p_out_sbs": breakdown.p_out_sbs,
-                "p_out_mbs": breakdown.p_out_mbs,
-                "p_out_total": breakdown.p_out_total,
-            }
-        )
-    )
+    print(json.dumps(breakdown._asdict()))
     return 0
 
 

@@ -4,8 +4,8 @@ A sweep is a grid over one or two configuration axes, evaluated for a set of
 caching/popularity variants with one row per (grid point, variant, engine).
 A row holds results only, so the table is a function of the spec and its
 seed, the same for any worker count. Rows are emitted in deterministic grid
-order and serialize to CSV with 17-significant-digit floats, so a written
-table re-parses to an equal :class:`SweepResult`.
+order and serialize to CSV with floats written to 17 significant digits, so
+they re-parse exactly.
 
 Monte-Carlo rows for a given variant share their random streams across the
 whole grid (common random numbers): along a gamma axis this makes estimated
@@ -49,7 +49,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .analytic import InterferenceKernels, _kernels_if_served, average_outage
+from .analytic import _kernels_if_served, average_outage
 from .errors import ConfigError
 from .params import (
     DEFAULT_GUARD,
@@ -183,9 +183,9 @@ class SweepResult(NamedTuple):
     """A sweep's rows in grid order.
 
     The table is a function of the spec and its seed, the same for any
-    worker count, and a written table re-parses to an equal result. A plain
-    record: it iterates as (axis_names, rows) and compares equal to that
-    tuple.
+    worker count. Its CSV writes floats to 17 significant digits, so they
+    re-parse exactly. A plain record: it iterates as (axis_names, rows) and
+    compares equal to that tuple.
     """
 
     axis_names: tuple[str, ...]
@@ -206,46 +206,6 @@ class SweepResult(NamedTuple):
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SweepResult":
-        """Parse :meth:`to_csv_text` output; a malformed line raises ConfigError naming it."""
-        lines = [(n, line.split(",")) for n, line in enumerate(text.splitlines(), start=1) if line]
-        if not lines:
-            raise ConfigError("empty sweep CSV")
-        (n, header), body = lines[0], lines[1:]
-        axis_names = tuple(header[: -len(_RESULT_COLUMNS)])
-        if tuple(header[len(axis_names) :]) != _RESULT_COLUMNS:
-            raise ConfigError(
-                f"sweep CSV line {n}: header must end in {','.join(_RESULT_COLUMNS)}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for n, fields in body:
-            if len(fields) != len(header):
-                raise ConfigError(
-                    f"sweep CSV line {n}: {len(fields)} fields, but the header has {len(header)}"
-                )
-            *axes, variant, engine, avg, se = fields
-            try:
-                row = SweepRow(
-                    axes=tuple(float(v) for v in axes),
-                    variant=variant,
-                    engine=engine,
-                    avg_outage=float(avg),
-                    std_error=None if se == "" else float(se),
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"sweep CSV line {n}: non-numeric value in {','.join(fields)!r}"
-                ) from None
-            rows.append(row)
-        return cls(axis_names=axis_names, rows=tuple(rows))
-
-    @classmethod
-    def read_csv(cls, path: str) -> "SweepResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_csv_text(handle.read())
 
 
 def _fmt(value: float) -> str:
@@ -339,39 +299,34 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # before its memo stores anything.
     own_libraries = [ContentLibrary(spec.base.library.size, v.cache_slots) for v in spec.variants]
     d_tilde_axis = "d_tilde" in spec.axis_names
-    # One slot in values per distinct row input. A Monte-Carlo input ends in
-    # its variant's index (its seed), an analytic one in None, so variants
-    # share analytic values only.
-    slots: dict[tuple, int] = {}
-    plan: list[tuple[tuple[float, ...], str, str, int]] = []
+    # Row values keyed by their inputs: the variants share the closed-form
+    # values, but each keeps its own Monte-Carlo values, drawn with its seed.
+    analytic: dict[tuple, tuple | None] = {}
+    montecarlo: list[dict[tuple, tuple | None]] = [{} for _ in spec.variants]
+    plan = []
     for axes, params, axis_library in _grid(spec):
-        for vi, variant in enumerate(spec.variants):
-            library = own_libraries[vi]
+        for variant, library, mc_values in zip(spec.variants, own_libraries, montecarlo):
             if d_tilde_axis and not variant.fixed_cache:
                 library = axis_library
             for engine in spec.engines:
-                mc = vi if engine == ENGINE_MONTECARLO else None
-                key = (params, variant.policy, library, variant.requests, mc)
-                plan.append((axes, variant.label, engine, slots.setdefault(key, len(slots))))
-    values: list = [None] * len(slots)
-    analytic_inputs = []
-    memo_by_params: dict[SystemParams, tuple[InterferenceKernels | None, dict[float, float]]] = {}
-    mc_slots: list[dict[tuple[SystemParams, ContentLibrary], int]] = [{} for _ in spec.variants]
-    for (params, policy, library, requests, vi), slot in slots.items():
-        if vi is not None:
-            mc_slots[vi][params, library] = slot
-            continue
-        analytic_inputs.append((slot, (params, policy, library, requests)))
-        if params not in memo_by_params:
-            # P_c = 1 bounds the SBS hit probability of every row, so these
-            # kernels serve each row that needs any; the dict collects total
-            # outage by P_c. Evaluated before any realization, so a parameter
-            # set the closed forms refuse stops the sweep first
-            memo_by_params[params] = (_kernels_if_served(params, 1.0), {})
+                if engine == ENGINE_MONTECARLO:
+                    values, key = mc_values, (params, library)
+                else:
+                    values, key = analytic, (params, variant.policy, library, variant.requests)
+                values[key] = None
+                plan.append((axes, variant.label, engine, values, key))
+    # P_c = 1 bounds the SBS hit probability of every row, so these kernels
+    # serve each row that needs any; the dict collects total outage by P_c.
+    # Evaluated before any realization, so a parameter set the closed forms
+    # refuse stops the sweep first
+    memo_by_params = {
+        params: (_kernels_if_served(params, 1.0), {})
+        for params in dict.fromkeys(key[0] for key in analytic)
+    }
     if ENGINE_MONTECARLO in spec.engines:
         runs = [
-            (list(points), variant.policy, variant.requests, _variant_seed(spec.seed, vi))
-            for vi, (variant, points) in enumerate(zip(spec.variants, mc_slots))
+            (list(mc_values), variant.policy, variant.requests, _variant_seed(spec.seed, vi))
+            for vi, (variant, mc_values) in enumerate(zip(spec.variants, montecarlo))
         ]
         estimates = estimate_outage(  # refuses a bad point before any closed-form row
             runs,
@@ -380,12 +335,12 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
             realizations=spec.mc.realizations,
             workers=spec.workers,
         )
-        for points, run_estimates in zip(mc_slots, estimates):
-            for slot, (_, avg) in zip(points.values(), run_estimates):
-                values[slot] = (avg.mean, avg.std_error)
-    for slot, inputs in analytic_inputs:
-        values[slot] = (average_outage(*inputs, *memo_by_params[inputs[0]]), None)
-    return [SweepRow(axes, label, engine, *values[slot]) for axes, label, engine, slot in plan]
+        for mc_values, run_estimates in zip(montecarlo, estimates):
+            for point, (_, avg) in zip(mc_values, run_estimates):
+                mc_values[point] = (avg.mean, avg.std_error)
+    for key in analytic:
+        analytic[key] = (average_outage(*key, *memo_by_params[key[0]]), None)
+    return [SweepRow(axes, label, engine, *values[key]) for axes, label, engine, values, key in plan]
 
 
 # --------------------------------------------------------------------------

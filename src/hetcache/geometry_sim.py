@@ -104,7 +104,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -210,8 +210,7 @@ class NetworkRealization:
     strictly increasing; None means every active SBS, in order.
     :func:`realize_network` gives caches only to the SBSs within r_sbs, the
     only ones that can serve; association refuses a realization in which an
-    SBS within r_sbs has no row. Distances and path gains from the reference
-    user are cached lazily.
+    SBS within r_sbs has no row.
     """
 
     mbs_points: np.ndarray
@@ -235,23 +234,6 @@ class NetworkRealization:
             and np.all(np.diff(self.cached_sbs) > 0)
         ):
             raise ConfigError(f"cached_sbs must be strictly increasing indices in [0, {n_active})")
-        self._path_gains: dict[float, np.ndarray] = {}
-
-    @property
-    def library_size(self) -> int:
-        return int(self.sbs_caches.shape[1])
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """Distances of the MBSs, then of the active SBSs, in index order."""
-        return _distances(np.concatenate((self.mbs_points, self.active_sbs_points)))
-
-    def path_gains(self, alpha: float) -> np.ndarray:
-        """``distances ** -alpha``, cached per alpha."""
-        if alpha not in self._path_gains:
-            with np.errstate(divide="ignore"):
-                self._path_gains[alpha] = self.distances ** (-alpha)
-        return self._path_gains[alpha]
 
 
 def _check_window(params: SystemParams, window: SimWindow) -> None:
@@ -354,9 +336,11 @@ def _servers(
     ``contents``, tier, distance, signal gain, interferer gains); a gain is
     transmit power times path gain, interferers MBSs first, in index order.
     """
-    dist = realization.distances  # MBSs, then SBSs: the order of the interferer gains
+    # MBSs, then SBSs: the order of the interferer gains
+    dist = _distances(np.concatenate((realization.mbs_points, realization.active_sbs_points)))
     mbs_dist, sbs_dist = np.split(dist, [len(realization.mbs_points)])
-    path_gain = realization.path_gains(params.alpha)
+    with np.errstate(divide="ignore"):
+        path_gain = dist ** -params.alpha
     gain = params.p_mbs * path_gain
     if sbs_dist.size:  # p_sbs is undefined at beta = 0, where no SBS is active
         gain[mbs_dist.size :] = params.p_sbs * path_gain[mbs_dist.size :]
@@ -507,10 +491,9 @@ def simulate_request(
     calls on one stream draw its rows in the order a server group of
     :func:`estimate_outage` draws its trials.
     """
-    if not 1 <= content <= realization.library_size:
-        raise InvalidRankError(
-            f"content rank must lie in 1..{realization.library_size}, got {content}"
-        )
+    library_size = realization.sbs_caches.shape[1]
+    if not 1 <= content <= library_size:
+        raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
     _check_interference(interference)
     group = next(_servers(realization, np.array([content]), params, interference), None)
     if group is None:

@@ -16,6 +16,8 @@ from scipy import integrate
 
 from hetcache import (
     INTERFERENCE_BEYOND_SERVER,
+    SweepResult,
+    SweepRow,
     SystemParams,
     kernels,
     realize_network,
@@ -159,3 +161,13 @@ def request_outcomes(params: SystemParams, policy, library, content: int, window
         outcomes += [simulate_request(realization, content, params, fading, interference)
                      for _ in range(trials)]
     return outcomes
+
+
+def parse_sweep_csv(text: str) -> SweepResult:
+    """Rebuild a sweep table from its CSV text, with one ``float()`` per numeric field."""
+    header, *body = (line.split(",") for line in text.splitlines())
+    rows = tuple(
+        SweepRow(tuple(map(float, axes)), variant, engine, float(avg), None if se == "" else float(se))
+        for *axes, variant, engine, avg, se in body
+    )
+    return SweepResult(tuple(header[:-4]), rows)

@@ -1,3 +1,4 @@
+import codecs
 import importlib
 import importlib.resources
 import json
@@ -12,7 +13,6 @@ import pytest
 
 from hetcache import (
     CachePolicy,
-    SweepResult,
     experiments,
     geometry_sim,
     replication_probability,
@@ -20,6 +20,8 @@ from hetcache import (
     total_outage,
 )
 from hetcache.cli import _load_config, main
+
+from oracles import parse_sweep_csv
 
 SMALL_CFG = """
 lambda_mbs = 0.0001
@@ -161,18 +163,18 @@ class TestSweepCommand:
     def test_csv_round_trips(self, capsys, small_spec, tmp_path):
         out_path = tmp_path / "out.csv"
         run_cli(capsys, "sweep", "--spec", small_spec, "--out", str(out_path))
-        table = SweepResult.read_csv(str(out_path))
+        table = parse_sweep_csv(out_path.read_text())
         assert table.axis_names == ("d_tilde", "beta")
         for row in table.rows:
             assert 0.0 <= row.avg_outage <= 1.0
             assert row.std_error is None  # analytic engine
-        round_tripped = SweepResult.from_csv_text(table.to_csv_text())
+        round_tripped = parse_sweep_csv(table.to_csv_text())
         assert round_tripped == table
 
     def test_full_cache_columns_identical(self, capsys, small_spec, tmp_path):
         out_path = tmp_path / "out.csv"
         run_cli(capsys, "sweep", "--spec", small_spec, "--out", str(out_path))
-        table = SweepResult.read_csv(str(out_path))
+        table = parse_sweep_csv(out_path.read_text())
         for beta in (0.05, 1.0):
             pair = {r.variant: r.avg_outage for r in table.rows if r.axes == (1.0, beta)}
             assert pair["ucp"] == pair["pcp"]
@@ -228,6 +230,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert str(path) in err
+
+    @pytest.mark.parametrize("first_line", ["comment", "key"])
+    def test_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path, first_line):
+        text = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg").read_text()
+        if first_line == "key":
+            text = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        code, out, _ = run_cli(capsys, "analytic", "--config", str(plain))
+        assert code == 0
+        assert run_cli(capsys, "analytic", "--config", str(marked)) == (0, out, "")
 
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "analytic", "--config", "fig2.cfg", "--frobnicate")
@@ -435,7 +450,7 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], []]
-    assert len(SweepResult.from_csv_text((tmp_path / "fig3.csv").read_text()).rows) == 154
+    assert len(parse_sweep_csv((tmp_path / "fig3.csv").read_text()).rows) == 154
 
 
 def test_lazy_names_resolve_from_the_package():
@@ -519,7 +534,7 @@ def test_commands_run_without_scipy(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0, 0], False]
-    assert len(SweepResult.from_csv_text((tmp_path / "out.csv").read_text()).rows) == 154
+    assert len(parse_sweep_csv((tmp_path / "out.csv").read_text()).rows) == 154
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
