@@ -17,8 +17,10 @@ Process pools
 and :func:`estimate_outage` is its one-point case. When the call may start
 two or more processes it maps all its batches on one process pool, which
 it opens itself and shuts down before it returns or raises; a sweep, which
-makes one call, therefore opens at most one pool. Serial runs never load
-``concurrent.futures``.
+makes one call, therefore opens at most one pool. The pool has no more
+processes than the workers asked for, the realizations and the CPUs this
+process may run on (its affinity set, where the platform has one). Serial
+runs never load ``concurrent.futures``.
 
 Realization kernel
 ------------------
@@ -27,11 +29,13 @@ at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
 One reducer, ``_read_fades``, serves the groups of several grid points from
 one fading stream: each point is a reader with its own cursor that takes
-only whole rows. One array holds the stream from the lowest live cursor on:
-a block of at most :data:`FADE_BLOCK_DOUBLES` doubles is drawn once for all
-readers and appended to the unread tail, and every reader counts the
-failures of its whole rows as views of that array at once, so memory stays
-flat in trials x interferers. ``_failures`` is its one-reader case. A task
+only whole rows. One buffer, allocated once per call, holds the stream from
+the lowest live cursor on: the unread tail moves to its front, a block of at
+most :data:`FADE_BLOCK_DOUBLES` doubles is drawn in place after it once for
+all readers, and every reader counts the failures of its whole rows as views
+of that buffer at once. It holds at most one block plus the widest row and
+no step allocates a second array, so memory stays flat in trials x
+interferers. ``_failures`` is its one-reader case. A task
 of :func:`estimate_batch` is one realization index over a batch of grid
 points. :func:`simulate_request` draws one trial of one rank's group and
 keeps its tier, distance and SIR. SIRs are reduced with ``einsum``, not a
@@ -80,7 +84,8 @@ share geometry and caches but redraw fading.
 - ``fading``: per distinct server, in association order (SBSs nearest first,
   then the MBS), one row per (requested rank, trial) in rank-major order;
   a row is the serving-link fade followed by the interferer fades, MBSs
-  before SBSs in index order. Drawing the stream in blocks of any size
+  before SBSs in index order. Drawing the stream in blocks of any size,
+  by ``exponential`` or in place by ``standard_exponential(out=...)``,
   gives the same values as drawing them one by one, so repeated
   :func:`simulate_request` calls on a realization's stream draw the trials
   of a run that requests one rank. No draw depends on gamma, so outcomes
@@ -124,7 +129,9 @@ INTERFERENCE_ALL = "all"
 _CONVENTIONS = (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL)
 
 #: Most doubles one block of fading draws holds (512 KiB). A block is drawn
-#: larger only when no reader could otherwise finish a row.
+#: larger only when no reader could otherwise finish a row. The fading
+#: buffer holds one block plus the widest row, in a capacity of two blocks
+#: that grows only for a step that needs more.
 FADE_BLOCK_DOUBLES = 1 << 16
 
 #: Most expected points (MBSs plus active SBSs) one realization may sample,
@@ -433,20 +440,28 @@ def _read_fades(readers: list[_FadeReader], rng: np.random.Generator) -> None:
     :data:`FADE_BLOCK_DOUBLES` doubles, more only when no reader could
     otherwise finish a row, and are trimmed to the farthest end of the
     readers' current server groups: nothing is drawn past the largest
-    reader's need. One array, ``fades``, holds the stream from the lowest
-    live cursor, ``start``, up to ``drawn``. Each step keeps its unread
-    tail, which is shorter than the widest row, appends a new block, and
-    lets every reader take all its whole rows as views. Between steps it
-    holds at most one block plus the widest row; a step briefly adds the
-    new block and the old array.
+    reader's need. One buffer, allocated once per call with room for two
+    blocks and grown only when a step needs more, holds the stream from the
+    lowest live cursor, ``start``, up to ``drawn``. Each step moves the
+    unread tail, which is shorter than the widest row, to the buffer's
+    front, draws the new block in place after it with
+    ``rng.standard_exponential(out=...)``, and lets every reader take all
+    its whole rows as views of ``fades``, the filled front of the buffer.
+    It holds at most one block plus the widest row, and no step allocates
+    a second array.
     """
     live = [reader for reader in readers if not reader.done]
-    fades, start, drawn = np.empty(0), 0, 0
+    buffer, start, drawn = np.empty(0), 0, 0
     while live:
         end = drawn + max(FADE_BLOCK_DOUBLES, min(reader.cursor + reader.width for reader in live) - drawn)
         end = min(end, max(reader.group_end for reader in live))
         low = min(reader.cursor for reader in live)
-        fades = np.concatenate((fades[low - start :], rng.exponential(size=end - drawn)))
+        tail = buffer[low - start : drawn - start]
+        if end - low > buffer.size:
+            buffer = np.empty(max(end - low, 2 * FADE_BLOCK_DOUBLES))
+        buffer[: tail.size] = tail  # numpy copies overlapping ranges exactly
+        fades = buffer[: end - low]
+        rng.standard_exponential(out=fades[tail.size :])
         start, drawn = low, end
         for reader in live:
             reader.read(fades, start)
@@ -654,7 +669,7 @@ def estimate_batch(
         partial(_batch_failures, points, run.policy, run.seed, trials_per_content, interference)
         for run, points in batches
     ]
-    processes = min(workers, realizations, os.cpu_count() or 1)
+    processes = min(workers, realizations, _usable_cpus())
     if processes == 1:
         counts = [list(map(task, range(realizations))) for task in tasks]
     else:
@@ -671,6 +686,13 @@ def estimate_batch(
         for k in range(len(points))
     )
     return [[next(estimates) for _ in run.points] for run in runs]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _estimates(

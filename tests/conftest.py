@@ -33,6 +33,24 @@ def no_leaked_workers():
 
 
 @pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set how many CPUs this process may run on, as the pool sizing reads it.
+
+    Call the returned function with a count, or with None for a platform
+    that reports neither an affinity set nor a CPU count.
+    """
+
+    def set_cpus(count):
+        if count is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    return set_cpus
+
+
+@pytest.fixture
 def recorded_pools(monkeypatch):
     """Replace ProcessPoolExecutor by a stub that maps in-process; list the stubs made.
 

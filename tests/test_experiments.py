@@ -376,10 +376,10 @@ class TestSharedFading:
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch, recorded_pools, workers):
+    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch, usable_cpus, recorded_pools, workers):
         # expected points per realization: 600, 1100 and 2600 in the 1000 m
         # window; a budget of 3000 puts the first two in one batch
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
             base=s, axis1=("lambda_sbs", (0.01, 0.02, 0.05)), variants=variants(s, "ucp", "pcp"),
@@ -517,8 +517,8 @@ class TestSharedPool:
         spec.write_text(text)
         return main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv"), *flags])
 
-    def test_monte_carlo_rows_share_one_pool(self, monkeypatch, recorded_pools):
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+    def test_monte_carlo_rows_share_one_pool(self, usable_cpus, recorded_pools):
+        usable_cpus(2)
         pooled = run_sweep(self.mc_spec(workers=2))
         assert [pool.max_workers for pool in recorded_pools] == [2]
         assert recorded_pools[0].shut_down
@@ -530,9 +530,9 @@ class TestSharedPool:
         assert multiprocessing.active_children() == []
         assert pooled == run_sweep(self.mc_spec(workers=1))
 
-    def test_pool_shut_down_when_a_row_raises(self, monkeypatch, recorded_pools, tmp_path, capsys):
+    def test_pool_shut_down_when_a_row_raises(self, monkeypatch, usable_cpus, recorded_pools, tmp_path, capsys):
         # the pcp:zipf run raises after the runs before it used the pool
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         real = geometry_sim.realize_network
 
         def realize(params, policy, *args, **kwargs):
@@ -546,10 +546,10 @@ class TestSharedPool:
         assert [pool.max_workers for pool in recorded_pools] == [2]
         assert recorded_pools[0].shut_down
 
-    def test_bad_point_refused_before_any_work(self, monkeypatch, recorded_pools, tmp_path, capsys):
+    def test_bad_point_refused_before_any_work(self, monkeypatch, usable_cpus, recorded_pools, tmp_path, capsys):
         # the second lambda_sbs expects 1e9 points in the window, over the
         # simulator's budget: refused before any row, realization or pool
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         calls = []
         monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
         real = experiments.average_outage
@@ -561,10 +561,10 @@ class TestSharedPool:
         assert recorded_pools == []
         assert not (tmp_path / "out.csv").exists()
 
-    def test_closed_form_refusal_before_any_realization(self, monkeypatch, recorded_pools, tmp_path, capsys):
+    def test_closed_form_refusal_before_any_realization(self, monkeypatch, usable_cpus, recorded_pools, tmp_path, capsys):
         # beta = 0 leaves p_sbs undefined: the kernels refuse it before the
         # Monte-Carlo call samples anything or opens a pool
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         calls = []
         monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
         text = self.MC_SPEC.replace("axis1 = lambda_sbs", "axis1 = beta")
@@ -575,8 +575,8 @@ class TestSharedPool:
         assert recorded_pools == []
         assert not (tmp_path / "out.csv").exists()
 
-    def test_analytic_sweep_opens_no_pool(self, monkeypatch, recorded_pools):
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+    def test_analytic_sweep_opens_no_pool(self, usable_cpus, recorded_pools):
+        usable_cpus(2)
         spec = sweep_spec_from_config(parse_config_text(TestSpecFiles.SPEC_TEXT), workers=2)
         run_sweep(spec)
         assert recorded_pools == []

@@ -48,6 +48,9 @@ class FixedGains:
     def exponential(self, size=None):
         return 1.0 if size is None else np.ones(size)
 
+    def standard_exponential(self, out):
+        out.fill(1.0)
+
 
 def single_content_params(**overrides):
     return fig2_params(**overrides)
@@ -325,20 +328,30 @@ class TestSimulateRequest:
 
 
 class CountingExponential:
-    """RNG stub exposing only ``exponential(scale, size)`` with an integer size."""
+    """RNG stub exposing only ``exponential(scale, size)`` with an integer size
+    and ``standard_exponential(out)``; ``outs`` lists the arrays filled in place."""
 
     def __init__(self, rng):
         self._rng = rng
         self.calls = 0
         self.drawn = 0
         self.largest = 0
+        self.outs = []
 
-    def exponential(self, scale=1.0, size=None):
-        assert isinstance(size, int)
+    def _count(self, size):
         self.calls += 1
         self.drawn += size
         self.largest = max(self.largest, size)
+
+    def exponential(self, scale=1.0, size=None):
+        assert isinstance(size, int)
+        self._count(size)
         return self._rng.exponential(scale, size)
+
+    def standard_exponential(self, out):
+        self._count(out.size)
+        self.outs.append(out)
+        self._rng.standard_exponential(out=out)
 
 
 class TestRealizationKernel:
@@ -553,17 +566,22 @@ class TestSharedFading:
             assert 0 < shared.sum() < self.LIBRARY.size * 7
             assert np.array_equal(shared, single)
 
-    def test_memory_flat_in_trials_with_three_readers(self):
-        # widths 4, 5 and 6 under "all"; 3 x 4 ranks x 250k trials: the
-        # readers' kept SIR matrices alone would be 24 MB
+    def three_readers(self, trials):
+        """Readers of widths 4, 5 and 6 under "all", with their realizations."""
         kernel = TestRealizationKernel()
         layouts = [[(100.0, 0.0)], [(100.0, 0.0), (0.0, 200.0)], [(100.0, 0.0), (0.0, 200.0), (300.0, 0.0)]]
         realizations = [kernel.realization(mbs) for mbs in layouts]
-        contents, params, trials = np.arange(1, 5), kernel.PARAMS, 250_000
+        readers = [_FadeReader(_servers(real, np.arange(1, 5), kernel.PARAMS, INTERFERENCE_ALL), 4,
+                               kernel.PARAMS.gamma, trials) for real in realizations]
+        return readers, realizations
+
+    def test_memory_flat_in_trials_with_three_readers(self):
+        # widths 4, 5 and 6 under "all"; 3 x 4 ranks x 250k trials: the
+        # readers' kept SIR matrices alone would be 24 MB
+        contents, params, trials = np.arange(1, 5), TestRealizationKernel.PARAMS, 250_000
         tracemalloc.start()
         try:
-            readers = [_FadeReader(_servers(real, contents, params, INTERFERENCE_ALL), 4, params.gamma, trials)
-                       for real in realizations]
+            readers, realizations = self.three_readers(trials)
             _read_fades(readers, stream_rng(1, "fading", 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -607,10 +625,64 @@ class TestSharedFading:
             assert np.array_equal(reader.failures, alone)
             assert np.all((alone[:2] > 0) & (alone[:2] < trials))
 
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_blocks_drawn_in_place_into_one_kept_buffer(self, monkeypatch, block):
+        # every block is drawn in place into the one buffer of the call; a
+        # new buffer appears only when a step needs more room than it has,
+        # so with rows narrower than a block (the default) it never does
+        if block is not None:
+            monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", block)
+        trials = 50_000 if block is None else 200  # 1.2M doubles in default blocks, or 4800 in blocks of 3
+        readers, _ = self.three_readers(trials)
+        stream = CountingExponential(stream_rng(3, "fading", 0))
+        _read_fades(readers, stream)
+        assert stream.calls >= 5 and len(stream.outs) == stream.calls
+        buffers = [stream.outs[0].base]
+        for out in stream.outs:
+            if not np.shares_memory(out, buffers[-1]):
+                buffers.append(out.base)  # a growth
+            assert out.base is buffers[-1]
+        sizes = [buffer.size for buffer in buffers]
+        assert sizes == sorted(set(sizes))  # each growth is larger
+        if block is None:
+            assert sizes == [2 * FADE_BLOCK_DOUBLES]
+        else:
+            assert sizes[-1] < 2 * 6  # a step needs less than a tail and a row, each at most 6
+
+    def test_overlapping_tail_moves_with_rows_wider_than_the_block(self, monkeypatch):
+        # blocks of 3 doubles under rows of 4, 5 and 6: the unread tail often
+        # moves to the buffer's front over a range it overlaps; every reader
+        # still counts what it counts alone at the default block size
+        contents, params, trials = np.arange(1, 5), TestRealizationKernel.PARAMS, 200
+        readers, realizations = self.three_readers(trials)
+        alone = [_failures(real, contents, params, stream_rng(4, "fading", 0), INTERFERENCE_ALL, trials)
+                 for real in realizations]
+        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", 3)
+        lows = []
+
+        class Watching(CountingExponential):
+            def standard_exponential(self, out):
+                lows.append(min(reader.cursor for reader in readers if not reader.done))
+                super().standard_exponential(out)
+
+        stream = Watching(stream_rng(4, "fading", 0))
+        _read_fades(readers, stream)
+        # the tail of step k starts at its new low cursor and ends where the
+        # block is drawn; it overlaps its target when it moved by less
+        tails = [(out.ctypes.data - out.base.ctypes.data) // out.itemsize for out in stream.outs]
+        overlapping = sum(
+            out.base is before.base and 0 < low - previous < tail
+            for out, before, tail, low, previous in zip(stream.outs[1:], stream.outs, tails[1:], lows[1:], lows)
+        )
+        assert overlapping > 10
+        for reader, single in zip(readers, alone, strict=True):
+            assert 0 < single[0] < trials  # rank 1's SBS link fails some trials, not all
+            assert np.array_equal(reader.failures, single)
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, recorded_pools, workers):
+    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, usable_cpus, recorded_pools, workers):
         # two runs whose three points fit the point budget only as (0, 1), (2)
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         points = self.points()
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
         loads = [(p.lambda_mbs + p.beta * p.lambda_sbs) * w.area() for p, _, w in points]
@@ -665,8 +737,8 @@ class TestEstimateOutage:
             (1, 30, 8, None),
         ],
     )
-    def test_pool_size_capped(self, monkeypatch, recorded_pools, workers, realizations, cpus, started):
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: cpus)
+    def test_pool_size_capped(self, usable_cpus, recorded_pools, workers, realizations, cpus, started):
+        usable_cpus(cpus)
         p = fig2_params(lambda_sbs=0.02)
         lib = ContentLibrary(size=4, cache_slots=2)
         req = zipf_request_distribution(4, 0.8)
@@ -676,8 +748,8 @@ class TestEstimateOutage:
         assert all(pool.shut_down for pool in recorded_pools)
         assert pooled == run(workers=1)
 
-    def test_standalone_calls_open_a_pool_each(self, monkeypatch, recorded_pools):
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+    def test_standalone_calls_open_a_pool_each(self, usable_cpus, recorded_pools):
+        usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
                       zipf_request_distribution(4, 0.8), realizations=4, workers=2)
@@ -685,6 +757,28 @@ class TestEstimateOutage:
         assert len(recorded_pools) == 1 and recorded_pools[0].shut_down
         run(seed=2)
         assert len(recorded_pools) == 2 and recorded_pools[1].shut_down
+
+    def test_pool_capped_at_the_affinity_set(self, monkeypatch, recorded_pools):
+        # two CPUs on the machine, one of them allowed to this process
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(geometry_sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
+                      zipf_request_distribution(4, 0.8), realizations=4, seed=2)
+        pooled = run(workers=2)
+        assert recorded_pools == []
+        assert pooled == run(workers=1)
+
+    @pytest.mark.parametrize("cpus,started", [(1, None), (2, 2)])
+    def test_cpu_count_without_an_affinity_set(self, monkeypatch, recorded_pools, cpus, started):
+        monkeypatch.delattr(geometry_sim.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: cpus)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
+                      zipf_request_distribution(4, 0.8), realizations=4, seed=2)
+        pooled = run(workers=2)
+        assert [pool.max_workers for pool in recorded_pools] == ([] if started is None else [started])
+        assert pooled == run(workers=1)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_refused(self, workers):
@@ -742,9 +836,9 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError, match="cache.*budget"):
             call(wide, ContentLibrary(size=10_000, cache_slots=3000))
 
-    def test_too_small_window_refused_before_any_pool(self, monkeypatch, recorded_pools):
+    def test_too_small_window_refused_before_any_pool(self, monkeypatch, usable_cpus, recorded_pools):
         monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
-        monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         with pytest.raises(ConfigError, match=r"covered radius 50.0 m.*r_mbs \+ guard = 500.0 m"):
             estimate_outage(fig2_params(), CachePolicy.PCP, lib, zipf_request_distribution(4, 0.8),
