@@ -1,9 +1,13 @@
 """Command-line front end: config ingestion, three subcommands, JSON/CSV out.
 
 Exit codes: 0 success, 2 configuration error (with a diagnostic naming the
-offending key), 1 runtime error. The ``--seed`` flag and the HETCACHE_SEED
-environment variable control determinism; the flag wins, then the
-environment, then the config file's ``seed`` key.
+offending key), 1 runtime error.
+
+``simulate`` and ``sweep`` share the Monte-Carlo keys
+(:data:`experiments.MC_KEYS`), their reader
+(:meth:`experiments.McBudget.from_config`) and one seed rule: the ``--seed``
+flag, then the HETCACHE_SEED environment variable, then the file's
+``seed``, then 0.
 """
 
 from __future__ import annotations
@@ -14,18 +18,17 @@ import sys
 
 from .analytic import total_outage
 from .errors import ConfigError
-from .experiments import SWEEP_KEYS, estimate_outage, run_sweep, sweep_spec_from_config
-from .params import (
-    DEFAULT_GUARD,
-    SETUP_KEYS,
-    get_float,
-    get_int,
-    parse_config_text,
-    replication_probability,
-    setup_from_config,
+from .experiments import (
+    MC_KEYS,
+    SWEEP_KEYS,
+    McBudget,
+    estimate_outage,
+    run_sweep,
+    sweep_spec_from_config,
 )
+from .params import SETUP_KEYS, get_int, parse_config_text, replication_probability, setup_from_config
 
-POINT_KEYS = SETUP_KEYS | {"realizations", "trials_per_content", "seed", "guard", "interference"}
+POINT_KEYS = SETUP_KEYS | MC_KEYS | {"interference"}
 SWEEP_FILE_KEYS = SETUP_KEYS | SWEEP_KEYS
 
 
@@ -56,34 +59,16 @@ def _check_unknown_keys(cfg: dict[str, str], allowed: frozenset[str] | set[str])
 
 
 def _resolve_seed(flag_seed: int | None, cfg: dict[str, str]) -> int:
-    override = _seed_override(flag_seed)
-    if override is not None:
-        return override
-    return get_int(cfg, "seed", 0)
-
-
-def _seed_override(flag_seed: int | None) -> int | None:
+    """The master seed: the flag, else HETCACHE_SEED, else the file's ``seed``, else 0."""
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("HETCACHE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HETCACHE_SEED must be an integer, got {env!r}") from None
-    return None
-
-
-def _interference_from(cfg: dict[str, str]) -> str:
-    from .geometry_sim import INTERFERENCE_ALL, INTERFERENCE_BEYOND_SERVER
-
-    value = cfg.get("interference", INTERFERENCE_BEYOND_SERVER)
-    if value not in (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL):
-        raise ConfigError(
-            f"key 'interference': expected '{INTERFERENCE_BEYOND_SERVER}' or "
-            f"'{INTERFERENCE_ALL}', got {value!r}"
-        )
-    return value
+    if env is None:
+        return get_int(cfg, "seed", 0)
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"HETCACHE_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
@@ -101,17 +86,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
+    from .geometry_sim import INTERFERENCE_BEYOND_SERVER  # Monte-Carlo only: loads numpy
+
     cfg = _load_config(args.config)
     _check_unknown_keys(cfg, POINT_KEYS)
     setup = setup_from_config(cfg)
     seed = _resolve_seed(args.seed, cfg)
     [[(per_content, average)]] = estimate_outage(
         [([(setup.params, setup.library)], setup.policy, setup.requests, seed)],
-        guard=get_float(cfg, "guard", DEFAULT_GUARD),
-        trials_per_content=get_int(cfg, "trials_per_content", 1),
-        realizations=get_int(cfg, "realizations", 100),
+        budget=McBudget.from_config(cfg),
         workers=args.workers,
-        interference=_interference_from(cfg),
+        interference=cfg.get("interference", INTERFERENCE_BEYOND_SERVER),
     )
     payload = {
         "average": {
@@ -132,9 +117,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.spec)
     _check_unknown_keys(cfg, SWEEP_FILE_KEYS)
-    spec = sweep_spec_from_config(cfg, seed=_seed_override(args.seed), workers=args.workers)
+    spec = sweep_spec_from_config(cfg, seed=_resolve_seed(args.seed, cfg), workers=args.workers)
+    # refuse an output path that cannot take the file before any row runs
+    if os.path.basename(args.out) == "":
+        raise ConfigError(f"--out: {args.out!r} names no file")
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):  # refuse before any row runs
+    if not os.path.isdir(out_dir):
         raise ConfigError(f"--out: directory {out_dir} does not exist")
     if os.path.isdir(args.out):
         raise ConfigError(f"--out: {args.out} is a directory")

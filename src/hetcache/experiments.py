@@ -41,6 +41,11 @@ before any realization, and a point the simulator refuses before any
 closed-form row. The Monte-Carlo call opens at most one process pool and
 shuts it down before it returns or raises. Sweeps without Monte-Carlo rows
 import neither the simulator nor the pool.
+
+The ``simulate`` and ``sweep`` commands read the Monte-Carlo settings one
+way: the keys of :data:`MC_KEYS`, the budget and window margin through
+:meth:`McBudget.from_config`, and one seed rule (the ``--seed`` flag, then
+HETCACHE_SEED, then the file's ``seed``, then 0).
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .params import (
     ModelSetup,
     RequestDistribution,
     SystemParams,
+    check_count,
     check_guard,
     db_to_linear,
     get_float,
@@ -93,16 +99,40 @@ class Variant(NamedTuple):
     fixed_cache: bool = False
 
 
+#: The Monte-Carlo keys that ``simulate`` and ``sweep`` both read: the
+#: fields of :class:`McBudget`, and the master seed.
+MC_KEYS = frozenset({"realizations", "trials_per_content", "seed", "guard"})
+
+
 @dataclass(frozen=True)
 class McBudget:
+    """The Monte-Carlo settings that ``simulate`` and ``sweep`` both read.
+
+    The budget, ``realizations`` network realizations with
+    ``trials_per_content`` request trials per content in each, and
+    ``guard``, the margin in m between the disc of radius r_mbs and the
+    window edge. The field defaults are the config defaults (the margin's
+    lives in :data:`params.DEFAULT_GUARD`); :meth:`from_config` alone reads
+    the keys.
+    """
+
     trials_per_content: int = 1
     realizations: int = 100
+    guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        if self.trials_per_content < 1:
-            raise ConfigError(f"trials_per_content must be >= 1, got {self.trials_per_content}")
-        if self.realizations < 1:
-            raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
+        check_count("trials_per_content", self.trials_per_content, 1)
+        check_count("realizations", self.realizations, 1)
+        check_guard(self.guard)
+
+    @classmethod
+    def from_config(cls, cfg: dict[str, str]) -> McBudget:
+        """The settings a config file gives, with the field default for each key it omits."""
+        return cls(
+            trials_per_content=get_int(cfg, "trials_per_content", cls.trials_per_content),
+            realizations=get_int(cfg, "realizations", cls.realizations),
+            guard=get_float(cfg, "guard", cls.guard),
+        )
 
 
 @dataclass(frozen=True)
@@ -115,7 +145,6 @@ class SweepSpec:
     mc: McBudget = McBudget()
     seed: int = 0
     workers: int = 1
-    guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
         for axis in filter(None, (self.axis1, self.axis2)):
@@ -141,11 +170,8 @@ class SweepSpec:
             if engine not in _ENGINES:
                 raise ConfigError(f"unknown engine {engine!r}")
         _refuse_repeats("engine", self.engines)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        check_guard(self.guard)
+        check_count("workers", self.workers, 1)
+        check_count("seed", self.seed, 0)
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -229,26 +255,28 @@ def _apply_axis(
 
 def estimate_outage(
     runs: Iterable[tuple],
-    guard: float = DEFAULT_GUARD,
+    budget: McBudget = McBudget(),
     **options,
 ) -> list[list[tuple[list[McEstimate], McEstimate]]]:
     """:func:`geometry_sim.estimate_batch` over runs of (params, library) grid points.
 
     A run holds the fields of :class:`geometry_sim.McRun`: (points, policy,
-    requests, seed). Each point runs in its default window with margin
-    ``guard``; one list of (per-content, average) estimates per run, one
-    per point, in order. The simulator, and with it numpy, is imported on
-    the first call, so closed-form commands never load it. ``options`` are
-    passed through.
+    requests, seed). Each point runs ``budget`` in its default window with
+    margin ``budget.guard``; one list of (per-content, average) estimates
+    per run, one per point, in order. The simulator, and with it numpy, is
+    imported on the first call, so closed-form commands never load it.
+    ``options`` (workers, interference) are passed through.
     """
     from .geometry_sim import McRun, default_window, estimate_batch
 
     windowed = [
-        McRun(tuple((params, library, default_window(params, guard)) for params, library in points),
+        McRun(tuple((params, lib, default_window(params, budget.guard)) for params, lib in points),
               policy, requests, seed)
         for points, policy, requests, seed in runs
     ]
-    return estimate_batch(windowed, **options)
+    return estimate_batch(
+        windowed, trials_per_content=budget.trials_per_content, realizations=budget.realizations, **options
+    )
 
 
 def _variant_seed(master: int, variant_index: int) -> int:
@@ -328,13 +356,8 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
             (list(mc_values), variant.policy, variant.requests, _variant_seed(spec.seed, vi))
             for vi, (variant, mc_values) in enumerate(zip(spec.variants, montecarlo))
         ]
-        estimates = estimate_outage(  # refuses a bad point before any closed-form row
-            runs,
-            guard=spec.guard,
-            trials_per_content=spec.mc.trials_per_content,
-            realizations=spec.mc.realizations,
-            workers=spec.workers,
-        )
+        # refuses a bad point before any closed-form row
+        estimates = estimate_outage(runs, budget=spec.mc, workers=spec.workers)
         for mc_values, run_estimates in zip(montecarlo, estimates):
             for point, (_, avg) in zip(mc_values, run_estimates):
                 mc_values[point] = (avg.mean, avg.std_error)
@@ -347,20 +370,7 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
 # Spec files: the point-config schema plus sweep keys.
 # --------------------------------------------------------------------------
 
-SWEEP_KEYS = frozenset(
-    {
-        "axis1",
-        "axis1_values",
-        "axis2",
-        "axis2_values",
-        "variants",
-        "engines",
-        "realizations",
-        "trials_per_content",
-        "seed",
-        "guard",
-    }
-)
+SWEEP_KEYS = frozenset({"axis1", "axis1_values", "axis2", "axis2_values", "variants", "engines"}) | MC_KEYS
 
 _VARIANT_TOKENS = ("none", "ucp", "pcp", "ucp:uniform", "ucp:zipf", "pcp:uniform", "pcp:zipf")
 
@@ -406,8 +416,8 @@ def _parse_variant(token: str, base: ModelSetup) -> Variant:
 def sweep_spec_from_config(cfg: dict[str, str], seed: int | None = None, workers: int = 1) -> SweepSpec:
     """Build a SweepSpec from a parsed spec file.
 
-    ``seed`` overrides the file's seed key when given (CLI flag or
-    environment); unknown keys are rejected by the CLI before this runs.
+    ``seed`` overrides the file's seed key when given (the CLI passes the
+    seed it resolved); unknown keys are rejected by the CLI before this runs.
     """
     base = setup_from_config(cfg)
     axis1_name = cfg.get("axis1")
@@ -430,11 +440,7 @@ def sweep_spec_from_config(cfg: dict[str, str], seed: int | None = None, workers
         axis2=axis2,
         variants=variants,
         engines=tuple(engine_tokens),
-        mc=McBudget(
-            trials_per_content=get_int(cfg, "trials_per_content", 1),
-            realizations=get_int(cfg, "realizations", 100),
-        ),
+        mc=McBudget.from_config(cfg),
         seed=get_int(cfg, "seed", 0) if seed is None else seed,
         workers=workers,
-        guard=get_float(cfg, "guard", DEFAULT_GUARD),
     )

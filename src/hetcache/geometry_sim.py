@@ -121,6 +121,7 @@ from .params import (
     ContentLibrary,
     RequestDistribution,
     SystemParams,
+    check_count,
     check_guard,
 )
 
@@ -316,7 +317,10 @@ class ServiceOutcome(NamedTuple):
 
 def _check_interference(interference: str) -> None:
     if interference not in _CONVENTIONS:
-        raise ConfigError(f"unknown interference convention {interference!r}")
+        raise ConfigError(
+            f"unknown interference convention {interference!r}; choose "
+            f"'{INTERFERENCE_BEYOND_SERVER}' or '{INTERFERENCE_ALL}'"
+        )
 
 
 def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray:
@@ -652,16 +656,12 @@ def estimate_batch(
     ``fading`` stream, drawn once, as far as the point that needs the most.
     All batches share one process pool, opened and shut down by this call.
     """
-    if trials_per_content < 1:
-        raise ConfigError(f"trials_per_content must be >= 1, got {trials_per_content}")
-    if realizations < 1:
-        raise ConfigError(f"realizations must be >= 1, got {realizations}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    trials_per_content = check_count("trials_per_content", trials_per_content, 1)
+    realizations = check_count("realizations", realizations, 1)
+    workers = check_count("workers", workers, 1)
     _check_interference(interference)
     for run in runs:
-        if run.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {run.seed}")
+        check_count("seed", run.seed, 0)
         for point in run.points:
             _check_point(point, run.requests)
     batches = [(run, run.points[part]) for run in runs for part in _plan_batches(run.points)]

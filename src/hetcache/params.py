@@ -36,6 +36,18 @@ def check_guard(guard: float) -> None:
         raise ConfigError(f"guard must be a finite margin >= 0 m, got {guard}")
 
 
+def check_count(name: str, value: int, least: int) -> int:
+    """The Monte-Carlo count as a plain int; refuses a non-integer or one below ``least``.
+
+    numpy integers pass, as in :func:`replication_probability`.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a dB ratio to a linear ratio (inf when it overflows a float)."""
     try:

@@ -20,6 +20,7 @@ from hetcache import (
     total_outage,
 )
 from hetcache.cli import _load_config, main
+from hetcache.experiments import MC_KEYS
 
 from oracles import parse_sweep_csv
 
@@ -336,6 +337,21 @@ class TestExitCodes:
         assert calls == []
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("out", ["", "sub/"])
+    def test_output_naming_no_file_refused_before_any_row(
+        self, capsys, small_spec, tmp_path, monkeypatch, out
+    ):
+        # raw strings: a path object would drop the trailing slash
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a))
+        code, stdout, err = run_cli(capsys, "sweep", "--spec", small_spec, "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert "--out" in err
+        assert calls == []
+        assert [path.name for path in tmp_path.iterdir()] == ["small.spec"]
+
     def test_out_of_scale_window_refused_before_sampling(self, capsys, tmp_path):
         text = _load_config("fig2.cfg") | {"r_mbs": "1e7", "realizations": "1"}
         cfg = tmp_path / "wide.cfg"
@@ -577,4 +593,97 @@ def test_negative_seed_exit_2(capsys, monkeypatch, tmp_path, command, source):
     assert out == ""
     assert "seed must be >= 0, got -3" in err
     assert calls == []
+    assert not out_path.exists()
+
+
+class TestSweepSeedRule:
+    """The sweep command resolves its seed as simulate does: flag, environment, file."""
+
+    def sweep_bytes(self, capsys, tmp_path, text, *flags):
+        spec, out_path = tmp_path / "seed.spec", tmp_path / "out.csv"
+        spec.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_path), *flags)
+        assert code == 0, err
+        return out_path.read_bytes()
+
+    def test_flag_environment_and_file_give_one_table(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HETCACHE_SEED", raising=False)
+        flag = self.sweep_bytes(capsys, tmp_path, MC_SPEC, "--seed", "11")
+        in_file = self.sweep_bytes(capsys, tmp_path, MC_SPEC.replace("\nseed = 3\n", "\nseed = 11\n"))
+        monkeypatch.setenv("HETCACHE_SEED", "11")
+        environment = self.sweep_bytes(capsys, tmp_path, MC_SPEC)
+        assert environment == flag == in_file
+
+    def test_flag_beats_the_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HETCACHE_SEED", raising=False)
+        alone = self.sweep_bytes(capsys, tmp_path, MC_SPEC, "--seed", "12")
+        monkeypatch.setenv("HETCACHE_SEED", "11")
+        assert self.sweep_bytes(capsys, tmp_path, MC_SPEC, "--seed", "12") == alone
+
+    def test_seed_changes_only_the_monte_carlo_rows(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HETCACHE_SEED", raising=False)
+        rows = {
+            seed: parse_sweep_csv(self.sweep_bytes(capsys, tmp_path, MC_SPEC, "--seed", seed).decode()).rows
+            for seed in ("11", "12")
+        }
+        engines = [row.engine for row in rows["11"]]
+        assert engines == [row.engine for row in rows["12"]]
+        assert "analytic" in engines and "montecarlo" in engines
+        for engine in ("analytic", "montecarlo"):
+            first, second = ([r for r in rows[s] if r.engine == engine] for s in ("11", "12"))
+            assert (first == second) == (engine == "analytic")
+
+    def test_bad_environment_seed_named_and_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HETCACHE_SEED", "eleven")
+        spec, out_path = tmp_path / "seed.spec", tmp_path / "out.csv"
+        spec.write_text(MC_SPEC)
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "HETCACHE_SEED" in err
+        assert not out_path.exists()
+
+
+def _with_value(text, key, value):
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("key", sorted(MC_KEYS))
+def test_both_commands_read_the_monte_carlo_keys(capsys, monkeypatch, tmp_path, command, key):
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
+    path, out_path = tmp_path / "input.txt", tmp_path / "out.csv"
+    path.write_text(_with_value(SMALL_CFG if command == "simulate" else MC_SPEC, key, "x"))
+    if command == "simulate":
+        source_args = ["--config", str(path)]
+    else:
+        source_args = ["--spec", str(path), "--out", str(out_path)]
+    code, out, err = run_cli(capsys, command, *source_args)
+    assert code == 2
+    assert out == ""
+    assert f"'{key}'" in err
+    assert "unknown key" not in err
+    assert not out_path.exists()
+
+
+def test_bad_interference_convention_named_and_exit_2(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    path = tmp_path / "input.cfg"
+    path.write_text(SMALL_CFG + "interference = bogus\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert all(name in err for name in ("interference", "beyond_server", "'all'"))
+    assert calls == []
+
+
+def test_interference_is_not_a_sweep_key(capsys, tmp_path):
+    path, out_path = tmp_path / "input.spec", tmp_path / "out.csv"
+    path.write_text(MC_SPEC + "interference = all\n")
+    code, out, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "unknown key 'interference'" in err
     assert not out_path.exists()

@@ -103,6 +103,29 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match="must be >= 1"):
             McBudget(trials_per_content=trials, realizations=realizations)
 
+    @pytest.mark.parametrize("field, value", [("trials_per_content", 1.5), ("realizations", 2.5)])
+    def test_non_integer_monte_carlo_budget_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value}"):
+            McBudget(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("workers", 2.0)])
+    def test_non_integer_seed_or_workers_refused(self, field, value):
+        s = base_setup()
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value}"):
+            SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"), **{field: value})
+
+    def test_numpy_integer_settings_give_the_plain_int_table(self):
+        s = base_setup(size=10, slots=3)
+
+        def spec(integer):
+            return SweepSpec(
+                base=s, axis1=("lambda_sbs", (0.02,)), variants=variants(s, "pcp"),
+                engines=("montecarlo",), mc=McBudget(integer(2), integer(3)), seed=integer(5),
+                workers=integer(1),
+            )
+
+        assert run_sweep(spec(np.int64)) == run_sweep(spec(int))
+
 
 class TestRunSweep:
     def test_single_point_grid_row_count(self):
@@ -274,7 +297,7 @@ class TestEvaluateOnce:
         assert len({point for points, *_ in runs for point in points}) == 1 + 3
         [[(_, alone)]] = real(
             [([(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests, experiments._variant_seed(11, 0))],
-            trials_per_content=1, realizations=4, workers=1,
+            budget=McBudget(1, 4), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
         assert none_rows == [(alone.mean, alone.std_error)] * 3
@@ -370,7 +393,7 @@ class TestSharedFading:
                     params = replace(params, **{name: db_to_linear(value) if name == "gamma" else value})
             _, alone = geometry_sim.estimate_outage(
                 params, variant.policy, library, variant.requests,
-                window=geometry_sim.default_window(params, spec.guard), trials_per_content=trials,
+                window=geometry_sim.default_window(params, spec.mc.guard), trials_per_content=trials,
                 realizations=3, seed=experiments._variant_seed(13, vi),
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)

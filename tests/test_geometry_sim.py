@@ -836,6 +836,25 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError, match="cache.*budget"):
             call(wide, ContentLibrary(size=10_000, cache_slots=3000))
 
+    @pytest.mark.parametrize("name", ["trials_per_content", "realizations", "workers", "seed"])
+    def test_non_integer_count_refused_before_sampling(self, monkeypatch, name):
+        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+        lib = ContentLibrary(size=4, cache_slots=2)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got 1.5"):
+            estimate_outage(fig2_params(), CachePolicy.UCP, lib, zipf_request_distribution(4, 0.8),
+                            **{"realizations": 1, name: 1.5})
+
+    def test_numpy_integer_counts_give_the_plain_int_result(self, usable_cpus):
+        usable_cpus(2)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        requests = zipf_request_distribution(4, 0.8)
+        counts = dict(trials_per_content=2, realizations=3, seed=5, workers=2)
+        plain = estimate_outage(fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib, requests, **counts)
+        numpy = estimate_outage(fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib, requests,
+                                **{key: np.int64(value) for key, value in counts.items()})
+        assert numpy == plain
+        assert type(numpy[1].trials) is int
+
     def test_too_small_window_refused_before_any_pool(self, monkeypatch, usable_cpus, recorded_pools):
         monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
         usable_cpus(2)
