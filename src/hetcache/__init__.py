@@ -27,12 +27,13 @@ from .errors import (
     InvalidRankError,
 )
 from .params import (
+    INTERFERENCE_ALL,
+    INTERFERENCE_BEYOND_SERVER,
     CachePolicy,
     ContentLibrary,
     ModelSetup,
     RequestDistribution,
     SystemParams,
-    cache_slots_from_normalized,
     db_to_linear,
     dbm_to_watts,
     parse_config_text,
@@ -54,8 +55,6 @@ _LAZY = {
             "kernel_integral",
             "kernels",
             "mbs_hit_probability",
-            "outage_mbs",
-            "outage_sbs",
             "sbs_hit_probability",
             "total_outage",
         ),
@@ -77,8 +76,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "INTERFERENCE_ALL",
-            "INTERFERENCE_BEYOND_SERVER",
             "McEstimate",
             "NetworkRealization",
             "ServiceOutcome",

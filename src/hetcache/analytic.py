@@ -4,7 +4,7 @@ Everything here is a pure function of immutable inputs. The building blocks
 are the four interference kernels (Laplace-transform exponents of the
 shot-noise interference) and the tier cache-hit probabilities. They combine
 into the per-tier outage closed forms, the per-content total outage, and the
-request-averaged outage.
+request-averaged outage; per-tier outages come only from :func:`total_outage`.
 
 Numerical conventions:
   * every ``1 - exp(-x)`` goes through ``-expm1(-x)``, so huge exponents
@@ -181,7 +181,7 @@ def _check_probability(value: float, label: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def outage_sbs(params: SystemParams, p_c: float) -> float:
+def _outage_sbs(params: SystemParams, p_c: float, nu: float, ks: InterferenceKernels) -> float:
     """Outage probability of a content served by an SBS within r_sbs.
 
     Closed form of the distance-averaged failure probability
@@ -191,13 +191,9 @@ def outage_sbs(params: SystemParams, p_c: float) -> float:
         1 - beta*B*P_c*lam_s * (1 - e^(-pi r^2 D)) /
             (D * (1 - e^(-beta*B*lam_s*P_c*pi*r^2)))
 
-    where D = k1*lam_m + (k2 + P_c*B)*beta*lam_s.
+    where D = k1*lam_m + (k2 + P_c*B)*beta*lam_s and ``nu`` is the serving
+    density beta*B*lam_s*P_c from :func:`_sbs_serving_density`.
     """
-    nu = _sbs_serving_density(params, p_c)  # beta*B*lam_s*P_c
-    return _outage_sbs(params, p_c, nu, kernels(params))
-
-
-def _outage_sbs(params: SystemParams, p_c: float, nu: float, ks: InterferenceKernels) -> float:
     d_dens = ks.k1 * params.lambda_mbs + (ks.k2 + p_c * params.subchannels_b) * params.beta * params.lambda_sbs
     if d_dens <= 0.0 or nu <= 0.0:
         raise DegenerateNetworkError("outage undefined: all node densities are zero")
@@ -205,19 +201,13 @@ def _outage_sbs(params: SystemParams, p_c: float, nu: float, ks: InterferenceKer
     return _check_probability(1.0 - succ, "SBS outage")
 
 
-def outage_mbs(params: SystemParams) -> float:
+def _outage_mbs(params: SystemParams, ks: InterferenceKernels) -> float:
     """Outage probability of a content served by an MBS within r_mbs.
 
     Same structure as the SBS form with the MBS serving density and
     D = lam_m * (k3 + 1) + beta * lam_s * k4; identical for every content
     because MBSs hold the whole library.
     """
-    if params.lambda_mbs <= 0.0:
-        raise DegenerateNetworkError("MBS outage undefined for lambda_mbs == 0")
-    return _outage_mbs(params, kernels(params))
-
-
-def _outage_mbs(params: SystemParams, ks: InterferenceKernels) -> float:
     d_dens = params.lambda_mbs * (ks.k3 + 1.0) + params.beta * params.lambda_sbs * ks.k4
     succ = _success_ratio(params.lambda_mbs, d_dens, math.pi * params.r_mbs**2)
     return _check_probability(1.0 - succ, "MBS outage")
@@ -226,6 +216,7 @@ def _outage_mbs(params: SystemParams, ks: InterferenceKernels) -> float:
 class OutageBreakdown(NamedTuple):
     """Hit probabilities, per-tier outage, and their total combination.
 
+    The one source of per-tier outages, returned by :func:`total_outage`.
     When a tier can never serve (hit probability 0) its outage value is
     stored as 1.0 and carries zero weight in the total. A plain record: it
     iterates in field order and compares equal to the tuple of its values.

@@ -7,7 +7,8 @@ offending key), 1 runtime error.
 (:data:`experiments.MC_KEYS`), their reader
 (:meth:`experiments.McBudget.from_config`) and one seed rule: the ``--seed``
 flag, then the HETCACHE_SEED environment variable, then the file's
-``seed``, then 0.
+``seed``, then 0; :func:`_resolve_seed` alone reads ``seed``. ``analytic``
+checks a config file as ``simulate`` does (:func:`_load_point`) but uses no seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from .experiments import (
     run_sweep,
     sweep_spec_from_config,
 )
-from .params import SETUP_KEYS, get_int, parse_config_text, replication_probability, setup_from_config
+from .params import (
+    INTERFERENCE_BEYOND_SERVER, SETUP_KEYS, ModelSetup, check_interference, get_int,
+    parse_config_text, replication_probability, setup_from_config,
+)
 
 POINT_KEYS = SETUP_KEYS | MC_KEYS | {"interference"}
 SWEEP_FILE_KEYS = SETUP_KEYS | SWEEP_KEYS
@@ -71,12 +75,18 @@ def _resolve_seed(flag_seed: int | None, cfg: dict[str, str]) -> int:
         raise ConfigError(f"HETCACHE_SEED must be an integer, got {env!r}") from None
 
 
+def _load_point(path: str) -> tuple[dict[str, str], ModelSetup, McBudget, str]:
+    """A point config file's values, model, Monte-Carlo budget and interference convention."""
+    cfg = _load_config(path)
+    _check_unknown_keys(cfg, POINT_KEYS)
+    interference = cfg.get("interference", INTERFERENCE_BEYOND_SERVER)
+    return cfg, setup_from_config(cfg), McBudget.from_config(cfg), check_interference(interference)
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     import json
 
-    cfg = _load_config(args.config)
-    _check_unknown_keys(cfg, POINT_KEYS)
-    setup = setup_from_config(cfg)
+    _, setup, _, _ = _load_point(args.config)
     p_c = replication_probability(setup.policy, args.content_rank, setup.library)
     breakdown = total_outage(setup.params, p_c)
     print(json.dumps(breakdown._asdict()))
@@ -86,17 +96,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
-    from .geometry_sim import INTERFERENCE_BEYOND_SERVER  # Monte-Carlo only: loads numpy
-
-    cfg = _load_config(args.config)
-    _check_unknown_keys(cfg, POINT_KEYS)
-    setup = setup_from_config(cfg)
+    cfg, setup, budget, interference = _load_point(args.config)
     seed = _resolve_seed(args.seed, cfg)
     [[(per_content, average)]] = estimate_outage(
         [([(setup.params, setup.library)], setup.policy, setup.requests, seed)],
-        budget=McBudget.from_config(cfg),
+        budget=budget,
         workers=args.workers,
-        interference=cfg.get("interference", INTERFERENCE_BEYOND_SERVER),
+        interference=interference,
     )
     payload = {
         "average": {

@@ -20,8 +20,8 @@ realization runs.
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
 a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
 axis1 leaves the parameters alone) and a d_tilde axis2 value once per axis1
-value; the variants share the resulting parameters, and only the content
-library depends on the variant. The
+value; the variants share the resulting parameters and the content library,
+except the no-caching baseline, whose library holds 0 slots. The
 interference kernels are evaluated once per distinct parameter set, the
 per-content total outage once per distinct (params, P_c), and a row's value
 once per distinct (params, policy, library, requests), plus the variant seed
@@ -44,8 +44,8 @@ import neither the simulator nor the pool.
 
 The ``simulate`` and ``sweep`` commands read the Monte-Carlo settings one
 way: the keys of :data:`MC_KEYS`, the budget and window margin through
-:meth:`McBudget.from_config`, and one seed rule (the ``--seed`` flag, then
-HETCACHE_SEED, then the file's ``seed``, then 0).
+:meth:`McBudget.from_config`, and the master seed from ``cli._resolve_seed``,
+which alone reads the ``seed`` key (after ``--seed`` and HETCACHE_SEED).
 """
 
 from __future__ import annotations
@@ -87,16 +87,17 @@ SWEEPABLE_AXES = ("lambda_sbs", "beta", "gamma", "d_tilde")
 class Variant(NamedTuple):
     """One caching/popularity combination evaluated across the grid.
 
-    ``fixed_cache`` pins the cache size (used by the no-caching baseline so a
-    d_tilde axis cannot re-enable caching for it). A plain record: it
-    iterates in field order and compares equal to the tuple of its values.
+    A caching variant takes the grid point's library (the base cache size,
+    or the d_tilde axis value's). ``no_cache`` marks the no-caching
+    baseline, whose library holds 0 slots at every grid point on every axis.
+    A plain record: it iterates in field order and compares equal to the
+    tuple of its values.
     """
 
     label: str
     policy: CachePolicy
-    cache_slots: int
     requests: RequestDistribution
-    fixed_cache: bool = False
+    no_cache: bool = False
 
 
 #: The Monte-Carlo keys that ``simulate`` and ``sweep`` both read: the
@@ -325,17 +326,15 @@ def _grid(spec: SweepSpec) -> Iterator[tuple[tuple[float, ...], SystemParams, Co
 def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # Sweep-local, so every sweep evaluates afresh; an error propagates
     # before its memo stores anything.
-    own_libraries = [ContentLibrary(spec.base.library.size, v.cache_slots) for v in spec.variants]
-    d_tilde_axis = "d_tilde" in spec.axis_names
+    empty = ContentLibrary(spec.base.library.size, 0)
     # Row values keyed by their inputs: the variants share the closed-form
     # values, but each keeps its own Monte-Carlo values, drawn with its seed.
     analytic: dict[tuple, tuple | None] = {}
     montecarlo: list[dict[tuple, tuple | None]] = [{} for _ in spec.variants]
     plan = []
     for axes, params, axis_library in _grid(spec):
-        for variant, library, mc_values in zip(spec.variants, own_libraries, montecarlo):
-            if d_tilde_axis and not variant.fixed_cache:
-                library = axis_library
+        for variant, mc_values in zip(spec.variants, montecarlo):
+            library = empty if variant.no_cache else axis_library
             for engine in spec.engines:
                 if engine == ENGINE_MONTECARLO:
                     values, key = mc_values, (params, library)
@@ -393,31 +392,20 @@ def _parse_variant(token: str, base: ModelSetup) -> Variant:
             f"key 'variants': unknown variant {token!r}; choose from {', '.join(_VARIANT_TOKENS)}"
         )
     if token == "none":
-        return Variant(
-            label="none",
-            policy=CachePolicy.UCP,
-            cache_slots=0,
-            requests=base.requests,
-            fixed_cache=True,
-        )
+        return Variant(label="none", policy=CachePolicy.UCP, requests=base.requests, no_cache=True)
     policy_name, _, requests_name = token.partition(":")
     if requests_name == "uniform":
         requests = zipf_request_distribution(base.library.size, 0.0)
     else:  # "zipf" is the base law; sharing it shares its cached masses
         requests = base.requests
-    return Variant(
-        label=token,
-        policy=CachePolicy(policy_name),
-        cache_slots=base.library.cache_slots,
-        requests=requests,
-    )
+    return Variant(label=token, policy=CachePolicy(policy_name), requests=requests)
 
 
-def sweep_spec_from_config(cfg: dict[str, str], seed: int | None = None, workers: int = 1) -> SweepSpec:
-    """Build a SweepSpec from a parsed spec file.
+def sweep_spec_from_config(cfg: dict[str, str], seed: int, workers: int = 1) -> SweepSpec:
+    """Build a SweepSpec from a parsed spec file and the master seed.
 
-    ``seed`` overrides the file's seed key when given (the CLI passes the
-    seed it resolved); unknown keys are rejected by the CLI before this runs.
+    The file's ``seed`` key is not read here: ``cli._resolve_seed`` reads it.
+    Unknown keys are rejected by the CLI before this runs.
     """
     base = setup_from_config(cfg)
     axis1_name = cfg.get("axis1")
@@ -441,6 +429,6 @@ def sweep_spec_from_config(cfg: dict[str, str], seed: int | None = None, workers
         variants=variants,
         engines=tuple(engine_tokens),
         mc=McBudget.from_config(cfg),
-        seed=get_int(cfg, "seed", 0) if seed is None else seed,
+        seed=seed,
         workers=workers,
     )

@@ -50,7 +50,8 @@ the estimator is a like-for-like check of the formulas. The ``"all"``
 convention instead sums every transmitter except the server, i.e. the fully
 physical field; it is systematically more pessimistic (
 substantially so for MBS-served requests at dense SBS deployments) and is
-kept for quantifying that gap.
+kept for quantifying that gap. The names and their check live in
+:mod:`params`, so the closed-form commands check them without numpy.
 
 Sub-channels
 ------------
@@ -117,17 +118,15 @@ import numpy as np
 from .errors import ConfigError, DomainError, InvalidRankError
 from .params import (
     DEFAULT_GUARD,
+    INTERFERENCE_BEYOND_SERVER,
     CachePolicy,
     ContentLibrary,
     RequestDistribution,
     SystemParams,
     check_count,
     check_guard,
+    check_interference,
 )
-
-INTERFERENCE_BEYOND_SERVER = "beyond_server"
-INTERFERENCE_ALL = "all"
-_CONVENTIONS = (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL)
 
 #: Most doubles one block of fading draws holds (512 KiB). A block is drawn
 #: larger only when no reader could otherwise finish a row. The fading
@@ -313,14 +312,6 @@ class ServiceOutcome(NamedTuple):
     server_distance: float | None
     sir: float | None
     success: bool
-
-
-def _check_interference(interference: str) -> None:
-    if interference not in _CONVENTIONS:
-        raise ConfigError(
-            f"unknown interference convention {interference!r}; choose "
-            f"'{INTERFERENCE_BEYOND_SERVER}' or '{INTERFERENCE_ALL}'"
-        )
 
 
 def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray:
@@ -513,7 +504,7 @@ def simulate_request(
     library_size = realization.sbs_caches.shape[1]
     if not 1 <= content <= library_size:
         raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
-    _check_interference(interference)
+    check_interference(interference)
     group = next(_servers(realization, np.array([content]), params, interference), None)
     if group is None:
         return ServiceOutcome(Tier.MISS, None, None, False)
@@ -659,7 +650,7 @@ def estimate_batch(
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
     workers = check_count("workers", workers, 1)
-    _check_interference(interference)
+    check_interference(interference)
     for run in runs:
         check_count("seed", run.seed, 0)
         for point in run.points:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
@@ -28,6 +29,22 @@ if TYPE_CHECKING:
 #: Default margin, in m, between the disc of radius r_mbs and the edge of the
 #: Monte-Carlo window.
 DEFAULT_GUARD = 250.0
+
+
+#: The Monte-Carlo interference conventions (see :mod:`geometry_sim`), kept
+#: here so that every command checks a config file's one without numpy.
+INTERFERENCE_BEYOND_SERVER = "beyond_server"
+INTERFERENCE_ALL = "all"
+
+
+def check_interference(interference: str) -> str:
+    """The interference convention; refuses any but the two above."""
+    if interference not in (INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL):
+        raise ConfigError(
+            f"unknown interference convention {interference!r}; choose "
+            f"'{INTERFERENCE_BEYOND_SERVER}' or '{INTERFERENCE_ALL}'"
+        )
+    return interference
 
 
 def check_guard(guard: float) -> None:
@@ -46,6 +63,11 @@ def check_count(name: str, value: int, least: int) -> int:
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _check_fits_float(name: str, value: int, error: type[ConfigError]) -> None:
+    if value > sys.float_info.max:  # the closed forms take it as a float
+        raise error(f"{name} must be at most {sys.float_info.max:.6g}, the largest float")
 
 
 def db_to_linear(value_db: float) -> float:
@@ -71,8 +93,9 @@ class SystemParams:
     Units: densities per m^2, radii in m, powers in W, ``gamma`` linear.
     The regime of interest has ``lambda_sbs >> lambda_mbs`` but this is not
     enforced. Every value must be finite, and so must the MBS service area
-    pi * r_mbs^2. The total bandwidth is not a parameter because no formula
-    uses it: only ``subchannels_b`` and ``beta`` enter.
+    pi * r_mbs^2 and, when beta > 0, :attr:`p_sbs`; ``subchannels_b`` must
+    fit in a float. The total bandwidth is not a parameter because no
+    formula uses it: only ``subchannels_b`` and ``beta`` enter.
     """
 
     lambda_mbs: float  # macro-cell density, per m^2
@@ -116,6 +139,9 @@ class SystemParams:
             )
         if not (isinstance(self.subchannels_b, int) and self.subchannels_b >= 1):
             raise ConfigError(f"subchannels_b must be an integer >= 1, got {self.subchannels_b}")
+        _check_fits_float("subchannels_b", self.subchannels_b, ConfigError)
+        if self.beta > 0.0 and math.isinf(self.p_sbs):  # beta * B >= beta > 0 here
+            raise ConfigError(f"beta must be 0 or large enough that p_sbs is finite, got {self.beta}")
 
     @classmethod
     def from_db(
@@ -163,42 +189,42 @@ class SystemParams:
         return self.p_max_sbs / denom
 
 
+def _check_library_size(size: int) -> None:
+    if not (isinstance(size, int) and size >= 1):
+        raise InvalidLibraryError(f"library_size must be an integer >= 1, got {size}")
+    _check_fits_float("library_size", size, InvalidLibraryError)
+
+
 @dataclass(frozen=True)
 class ContentLibrary:
     """A ranked content library of equal-size items and a per-SBS cache size.
 
     Contents are identified by popularity rank only (1 = most popular).
+    :meth:`from_normalized` is the one source of a normalized cache size.
     """
 
     size: int
     cache_slots: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.size, int) and self.size >= 1):
-            raise InvalidLibraryError(f"library_size must be an integer >= 1, got {self.size}")
+        _check_library_size(self.size)
         if not (isinstance(self.cache_slots, int) and 0 <= self.cache_slots <= self.size):
             raise ConfigError(
                 f"cache_slots must be an integer in [0, {self.size}], got {self.cache_slots}"
             )
 
     @classmethod
-    def from_normalized(cls, d_tilde: float, size: int) -> "ContentLibrary":
-        return cls(size=size, cache_slots=cache_slots_from_normalized(d_tilde, size))
+    def from_normalized(cls, d_tilde: float, size: int) -> ContentLibrary:
+        """The library of ``size`` contents whose caches hold the fraction ``d_tilde`` of it.
 
-
-def cache_slots_from_normalized(d_tilde: float, library_size: int) -> int:
-    """Integer cache size for a normalized cache fraction.
-
-    Rounds half to even and clamps to [0, library_size]. All configurations
-    of interest have an integral d_tilde * |C|, so the rounding rule is
-    unobservable there.
-    """
-    if not (isinstance(library_size, int) and library_size >= 1):
-        raise InvalidLibraryError(f"library_size must be an integer >= 1, got {library_size}")
-    if not 0.0 <= d_tilde <= 1.0:
-        raise ConfigError(f"d_tilde must lie in [0, 1], got {d_tilde}")
-    slots = round(d_tilde * library_size)
-    return max(0, min(library_size, slots))
+        The cache size is d_tilde * size rounded half to even, and at most
+        ``size``. All configurations of interest have an integral
+        d_tilde * |C|, so the rounding rule is unobservable there.
+        """
+        _check_library_size(size)
+        if not 0.0 <= d_tilde <= 1.0:
+            raise ConfigError(f"d_tilde must lie in [0, 1], got {d_tilde}")
+        return cls(size=size, cache_slots=min(size, round(d_tilde * size)))
 
 
 @dataclass(frozen=True)
@@ -218,8 +244,7 @@ class RequestDistribution:
     )
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.size, int) and self.size >= 1):
-            raise InvalidLibraryError(f"library_size must be an integer >= 1, got {self.size}")
+        _check_library_size(self.size)
         if not self.skew >= 0.0:
             raise ConfigError(f"delta (the Zipf skew) must be >= 0, got {self.skew}")
 

@@ -30,10 +30,9 @@ from hetcache import (
     estimate_outage,
     kernel_integral,
     kernels,
-    outage_mbs,
-    outage_sbs,
     run_sweep,
     sbs_hit_probability,
+    total_outage,
     zipf_request_distribution,
 )
 from hetcache.cli import _load_config
@@ -95,8 +94,9 @@ def test_criterion_2_propositions_equal_their_integrals():
         for lam in (0.01, 0.1, 0.3):
             for beta in (0.02, 0.05, 0.5):
                 p = fig2_params(lambda_sbs=lam, beta=beta, gamma_db=gamma_db)
-                d_sbs = abs(outage_sbs(p, 0.3) - (1.0 - success_sbs_integral(p, 0.3)))
-                d_mbs = abs(outage_mbs(p) - (1.0 - success_mbs_integral(p)))
+                breakdown = total_outage(p, 0.3)
+                d_sbs = abs(breakdown.p_out_sbs - (1.0 - success_sbs_integral(p, 0.3)))
+                d_mbs = abs(breakdown.p_out_mbs - (1.0 - success_mbs_integral(p)))
                 worst = max(worst, d_sbs, d_mbs)
                 assert d_sbs <= 1e-7 and d_mbs <= 1e-7
     elapsed = time.perf_counter() - start
@@ -163,9 +163,9 @@ def _density_setup():
     unif = zipf_request_distribution(100, 0.0)
     setup = ModelSetup(params=fig2_params(), policy=CachePolicy.PCP, library=lib, requests=zipf)
     variants = (
-        Variant("none", CachePolicy.UCP, 0, unif, fixed_cache=True),
-        Variant("ucp:uniform", CachePolicy.UCP, 30, unif),
-        Variant("pcp:zipf", CachePolicy.PCP, 30, zipf),
+        Variant("none", CachePolicy.UCP, unif, no_cache=True),
+        Variant("ucp:uniform", CachePolicy.UCP, unif),
+        Variant("pcp:zipf", CachePolicy.PCP, zipf),
     )
     return setup, variants
 
@@ -207,7 +207,7 @@ def test_criterion_5_qualitative_figure_reproduction():
 
 def test_criterion_6_figure_read_soft_checks():
     # figure-read values with unknown grid coordinates: report, never fail
-    spec = sweep_spec_from_config(_load_config("fig3.spec"))
+    spec = sweep_spec_from_config(_load_config("fig3.spec"), 0)
     res = run_sweep(spec)
     verdicts = []
     for label, target in (("pcp", 0.46), ("ucp", 0.50)):

@@ -9,8 +9,6 @@ from hetcache import analytic
 from hetcache import (
     CachePolicy,
     ContentLibrary,
-    ContentUnreachableError,
-    DegenerateNetworkError,
     DivergentIntegralError,
     DomainError,
     SystemParams,
@@ -19,8 +17,6 @@ from hetcache import (
     kernel_integral,
     kernels,
     mbs_hit_probability,
-    outage_mbs,
-    outage_sbs,
     sbs_hit_probability,
     total_outage,
     zipf_request_distribution,
@@ -167,51 +163,41 @@ class TestHitProbabilities:
 
 
 class TestOutageSbs:
+    # the per-tier outages come from total_outage's breakdown (the MBS value
+    # is the same at every P_c)
     def test_vanishing_threshold_yields_no_outage(self):
         p = fig2_params(gamma_db=-120.0)
-        assert outage_sbs(p, 1.0) <= 1e-6
+        assert total_outage(p, 1.0).p_out_sbs <= 1e-6
 
     def test_benchmark_regression(self):
-        assert outage_sbs(fig2_params(), 1.0) == pytest.approx(OUT_SBS_FIG2, rel=1e-12, abs=0.0)
+        assert total_outage(fig2_params(), 1.0).p_out_sbs == pytest.approx(OUT_SBS_FIG2, rel=1e-12, abs=0.0)
 
     def test_matches_defining_integral(self):
         for lam in (0.05, 0.2):
             for p_c in (0.3, 1.0):
                 p = fig2_params(lambda_sbs=lam)
-                assert outage_sbs(p, p_c) == pytest.approx(
+                assert total_outage(p, p_c).p_out_sbs == pytest.approx(
                     1.0 - success_sbs_integral(p, p_c), abs=1e-7
                 )
-
-    def test_unreachable_and_degenerate(self):
-        with pytest.raises(ContentUnreachableError):
-            outage_sbs(fig2_params(), 0.0)
-        with pytest.raises(ContentUnreachableError):
-            outage_sbs(fig2_params(beta=0.0), 1.0)
-        with pytest.raises(DegenerateNetworkError):
-            outage_sbs(fig2_params(lambda_sbs=0.0), 1.0)
 
 
 class TestOutageMbs:
     def test_vanishing_threshold_yields_no_outage(self):
-        assert outage_mbs(fig2_params(gamma_db=-120.0)) <= 1e-6
+        assert total_outage(fig2_params(gamma_db=-120.0), 1.0).p_out_mbs <= 1e-6
 
     def test_single_tier_limit(self):
         # no SBS interference; tiny threshold greater-than check
         p = fig2_params(lambda_sbs=0.0, gamma_db=-120.0)
-        assert outage_mbs(p) <= 1e-6
+        assert total_outage(p, 1.0).p_out_mbs <= 1e-6
 
     def test_benchmark_regression(self):
-        assert outage_mbs(fig2_params()) == pytest.approx(OUT_MBS_FIG2, rel=1e-12, abs=0.0)
+        assert total_outage(fig2_params(), 1.0).p_out_mbs == pytest.approx(OUT_MBS_FIG2, rel=1e-12, abs=0.0)
 
     def test_matches_defining_integral(self):
         for lam in (0.05, 0.2):
             for beta in (0.05, 0.5):
                 p = fig2_params(lambda_sbs=lam, beta=beta)
-                assert outage_mbs(p) == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateNetworkError):
-            outage_mbs(fig2_params().__class__(**{**fig2_params().__dict__, "lambda_mbs": 0.0}))
+                assert total_outage(p, 1.0).p_out_mbs == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
 
 
 class TestTotalOutage:

@@ -1,3 +1,4 @@
+import ast
 import codecs
 import importlib
 import importlib.resources
@@ -687,3 +688,77 @@ def test_interference_is_not_a_sweep_key(capsys, tmp_path):
     assert out == ""
     assert "unknown key 'interference'" in err
     assert not out_path.exists()
+
+
+FIG2_TEXT = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg").read_text()
+
+
+@pytest.mark.parametrize("key, value", [("realizations", "x"), ("guard", "-5"), ("interference", "bogus")])
+def test_closed_form_and_monte_carlo_commands_refuse_one_file_alike(capsys, monkeypatch, tmp_path, key, value):
+    # analytic checks the Monte-Carlo settings of a point config as simulate does
+    calls = []
+    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    path = tmp_path / "fig2.cfg"
+    path.write_text(_with_value(FIG2_TEXT, key, value))
+    for command in ("analytic", "simulate"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (2, ""), command
+        assert key in err, command
+    assert calls == []
+
+
+#: Values that overflow a float inside the closed forms unless the boundary
+#: refuses them: p_sbs = p_max_sbs / (beta * B) is inf, or a count exceeds
+#: the largest float.
+OVERFLOW_ROWS = [("beta", "5e-324"), ("beta", "1e-320"),
+                 ("subchannels_b", "1" + "0" * 400), ("library_size", "1" + "0" * 400)]
+
+
+@pytest.mark.parametrize("key, value", OVERFLOW_ROWS,
+                         ids=["beta-5e-324", "beta-1e-320", "subchannels_b-10**400", "library_size-10**400"])
+def test_overflowing_value_named_and_exit_2(capsys, monkeypatch, tmp_path, key, value):
+    calls = []
+    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    config, spec, out_path = tmp_path / "point.cfg", tmp_path / "beta.spec", tmp_path / "out.csv"
+    config.write_text(_with_value(FIG2_TEXT, key, value))
+    # a beta-axis sweep: the beta row as an axis value, the others as a file key
+    axis = "axis1 = beta\nvariants = ucp, pcp\nengines = analytic, montecarlo\n"
+    base = _with_value(FIG2_TEXT, "realizations", "2")
+    if key == "beta":
+        spec.write_text(base + axis + f"axis1_values = {value}, 0.05\n")
+    else:
+        spec.write_text(_with_value(base, key, value) + axis + "axis1_values = 0.05\n")
+    for argv in (["analytic", "--config", str(config)], ["simulate", "--config", str(config)],
+                 ["sweep", "--spec", str(spec), "--out", str(out_path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), (argv[0], err)
+        assert key in err, argv[0]
+    assert calls == []
+    assert not out_path.exists()
+
+
+def test_every_public_name_has_a_user():
+    # a name the package exports must be used by the package itself (outside
+    # __init__) or by the benchmark, so the public surface cannot regrow
+    # without a user
+    import hetcache
+
+    package = Path(hetcache.__file__).parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    eager = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("errors", "params")
+        for alias in node.names
+    }
+    assert {"ConfigError", "setup_from_config"} <= eager
+    assert sorted((eager | set(hetcache._LAZY)) - used) == []

@@ -40,13 +40,10 @@ def base_setup(size=100, slots=30, delta=0.8):
 
 def variants(setup, *tokens):
     table = {
-        "none": Variant("none", CachePolicy.UCP, 0, setup.requests, fixed_cache=True),
-        "ucp": Variant("ucp", CachePolicy.UCP, setup.library.cache_slots, setup.requests),
-        "pcp": Variant("pcp", CachePolicy.PCP, setup.library.cache_slots, setup.requests),
-        "ucp:uniform": Variant(
-            "ucp:uniform", CachePolicy.UCP, setup.library.cache_slots,
-            zipf_request_distribution(setup.library.size, 0.0),
-        ),
+        "none": Variant("none", CachePolicy.UCP, setup.requests, no_cache=True),
+        "ucp": Variant("ucp", CachePolicy.UCP, setup.requests),
+        "pcp": Variant("pcp", CachePolicy.PCP, setup.requests),
+        "ucp:uniform": Variant("ucp:uniform", CachePolicy.UCP, zipf_request_distribution(setup.library.size, 0.0)),
     }
     return tuple(table[t] for t in tokens)
 
@@ -232,7 +229,7 @@ class TestEvaluateOnce:
             axes = dict(zip(spec.axis_names, row.axes))
             variant = table[row.variant]
             params = replace(spec.base.params, gamma=db_to_linear(axes["gamma"]))
-            library = ContentLibrary(1000, 0) if variant.fixed_cache else (
+            library = ContentLibrary(1000, 0) if variant.no_cache else (
                 ContentLibrary.from_normalized(axes["d_tilde"], 1000)
             )
             alone = average_outage(params, variant.policy, library, variant.requests)
@@ -385,10 +382,11 @@ class TestSharedFading:
         assert multiprocessing.active_children() == []
         for row in rows:
             vi, variant = next((i, v) for i, v in enumerate(spec.variants) if v.label == row.variant)
-            params, library = spec.base.params, ContentLibrary(10, variant.cache_slots)
+            params = spec.base.params
+            library = ContentLibrary(10, 0) if variant.no_cache else spec.base.library
             for name, value in zip(spec.axis_names, row.axes):
                 if name == "d_tilde":
-                    library = library if variant.fixed_cache else ContentLibrary.from_normalized(value, 10)
+                    library = library if variant.no_cache else ContentLibrary.from_normalized(value, 10)
                 else:
                     params = replace(params, **{name: db_to_linear(value) if name == "gamma" else value})
             _, alone = geometry_sim.estimate_outage(
@@ -472,33 +470,36 @@ class TestSpecFiles:
     """
 
     def test_spec_parsing(self):
-        spec = sweep_spec_from_config(parse_config_text(self.SPEC_TEXT))
+        spec = sweep_spec_from_config(parse_config_text(self.SPEC_TEXT), 0)
         assert spec.axis1 == ("lambda_sbs", (0.01, 0.05))
         assert spec.axis2 is None
         assert [v.label for v in spec.variants] == ["none", "ucp:uniform", "pcp:zipf"]
-        assert spec.variants[0].cache_slots == 0 and spec.variants[0].fixed_cache
+        assert spec.variants[0].no_cache
+        assert not any(v.no_cache for v in spec.variants[1:])
         assert spec.variants[1].requests.skew == 0.0
         assert spec.variants[2].requests is spec.base.requests
-        assert spec.seed == 4
 
     def test_seed_override(self):
-        spec = sweep_spec_from_config(parse_config_text(self.SPEC_TEXT), seed=99)
-        assert spec.seed == 99
+        # the spec builder reads no seed key: the CLI resolves the seed first
+        text = self.SPEC_TEXT.replace("seed = 4", "seed = x")
+        assert sweep_spec_from_config(parse_config_text(text), seed=99).seed == 99
+        with pytest.raises(TypeError):
+            sweep_spec_from_config(parse_config_text(self.SPEC_TEXT))
 
     def test_axis2_values_without_axis2(self):
         text = self.SPEC_TEXT + "\naxis2_values = 1, 2\n"
         with pytest.raises(ConfigError, match="axis2"):
-            sweep_spec_from_config(parse_config_text(text))
+            sweep_spec_from_config(parse_config_text(text), 0)
 
     def test_missing_variants(self):
         text = self.SPEC_TEXT.replace("variants = none, ucp:uniform, pcp:zipf", "")
         with pytest.raises(ConfigError, match="variants"):
-            sweep_spec_from_config(parse_config_text(text))
+            sweep_spec_from_config(parse_config_text(text), 0)
 
     def test_unknown_variant_token(self):
         text = self.SPEC_TEXT.replace("none, ucp:uniform, pcp:zipf", "lfu")
         with pytest.raises(ConfigError, match="lfu"):
-            sweep_spec_from_config(parse_config_text(text))
+            sweep_spec_from_config(parse_config_text(text), 0)
 
     @pytest.mark.parametrize(
         "tokens, named",
@@ -507,18 +508,18 @@ class TestSpecFiles:
     def test_repeated_variant_token_refused(self, tokens, named):
         text = self.SPEC_TEXT.replace("none, ucp:uniform, pcp:zipf", tokens)
         with pytest.raises(ConfigError, match=f"variant {named} is given more than once"):
-            sweep_spec_from_config(parse_config_text(text))
+            sweep_spec_from_config(parse_config_text(text), 0)
 
     def test_distinct_variant_labels_kept(self):
         text = self.SPEC_TEXT.replace("none, ucp:uniform, pcp:zipf", "ucp, ucp:zipf")
-        spec = sweep_spec_from_config(parse_config_text(text))
+        spec = sweep_spec_from_config(parse_config_text(text), 0)
         assert [v.label for v in spec.variants] == ["ucp", "ucp:zipf"]
 
     def test_bundled_specs_load(self):
-        fig3 = sweep_spec_from_config(_load_config("fig3.spec"))
+        fig3 = sweep_spec_from_config(_load_config("fig3.spec"), 0)
         assert fig3.axis1[0] == "d_tilde" and fig3.axis2[0] == "beta"
         assert {v.label for v in fig3.variants} == {"ucp", "pcp"}
-        fig4 = sweep_spec_from_config(_load_config("fig4.spec"))
+        fig4 = sweep_spec_from_config(_load_config("fig4.spec"), 0)
         assert fig4.axis1[0] == "gamma"
         assert [v.label for v in fig4.variants] == ["none", "ucp:zipf", "pcp:zipf"]
 
@@ -600,7 +601,7 @@ class TestSharedPool:
 
     def test_analytic_sweep_opens_no_pool(self, usable_cpus, recorded_pools):
         usable_cpus(2)
-        spec = sweep_spec_from_config(parse_config_text(TestSpecFiles.SPEC_TEXT), workers=2)
+        spec = sweep_spec_from_config(parse_config_text(TestSpecFiles.SPEC_TEXT), 0, workers=2)
         run_sweep(spec)
         assert recorded_pools == []
 
@@ -624,8 +625,7 @@ PLAIN_RECORDS = {
     ),
     "Variant": (
         Variant,
-        dict(label="pcp", policy=CachePolicy.PCP, cache_slots=3,
-             requests=zipf_request_distribution(10, 0.8), fixed_cache=True),
+        dict(label="none", policy=CachePolicy.UCP, requests=zipf_request_distribution(10, 0.8), no_cache=True),
     ),
     "SweepRow": (
         experiments.SweepRow,

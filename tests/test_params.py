@@ -12,7 +12,6 @@ from hetcache import (
     ModelSetup,
     RequestDistribution,
     SystemParams,
-    cache_slots_from_normalized,
     db_to_linear,
     dbm_to_watts,
     parse_config_text,
@@ -220,20 +219,26 @@ class TestReplication:
 
 
 class TestCacheSizing:
+    # a cache size comes from its library: ContentLibrary.from_normalized
     def test_exact_products(self):
-        assert cache_slots_from_normalized(0.3, 100) == 30
-        assert cache_slots_from_normalized(1.0, 100) == 100
-        assert cache_slots_from_normalized(0.0, 100) == 0
+        assert ContentLibrary.from_normalized(0.3, 100).cache_slots == 30
+        assert ContentLibrary.from_normalized(1.0, 100).cache_slots == 100
+        assert ContentLibrary.from_normalized(0.0, 100).cache_slots == 0
 
     def test_round_half_even(self):
-        assert cache_slots_from_normalized(0.005, 100) == 0
-        assert cache_slots_from_normalized(0.015, 100) == 2
+        assert ContentLibrary.from_normalized(0.005, 100).cache_slots == 0
+        assert ContentLibrary.from_normalized(0.015, 100).cache_slots == 2
 
     def test_bounds(self):
-        with pytest.raises(ConfigError):
-            cache_slots_from_normalized(1.5, 100)
-        with pytest.raises(ConfigError):
-            cache_slots_from_normalized(-0.1, 100)
+        with pytest.raises(ConfigError, match=r"d_tilde must lie in \[0, 1\], got 1.5"):
+            ContentLibrary.from_normalized(1.5, 100)
+        with pytest.raises(ConfigError, match="d_tilde"):
+            ContentLibrary.from_normalized(-0.1, 100)
+
+    def test_library_size_checked_first(self):
+        for size in (0, 2.0):
+            with pytest.raises(InvalidLibraryError, match=f"library_size must be an integer >= 1, got {size}"):
+                ContentLibrary.from_normalized(1.5, size)
 
     def test_library_consistency(self):
         lib = ContentLibrary.from_normalized(0.3, 100)
