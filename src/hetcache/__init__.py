@@ -18,8 +18,6 @@ import importlib
 
 from .errors import (
     ConfigError,
-    ContentUnreachableError,
-    DegenerateNetworkError,
     DivergentIntegralError,
     DomainError,
     HetcacheError,

@@ -16,14 +16,10 @@ Numerical conventions:
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import (
-    ContentUnreachableError,
-    DegenerateNetworkError,
-    DivergentIntegralError,
-    DomainError,
-)
+from .errors import DivergentIntegralError, DomainError
 from .params import CachePolicy, ContentLibrary, RequestDistribution, SystemParams, replication_probability
 
 
@@ -40,16 +36,20 @@ def kernel_integral(power_ratio: float, alpha: float) -> float:
     transformation for x <= 1 and the 1/x transformation for x > 1. Against
     a 40-digit mpmath evaluation it stays within 5e-15 relative for alpha in
     [2.0001, 1000] and x in [1e-6, 1e6]. For alpha == 4 it reduces to
-    sqrt(x) * atan(sqrt(x)), which is used directly.
+    sqrt(x) * atan(sqrt(x)), which is used directly. Both forms grow like
+    x^(2/alpha), so an infinite ratio gives inf at every alpha; a NaN ratio
+    or alpha is refused.
     """
-    if alpha <= 2.0:
+    if not alpha > 2.0:
         raise DivergentIntegralError(
-            f"kernel integral diverges for alpha <= 2 (integrand tail ~ u^(-alpha/2)), got {alpha}"
+            f"kernel integral diverges unless alpha > 2 (integrand tail ~ u^(-alpha/2)), got {alpha}"
         )
-    if power_ratio < 0.0:
+    if not power_ratio >= 0.0:
         raise DomainError(f"power ratio must be >= 0, got {power_ratio}")
     if power_ratio == 0.0:
         return 0.0
+    if power_ratio == math.inf:
+        return math.inf
     if alpha == 4.0:
         s = math.sqrt(power_ratio)
         return s * math.atan(s)
@@ -157,21 +157,23 @@ def mbs_hit_probability(params: SystemParams) -> float:
     return -math.expm1(-params.lambda_mbs * math.pi * params.r_mbs**2)
 
 
-def _sbs_serving_density(params: SystemParams, p_c: float) -> float:
-    if not 0.0 <= p_c <= 1.0:
-        raise DomainError(f"replication probability must lie in [0, 1], got {p_c}")
-    if params.beta * p_c == 0.0:
-        raise ContentUnreachableError(
-            "no SBS can hold the content: beta * P_c == 0 (the distance law requires beta * P_c > 0)"
-        )
-    return params.beta * params.subchannels_b * params.lambda_sbs * p_c
-
-
 def _success_ratio(c_dens: float, d_dens: float, area: float) -> float:
-    """c * (1 - e^(-area*d)) / (d * (1 - e^(-area*c))) for 0 < c <= d."""
+    """c * (1 - e^(-area*d)) / (d * (1 - e^(-area*c))) for 0 < c <= d.
+
+    Where the denominator falls below the smallest normal float, both
+    products lose their digits (and reach 0/0 for small enough c), so the
+    ratio is taken as phi(area*d) / phi(area*c) with phi(x) = (1 - e^(-x)) / x.
+    """
     num = c_dens * -math.expm1(-area * d_dens)
     den = d_dens * -math.expm1(-area * c_dens)
+    if den < sys.float_info.min:  # a NaN keeps num / den, so it still surfaces
+        return _phi(area * d_dens) / _phi(area * c_dens)
     return num / den
+
+
+def _phi(x: float) -> float:
+    """(1 - e^(-x)) / x, with its limit 1 at x = 0."""
+    return -math.expm1(-x) / x if x > 0.0 else 1.0
 
 
 def _check_probability(value: float, label: str) -> float:
@@ -181,7 +183,7 @@ def _check_probability(value: float, label: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _outage_sbs(params: SystemParams, p_c: float, nu: float, ks: InterferenceKernels) -> float:
+def _outage_sbs(params: SystemParams, p_c: float, ks: InterferenceKernels) -> float:
     """Outage probability of a content served by an SBS within r_sbs.
 
     Closed form of the distance-averaged failure probability
@@ -191,12 +193,12 @@ def _outage_sbs(params: SystemParams, p_c: float, nu: float, ks: InterferenceKer
         1 - beta*B*P_c*lam_s * (1 - e^(-pi r^2 D)) /
             (D * (1 - e^(-beta*B*lam_s*P_c*pi*r^2)))
 
-    where D = k1*lam_m + (k2 + P_c*B)*beta*lam_s and ``nu`` is the serving
-    density beta*B*lam_s*P_c from :func:`_sbs_serving_density`.
+    where D = k1*lam_m + (k2 + P_c*B)*beta*lam_s. :func:`total_outage` has
+    checked P_c and calls this only where the SBS hit probability is
+    positive, so the serving density nu = beta*B*lam_s*P_c is positive here.
     """
+    nu = params.beta * params.subchannels_b * params.lambda_sbs * p_c
     d_dens = ks.k1 * params.lambda_mbs + (ks.k2 + p_c * params.subchannels_b) * params.beta * params.lambda_sbs
-    if d_dens <= 0.0 or nu <= 0.0:
-        raise DegenerateNetworkError("outage undefined: all node densities are zero")
     succ = _success_ratio(nu, d_dens, math.pi * params.r_sbs**2)
     return _check_probability(1.0 - succ, "SBS outage")
 
@@ -244,17 +246,21 @@ def total_outage(
 ) -> OutageBreakdown:
     """Per-content outage breakdown.
 
-    The SBS branch is undefined when beta * P_c == 0; the mixture gives it
-    zero weight there, so the stored SBS outage of 1.0 is irrelevant rather
-    than an error. Same routing for a vanishing MBS tier. The kernels are
-    evaluated once and shared by both branches; ``ks`` passes kernels
-    already evaluated for ``params``.
+    P_c is checked on entry: outside [0, 1], or NaN, it raises
+    :class:`DomainError` before anything is computed. A tier whose hit
+    probability is 0 (no SBS holds the content, or no MBS is deployed) is
+    not evaluated: the mixture gives it zero weight, so its stored outage of
+    1.0 is irrelevant rather than an error. The kernels are evaluated once,
+    only when some tier can serve, and shared by both branches; ``ks``
+    passes kernels already evaluated for ``params``.
     """
+    if not 0.0 <= p_c <= 1.0:
+        raise DomainError(f"replication probability must lie in [0, 1], got {p_c}")
     hit_s = sbs_hit_probability(params, p_c)
     hit_m = mbs_hit_probability(params)
-    if ks is None:
-        ks = _kernels_if_served(params, p_c)
-    out_s = _outage_sbs(params, p_c, _sbs_serving_density(params, p_c), ks) if hit_s > 0.0 else 1.0
+    if ks is None and (hit_s > 0.0 or hit_m > 0.0):
+        ks = kernels(params)
+    out_s = _outage_sbs(params, p_c, ks) if hit_s > 0.0 else 1.0
     out_m = _outage_mbs(params, ks) if hit_m > 0.0 else 1.0
     total = combine_outage(hit_s, hit_m, out_s, out_m)
     return OutageBreakdown(

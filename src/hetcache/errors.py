@@ -17,14 +17,6 @@ class InvalidRankError(ConfigError, IndexError):
     """Content rank outside 1..library size."""
 
 
-class ContentUnreachableError(HetcacheError, ValueError):
-    """No small cell can ever hold the content (beta * P_c == 0)."""
-
-
-class DegenerateNetworkError(HetcacheError, ValueError):
-    """A formula is undefined because the relevant node densities are zero."""
-
-
 class DivergentIntegralError(HetcacheError, ValueError):
     """Interference integral diverges (path-loss exponent <= 2)."""
 

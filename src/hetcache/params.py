@@ -93,9 +93,10 @@ class SystemParams:
     Units: densities per m^2, radii in m, powers in W, ``gamma`` linear.
     The regime of interest has ``lambda_sbs >> lambda_mbs`` but this is not
     enforced. Every value must be finite, and so must the MBS service area
-    pi * r_mbs^2 and, when beta > 0, :attr:`p_sbs`; ``subchannels_b`` must
-    fit in a float. The total bandwidth is not a parameter because no
-    formula uses it: only ``subchannels_b`` and ``beta`` enter.
+    pi * r_mbs^2 and, when beta > 0, :attr:`p_sbs`; the per-subchannel
+    powers must not underflow to 0 W; ``subchannels_b`` must fit in a
+    float. The total bandwidth is not a parameter because no formula uses
+    it: only ``subchannels_b`` and ``beta`` enter.
     """
 
     lambda_mbs: float  # macro-cell density, per m^2
@@ -142,6 +143,17 @@ class SystemParams:
         _check_fits_float("subchannels_b", self.subchannels_b, ConfigError)
         if self.beta > 0.0 and math.isinf(self.p_sbs):  # beta * B >= beta > 0 here
             raise ConfigError(f"beta must be 0 or large enough that p_sbs is finite, got {self.beta}")
+        # a per-subchannel power that underflows to 0 W divides the kernels' power ratios
+        if self.p_mbs == 0.0:
+            raise ConfigError(
+                f"p_max_mbs must be large enough that p_mbs = p_max_mbs / subchannels_b is > 0, "
+                f"got {self.p_max_mbs} W"
+            )
+        if self.beta > 0.0 and self.p_sbs == 0.0:
+            raise ConfigError(
+                f"p_max_sbs must be large enough that p_sbs = p_max_sbs / (beta * subchannels_b) is > 0, "
+                f"got {self.p_max_sbs} W"
+            )
 
     @classmethod
     def from_db(

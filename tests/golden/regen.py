@@ -1,0 +1,118 @@
+"""Golden outputs: the exact text of bundled CLI runs, and the script that rewrites them.
+
+Each case is one ``hetcache`` command on a bundled config or spec, or on an
+input file kept in this directory, with some keys set in a copy of it. Its
+golden file holds the command's output: stdout for ``analytic`` and
+``simulate``, the CSV for ``sweep``. ``tests/test_golden.py`` runs every case
+in-process at one and two workers and compares the text exactly.
+
+Monte-Carlo output depends on numpy's random streams, so the numpy version
+the files were made with is kept in ``numpy_version.txt``.
+
+Rewrite every file from the repository root with
+
+    python tests/golden/regen.py
+
+A change that moves a golden names each moved file, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.resources
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+HERE = Path(__file__).resolve().parent
+NUMPY_VERSION_FILE = HERE / "numpy_version.txt"
+
+
+class Case(NamedTuple):
+    golden: str                        # file name in this directory
+    command: str                       # "analytic", "simulate" or "sweep"
+    source: str                        # bundled config name, or an input file in this directory
+    values: tuple[tuple[str, str], ...] = ()  # keys set in a copy of the source
+    args: tuple[str, ...] = ()         # further CLI arguments
+
+
+MC10 = (("realizations", "10"),)
+
+CASES = (
+    Case("analytic_fig2_rank1.json", "analytic", "fig2.cfg", args=("--content-rank", "1")),
+    Case("analytic_fig2_rank50.json", "analytic", "fig2.cfg", args=("--content-rank", "50")),
+    Case("sweep_fig3.csv", "sweep", "fig3.spec"),
+    Case("sweep_fig4.csv", "sweep", "fig4.spec"),
+    Case("sweep_fig4_montecarlo.csv", "sweep", "fig4.spec",
+         MC10 + (("engines", "analytic, montecarlo"),), ("--seed", "1")),
+    Case("simulate_fig2.json", "simulate", "fig2.cfg", MC10, ("--seed", "1")),
+    Case("simulate_fig2_interference_all.json", "simulate", "fig2.cfg",
+         MC10 + (("interference", "all"),), ("--seed", "1")),
+    Case("sweep_mc_sparse_pool.csv", "sweep", "mc_sparse_pool_1401.spec"),
+)
+
+
+def input_text(case: Case) -> str:
+    """The case's input file: its source with each of ``case.values`` set."""
+    path = HERE / case.source
+    if path.is_file():
+        text = path.read_text(encoding="utf-8")
+    else:
+        text = importlib.resources.files("hetcache").joinpath("configs", case.source).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    for key, value in case.values:
+        lines = [line for line in lines if line.partition("=")[0].strip() != key]
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def run(case: Case, workers: int) -> tuple[int, str, str]:
+    """Run ``case`` in-process; return its exit code, its output text and its stderr.
+
+    ``workers`` is ignored by ``analytic``, which takes no such flag. The
+    seed of a Monte-Carlo case comes from ``--seed`` or the input file, so
+    HETCACHE_SEED must be unset.
+    """
+    from hetcache.cli import main
+
+    with tempfile.TemporaryDirectory() as work:
+        source = Path(work) / ("input.spec" if case.command == "sweep" else "input.cfg")
+        source.write_text(input_text(case), encoding="utf-8")
+        out_csv = Path(work) / "out.csv"
+        argv = [case.command, "--spec" if case.command == "sweep" else "--config", str(source)]
+        if case.command == "sweep":
+            argv += ["--out", str(out_csv)]
+        if case.command != "analytic":
+            argv += ["--workers", str(workers)]
+        argv += list(case.args)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if case.command == "sweep":
+            text = out_csv.read_text(encoding="utf-8") if out_csv.exists() else ""
+        else:
+            text = stdout.getvalue()
+    return code, text, stderr.getvalue()
+
+
+def main() -> int:
+    import numpy
+
+    os.environ.pop("HETCACHE_SEED", None)
+    for case in CASES:
+        code, text, stderr = run(case, workers=1)
+        if code != 0:
+            print(f"{case.golden}: exit {code}: {stderr}", file=sys.stderr)
+            return 1
+        (HERE / case.golden).write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {case.golden}")
+    NUMPY_VERSION_FILE.write_text(numpy.__version__ + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parents[1] / "src"))  # this checkout's package
+    sys.exit(main())

@@ -109,6 +109,20 @@ class TestKernelIntegral:
             with pytest.raises(DivergentIntegralError):
                 kernel_integral(1.0, alpha)
 
+    @pytest.mark.parametrize("alpha", [2.05, 3.5, 4.0, 6.0])
+    def test_infinite_ratio_is_infinite_at_every_alpha(self, alpha):
+        # both forms grow like x^(2/alpha); the 2F1 path once gave nan here
+        assert kernel_integral(math.inf, alpha) == math.inf
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    def test_nan_ratio_refused(self, alpha):
+        with pytest.raises(DomainError, match="nan"):
+            kernel_integral(math.nan, alpha)
+
+    def test_nan_alpha_refused(self):
+        with pytest.raises(DivergentIntegralError, match="nan"):
+            kernel_integral(1.0, math.nan)
+
     def test_nondecreasing_in_threshold(self):
         for alpha in (3.0, 4.0, 6.0):
             values = [kernel_integral(x, alpha) for x in np.logspace(-3, 2, 40)]
@@ -232,6 +246,37 @@ class TestTotalOutage:
 
     def test_benchmark_values(self):
         assert total_outage(fig2_params(), 1.0).p_out_total == pytest.approx(TOTAL_PC1_FIG2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p_c", [-0.5, -1e-9, math.nan, 1.5])
+    def test_replication_probability_checked_on_entry(self, p_c):
+        with pytest.raises(DomainError, match="replication probability"):
+            total_outage(fig2_params(), p_c)
+
+    def test_hit_probabilities_evaluated_once(self, monkeypatch):
+        # whether kernels are needed is read from the two hit probabilities
+        # the breakdown reports, not from a second evaluation
+        calls = []
+        for name in ("sbs_hit_probability", "mbs_hit_probability"):
+            hit = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name, lambda *a, hit=hit, name=name: calls.append(name) or hit(*a))
+        total_outage(fig2_params(), 1.0)
+        assert sorted(calls) == ["mbs_hit_probability", "sbs_hit_probability"]
+
+    def test_serving_density_positive_where_access_times_replication_underflows(self):
+        # beta * P_c underflows to 0, but beta * B * lambda_sbs * P_c does not
+        p = SystemParams(**{**fig2_params().__dict__, "lambda_sbs": 1e200, "beta": 1e-200})
+        b = total_outage(p, 1e-200)
+        assert b.p_hit_sbs > 0.0
+        for v in b:
+            assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("tiny", [{"lambda_sbs": 1e-320}, {"beta": 1e-170}], ids=["lambda_sbs", "beta"])
+    def test_underflowing_success_denominator_takes_the_limit(self, tiny):
+        # the SBS success ratio's denominator underflows to 0 here; the total
+        # reaches the value of a small normal density
+        b = total_outage(fig2_params(**tiny), 1.0)
+        assert b.p_hit_sbs > 0.0 and 0.0 <= b.p_out_sbs <= 1.0
+        assert b.p_out_total == total_outage(fig2_params(lambda_sbs=1e-200), 1.0).p_out_total
 
 
 class TestAverageOutage:

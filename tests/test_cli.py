@@ -762,3 +762,63 @@ def test_every_public_name_has_a_user():
     }
     assert {"ConfigError", "setup_from_config"} <= eager
     assert sorted((eager | set(hetcache._LAZY)) - used) == []
+
+
+#: Inputs that once stopped the closed forms with an arithmetic error
+#: (exit 1): a serving density small enough that the success ratio's
+#: denominator underflows, an infinite kernel power ratio at alpha != 4, and
+#: per-subchannel powers that underflow to 0 W. Each row's keys are set in a
+#: copy of fig2.cfg; ``named`` is the key a refusal must name, or None where
+#: the closed forms must run.
+EXTREME_ROWS = [
+    ({"lambda_sbs": "1e-320"}, None),
+    ({"beta": "1e-170"}, None),
+    ({"gamma": "3070", "alpha": "3.5"}, None),
+    ({"p_max_sbs": "-3200", "beta": "1", "subchannels_b": "4"}, "p_max_sbs"),
+    ({"p_max_mbs": "-3200", "subchannels_b": "4"}, "p_max_mbs"),
+]
+
+
+@pytest.mark.parametrize("values, named", EXTREME_ROWS,
+                         ids=["lambda_sbs-1e-320", "beta-1e-170", "gamma-3070-alpha-3.5",
+                              "p_max_sbs-underflow", "p_max_mbs-underflow"])
+def test_extreme_value_runs_or_is_named(capsys, monkeypatch, tmp_path, values, named):
+    calls = []
+    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    text = FIG2_TEXT
+    for key, value in values.items():
+        text = _with_value(text, key, value)
+    config, spec, out_path = tmp_path / "point.cfg", tmp_path / "point.spec", tmp_path / "out.csv"
+    config.write_text(text)
+    spec.write_text(text + "axis1 = d_tilde\naxis1_values = 0.3\nvariants = ucp, pcp\nengines = analytic\n")
+    for argv in (["analytic", "--config", str(config), "--content-rank", "1"],
+                 ["analytic", "--config", str(config), "--content-rank", "50"],
+                 ["sweep", "--spec", str(spec), "--out", str(out_path)]):
+        code, out, err = run_cli(capsys, *argv)
+        if named is not None:
+            assert (code, out) == (2, ""), (argv, err)
+            assert named in err, argv
+            continue
+        assert code == 0, (argv, err)
+        if argv[0] == "analytic":
+            probabilities = list(json.loads(out).values())
+        else:
+            probabilities = [row.avg_outage for row in parse_sweep_csv(out_path.read_text()).rows]
+        assert all(0.0 <= value <= 1.0 for value in probabilities), (argv, probabilities)
+    if named is not None:
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "") and named in err
+        assert not out_path.exists()
+    assert calls == []
+
+
+def test_cache_slots_key_gives_the_bytes_of_its_d_tilde(capsys, monkeypatch, tmp_path):
+    # cache_slots = 30 and d_tilde = 0.3 name one cache of the 100-item library
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
+    assert "\nd_tilde = 0.3\n" in FIG2_TEXT
+    normalized, slots = tmp_path / "d_tilde.cfg", tmp_path / "slots.cfg"
+    normalized.write_text(_with_value(FIG2_TEXT, "realizations", "5"))
+    slots.write_text(_with_value(normalized.read_text().replace("\nd_tilde = 0.3\n", "\n"), "cache_slots", "30"))
+    for args in (["analytic", "--content-rank", "1"], ["analytic", "--content-rank", "50"], ["simulate"]):
+        outputs = [run_cli(capsys, *args, "--config", str(path)) for path in (normalized, slots)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1], args
