@@ -183,6 +183,15 @@ def _check_probability(value: float, label: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _tier_term(density: float, kernel: float) -> float:
+    """One interfering tier's density times its kernel in D.
+
+    A tier with zero density adds no term, whatever its kernel: an infinite
+    kernel (a power ratio that overflows) must not make 0 * inf = NaN.
+    """
+    return density * kernel if density > 0.0 else 0.0
+
+
 def _outage_sbs(params: SystemParams, p_c: float, ks: InterferenceKernels) -> float:
     """Outage probability of a content served by an SBS within r_sbs.
 
@@ -198,7 +207,9 @@ def _outage_sbs(params: SystemParams, p_c: float, ks: InterferenceKernels) -> fl
     positive, so the serving density nu = beta*B*lam_s*P_c is positive here.
     """
     nu = params.beta * params.subchannels_b * params.lambda_sbs * p_c
-    d_dens = ks.k1 * params.lambda_mbs + (ks.k2 + p_c * params.subchannels_b) * params.beta * params.lambda_sbs
+    d_dens = _tier_term(params.lambda_mbs, ks.k1) + (
+        (ks.k2 + p_c * params.subchannels_b) * params.beta * params.lambda_sbs
+    )
     succ = _success_ratio(nu, d_dens, math.pi * params.r_sbs**2)
     return _check_probability(1.0 - succ, "SBS outage")
 
@@ -210,7 +221,7 @@ def _outage_mbs(params: SystemParams, ks: InterferenceKernels) -> float:
     D = lam_m * (k3 + 1) + beta * lam_s * k4; identical for every content
     because MBSs hold the whole library.
     """
-    d_dens = params.lambda_mbs * (ks.k3 + 1.0) + params.beta * params.lambda_sbs * ks.k4
+    d_dens = params.lambda_mbs * (ks.k3 + 1.0) + _tier_term(params.beta * params.lambda_sbs, ks.k4)
     succ = _success_ratio(params.lambda_mbs, d_dens, math.pi * params.r_mbs**2)
     return _check_probability(1.0 - succ, "MBS outage")
 

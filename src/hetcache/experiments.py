@@ -7,15 +7,17 @@ seed, the same for any worker count. Rows are emitted in deterministic grid
 order and serialize to CSV with floats written to 17 significant digits, so
 they re-parse exactly.
 
-Monte-Carlo rows for a given variant share their random streams across the
-whole grid (common random numbers): along a gamma axis this makes estimated
-outage exactly monotone per trial, since only the threshold changes. They
-share the draws too: a sweep makes one :func:`estimate_outage` call, with
-one run of distinct grid points per variant, and in every realization the
-points of a run read one fading stream that is drawn once (see
-:mod:`geometry_sim`). Each row still equals the standalone estimate of its
-point bit for bit. Every point of every run is checked before the first
-realization runs.
+All Monte-Carlo rows of a sweep share one seed, so its random streams
+serve the whole grid and every variant (common random numbers): along a
+gamma axis this makes estimated outage exactly monotone per trial, since
+only the threshold changes, and the rows of two variants at a grid point
+are paired, drawn on the same networks and fades. They share the draws
+too: a sweep makes one :func:`estimate_outage` call, with one run of
+distinct grid points per variant, and in every realization the variants at
+a grid point share one network and all points read one fading stream that
+is drawn once (see :mod:`geometry_sim`). Each row still equals the
+standalone estimate of its point at the sweep's seed bit for bit. Every
+point of every run is checked before the first realization runs.
 
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
 a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
@@ -23,12 +25,13 @@ axis1 leaves the parameters alone) and a d_tilde axis2 value once per axis1
 value; the variants share the resulting parameters and the content library,
 except the no-caching baseline, whose library holds 0 slots. The
 interference kernels are evaluated once per distinct parameter set, the
-per-content total outage once per distinct (params, P_c), and a row's value
-once per distinct (params, policy, library, requests), plus the variant seed
-for Monte-Carlo. Both engines are deterministic in these inputs, so a
-repeated input (the ``none`` variant along a d_tilde axis, say) reuses the
-earlier value exactly, bit for bit. These memos live for one sweep and never
-hold an error.
+per-content total outage once per distinct (params, P_c), and a closed-form
+row's value once per distinct (params, policy, library, requests).
+Monte-Carlo reads a point once per distinct (params, policy, library) and
+weights its counts by each variant's request law. Both engines are
+deterministic in these inputs, so a repeated input (the ``none`` variant
+along a d_tilde axis, say) reuses the earlier value exactly, bit for bit.
+These memos live for one sweep and never hold an error.
 
 A spec names each axis, variant label and engine at most once: a repeat
 would write duplicate columns or rows, and a repeated Monte-Carlo variant
@@ -280,12 +283,15 @@ def estimate_outage(
     )
 
 
-def _variant_seed(master: int, variant_index: int) -> int:
-    # Stable per-variant derivation; shared across grid points on purpose
-    # (common random numbers along the axis).
+def _sweep_seed(master: int) -> int:
+    # One seed for every grid point and every variant, on purpose: common
+    # random numbers along the axes and across the variants, so the rows of
+    # two variants at a grid point are paired. The 0 is the index the
+    # first variant had when each variant drew its own seed; keeping it
+    # keeps that variant's rows.
     import numpy as np
 
-    return int(np.random.SeedSequence([int(master), variant_index]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([int(master), 0]).generate_state(1, np.uint64)[0])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -328,7 +334,8 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # before its memo stores anything.
     empty = ContentLibrary(spec.base.library.size, 0)
     # Row values keyed by their inputs: the variants share the closed-form
-    # values, but each keeps its own Monte-Carlo values, drawn with its seed.
+    # values, and each variant's Monte-Carlo values form one run of the
+    # sweep's seed, whose law weights them.
     analytic: dict[tuple, tuple | None] = {}
     montecarlo: list[dict[tuple, tuple | None]] = [{} for _ in spec.variants]
     plan = []
@@ -351,9 +358,10 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
         for params in dict.fromkeys(key[0] for key in analytic)
     }
     if ENGINE_MONTECARLO in spec.engines:
+        seed = _sweep_seed(spec.seed)
         runs = [
-            (list(mc_values), variant.policy, variant.requests, _variant_seed(spec.seed, vi))
-            for vi, (variant, mc_values) in enumerate(zip(spec.variants, montecarlo))
+            (list(mc_values), variant.policy, variant.requests, seed)
+            for variant, mc_values in zip(spec.variants, montecarlo)
         ]
         # refuses a bad point before any closed-form row
         estimates = estimate_outage(runs, budget=spec.mc, workers=spec.workers)

@@ -7,9 +7,8 @@ exponential fading per link, and tests SIR > gamma. No noise: the model is
 interference limited.
 
 numpy is loaded only for Monte-Carlo: by this module, by the request weight
-vector it reads and by a sweep's per-variant seeds. The package and the
-sweeps import this module on first use, so closed-form commands never load
-numpy.
+vector it reads and by a sweep's seed. The package and the sweeps import
+this module on first use, so closed-form commands never load numpy.
 
 Process pools
 -------------
@@ -35,10 +34,10 @@ most :data:`FADE_BLOCK_DOUBLES` doubles is drawn in place after it once for
 all readers, and every reader counts the failures of its whole rows as views
 of that buffer at once. It holds at most one block plus the widest row and
 no step allocates a second array, so memory stays flat in trials x
-interferers. ``_failures`` is its one-reader case. A task
-of :func:`estimate_batch` is one realization index over a batch of grid
-points. :func:`simulate_request` draws one trial of one rank's group and
-keeps its tier, distance and SIR. SIRs are reduced with ``einsum``, not a
+interferers. ``_failures`` is its one-reader case. A task of
+:func:`estimate_batch` is one realization index over a batch of (point,
+policy) reads. :func:`simulate_request` draws one trial of one rank's group
+and keeps its tier, distance and SIR. SIRs are reduced with ``einsum``, not a
 BLAS product, so one worker stays one thread.
 
 Interference conventions
@@ -62,12 +61,13 @@ serving-distance exponents while the interference keeps density
 beta * lambda_sbs, so the two would disagree (at B = 2, lambda_sbs = 0.05:
 analytic 0.293 against Monte-Carlo 0.332 +- 0.018). :func:`estimate_batch`
 therefore refuses B > 1 with ConfigError; the closed forms accept any B.
-Before sampling anything it also refuses a negative seed, an unknown
+Before sampling anything it also refuses beta * B = 0, with the closed
+forms' ConfigError (p_sbs is undefined there), a negative seed, an unknown
 interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
 :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`. The budgets bound what one task
-holds, so they bound a batch's points summed: the call splits each run of
-grid points into batches that fit.
+holds, so they bound a batch's networks and caches summed: the call splits
+the reads of each seed into batches that fit.
 
 RNG discipline
 --------------
@@ -92,15 +92,23 @@ share geometry and caches but redraw fading.
   of a run that requests one rank. No draw depends on gamma, so outcomes
   along a gamma axis share their fades.
 
-The grid points of one run of :func:`estimate_batch` share the seed, so for
-a realization index they read the same three streams. Each point samples its
-own network and caches from the ``geometry`` and ``caches`` streams, since
-its densities differ. They read one ``fading`` stream together: a point
-reads the values at the stream positions it would read alone, so each
-result equals its one-point call bit for bit, but the stream is drawn once,
-as far as the point that needs the most. Points differ in where their rows
-start and how wide they are, because their interferer sets and server
-groups differ; only along a gamma axis do they read the same rows.
+The runs of :func:`estimate_batch` that share a seed (every run of a
+sweep) read the same three streams for a realization index, and it plans
+them together as (point, policy) reads. The reads of one (params, window)
+share one network: its positions are the same draws whatever the policy,
+so they are drawn once and their distances and gains computed once. Only
+the caches differ: PCP draws none, and UCP draws from ``caches`` only when
+an SBS lies within r_sbs and 0 < d < |C|. Reads of one network whose caches
+come out equal share one reader. All reads read one ``fading`` stream
+together: a read reads the values at the stream positions it would read
+alone, so each result equals its one-point call bit for bit, but the stream
+is drawn once, as far as the read that needs the most. Reads differ in
+where their rows start and how wide they are, because their interferer sets
+and server groups differ; along a gamma axis, and for two policies whose
+caches cannot serve, they read the same rows. So the estimates of two
+policies at one point are paired (common random numbers): their
+per-realization outages correlate, and their difference varies far less
+than that of two independent runs.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -270,26 +278,42 @@ def realize_network(
     are independent uniform d-subsets per SBS, drawn from ``cache_rng``.
     """
     _check_window(params, window)
-    if cache_rng is None:
-        cache_rng = rng
-    mbs = sample_ppp(params.lambda_mbs, window, rng)
-    active = sample_ppp(params.beta * params.lambda_sbs, window, rng)
+    mbs, active = _positions(params, window, rng)
     near = np.flatnonzero(_distances(active) <= params.r_sbs)
+    caches = _caches(policy, library, near.size, lambda: rng if cache_rng is None else cache_rng)
+    return NetworkRealization(
+        mbs_points=mbs, active_sbs_points=active, sbs_caches=caches, cached_sbs=near
+    )
+
+
+def _positions(params: SystemParams, window: SimWindow, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The MBS positions, then the active-SBS positions, drawn from ``rng``."""
+    mbs = sample_ppp(params.lambda_mbs, window, rng)
+    return mbs, sample_ppp(params.beta * params.lambda_sbs, window, rng)
+
+
+def _caches(
+    policy: CachePolicy, library: ContentLibrary, count: int, cache_rng: Callable[[], np.random.Generator]
+) -> np.ndarray:
+    """Cache rows of ``count`` SBSs: row i holds rank c where column c - 1 is True.
+
+    PCP caches the top d ranks. UCP caches a uniform random d-subset per
+    SBS, independent across SBSs, from one row of |C| uniform scores per
+    SBS; ``cache_rng()`` gives the generator, and is called only when
+    0 < d < |C| and ``count`` > 0, the only case that draws.
+    """
     d = library.cache_slots
-    caches = np.zeros((near.size, library.size), dtype=bool)
+    caches = np.zeros((count, library.size), dtype=bool)
     if d == library.size:
         caches[:] = True
     elif d > 0:
         if policy is CachePolicy.PCP:
             caches[:, :d] = True
-        else:
-            # uniform random d-subset per SBS, independent across SBSs
-            scores = cache_rng.random((near.size, library.size))
+        elif count:
+            scores = cache_rng().random((count, library.size))
             picks = np.argpartition(scores, d - 1, axis=1)[:, :d]
             np.put_along_axis(caches, picks, True, axis=1)
-    return NetworkRealization(
-        mbs_points=mbs, active_sbs_points=active, sbs_caches=caches, cached_sbs=near
-    )
+    return caches
 
 
 class Tier(enum.Enum):
@@ -324,11 +348,34 @@ def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray
     return np.full(len(fades), math.inf)
 
 
+class _Links(NamedTuple):
+    """Every transmitter of a realization, MBSs then SBSs in index order.
+
+    ``dist`` is its distance to the reference user and ``gain`` its
+    transmit power times path gain. The caches play no part, so the
+    realizations of one network under several cache sets share them.
+    """
+
+    dist: np.ndarray
+    gain: np.ndarray
+
+
+def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams) -> _Links:
+    dist = _distances(np.concatenate((mbs_points, sbs_points)))
+    with np.errstate(divide="ignore"):
+        path_gain = dist ** -params.alpha
+    gain = params.p_mbs * path_gain
+    if len(sbs_points):  # p_sbs is undefined at beta = 0, where no SBS is active
+        gain[len(mbs_points) :] = params.p_sbs * path_gain[len(mbs_points) :]
+    return _Links(dist, gain)
+
+
 def _servers(
     realization: NetworkRealization,
     contents: np.ndarray,
     params: SystemParams,
     interference: str,
+    links: _Links | None = None,
 ):
     """Associate every rank in ``contents``; yield one group per distinct server.
 
@@ -337,15 +384,12 @@ def _servers(
     group). Groups come SBSs nearest first, then the MBS, as (positions in
     ``contents``, tier, distance, signal gain, interferer gains); a gain is
     transmit power times path gain, interferers MBSs first, in index order.
+    ``links`` passes the realization's links already computed.
     """
-    # MBSs, then SBSs: the order of the interferer gains
-    dist = _distances(np.concatenate((realization.mbs_points, realization.active_sbs_points)))
+    if links is None:
+        links = _links(realization.mbs_points, realization.active_sbs_points, params)
+    dist, gain = links
     mbs_dist, sbs_dist = np.split(dist, [len(realization.mbs_points)])
-    with np.errstate(divide="ignore"):
-        path_gain = dist ** -params.alpha
-    gain = params.p_mbs * path_gain
-    if sbs_dist.size:  # p_sbs is undefined at beta = 0, where no SBS is active
-        gain[mbs_dist.size :] = params.p_sbs * path_gain[mbs_dist.size :]
 
     rows = np.flatnonzero(sbs_dist[realization.cached_sbs] <= params.r_sbs)
     if rows.size < np.count_nonzero(sbs_dist <= params.r_sbs):
@@ -535,29 +579,42 @@ McPoint = tuple[SystemParams, ContentLibrary, SimWindow]
 
 
 def _batch_failures(
-    points: tuple[McPoint, ...],
-    policy: CachePolicy,
+    reads: tuple[tuple[McPoint, CachePolicy], ...],
     seed: int,
     trials_per_content: int,
     interference: str,
     r_index: int,
 ) -> list[np.ndarray]:
-    """Per-content failure counts of every point for network realization ``r_index``.
+    """Per-content failure counts of each (point, policy) read for realization ``r_index``.
 
-    Each point samples its own network from the ``geometry`` and ``caches``
-    streams; all of them read the one ``fading`` stream together.
+    The reads of one (params, window) share one network: its positions are
+    drawn once from the ``geometry`` stream and its links computed once.
+    Each read adds only its own caches, which UCP draws from a fresh
+    ``caches`` stream. Reads of one network whose caches come out equal
+    (as when no SBS lies within r_sbs) associate alike, so they share one
+    reader. All readers read the one ``fading`` stream together.
     """
-    readers = []
-    for params, library, window in points:
-        realization = realize_network(
-            params, policy, library, window, stream_rng(seed, "geometry", r_index),
-            cache_rng=stream_rng(seed, "caches", r_index),
-        )
-        contents = np.arange(1, library.size + 1)
-        groups = _servers(realization, contents, params, interference)
-        readers.append(_FadeReader(groups, contents.size, params.gamma, trials_per_content))
-    _read_fades(readers, stream_rng(seed, "fading", r_index))
-    return [reader.failures for reader in readers]
+    networks: dict[tuple[SystemParams, SimWindow], tuple] = {}
+    readers: dict[tuple, _FadeReader] = {}
+    per_read = []
+    for (params, library, window), policy in reads:
+        network = networks.get((params, window))
+        if network is None:
+            mbs, active = _positions(params, window, stream_rng(seed, "geometry", r_index))
+            links = _links(mbs, active, params)
+            near = np.flatnonzero(links.dist[len(mbs) :] <= params.r_sbs)
+            network = networks[params, window] = mbs, active, near, links
+        mbs, active, near, links = network
+        caches = _caches(policy, library, near.size, partial(stream_rng, seed, "caches", r_index))
+        key = (params, window, caches.shape, caches.tobytes())
+        if key not in readers:
+            realization = NetworkRealization(mbs, active, caches, near)
+            contents = np.arange(1, library.size + 1)
+            groups = _servers(realization, contents, params, interference, links)
+            readers[key] = _FadeReader(groups, contents.size, params.gamma, trials_per_content)
+        per_read.append(readers[key])
+    _read_fades(list(readers.values()), stream_rng(seed, "fading", r_index))
+    return [reader.failures for reader in per_read]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -575,6 +632,7 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
             f"library_size {library.size}"
         )
     _check_window(params, window)
+    params.p_sbs  # undefined at beta * B == 0: refused with the closed forms' ConfigError
     if params.subchannels_b > 1:
         raise ConfigError(
             f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
@@ -597,9 +655,11 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
 class McRun(NamedTuple):
     """One policy's Monte-Carlo grid points under one master seed.
 
-    Every point of a run reads the streams of (seed, realization index), so
-    the points of a run share their fading draws. A plain record: it
-    iterates in field order and compares equal to the tuple of its values.
+    Every point of a run reads the streams of (seed, realization index).
+    Runs that share a seed share them too: in each realization a point has
+    one network whatever the policy, and all points read one fading stream.
+    A plain record: it iterates in field order and compares equal to the
+    tuple of its values.
     """
 
     points: tuple[McPoint, ...]
@@ -608,23 +668,29 @@ class McRun(NamedTuple):
     seed: int
 
 
-def _plan_batches(points: Sequence[McPoint]) -> list[slice]:
-    """Split checked points, in order, into batches one task may hold.
+def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[slice]:
+    """Split checked (point, policy) reads, in order, into batches one task may hold.
 
-    Each batch is a slice of consecutive points whose summed expected points
-    and cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
-    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, so a task of a batch holds no
-    more than one realization of a single point may.
+    Each batch is a slice of consecutive reads whose expected points and
+    cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
+    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed. The reads of one
+    (params, window) in a batch share its network, which counts its points
+    once; each read counts its own cache entries. So a task of a batch
+    holds no more than one realization of a single point may.
     """
     batches: list[slice] = []
-    start, used = 0, (0.0, 0.0)
-    for i, point in enumerate(points):
-        load = _point_load(*point)
-        used = (used[0] + load[0], used[1] + load[1])
-        if used[0] > MAX_POINTS_PER_REALIZATION or used[1] > MAX_CACHE_ENTRIES_PER_REALIZATION:
+    start, networks, points, entries = 0, set(), 0.0, 0.0
+    for i, ((params, library, window), _) in enumerate(reads):
+        load, cache = _point_load(params, library, window)
+        shared = (params, window) in networks
+        if points + (0.0 if shared else load) > MAX_POINTS_PER_REALIZATION or (
+            entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
+        ):
             batches.append(slice(start, i))
-            start, used = i, load
-    batches.append(slice(start, len(points)))
+            start, networks, points, entries, shared = i, set(), 0.0, 0.0, False
+        networks.add((params, window))
+        points, entries = points + (0.0 if shared else load), entries + cache
+    batches.append(slice(start, len(reads)))
     return batches
 
 
@@ -641,11 +707,17 @@ def estimate_batch(
     order. Every point reads the streams of (its run's seed, realization
     index) that it would read alone, so each result equals the one-point
     call bit for bit. Every seed and every point is checked before anything
-    is sampled. Each run is then split into batches that fit the
-    per-realization budgets together; a task is one realization index over
-    a batch, whose points each sample their own network and all read one
-    ``fading`` stream, drawn once, as far as the point that needs the most.
-    All batches share one process pool, opened and shut down by this call.
+    is sampled.
+
+    The runs of one seed are planned together, as distinct (point, policy)
+    reads: a point that several runs repeat with one policy is read once,
+    and its counts are weighted by each run's request law. The reads are
+    ordered so that those of one (params, window) are adjacent, then split
+    into batches that fit the per-realization budgets together. A task is
+    one realization index over a batch: the reads of one (params, window)
+    share one network, and all read one ``fading`` stream, drawn once, as
+    far as the read that needs the most. All batches share one process
+    pool, opened and shut down by this call.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
@@ -655,10 +727,19 @@ def estimate_batch(
         check_count("seed", run.seed, 0)
         for point in run.points:
             _check_point(point, run.requests)
-    batches = [(run, run.points[part]) for run in runs for part in _plan_batches(run.points)]
+    # per seed, per (params, window): the distinct reads, in first-seen order
+    plans: dict[int, dict[tuple, dict]] = {}
+    for run in runs:
+        networks = plans.setdefault(run.seed, {})
+        for point in run.points:
+            params, _, window = point
+            networks.setdefault((params, window), {})[point, run.policy] = None
+    batches = []
+    for seed, networks in plans.items():
+        reads = tuple(read for network in networks.values() for read in network)
+        batches += [(seed, reads[part]) for part in _plan_batches(reads)]
     tasks = [
-        partial(_batch_failures, points, run.policy, run.seed, trials_per_content, interference)
-        for run, points in batches
+        partial(_batch_failures, reads, seed, trials_per_content, interference) for seed, reads in batches
     ]
     processes = min(workers, realizations, _usable_cpus())
     if processes == 1:
@@ -670,13 +751,19 @@ def estimate_batch(
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
-    # one estimate per point, in run, batch and point order
-    estimates = (
-        _estimates(np.stack([per_point[k] for per_point in batch_counts]), run.requests, trials_per_content)
-        for (run, points), batch_counts in zip(batches, counts)
-        for k in range(len(points))
-    )
-    return [[next(estimates) for _ in run.points] for run in runs]
+    # where the counts of each (seed, read) are: its batch's, at its index
+    found = {
+        (seed, read): (batch_counts, k)
+        for (seed, reads), batch_counts in zip(batches, counts)
+        for k, read in enumerate(reads)
+    }
+
+    def estimate(run: McRun, point: McPoint) -> tuple[list[McEstimate], McEstimate]:
+        batch_counts, k = found[run.seed, (point, run.policy)]
+        failures = np.stack([per_read[k] for per_read in batch_counts])
+        return _estimates(failures, run.requests, trials_per_content)
+
+    return [[estimate(run, point) for point in run.points] for run in runs]
 
 
 def _usable_cpus() -> int:

@@ -13,6 +13,10 @@ Rewrite every file from the repository root with
 
     python tests/golden/regen.py
 
+or, writing nothing, list the files that would move (exit 1 if any would) with
+
+    python tests/golden/regen.py --check
+
 A change that moves a golden names each moved file, and why, in CHANGES.md.
 """
 
@@ -98,19 +102,34 @@ def run(case: Case, workers: int) -> tuple[int, str, str]:
     return code, text, stderr.getvalue()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     import numpy
 
+    parser = argparse.ArgumentParser(description="Rewrite the golden files from this checkout's package.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; list the files that would move and exit 1 if any would",
+    )
+    check = parser.parse_args(argv).check
     os.environ.pop("HETCACHE_SEED", None)
+    outputs = {NUMPY_VERSION_FILE.name: numpy.__version__ + "\n"}
     for case in CASES:
         code, text, stderr = run(case, workers=1)
         if code != 0:
             print(f"{case.golden}: exit {code}: {stderr}", file=sys.stderr)
             return 1
-        (HERE / case.golden).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {case.golden}")
-    NUMPY_VERSION_FILE.write_text(numpy.__version__ + "\n", encoding="utf-8")
-    return 0
+        outputs[case.golden] = text
+    moved = [name for name, text in outputs.items()
+             if not (HERE / name).is_file() or (HERE / name).read_text(encoding="utf-8") != text]
+    for name in moved:
+        if check:
+            print(f"would move {name}")
+        else:
+            (HERE / name).write_text(outputs[name], encoding="utf-8", newline="\n")
+            print(f"wrote {name}")
+    return 1 if check and moved else 0
 
 
 if __name__ == "__main__":

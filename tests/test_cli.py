@@ -365,7 +365,7 @@ class TestExitCodes:
         # beta = 1 and r_sbs = 200 m put ~2.5e4 SBSs within r_sbs: ~2.5e8 UCP
         # cache entries (~2 GB of scores), though the window holds ~2e5 points
         calls = []
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
         text = _load_config("fig2.cfg") | {
             "beta": "1", "r_sbs": "200", "library_size": "10000", "policy": "ucp", "realizations": "1",
         }
@@ -497,6 +497,8 @@ def test_benchmark_span_targets_resolve_and_record(tmp_path):
     # perfbench/spans.py times calls by replacing module attributes named in
     # its TARGETS; on a fresh import every target must resolve, and the
     # Monte-Carlo calls of simulate and sweep must go through the patched names
+    # (a task samples its networks without realize_network, which the
+    # benchmark times on its own)
     spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     cfg, spec = tmp_path / "small.cfg", tmp_path / "mc.spec"
     cfg.write_text(SMALL_CFG)
@@ -526,7 +528,11 @@ print(json.dumps([missing, codes, calls]))
     assert codes == [0, 0]
     # one call for simulate and one for the sweep, whatever its variants
     assert calls["geometry_sim.estimate_outage"] == 1 + 1
-    assert calls["geometry_sim.realize_network"] == 20 + 2 * 2 * 2  # 2 variants x 2 points x 2 realizations
+    # a realization opens one geometry stream per network, whatever the
+    # policies on it, and one fading stream: simulate's 20 realizations, then
+    # the sweep's 2, each over 2 gamma points; PCP draws no cache, and no SBS
+    # lies within r_sbs here, so UCP opens no caches stream either
+    assert calls["geometry_sim.stream_rng"] == 20 * (1 + 1) + 2 * (2 + 1)
     assert calls["analytic.average_outage"] == 2 * 2
 
 
@@ -571,7 +577,7 @@ def test_fewer_than_one_worker_exit_2(capsys, small_cfg, small_spec, tmp_path, c
 @pytest.mark.parametrize("source", ["flag", "environment", "config"])
 def test_negative_seed_exit_2(capsys, monkeypatch, tmp_path, command, source):
     calls = []
-    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     monkeypatch.delenv("HETCACHE_SEED", raising=False)
     text = SMALL_CFG if command == "simulate" else MC_SPEC
     assert "\nseed = 3\n" in text
@@ -670,7 +676,7 @@ def test_both_commands_read_the_monte_carlo_keys(capsys, monkeypatch, tmp_path, 
 
 def test_bad_interference_convention_named_and_exit_2(capsys, monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     path = tmp_path / "input.cfg"
     path.write_text(SMALL_CFG + "interference = bogus\n")
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
@@ -697,7 +703,7 @@ FIG2_TEXT = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg"
 def test_closed_form_and_monte_carlo_commands_refuse_one_file_alike(capsys, monkeypatch, tmp_path, key, value):
     # analytic checks the Monte-Carlo settings of a point config as simulate does
     calls = []
-    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     path = tmp_path / "fig2.cfg"
     path.write_text(_with_value(FIG2_TEXT, key, value))
     for command in ("analytic", "simulate"):
@@ -718,7 +724,7 @@ OVERFLOW_ROWS = [("beta", "5e-324"), ("beta", "1e-320"),
                          ids=["beta-5e-324", "beta-1e-320", "subchannels_b-10**400", "library_size-10**400"])
 def test_overflowing_value_named_and_exit_2(capsys, monkeypatch, tmp_path, key, value):
     calls = []
-    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     config, spec, out_path = tmp_path / "point.cfg", tmp_path / "beta.spec", tmp_path / "out.csv"
     config.write_text(_with_value(FIG2_TEXT, key, value))
     # a beta-axis sweep: the beta row as an axis value, the others as a file key
@@ -784,7 +790,7 @@ EXTREME_ROWS = [
                               "p_max_sbs-underflow", "p_max_mbs-underflow"])
 def test_extreme_value_runs_or_is_named(capsys, monkeypatch, tmp_path, values, named):
     calls = []
-    monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     text = FIG2_TEXT
     for key, value in values.items():
         text = _with_value(text, key, value)
@@ -810,6 +816,50 @@ def test_extreme_value_runs_or_is_named(capsys, monkeypatch, tmp_path, values, n
         assert (code, out) == (2, "") and named in err
         assert not out_path.exists()
     assert calls == []
+
+
+#: An empty tier whose kernel is infinite, its power ratio overflowing: the
+#: closed forms once formed its interference term as 0 * inf = NaN (exit 1)
+#: while simulate ran.
+EMPTY_TIER_ROWS = [
+    {"lambda_mbs": "0", "p_max_mbs": "3000", "p_max_sbs": "-3000"},  # k1 = inf
+    {"lambda_sbs": "0", "p_max_mbs": "-3000", "p_max_sbs": "3000"},  # k4 = inf
+]
+
+
+@pytest.mark.parametrize("values", EMPTY_TIER_ROWS, ids=["lambda_mbs-0-k1-inf", "lambda_sbs-0-k4-inf"])
+def test_empty_tier_with_an_infinite_kernel_runs(capsys, tmp_path, values):
+    text = _with_value(FIG2_TEXT, "realizations", "2")
+    for key, value in values.items():
+        text = _with_value(text, key, value)
+    config = tmp_path / "point.cfg"
+    config.write_text(text)
+    for command, read in (("analytic", lambda payload: payload["p_out_total"]),
+                          ("simulate", lambda payload: payload["average"]["mean"])):
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 0, (command, err)
+        probability = read(json.loads(out))
+        assert math.isfinite(probability) and 0.0 <= probability <= 1.0, (command, probability)
+
+
+def test_zero_beta_refused_alike_by_every_command(capsys, monkeypatch, usable_cpus, recorded_pools, tmp_path):
+    # beta * B = 0 leaves p_sbs undefined: the simulator refuses it as the
+    # closed forms do, before it samples anything or opens a pool
+    usable_cpus(2)
+    calls = []
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    config, spec, out_path = tmp_path / "point.cfg", tmp_path / "beta.spec", tmp_path / "out.csv"
+    config.write_text(_with_value(FIG2_TEXT, "beta", "0"))
+    spec.write_text(_with_value(FIG2_TEXT, "realizations", "2")
+                    + "axis1 = beta\naxis1_values = 0, 0.05\nvariants = ucp, pcp\nengines = montecarlo\n")
+    for argv in (["analytic", "--config", str(config)],
+                 ["simulate", "--config", str(config), "--workers", "2"],
+                 ["sweep", "--spec", str(spec), "--out", str(out_path), "--workers", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "p_sbs is undefined: beta * subchannels_b == 0" in err, argv
+    assert calls == [] and recorded_pools == []
+    assert not out_path.exists()
 
 
 def test_cache_slots_key_gives_the_bytes_of_its_d_tilde(capsys, monkeypatch, tmp_path):

@@ -293,13 +293,13 @@ class TestEvaluateOnce:
         assert [library.cache_slots for _, library in runs[0][0]] == [0]
         assert len({point for points, *_ in runs for point in points}) == 1 + 3
         [[(_, alone)]] = real(
-            [([(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests, experiments._variant_seed(11, 0))],
+            [([(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests, experiments._sweep_seed(11))],
             budget=McBudget(1, 4), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
         assert none_rows == [(alone.mean, alone.std_error)] * 3
 
-    def test_equal_variants_share_the_closed_form_not_the_monte_carlo_run(self, monkeypatch):
+    def test_equal_variants_share_the_closed_form_and_the_monte_carlo_reads(self, monkeypatch):
         s = base_setup(size=10, slots=3)
         [ucp] = variants(s, "ucp")
         spec = SweepSpec(
@@ -307,26 +307,35 @@ class TestEvaluateOnce:
             variants=(ucp, ucp._replace(label="ucp:zipf")), engines=("analytic", "montecarlo"),
             mc=McBudget(1, 4), seed=11,
         )
-        row_inputs, calls = [], []
+        row_inputs, calls, tasks = [], [], []
         real_average, real_estimate = experiments.average_outage, experiments.estimate_outage
+        real_task = geometry_sim._batch_failures
 
         def estimate(runs, **options):
             calls.append((runs, real_estimate(runs, **options)))
             return calls[-1][1]
 
+        def task(reads, *args):
+            tasks.append(reads)
+            return real_task(reads, *args)
+
         monkeypatch.setattr(
             experiments, "average_outage", lambda *a: row_inputs.append(a[:4]) or real_average(*a)
         )
         monkeypatch.setattr(experiments, "estimate_outage", estimate)
+        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
         rows = run_sweep(spec).rows
         # one closed-form value per grid point, shared by both labels
         assert len(row_inputs) == 4 == len(set(row_inputs))
-        # one call holding one run per label: the same points, different seeds
+        # one call holding one run per label: the same points under the sweep's one seed
         [(runs, estimates)] = calls
         [(points, *_, seed), (other_points, *_, other_seed)] = runs
         assert points == other_points and len(points) == 4
-        assert seed != other_seed
-        assert estimates[0] != estimates[1]
+        assert seed == other_seed == experiments._sweep_seed(11)
+        assert estimates[0] == estimates[1]
+        # each realization reads every equal point once, for both labels
+        assert len(tasks) == 4
+        assert all(len(reads) == 4 == len(set(reads)) for reads in tasks)
         for label, run_estimates in zip(("ucp", "ucp:zipf"), estimates):
             mc_rows = [r for r in rows if (r.variant, r.engine) == (label, "montecarlo")]
             assert [(r.avg_outage, r.std_error) for r in mc_rows] == [
@@ -358,8 +367,9 @@ class TestEvaluateOnce:
 
 
 class TestSharedFading:
-    # the grid points of a variant read one fading stream per realization;
-    # every Monte-Carlo row must equal the standalone estimate of its point
+    # the grid points of every variant read one fading stream per
+    # realization; every Monte-Carlo row must equal the standalone estimate
+    # of its point at the sweep's seed
     GRIDS = {
         "lambda_sbs x beta": (("lambda_sbs", (0.01, 0.05)), ("beta", (0.05, 0.2))),
         "d_tilde x gamma": (("d_tilde", (0.2, 0.9)), ("gamma", (-10.0, 5.0))),
@@ -381,7 +391,7 @@ class TestSharedFading:
         rows = run_sweep(spec).rows
         assert multiprocessing.active_children() == []
         for row in rows:
-            vi, variant = next((i, v) for i, v in enumerate(spec.variants) if v.label == row.variant)
+            variant = next(v for v in spec.variants if v.label == row.variant)
             params = spec.base.params
             library = ContentLibrary(10, 0) if variant.no_cache else spec.base.library
             for name, value in zip(spec.axis_names, row.axes):
@@ -392,14 +402,15 @@ class TestSharedFading:
             _, alone = geometry_sim.estimate_outage(
                 params, variant.policy, library, variant.requests,
                 window=geometry_sim.default_window(params, spec.mc.guard), trials_per_content=trials,
-                realizations=3, seed=experiments._variant_seed(13, vi),
+                realizations=3, seed=experiments._sweep_seed(13),
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batches_split_by_the_budget_keep_rows(self, monkeypatch, usable_cpus, recorded_pools, workers):
         # expected points per realization: 600, 1100 and 2600 in the 1000 m
-        # window; a budget of 3000 puts the first two in one batch
+        # window, each counted once for both variants; a budget of 3000 puts
+        # the first two in one batch
         usable_cpus(2)
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
@@ -409,18 +420,21 @@ class TestSharedFading:
         tasks = []
         real = geometry_sim._batch_failures
 
-        def task(points, *args):
-            tasks.append(tuple(params.lambda_sbs for params, _, _ in points))
-            return real(points, *args)
+        def task(reads, *args):
+            tasks.append(tuple((params.lambda_sbs, policy.value) for (params, _, _), policy in reads))
+            return real(reads, *args)
 
         monkeypatch.setattr(geometry_sim, "_batch_failures", task)
         whole = run_sweep(replace(spec, workers=1))
-        assert tasks == [(0.01, 0.02, 0.05)] * 3 * 2  # one batch per variant, mapped over 3 realizations
+        # one batch holding both variants, mapped over 3 realizations
+        assert tasks == [tuple((lam, p) for lam in (0.01, 0.02, 0.05) for p in ("ucp", "pcp"))] * 3
         tasks.clear()
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", 3000)
         assert run_sweep(spec) == whole
-        assert tasks == ([(0.01, 0.02)] * 3 + [(0.05,)] * 3) * 2
-        # the four batches of both variants share one pool, shut down before the sweep returns
+        assert tasks == [((0.01, "ucp"), (0.01, "pcp"), (0.02, "ucp"), (0.02, "pcp"))] * 3 + [
+            ((0.05, "ucp"), (0.05, "pcp"))
+        ] * 3
+        # both batches share one pool, shut down before the sweep returns
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
 
@@ -555,16 +569,16 @@ class TestSharedPool:
         assert pooled == run_sweep(self.mc_spec(workers=1))
 
     def test_pool_shut_down_when_a_row_raises(self, monkeypatch, usable_cpus, recorded_pools, tmp_path, capsys):
-        # the pcp:zipf run raises after the runs before it used the pool
+        # the pcp:zipf caches raise in a task that the pool maps
         usable_cpus(2)
-        real = geometry_sim.realize_network
+        real = geometry_sim._caches
 
-        def realize(params, policy, *args, **kwargs):
+        def caches(policy, *args):
             if policy is CachePolicy.PCP:
                 raise RuntimeError("sampling failed")
-            return real(params, policy, *args, **kwargs)
+            return real(policy, *args)
 
-        monkeypatch.setattr(geometry_sim, "realize_network", realize)
+        monkeypatch.setattr(geometry_sim, "_caches", caches)
         assert self.run_cli_sweep(tmp_path, self.MC_SPEC, "--workers", "2") == 1
         assert "sampling failed" in capsys.readouterr().err
         assert [pool.max_workers for pool in recorded_pools] == [2]
@@ -575,7 +589,7 @@ class TestSharedPool:
         # simulator's budget: refused before any row, realization or pool
         usable_cpus(2)
         calls = []
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
         real = experiments.average_outage
         monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a) or real(*a))
         text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
@@ -590,7 +604,7 @@ class TestSharedPool:
         # Monte-Carlo call samples anything or opens a pool
         usable_cpus(2)
         calls = []
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
         text = self.MC_SPEC.replace("axis1 = lambda_sbs", "axis1 = beta")
         text = text.replace("axis1_values = 0.01, 0.05", "axis1_values = 0, 0.05")
         assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2

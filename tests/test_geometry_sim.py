@@ -531,7 +531,7 @@ class TestSharedFading:
             return rng
 
         monkeypatch.setattr(geometry_sim, "stream_rng", stream)
-        counts = _batch_failures(points, policy, 6, trials, interference, r)
+        counts = _batch_failures(tuple((point, policy) for point in points), 6, trials, interference, r)
         monkeypatch.undo()
         assert len(streams) == 1  # one fading stream per realization, whatever the points
         return counts, streams[0]
@@ -679,28 +679,122 @@ class TestSharedFading:
             assert 0 < single[0] < trials  # rank 1's SBS link fails some trials, not all
             assert np.array_equal(reader.failures, single)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, usable_cpus, recorded_pools, workers):
-        # two runs whose three points fit the point budget only as (0, 1), (2)
-        usable_cpus(2)
-        points = self.points()
-        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
-        loads = [(p.lambda_mbs + p.beta * p.lambda_sbs) * w.area() for p, _, w in points]
-        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
-        assert [(b.start, b.stop) for b in geometry_sim._plan_batches(points)] == [(0, 2), (2, 3)]
+    def mixed_runs(self):
+        """UCP over the first two points, under two request laws, and PCP over the last two: one seed."""
+        p0, p1, p2 = self.points()
+        zipf, uniform = (zipf_request_distribution(self.LIBRARY.size, delta) for delta in (0.8, 0.0))
+        return [
+            geometry_sim.McRun((p0, p1), CachePolicy.UCP, zipf, 6),
+            geometry_sim.McRun((p1, p2), CachePolicy.PCP, zipf, 6),
+            geometry_sim.McRun((p0,), CachePolicy.UCP, uniform, 6),
+        ]
+
+    def recorded_tasks(self, monkeypatch):
+        """The (lambda_sbs, policy) reads of every task, as the call maps them."""
         tasks = []
         real = geometry_sim._batch_failures
 
-        def task(batch, policy, seed, *args):
-            tasks.append((policy, len(batch), seed))
-            return real(batch, policy, seed, *args)
+        def task(reads, *args):
+            tasks.append(tuple((params.lambda_sbs, policy.value) for (params, _, _), policy in reads))
+            return real(reads, *args)
 
         monkeypatch.setattr(geometry_sim, "_batch_failures", task)
-        policies = ((CachePolicy.UCP, 6), (CachePolicy.PCP, 7))
-        runs = [geometry_sim.McRun(points, policy, requests, seed) for policy, seed in policies]
+        return tasks
+
+    #: The batches of the mixed runs' reads, (0.05, ucp), (0.1, ucp),
+    #: (0.1, pcp) and (0.2, pcp), by budget. A shared network counts its
+    #: points once, so a point budget never parts the policies of one
+    #: network; the cache budget, which counts each read, does.
+    BATCHES = {
+        "none": [((0.05, "ucp"), (0.1, "ucp"), (0.1, "pcp"), (0.2, "pcp"))],
+        "points": [((0.05, "ucp"), (0.1, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),)],
+        "entries": [((0.05, "ucp"), (0.1, "ucp")), ((0.1, "pcp"),), ((0.2, "pcp"),)],
+    }
+
+    @pytest.mark.parametrize("budget", list(BATCHES))
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_policy_batches_equal_standalone_estimates(
+        self, monkeypatch, usable_cpus, recorded_pools, workers, trials, budget
+    ):
+        usable_cpus(2)
+        runs = self.mixed_runs()
+        # each budget fits the largest network, and its read, alone
+        points, entries = geometry_sim._point_load(*self.points()[2])
+        if budget == "points":
+            monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", points)
+        elif budget == "entries":
+            monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
+        tasks = self.recorded_tasks(monkeypatch)
+        results = geometry_sim.estimate_batch(runs, trials_per_content=trials, realizations=3, workers=workers)
+        # the uniform-law UCP run repeats a read, which is read once
+        assert tasks == [batch for batch in self.BATCHES[budget] for _ in range(3)]
+        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
+        assert all(pool.shut_down for pool in recorded_pools)
+        monkeypatch.undo()
+        for run, run_results in zip(runs, results, strict=True):
+            for (params, library, window), result in zip(run.points, run_results, strict=True):
+                alone = estimate_outage(params, run.policy, library, run.requests, window=window,
+                                        trials_per_content=trials, realizations=3, seed=run.seed)
+                assert result == alone
+        # the policies differ where a cache can serve: the reads are not copies
+        assert results[0][1] != results[1][0]
+
+    def test_shared_network_sampled_once_per_realization(self, monkeypatch):
+        sampled = []
+        real = geometry_sim._positions
+
+        def positions(params, *args):
+            sampled.append(params.lambda_sbs)
+            return real(params, *args)
+
+        monkeypatch.setattr(geometry_sim, "_positions", positions)
+        geometry_sim.estimate_batch(self.mixed_runs(), realizations=3)
+        # four reads, three networks: lambda_sbs 0.1 serves UCP and PCP from one sample
+        assert sampled == [0.05, 0.1, 0.2] * 3
+
+    def test_reads_with_equal_caches_share_one_reader(self, monkeypatch):
+        # with no SBS both policies' caches are empty, so one reader serves
+        # both; at lambda_sbs = 0.1 their caches differ and each reads alone
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        readers = []
+        real = geometry_sim._read_fades
+        monkeypatch.setattr(geometry_sim, "_read_fades", lambda rs, rng: readers.append(len(rs)) or real(rs, rng))
+        for lambda_sbs, shared in ((0.0, True), (0.1, False)):
+            params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
+            policies = (CachePolicy.UCP, CachePolicy.PCP)
+            point = (params, self.LIBRARY, self.WINDOW)
+            runs = [geometry_sim.McRun((point,), policy, requests, 6) for policy in policies]
+            readers.clear()
+            results = geometry_sim.estimate_batch(runs, trials_per_content=2, realizations=3)
+            assert readers == [1 if shared else 2] * 3
+            assert (results[0] == results[1]) is shared
+            for policy, [result] in zip(policies, results, strict=True):
+                assert result == estimate_outage(params, policy, self.LIBRARY, requests, window=self.WINDOW,
+                                                 trials_per_content=2, realizations=3, seed=6)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, usable_cpus, recorded_pools, workers):
+        # two runs of one seed over three points: one network per point
+        # serves both policies, and the networks fit the point budget only
+        # as (0, 1), (2)
+        usable_cpus(2)
+        points = self.points()
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        loads = [geometry_sim._point_load(*point)[0] for point in points]
+        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
+        reads = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
+        assert [(b.start, b.stop) for b in geometry_sim._plan_batches(reads)] == [(0, 4), (4, 6)]
+        tasks = self.recorded_tasks(monkeypatch)
+        runs = [geometry_sim.McRun(points, policy, requests, 6) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
         results = geometry_sim.estimate_batch(runs, trials_per_content=2, realizations=3, workers=workers)
-        # each run split into its two batches, each batch mapped over the 3 realizations
-        assert tasks == [(policy, size, seed) for policy, seed in policies for size in (2, 1) for _ in range(3)]
+        # each batch holds both runs, mapped over the 3 realizations
+        lambdas = [params.lambda_sbs for params, _, _ in points]
+        assert tasks == [
+            tuple((lam, policy) for lam in part for policy in ("ucp", "pcp"))
+            for part in (lambdas[:2], lambdas[2:])
+            for _ in range(3)
+        ]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
@@ -789,7 +883,7 @@ class TestEstimateOutage:
 
     def test_nothing_can_serve_gives_exact_one(self):
         p = SystemParams(
-            lambda_mbs=0.0, lambda_sbs=0.2, beta=0.0, p_max_mbs=19.95,
+            lambda_mbs=0.0, lambda_sbs=0.0, beta=0.5, p_max_mbs=19.95,
             p_max_sbs=0.1995, alpha=4.0, gamma=0.1, r_sbs=5.0, r_mbs=250.0,
         )
         lib = ContentLibrary(size=5, cache_slots=2)
@@ -821,7 +915,7 @@ class TestEstimateOutage:
             estimate_outage(p, CachePolicy.UCP, lib, req, trials_per_content=0)
 
     def test_refused_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
 
         def call(p, lib, **options):
             requests = zipf_request_distribution(lib.size, 0.8)
@@ -838,7 +932,7 @@ class TestEstimateOutage:
 
     @pytest.mark.parametrize("name", ["trials_per_content", "realizations", "workers", "seed"])
     def test_non_integer_count_refused_before_sampling(self, monkeypatch, name):
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
         lib = ContentLibrary(size=4, cache_slots=2)
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got 1.5"):
             estimate_outage(fig2_params(), CachePolicy.UCP, lib, zipf_request_distribution(4, 0.8),
@@ -856,7 +950,7 @@ class TestEstimateOutage:
         assert type(numpy[1].trials) is int
 
     def test_too_small_window_refused_before_any_pool(self, monkeypatch, usable_cpus, recorded_pools):
-        monkeypatch.setattr(geometry_sim, "realize_network", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
         usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         with pytest.raises(ConfigError, match=r"covered radius 50.0 m.*r_mbs \+ guard = 500.0 m"):
