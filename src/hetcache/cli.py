@@ -98,8 +98,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg, setup, budget, interference = _load_point(args.config)
     seed = _resolve_seed(args.seed, cfg)
-    [[(per_content, average)]] = estimate_outage(
-        [([(setup.params, setup.library)], setup.policy, setup.requests, seed)],
+    [(per_content, average)] = estimate_outage(
+        [(setup.params, setup.policy, setup.library, setup.requests)],
+        seed,
         budget=budget,
         workers=args.workers,
         interference=interference,

@@ -12,12 +12,12 @@ serve the whole grid and every variant (common random numbers): along a
 gamma axis this makes estimated outage exactly monotone per trial, since
 only the threshold changes, and the rows of two variants at a grid point
 are paired, drawn on the same networks and fades. They share the draws
-too: a sweep makes one :func:`estimate_outage` call, with one run of
-distinct grid points per variant, and in every realization the variants at
-a grid point share one network and all points read one fading stream that
-is drawn once (see :mod:`geometry_sim`). Each row still equals the
-standalone estimate of its point at the sweep's seed bit for bit. Every
-point of every run is checked before the first realization runs.
+too: a sweep makes one :func:`estimate_outage` call, with one query per
+distinct Monte-Carlo row input, and in every realization the variants at a
+grid point, and the points of a gamma axis, share one network and all
+points read one fading stream that is drawn once (see :mod:`geometry_sim`).
+Each row still equals the standalone estimate of its point at the sweep's
+seed bit for bit. Every query is checked before the first realization runs.
 
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
 a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
@@ -26,12 +26,13 @@ value; the variants share the resulting parameters and the content library,
 except the no-caching baseline, whose library holds 0 slots. The
 interference kernels are evaluated once per distinct parameter set, the
 per-content total outage once per distinct (params, P_c), and a closed-form
-row's value once per distinct (params, policy, library, requests).
-Monte-Carlo reads a point once per distinct (params, policy, library) and
-weights its counts by each variant's request law. Both engines are
-deterministic in these inputs, so a repeated input (the ``none`` variant
-along a d_tilde axis, say) reuses the earlier value exactly, bit for bit.
-These memos live for one sweep and never hold an error.
+row's value once per distinct (params, policy, library, requests), the
+same key under which both engines keep their values. Monte-Carlo reads a
+point once per distinct (params, policy, library) and weights its counts
+by each variant's request law. Both engines are deterministic in these
+inputs, so a repeated input (the ``none`` variant along a d_tilde axis,
+say) reuses the earlier value exactly, bit for bit. These memos live for
+one sweep and never hold an error.
 
 A spec names each axis, variant label and engine at most once: a repeat
 would write duplicate columns or rows, and a repeated Monte-Carlo variant
@@ -258,28 +259,29 @@ def _apply_axis(
 
 
 def estimate_outage(
-    runs: Iterable[tuple],
+    queries: Iterable[tuple],
+    seed: int,
     budget: McBudget = McBudget(),
     **options,
-) -> list[list[tuple[list[McEstimate], McEstimate]]]:
-    """:func:`geometry_sim.estimate_batch` over runs of (params, library) grid points.
+) -> list[tuple[list[McEstimate], McEstimate]]:
+    """:func:`geometry_sim.estimate_batch` of (params, policy, library, requests) queries.
 
-    A run holds the fields of :class:`geometry_sim.McRun`: (points, policy,
-    requests, seed). Each point runs ``budget`` in its default window with
-    margin ``budget.guard``; one list of (per-content, average) estimates
-    per run, one per point, in order. The simulator, and with it numpy, is
+    The queries take the inputs of :func:`analytic.average_outage`. Each
+    runs ``budget`` under the master seed ``seed`` in its point's default
+    window with margin ``budget.guard``; one (per-content, average)
+    estimate per query, in order. The simulator, and with it numpy, is
     imported on the first call, so closed-form commands never load it.
     ``options`` (workers, interference) are passed through.
     """
-    from .geometry_sim import McRun, default_window, estimate_batch
+    from .geometry_sim import default_window, estimate_batch
 
     windowed = [
-        McRun(tuple((params, lib, default_window(params, budget.guard)) for params, lib in points),
-              policy, requests, seed)
-        for points, policy, requests, seed in runs
+        ((params, library, default_window(params, budget.guard)), policy, requests)
+        for params, policy, library, requests in queries
     ]
     return estimate_batch(
-        windowed, trials_per_content=budget.trials_per_content, realizations=budget.realizations, **options
+        windowed, seed,
+        trials_per_content=budget.trials_per_content, realizations=budget.realizations, **options,
     )
 
 
@@ -333,22 +335,18 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # Sweep-local, so every sweep evaluates afresh; an error propagates
     # before its memo stores anything.
     empty = ContentLibrary(spec.base.library.size, 0)
-    # Row values keyed by their inputs: the variants share the closed-form
-    # values, and each variant's Monte-Carlo values form one run of the
-    # sweep's seed, whose law weights them.
-    analytic: dict[tuple, tuple | None] = {}
-    montecarlo: list[dict[tuple, tuple | None]] = [{} for _ in spec.variants]
+    # Row values per engine, keyed by the row's inputs: equal variants share
+    # them, and the Monte-Carlo keys are the queries of the sweep's seed
+    values: dict[str, dict[tuple, tuple | None]] = {engine: {} for engine in _ENGINES}
     plan = []
     for axes, params, axis_library in _grid(spec):
-        for variant, mc_values in zip(spec.variants, montecarlo):
+        for variant in spec.variants:
             library = empty if variant.no_cache else axis_library
+            key = (params, variant.policy, library, variant.requests)
             for engine in spec.engines:
-                if engine == ENGINE_MONTECARLO:
-                    values, key = mc_values, (params, library)
-                else:
-                    values, key = analytic, (params, variant.policy, library, variant.requests)
-                values[key] = None
-                plan.append((axes, variant.label, engine, values, key))
+                values[engine][key] = None
+                plan.append((axes, variant.label, engine, key))
+    analytic, montecarlo = values[ENGINE_ANALYTIC], values[ENGINE_MONTECARLO]
     # P_c = 1 bounds the SBS hit probability of every row, so these kernels
     # serve each row that needs any; the dict collects total outage by P_c.
     # Evaluated before any realization, so a parameter set the closed forms
@@ -357,20 +355,15 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
         params: (_kernels_if_served(params, 1.0), {})
         for params in dict.fromkeys(key[0] for key in analytic)
     }
-    if ENGINE_MONTECARLO in spec.engines:
-        seed = _sweep_seed(spec.seed)
-        runs = [
-            (list(mc_values), variant.policy, variant.requests, seed)
-            for variant, mc_values in zip(spec.variants, montecarlo)
-        ]
+    if montecarlo:
+        queries = list(montecarlo)
         # refuses a bad point before any closed-form row
-        estimates = estimate_outage(runs, budget=spec.mc, workers=spec.workers)
-        for mc_values, run_estimates in zip(montecarlo, estimates):
-            for point, (_, avg) in zip(mc_values, run_estimates):
-                mc_values[point] = (avg.mean, avg.std_error)
+        estimates = estimate_outage(queries, _sweep_seed(spec.seed), budget=spec.mc, workers=spec.workers)
+        for key, (_, avg) in zip(queries, estimates):
+            montecarlo[key] = (avg.mean, avg.std_error)
     for key in analytic:
         analytic[key] = (average_outage(*key, *memo_by_params[key[0]]), None)
-    return [SweepRow(axes, label, engine, *values[key]) for axes, label, engine, values, key in plan]
+    return [SweepRow(axes, label, engine, *values[engine][key]) for axes, label, engine, key in plan]
 
 
 # --------------------------------------------------------------------------

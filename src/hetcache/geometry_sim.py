@@ -67,7 +67,7 @@ interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
 :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`. The budgets bound what one task
 holds, so they bound a batch's networks and caches summed: the call splits
-the reads of each seed into batches that fit.
+its reads into batches that fit.
 
 RNG discipline
 --------------
@@ -89,26 +89,27 @@ share geometry and caches but redraw fading.
   by ``exponential`` or in place by ``standard_exponential(out=...)``,
   gives the same values as drawing them one by one, so repeated
   :func:`simulate_request` calls on a realization's stream draw the trials
-  of a run that requests one rank. No draw depends on gamma, so outcomes
-  along a gamma axis share their fades.
+  of an estimate that requests one rank. No draw depends on gamma, so
+  outcomes along a gamma axis share their fades.
 
-The runs of :func:`estimate_batch` that share a seed (every run of a
-sweep) read the same three streams for a realization index, and it plans
-them together as (point, policy) reads. The reads of one (params, window)
-share one network: its positions are the same draws whatever the policy,
-so they are drawn once and their distances and gains computed once. Only
-the caches differ: PCP draws none, and UCP draws from ``caches`` only when
-an SBS lies within r_sbs and 0 < d < |C|. Reads of one network whose caches
-come out equal share one reader. All reads read one ``fading`` stream
-together: a read reads the values at the stream positions it would read
-alone, so each result equals its one-point call bit for bit, but the stream
-is drawn once, as far as the read that needs the most. Reads differ in
-where their rows start and how wide they are, because their interferer sets
-and server groups differ; along a gamma axis, and for two policies whose
-caches cannot serve, they read the same rows. So the estimates of two
-policies at one point are paired (common random numbers): their
-per-realization outages correlate, and their difference varies far less
-than that of two independent runs.
+All queries of one :func:`estimate_batch` call share its seed, so for a
+realization index they read the same three streams, and it plans them
+together as distinct (point, policy) reads. The reads of one network (one
+window, and params equal up to gamma) share it: its positions are the same
+draws whatever the policy and the threshold, so they are drawn once and
+their distances and gains computed once. Only the caches differ: PCP draws
+none, and UCP draws from ``caches`` only when an SBS lies within r_sbs and
+0 < d < |C|. Reads at one (params, window) whose caches come out equal
+share one reader. All reads read one ``fading`` stream together: a read
+reads the values at the stream positions it would read alone, so each
+result equals its one-point call bit for bit, but the stream is drawn once,
+as far as the read that needs the most. Reads differ in where their rows
+start and how wide they are, because their interferer sets and server
+groups differ; along a gamma axis, and for two policies whose caches cannot
+serve, they read the same rows. So the estimates of two policies at one
+point are paired (common random numbers): their per-realization outages
+correlate, and their difference varies far less than that of two
+independent runs.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ import enum
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -578,6 +579,16 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
 McPoint = tuple[SystemParams, ContentLibrary, SimWindow]
 
 
+def _network_key(point: McPoint) -> tuple[SystemParams, SimWindow]:
+    """What a point's network is drawn from: its window and its params but gamma.
+
+    Positions, links and the SBSs within r_sbs never read gamma, so the
+    points of a gamma axis share one network.
+    """
+    params, _, window = point
+    return replace(params, gamma=1.0), window
+
+
 def _batch_failures(
     reads: tuple[tuple[McPoint, CachePolicy], ...],
     seed: int,
@@ -587,24 +598,26 @@ def _batch_failures(
 ) -> list[np.ndarray]:
     """Per-content failure counts of each (point, policy) read for realization ``r_index``.
 
-    The reads of one (params, window) share one network: its positions are
-    drawn once from the ``geometry`` stream and its links computed once.
-    Each read adds only its own caches, which UCP draws from a fresh
-    ``caches`` stream. Reads of one network whose caches come out equal
-    (as when no SBS lies within r_sbs) associate alike, so they share one
-    reader. All readers read the one ``fading`` stream together.
+    The reads of one network (see :func:`_network_key`) share it: its
+    positions are drawn once from the ``geometry`` stream and its links
+    computed once. Each read adds only its own caches, which UCP draws from
+    a fresh ``caches`` stream. Reads at one (params, window) whose caches
+    come out equal (as when no SBS lies within r_sbs) associate alike, so
+    they share one reader. All readers read the one ``fading`` stream
+    together.
     """
     networks: dict[tuple[SystemParams, SimWindow], tuple] = {}
     readers: dict[tuple, _FadeReader] = {}
     per_read = []
-    for (params, library, window), policy in reads:
-        network = networks.get((params, window))
-        if network is None:
+    for point, policy in reads:
+        params, library, window = point
+        network = _network_key(point)
+        if network not in networks:
             mbs, active = _positions(params, window, stream_rng(seed, "geometry", r_index))
             links = _links(mbs, active, params)
             near = np.flatnonzero(links.dist[len(mbs) :] <= params.r_sbs)
-            network = networks[params, window] = mbs, active, near, links
-        mbs, active, near, links = network
+            networks[network] = mbs, active, near, links
+        mbs, active, near, links = networks[network]
         caches = _caches(policy, library, near.size, partial(stream_rng, seed, "caches", r_index))
         key = (params, window, caches.shape, caches.tobytes())
         if key not in readers:
@@ -652,95 +665,72 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
         )
 
 
-class McRun(NamedTuple):
-    """One policy's Monte-Carlo grid points under one master seed.
-
-    Every point of a run reads the streams of (seed, realization index).
-    Runs that share a seed share them too: in each realization a point has
-    one network whatever the policy, and all points read one fading stream.
-    A plain record: it iterates in field order and compares equal to the
-    tuple of its values.
-    """
-
-    points: tuple[McPoint, ...]
-    policy: CachePolicy
-    requests: RequestDistribution
-    seed: int
-
-
 def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[slice]:
     """Split checked (point, policy) reads, in order, into batches one task may hold.
 
     Each batch is a slice of consecutive reads whose expected points and
     cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
     :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed. The reads of one
-    (params, window) in a batch share its network, which counts its points
-    once; each read counts its own cache entries. So a task of a batch
-    holds no more than one realization of a single point may.
+    network in a batch share it, so it counts its points once; each read
+    counts its own cache entries. So a task of a batch holds no more than
+    one realization of a single point may.
     """
     batches: list[slice] = []
     start, networks, points, entries = 0, set(), 0.0, 0.0
-    for i, ((params, library, window), _) in enumerate(reads):
-        load, cache = _point_load(params, library, window)
-        shared = (params, window) in networks
+    for i, (point, _) in enumerate(reads):
+        load, cache = _point_load(*point)
+        network = _network_key(point)
+        shared = network in networks
         if points + (0.0 if shared else load) > MAX_POINTS_PER_REALIZATION or (
             entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
         ):
             batches.append(slice(start, i))
             start, networks, points, entries, shared = i, set(), 0.0, 0.0, False
-        networks.add((params, window))
+        networks.add(network)
         points, entries = points + (0.0 if shared else load), entries + cache
     batches.append(slice(start, len(reads)))
     return batches
 
 
 def estimate_batch(
-    runs: Sequence[McRun],
+    queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]],
+    seed: int,
     trials_per_content: int = 1,
     realizations: int = 100,
     workers: int = 1,
     interference: str = INTERFERENCE_BEYOND_SERVER,
-) -> list[list[tuple[list[McEstimate], McEstimate]]]:
-    """:func:`estimate_outage` at every grid point of several runs, one result per point.
+) -> list[tuple[list[McEstimate], McEstimate]]:
+    """:func:`estimate_outage` of each (point, policy, requests) query at one seed.
 
-    Returns, per run, one (per-content, average) estimate per point, in
-    order. Every point reads the streams of (its run's seed, realization
-    index) that it would read alone, so each result equals the one-point
-    call bit for bit. Every seed and every point is checked before anything
-    is sampled.
+    Returns one (per-content, average) estimate per query, in query order.
+    Every query reads the streams of (seed, realization index) that it
+    would read alone, so each result equals the one-point call bit for bit.
+    The seed and every point are checked before anything is sampled.
 
-    The runs of one seed are planned together, as distinct (point, policy)
-    reads: a point that several runs repeat with one policy is read once,
-    and its counts are weighted by each run's request law. The reads are
-    ordered so that those of one (params, window) are adjacent, then split
-    into batches that fit the per-realization budgets together. A task is
-    one realization index over a batch: the reads of one (params, window)
-    share one network, and all read one ``fading`` stream, drawn once, as
-    far as the read that needs the most. All batches share one process
-    pool, opened and shut down by this call.
+    The queries are planned as distinct (point, policy) reads: a read that
+    several queries repeat is read once, and its counts are weighted by
+    each query's request law. The reads are ordered so that those of one
+    network (see :func:`_network_key`) are adjacent, then split into
+    batches that fit the per-realization budgets together. A task is one
+    realization index over a batch: the reads of one network share it, and
+    all read one ``fading`` stream, drawn once, as far as the read that
+    needs the most. All batches share one process pool, opened and shut
+    down by this call.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
     workers = check_count("workers", workers, 1)
     check_interference(interference)
-    for run in runs:
-        check_count("seed", run.seed, 0)
-        for point in run.points:
-            _check_point(point, run.requests)
-    # per seed, per (params, window): the distinct reads, in first-seen order
-    plans: dict[int, dict[tuple, dict]] = {}
-    for run in runs:
-        networks = plans.setdefault(run.seed, {})
-        for point in run.points:
-            params, _, window = point
-            networks.setdefault((params, window), {})[point, run.policy] = None
-    batches = []
-    for seed, networks in plans.items():
-        reads = tuple(read for network in networks.values() for read in network)
-        batches += [(seed, reads[part]) for part in _plan_batches(reads)]
-    tasks = [
-        partial(_batch_failures, reads, seed, trials_per_content, interference) for seed, reads in batches
-    ]
+    check_count("seed", seed, 0)
+    for point, _, requests in queries:
+        _check_point(point, requests)
+    # per network: the distinct reads, in first-seen order
+    networks: dict[tuple, dict] = {}
+    for point, policy, _ in queries:
+        networks.setdefault(_network_key(point), {})[point, policy] = None
+    reads = tuple(read for network in networks.values() for read in network)
+    batches = [reads[part] for part in _plan_batches(reads)]
+    tasks = [partial(_batch_failures, batch, seed, trials_per_content, interference) for batch in batches]
     processes = min(workers, realizations, _usable_cpus())
     if processes == 1:
         counts = [list(map(task, range(realizations))) for task in tasks]
@@ -751,19 +741,16 @@ def estimate_batch(
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
-    # where the counts of each (seed, read) are: its batch's, at its index
+    # where the counts of each read are: its batch's, at its index
     found = {
-        (seed, read): (batch_counts, k)
-        for (seed, reads), batch_counts in zip(batches, counts)
-        for k, read in enumerate(reads)
+        read: (batch_counts, k) for batch, batch_counts in zip(batches, counts) for k, read in enumerate(batch)
     }
-
-    def estimate(run: McRun, point: McPoint) -> tuple[list[McEstimate], McEstimate]:
-        batch_counts, k = found[run.seed, (point, run.policy)]
+    results = []
+    for point, policy, requests in queries:
+        batch_counts, k = found[point, policy]
         failures = np.stack([per_read[k] for per_read in batch_counts])
-        return _estimates(failures, run.requests, trials_per_content)
-
-    return [[estimate(run, point) for point in run.points] for run in runs]
+        results.append(_estimates(failures, requests, trials_per_content))
+    return results
 
 
 def _usable_cpus() -> int:
@@ -782,7 +769,9 @@ def _estimates(
     trials = realizations * trials_per_content
     per_content = [_binary_estimate(int(f), trials) for f in failures]
     per_realization = failure_matrix @ requests.weights / trials_per_content
-    avg_mean = float(per_realization.mean())
+    # bounded like the closed forms: the weights' sum, and with it the mean
+    # of rows that fail every trial, may miss 1 by an ulp
+    avg_mean = min(max(float(per_realization.mean()), 0.0), 1.0)
     if realizations > 1:
         avg_se = float(per_realization.std(ddof=1)) / math.sqrt(realizations)
     else:
@@ -820,12 +809,12 @@ def estimate_outage(
     are independent tasks whose streams derive from (seed, realization
     index) alone, merged in index order. At most min(workers, realizations,
     CPUs) processes start; one runs serially, without a pool. A pool is
-    opened for the call and shut down before it returns. The one-run,
-    one-point :func:`estimate_batch`.
+    opened for the call and shut down before it returns. The one-query
+    :func:`estimate_batch`.
     """
     window = default_window(params) if window is None else window
-    [[result]] = estimate_batch(
-        [McRun(((params, library, window),), policy, requests, seed)],
+    [result] = estimate_batch(
+        [((params, library, window), policy, requests)], seed,
         trials_per_content=trials_per_content, realizations=realizations, workers=workers,
         interference=interference,
     )

@@ -529,10 +529,11 @@ print(json.dumps([missing, codes, calls]))
     # one call for simulate and one for the sweep, whatever its variants
     assert calls["geometry_sim.estimate_outage"] == 1 + 1
     # a realization opens one geometry stream per network, whatever the
-    # policies on it, and one fading stream: simulate's 20 realizations, then
-    # the sweep's 2, each over 2 gamma points; PCP draws no cache, and no SBS
-    # lies within r_sbs here, so UCP opens no caches stream either
-    assert calls["geometry_sim.stream_rng"] == 20 * (1 + 1) + 2 * (2 + 1)
+    # policies and thresholds on it, and one fading stream: simulate's 20
+    # realizations, then the sweep's 2, whose 2 gamma points share one
+    # network; PCP draws no cache, and no SBS lies within r_sbs here, so UCP
+    # opens no caches stream either
+    assert calls["geometry_sim.stream_rng"] == 20 * (1 + 1) + 2 * (1 + 1)
     assert calls["analytic.average_outage"] == 2 * 2
 
 

@@ -284,16 +284,18 @@ class TestEvaluateOnce:
         calls = []
         real = experiments.estimate_outage
         monkeypatch.setattr(
-            experiments, "estimate_outage", lambda runs, **k: calls.append(runs) or real(runs, **k)
+            experiments, "estimate_outage", lambda queries, *a, **k: calls.append(queries) or real(queries, *a, **k)
         )
         rows = run_sweep(spec).rows
-        # one call, one run per variant: the none variant's one distinct point, then pcp's three
-        [runs] = calls
-        assert [len(points) for points, *_ in runs] == [1, 3]
-        assert [library.cache_slots for _, library in runs[0][0]] == [0]
-        assert len({point for points, *_ in runs for point in points}) == 1 + 3
-        [[(_, alone)]] = real(
-            [([(s.params, ContentLibrary(10, 0))], CachePolicy.UCP, s.requests, experiments._sweep_seed(11))],
+        # one call of distinct queries, in grid order: the none variant's one
+        # distinct input, then pcp's three
+        [queries] = calls
+        assert len(queries) == len(set(queries)) == 1 + 3
+        assert [(policy.value, library.cache_slots) for _, policy, library, _ in queries] == [
+            ("ucp", 0), ("pcp", 2), ("pcp", 5), ("pcp", 9)
+        ]
+        [(_, alone)] = real(
+            [(s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests)], experiments._sweep_seed(11),
             budget=McBudget(1, 4), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
@@ -311,9 +313,9 @@ class TestEvaluateOnce:
         real_average, real_estimate = experiments.average_outage, experiments.estimate_outage
         real_task = geometry_sim._batch_failures
 
-        def estimate(runs, **options):
-            calls.append((runs, real_estimate(runs, **options)))
-            return calls[-1][1]
+        def estimate(queries, seed, **options):
+            calls.append((queries, seed, real_estimate(queries, seed, **options)))
+            return calls[-1][2]
 
         def task(reads, *args):
             tasks.append(reads)
@@ -327,19 +329,17 @@ class TestEvaluateOnce:
         rows = run_sweep(spec).rows
         # one closed-form value per grid point, shared by both labels
         assert len(row_inputs) == 4 == len(set(row_inputs))
-        # one call holding one run per label: the same points under the sweep's one seed
-        [(runs, estimates)] = calls
-        [(points, *_, seed), (other_points, *_, other_seed)] = runs
-        assert points == other_points and len(points) == 4
-        assert seed == other_seed == experiments._sweep_seed(11)
-        assert estimates[0] == estimates[1]
-        # each realization reads every equal point once, for both labels
+        # one call at the sweep's one seed, one query per grid point, shared by both
+        # labels under the closed forms' keys
+        [(queries, seed, estimates)] = calls
+        assert list(queries) == row_inputs and seed == experiments._sweep_seed(11)
+        # each realization reads every point once, for both labels
         assert len(tasks) == 4
         assert all(len(reads) == 4 == len(set(reads)) for reads in tasks)
-        for label, run_estimates in zip(("ucp", "ucp:zipf"), estimates):
+        for label in ("ucp", "ucp:zipf"):
             mc_rows = [r for r in rows if (r.variant, r.engine) == (label, "montecarlo")]
             assert [(r.avg_outage, r.std_error) for r in mc_rows] == [
-                (avg.mean, avg.std_error) for _, avg in run_estimates
+                (avg.mean, avg.std_error) for _, avg in estimates
             ]
         analytic_rows = {
             label: [(r.axes, r.avg_outage) for r in rows if (r.variant, r.engine) == (label, "analytic")]
@@ -653,11 +653,6 @@ PLAIN_RECORDS = {
         ),
     ),
     "McEstimate": (geometry_sim.McEstimate, dict(mean=0.5, std_error=0.05, trials=100)),
-    "McRun": (
-        geometry_sim.McRun,
-        dict(points=((fig2_params(), ContentLibrary(10, 3), geometry_sim.SimWindow(1000.0)),),
-             policy=CachePolicy.PCP, requests=zipf_request_distribution(10, 0.8), seed=3),
-    ),
     "ServiceOutcome": (
         geometry_sim.ServiceOutcome,
         dict(tier=geometry_sim.Tier.SBS, server_distance=2.5, sir=3.0, success=True),

@@ -679,14 +679,21 @@ class TestSharedFading:
             assert 0 < single[0] < trials  # rank 1's SBS link fails some trials, not all
             assert np.array_equal(reader.failures, single)
 
-    def mixed_runs(self):
-        """UCP over the first two points, under two request laws, and PCP over the last two: one seed."""
+    def mixed_queries(self):
+        """Queries at one seed that interleave the networks and repeat one query.
+
+        UCP at the first two points, PCP at the last two, UCP at the middle
+        point again under a second request law, and the second query again.
+        """
         p0, p1, p2 = self.points()
         zipf, uniform = (zipf_request_distribution(self.LIBRARY.size, delta) for delta in (0.8, 0.0))
         return [
-            geometry_sim.McRun((p0, p1), CachePolicy.UCP, zipf, 6),
-            geometry_sim.McRun((p1, p2), CachePolicy.PCP, zipf, 6),
-            geometry_sim.McRun((p0,), CachePolicy.UCP, uniform, 6),
+            (p0, CachePolicy.UCP, zipf),
+            (p1, CachePolicy.PCP, zipf),
+            (p2, CachePolicy.PCP, zipf),
+            (p1, CachePolicy.UCP, uniform),
+            (p0, CachePolicy.UCP, zipf),
+            (p1, CachePolicy.PCP, zipf),
         ]
 
     def recorded_tasks(self, monkeypatch):
@@ -701,14 +708,21 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim, "_batch_failures", task)
         return tasks
 
-    #: The batches of the mixed runs' reads, (0.05, ucp), (0.1, ucp),
-    #: (0.1, pcp) and (0.2, pcp), by budget. A shared network counts its
+    def assert_standalone(self, queries, results, trials):
+        """Each result, in query order, equals its query's one-point call."""
+        for ((params, library, window), policy, requests), result in zip(queries, results, strict=True):
+            assert result == estimate_outage(params, policy, library, requests, window=window,
+                                             trials_per_content=trials, realizations=3, seed=6)
+
+    #: The batches of the mixed queries' reads, (0.05, ucp), (0.1, pcp),
+    #: (0.1, ucp) and (0.2, pcp), by budget: the reads of one network are
+    #: adjacent, networks in first-seen order. A shared network counts its
     #: points once, so a point budget never parts the policies of one
     #: network; the cache budget, which counts each read, does.
     BATCHES = {
-        "none": [((0.05, "ucp"), (0.1, "ucp"), (0.1, "pcp"), (0.2, "pcp"))],
-        "points": [((0.05, "ucp"), (0.1, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),)],
-        "entries": [((0.05, "ucp"), (0.1, "ucp")), ((0.1, "pcp"),), ((0.2, "pcp"),)],
+        "none": [((0.05, "ucp"), (0.1, "pcp"), (0.1, "ucp"), (0.2, "pcp"))],
+        "points": [((0.05, "ucp"), (0.1, "pcp"), (0.1, "ucp")), ((0.2, "pcp"),)],
+        "entries": [((0.05, "ucp"), (0.1, "pcp")), ((0.1, "ucp"),), ((0.2, "pcp"),)],
     }
 
     @pytest.mark.parametrize("budget", list(BATCHES))
@@ -718,7 +732,7 @@ class TestSharedFading:
         self, monkeypatch, usable_cpus, recorded_pools, workers, trials, budget
     ):
         usable_cpus(2)
-        runs = self.mixed_runs()
+        queries = self.mixed_queries()
         # each budget fits the largest network, and its read, alone
         points, entries = geometry_sim._point_load(*self.points()[2])
         if budget == "points":
@@ -726,19 +740,16 @@ class TestSharedFading:
         elif budget == "entries":
             monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
         tasks = self.recorded_tasks(monkeypatch)
-        results = geometry_sim.estimate_batch(runs, trials_per_content=trials, realizations=3, workers=workers)
-        # the uniform-law UCP run repeats a read, which is read once
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
+        # six queries, four reads: a repeated query and a second law are read once
         assert tasks == [batch for batch in self.BATCHES[budget] for _ in range(3)]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
-        for run, run_results in zip(runs, results, strict=True):
-            for (params, library, window), result in zip(run.points, run_results, strict=True):
-                alone = estimate_outage(params, run.policy, library, run.requests, window=window,
-                                        trials_per_content=trials, realizations=3, seed=run.seed)
-                assert result == alone
+        self.assert_standalone(queries, results, trials)
+        assert results[5] == results[1]  # the repeat equals its first occurrence
         # the policies differ where a cache can serve: the reads are not copies
-        assert results[0][1] != results[1][0]
+        assert results[1][0] != results[3][0]
 
     def test_shared_network_sampled_once_per_realization(self, monkeypatch):
         sampled = []
@@ -749,9 +760,31 @@ class TestSharedFading:
             return real(params, *args)
 
         monkeypatch.setattr(geometry_sim, "_positions", positions)
-        geometry_sim.estimate_batch(self.mixed_runs(), realizations=3)
+        geometry_sim.estimate_batch(self.mixed_queries(), 6, realizations=3)
         # four reads, three networks: lambda_sbs 0.1 serves UCP and PCP from one sample
         assert sampled == [0.05, 0.1, 0.2] * 3
+
+    def test_gamma_points_share_one_network(self, monkeypatch):
+        # three thresholds at one (params but gamma, window) under both
+        # policies: the network is sampled once per realization, and each
+        # point still reads what it reads alone
+        params = self.points()[1][0]
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        queries = [
+            ((replace(params, gamma=gamma), self.LIBRARY, self.WINDOW), policy, requests)
+            for gamma in (0.1, 1.0, 10.0)
+            for policy in (CachePolicy.UCP, CachePolicy.PCP)
+        ]
+        sampled = []
+        real = geometry_sim._positions
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: sampled.append(args) or real(*args))
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        assert len(sampled) == 3
+        monkeypatch.undo()
+        self.assert_standalone(queries, results, 2)
+        # a higher threshold fails more: the gamma points are not copies
+        ucp = [average.mean for (_, average) in results[::2]]
+        assert ucp[0] < ucp[1] < ucp[2]
 
     def test_reads_with_equal_caches_share_one_reader(self, monkeypatch):
         # with no SBS both policies' caches are empty, so one reader serves
@@ -762,22 +795,18 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim, "_read_fades", lambda rs, rng: readers.append(len(rs)) or real(rs, rng))
         for lambda_sbs, shared in ((0.0, True), (0.1, False)):
             params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
-            policies = (CachePolicy.UCP, CachePolicy.PCP)
             point = (params, self.LIBRARY, self.WINDOW)
-            runs = [geometry_sim.McRun((point,), policy, requests, 6) for policy in policies]
+            queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
             readers.clear()
-            results = geometry_sim.estimate_batch(runs, trials_per_content=2, realizations=3)
+            results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
             assert readers == [1 if shared else 2] * 3
             assert (results[0] == results[1]) is shared
-            for policy, [result] in zip(policies, results, strict=True):
-                assert result == estimate_outage(params, policy, self.LIBRARY, requests, window=self.WINDOW,
-                                                 trials_per_content=2, realizations=3, seed=6)
+            self.assert_standalone(queries, results, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, usable_cpus, recorded_pools, workers):
-        # two runs of one seed over three points: one network per point
-        # serves both policies, and the networks fit the point budget only
-        # as (0, 1), (2)
+        # both policies at three points: one network per point serves both,
+        # and the networks fit the point budget only as (0, 1), (2)
         usable_cpus(2)
         points = self.points()
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
@@ -786,9 +815,9 @@ class TestSharedFading:
         reads = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
         assert [(b.start, b.stop) for b in geometry_sim._plan_batches(reads)] == [(0, 4), (4, 6)]
         tasks = self.recorded_tasks(monkeypatch)
-        runs = [geometry_sim.McRun(points, policy, requests, 6) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
-        results = geometry_sim.estimate_batch(runs, trials_per_content=2, realizations=3, workers=workers)
-        # each batch holds both runs, mapped over the 3 realizations
+        queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP) for point in points]
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3, workers=workers)
+        # each batch holds both policies, mapped over the 3 realizations
         lambdas = [params.lambda_sbs for params, _, _ in points]
         assert tasks == [
             tuple((lam, policy) for lam in part for policy in ("ucp", "pcp"))
@@ -798,11 +827,7 @@ class TestSharedFading:
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
-        for run, run_results in zip(runs, results, strict=True):
-            for (params, library, window), result in zip(points, run_results, strict=True):
-                alone = estimate_outage(params, run.policy, library, requests, window=window,
-                                        trials_per_content=2, realizations=3, seed=run.seed)
-                assert result == alone
+        self.assert_standalone(queries, results, 2)
 
 
 class TestEstimateOutage:
@@ -881,17 +906,24 @@ class TestEstimateOutage:
             estimate_outage(fig2_params(), CachePolicy.PCP, lib, zipf_request_distribution(4, 0.8),
                             realizations=2, workers=workers)
 
-    def test_nothing_can_serve_gives_exact_one(self):
+    @pytest.mark.parametrize(
+        "size,delta,realizations",
+        [(5, 0.0, 20), (100, 0.8, 1), (100, 0.8, 2), (100, 0.8, 3)],
+    )
+    def test_nothing_can_serve_gives_exact_one(self, size, delta, realizations):
         p = SystemParams(
             lambda_mbs=0.0, lambda_sbs=0.0, beta=0.5, p_max_mbs=19.95,
             p_max_sbs=0.1995, alpha=4.0, gamma=0.1, r_sbs=5.0, r_mbs=250.0,
         )
-        lib = ContentLibrary(size=5, cache_slots=2)
-        req = zipf_request_distribution(5, 0.0)
+        lib = ContentLibrary(size=size, cache_slots=2)
+        req = zipf_request_distribution(size, delta)
         per_content, avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                           realizations=20, trials_per_content=2, seed=1)
+                                           realizations=realizations, trials_per_content=2, seed=1)
         assert all(est.mean == 1.0 and est.std_error == 0.0 for est in per_content)
-        assert avg.mean == 1.0 and avg.std_error == 0.0
+        if size == 5:  # five uniform weights sum to exactly 1
+            assert avg.mean == 1.0 and avg.std_error == 0.0
+        else:  # other weights may miss 1 by an ulp, but the mean stays a probability
+            assert 1.0 - 1e-12 <= avg.mean <= 1.0
 
     def test_per_content_std_error_formula(self):
         p = fig2_params(lambda_sbs=0.02)
