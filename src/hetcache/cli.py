@@ -8,7 +8,8 @@ offending key), 1 runtime error.
 (:meth:`experiments.McBudget.from_config`) and one seed rule: the ``--seed``
 flag, then the HETCACHE_SEED environment variable, then the file's
 ``seed``, then 0; :func:`_resolve_seed` alone reads ``seed``. ``analytic``
-checks a config file as ``simulate`` does (:func:`_load_point`) but uses no seed.
+checks a config file as ``simulate`` does (:func:`_load_point`), its seed
+too, but uses no seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     sweep_spec_from_config,
 )
 from .params import (
-    INTERFERENCE_BEYOND_SERVER, SETUP_KEYS, ModelSetup, check_interference, get_int,
+    INTERFERENCE_BEYOND_SERVER, SETUP_KEYS, ModelSetup, check_count, check_interference, get_int,
     parse_config_text, replication_probability, setup_from_config,
 )
 
@@ -63,30 +64,29 @@ def _check_unknown_keys(cfg: dict[str, str], allowed: frozenset[str] | set[str])
 
 
 def _resolve_seed(flag_seed: int | None, cfg: dict[str, str]) -> int:
-    """The master seed: the flag, else HETCACHE_SEED, else the file's ``seed``, else 0."""
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("HETCACHE_SEED")
-    if env is None:
-        return get_int(cfg, "seed", 0)
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"HETCACHE_SEED must be an integer, got {env!r}") from None
+    """The master seed, at least 0: the flag, else HETCACHE_SEED, else the file's ``seed``, else 0."""
+    seed, env = flag_seed, os.environ.get("HETCACHE_SEED")
+    if seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"HETCACHE_SEED must be an integer, got {env!r}") from None
+    return check_count("seed", get_int(cfg, "seed", 0) if seed is None else seed, 0)
 
 
-def _load_point(path: str) -> tuple[dict[str, str], ModelSetup, McBudget, str]:
-    """A point config file's values, model, Monte-Carlo budget and interference convention."""
+def _load_point(path: str, flag_seed: int | None = None) -> tuple[ModelSetup, McBudget, str, int]:
+    """A point config file's model, Monte-Carlo budget, interference convention and seed."""
     cfg = _load_config(path)
     _check_unknown_keys(cfg, POINT_KEYS)
-    interference = cfg.get("interference", INTERFERENCE_BEYOND_SERVER)
-    return cfg, setup_from_config(cfg), McBudget.from_config(cfg), check_interference(interference)
+    setup, budget = setup_from_config(cfg), McBudget.from_config(cfg)
+    interference = check_interference(cfg.get("interference", INTERFERENCE_BEYOND_SERVER))
+    return setup, budget, interference, _resolve_seed(flag_seed, cfg)
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     import json
 
-    _, setup, _, _ = _load_point(args.config)
+    setup, _, _, _ = _load_point(args.config)
     p_c = replication_probability(setup.policy, args.content_rank, setup.library)
     breakdown = total_outage(setup.params, p_c)
     print(json.dumps(breakdown._asdict()))
@@ -96,8 +96,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
-    cfg, setup, budget, interference = _load_point(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+    setup, budget, interference, seed = _load_point(args.config, args.seed)
     [(per_content, average)] = estimate_outage(
         [(setup.params, setup.policy, setup.library, setup.requests)],
         seed,

@@ -27,12 +27,12 @@ except the no-caching baseline, whose library holds 0 slots. The
 interference kernels are evaluated once per distinct parameter set, the
 per-content total outage once per distinct (params, P_c), and a closed-form
 row's value once per distinct (params, policy, library, requests), the
-same key under which both engines keep their values. Monte-Carlo reads a
-point once per distinct (params, policy, library) and weights its counts
-by each variant's request law. Both engines are deterministic in these
-inputs, so a repeated input (the ``none`` variant along a d_tilde axis,
-say) reuses the earlier value exactly, bit for bit. These memos live for
-one sweep and never hold an error.
+same key under which both engines keep their values. In a realization,
+Monte-Carlo counts failures once per network and cache set, at every
+threshold, and weights them by each query's request law. Both engines are
+deterministic in these inputs, so a repeated input (the ``none`` variant
+along a d_tilde axis, say) reuses the earlier value exactly, bit for bit.
+These memos live for one sweep and never hold an error.
 
 A spec names each axis, variant label and engine at most once: a repeat
 would write duplicate columns or rows, and a repeated Monte-Carlo variant

@@ -26,19 +26,20 @@ Realization kernel
 One generator, ``_servers``, associates all requested ranks of a realization
 at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
-One reducer, ``_read_fades``, serves the groups of several grid points from
-one fading stream: each point is a reader with its own cursor that takes
-only whole rows. One buffer, allocated once per call, holds the stream from
-the lowest live cursor on: the unread tail moves to its front, a block of at
-most :data:`FADE_BLOCK_DOUBLES` doubles is drawn in place after it once for
-all readers, and every reader counts the failures of its whole rows as views
-of that buffer at once. It holds at most one block plus the widest row and
-no step allocates a second array, so memory stays flat in trials x
-interferers. ``_failures`` is its one-reader case. A task of
-:func:`estimate_batch` is one realization index over a batch of (point,
-policy) reads. :func:`simulate_request` draws one trial of one rank's group
-and keeps its tier, distance and SIR. SIRs are reduced with ``einsum``, not a
-BLAS product, so one worker stays one thread.
+One reducer, ``_read_fades``, serves the groups of several (network, caches)
+pairs from one fading stream: each is a reader with its own cursor that
+takes only whole rows and counts them against each of its thresholds. One
+buffer, allocated once per call, holds the stream from the lowest live
+cursor on: the unread tail moves to its front, a block of at most
+:data:`FADE_BLOCK_DOUBLES` doubles is drawn in place after it once for all
+readers, and every reader counts the failures of its whole rows as views of
+that buffer at once. It holds at most one block plus the widest row and no
+step allocates a second array, so memory stays flat in trials x interferers.
+``_failures`` is its one-reader case. A task of :func:`estimate_batch` is
+one realization index over a batch of (point, policy) reads.
+:func:`simulate_request` draws one trial of one rank's group and keeps its
+tier, distance and SIR. SIRs are reduced with ``einsum``, not a BLAS
+product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -93,23 +94,21 @@ share geometry and caches but redraw fading.
   outcomes along a gamma axis share their fades.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
-realization index they read the same three streams, and it plans them
-together as distinct (point, policy) reads. The reads of one network (one
-window, and params equal up to gamma) share it: its positions are the same
-draws whatever the policy and the threshold, so they are drawn once and
-their distances and gains computed once. Only the caches differ: PCP draws
-none, and UCP draws from ``caches`` only when an SBS lies within r_sbs and
-0 < d < |C|. Reads at one (params, window) whose caches come out equal
-share one reader. All reads read one ``fading`` stream together: a read
-reads the values at the stream positions it would read alone, so each
-result equals its one-point call bit for bit, but the stream is drawn once,
-as far as the read that needs the most. Reads differ in where their rows
-start and how wide they are, because their interferer sets and server
-groups differ; along a gamma axis, and for two policies whose caches cannot
-serve, they read the same rows. So the estimates of two policies at one
-point are paired (common random numbers): their per-realization outages
-correlate, and their difference varies far less than that of two
-independent runs.
+realization index they read the same three streams, and
+:func:`_batch_failures` alone decides what the reads of a batch share,
+keying each object by what it depends on. A network (one window, and
+params equal up to gamma) is drawn once, whatever the policy and the
+threshold. Its caches are drawn once per (policy, library): PCP draws none,
+and UCP draws from ``caches`` only when an SBS lies within r_sbs and
+0 < d < |C|. A reader associates once per (network, caches) and compares
+each block of SIRs against every threshold registered on it, so the points
+of a gamma axis share one association and one SIR reduction. All readers
+read one ``fading`` stream together: each reads the values at the stream
+positions it would read alone, so each result equals its one-point call bit
+for bit, but the stream is drawn once, as far as the reader that needs the
+most. So the estimates of two policies at one point are paired (common
+random numbers): their per-realization outages correlate, and their
+difference varies far less than that of two independent runs.
 """
 
 from __future__ import annotations
@@ -342,10 +341,12 @@ class ServiceOutcome(NamedTuple):
 def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray:
     """SIR of each row of ``fades``: the serving-link fade, then one fade per interferer.
 
-    ``signal_gain`` and ``gains`` are transmit power times path gain.
+    ``signal_gain`` and ``gains`` are transmit power times path gain. An
+    interference sum that underflows to 0 gives +inf, as no interferer does.
     """
     if gains.size:
-        return signal_gain * fades[:, 0] / np.einsum("ij,j->i", fades[:, 1:], gains)
+        with np.errstate(divide="ignore", over="ignore"):
+            return signal_gain * fades[:, 0] / np.einsum("ij,j->i", fades[:, 1:], gains)
     return np.full(len(fades), math.inf)
 
 
@@ -417,27 +418,31 @@ def _servers(
 
 
 class _FadeReader:
-    """One point's server groups, reading their fading rows from a shared stream.
+    """One (network, caches)'s server groups, reading their fading rows from a shared stream.
 
     ``cursor`` is the stream position of the reader's next row and ``width``
-    that row's length. ``failures`` counts, per requested rank, the trials
-    whose SIR does not exceed gamma; a missed rank, in no group, fails every
-    trial.
+    that row's length. ``failures[gamma]`` counts, per requested rank, the
+    trials whose SIR does not exceed the threshold gamma, registered by
+    :meth:`count` before the first read; a missed rank, in no group, fails
+    every trial. Each block of SIRs is compared against every threshold.
     """
 
-    __slots__ = ("_groups", "_gamma", "_trials", "_group", "_row", "_rows", "failures", "cursor", "width")
+    __slots__ = ("_groups", "_ranks", "_trials", "_group", "_row", "_rows", "failures", "cursor", "width")
 
-    def __init__(self, groups, ranks: int, gamma: float, trials: int) -> None:
-        self._groups, self._gamma, self._trials = groups, gamma, trials
-        self.failures = np.full(ranks, trials)
+    def __init__(self, groups, ranks: int, trials: int) -> None:
+        self._groups, self._ranks, self._trials = groups, ranks, trials
+        self.failures: dict[float, np.ndarray] = {}
         self.cursor = 0
         self._next_group()
+
+    def count(self, gamma: float) -> None:
+        """Register the threshold ``gamma``; a repeat registers nothing."""
+        self.failures.setdefault(gamma, np.full(self._ranks, self._trials))
 
     def _next_group(self) -> None:
         self._group = next(self._groups, None)
         if self._group is not None:
             requests, _, _, _, gains = self._group
-            self.failures[requests] = 0
             self._row, self._rows, self.width = 0, requests.size * self._trials, gains.size + 1
 
     @property
@@ -465,8 +470,9 @@ class _FadeReader:
             requests, _, _, signal_gain, gains = self._group
             sir = _sir(signal_gain, gains, fades[self.cursor - start : stop - start].reshape(rows, self.width))
             # rows are rank-major: row k of a group belongs to request k // trials
-            failed = self._row + np.flatnonzero(~(sir > self._gamma))
-            self.failures[requests] += np.bincount(failed // self._trials, minlength=requests.size)
+            for gamma, failed in self.failures.items():  # every trial counts as failed until it passes
+                passed = self._row + np.flatnonzero(sir > gamma)
+                failed[requests] -= np.bincount(passed // self._trials, minlength=requests.size)
             self.cursor, self._row = stop, self._row + rows
             if self._row == self._rows:
                 self._next_group()
@@ -522,10 +528,10 @@ def _failures(
     :func:`_read_fades`: each block of fading draws is reduced to counts at
     once, so memory does not grow with trials.
     """
-    groups = _servers(realization, contents, params, interference)
-    reader = _FadeReader(groups, contents.size, params.gamma, trials)
+    reader = _FadeReader(_servers(realization, contents, params, interference), contents.size, trials)
+    reader.count(params.gamma)
     _read_fades([reader], rng)
-    return reader.failures
+    return reader.failures[params.gamma]
 
 
 def simulate_request(
@@ -598,15 +604,16 @@ def _batch_failures(
 ) -> list[np.ndarray]:
     """Per-content failure counts of each (point, policy) read for realization ``r_index``.
 
-    The reads of one network (see :func:`_network_key`) share it: its
-    positions are drawn once from the ``geometry`` stream and its links
-    computed once. Each read adds only its own caches, which UCP draws from
-    a fresh ``caches`` stream. Reads at one (params, window) whose caches
-    come out equal (as when no SBS lies within r_sbs) associate alike, so
-    they share one reader. All readers read the one ``fading`` stream
-    together.
+    Each object is made once, keyed by what it depends on. A network (see
+    :func:`_network_key`) draws its positions from the ``geometry`` stream
+    and computes its links once. Its caches are drawn once per (policy,
+    library), UCP's from a fresh ``caches`` stream. A reader associates
+    once per (network, caches): reads whose caches come out equal (as when
+    no SBS lies within r_sbs) share it, and each registers its threshold
+    on it. All readers read the one ``fading`` stream together.
     """
-    networks: dict[tuple[SystemParams, SimWindow], tuple] = {}
+    networks: dict[tuple, tuple] = {}
+    caches: dict[tuple, np.ndarray] = {}
     readers: dict[tuple, _FadeReader] = {}
     per_read = []
     for point, policy in reads:
@@ -618,16 +625,19 @@ def _batch_failures(
             near = np.flatnonzero(links.dist[len(mbs) :] <= params.r_sbs)
             networks[network] = mbs, active, near, links
         mbs, active, near, links = networks[network]
-        caches = _caches(policy, library, near.size, partial(stream_rng, seed, "caches", r_index))
-        key = (params, window, caches.shape, caches.tobytes())
-        if key not in readers:
-            realization = NetworkRealization(mbs, active, caches, near)
-            contents = np.arange(1, library.size + 1)
-            groups = _servers(realization, contents, params, interference, links)
-            readers[key] = _FadeReader(groups, contents.size, params.gamma, trials_per_content)
-        per_read.append(readers[key])
+        held = caches.get((network, policy, library))
+        if held is None:
+            draw = partial(stream_rng, seed, "caches", r_index)
+            held = caches[network, policy, library] = _caches(policy, library, near.size, draw)
+        reader = readers.get(key := (network, held.shape, held.tobytes()))
+        if reader is None:
+            realization = NetworkRealization(mbs, active, held, near)
+            groups = _servers(realization, np.arange(1, library.size + 1), params, interference, links)
+            reader = readers[key] = _FadeReader(groups, library.size, trials_per_content)
+        reader.count(params.gamma)
+        per_read.append((reader, params.gamma))
     _read_fades(list(readers.values()), stream_rng(seed, "fading", r_index))
-    return [reader.failures for reader in per_read]
+    return [reader.failures[gamma] for reader, gamma in per_read]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -651,6 +661,9 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
             f"the simulator models one sub-channel; subchannels_b = {params.subchannels_b} "
             "is supported by the closed forms only"
         )
+    if params.alpha * math.log(params.r_mbs) > -math.log(np.finfo(float).tiny):  # r_mbs > r_sbs: the worst
+        raise ConfigError(f"alpha = {params.alpha:g} underflows the path gain of a server at r_mbs = "
+                          f"{params.r_mbs:g} m below the smallest normal float")
     expected, entries = _point_load(*point)
     if expected > MAX_POINTS_PER_REALIZATION:
         raise ConfigError(
@@ -670,24 +683,23 @@ def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[slice]:
 
     Each batch is a slice of consecutive reads whose expected points and
     cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
-    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed. The reads of one
-    network in a batch share it, so it counts its points once; each read
-    counts its own cache entries. So a task of a batch holds no more than
-    one realization of a single point may.
+    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed, each network and each
+    of its cache sets counted once, as :func:`_batch_failures` holds them.
     """
     batches: list[slice] = []
-    start, networks, points, entries = 0, set(), 0.0, 0.0
-    for i, (point, _) in enumerate(reads):
-        load, cache = _point_load(*point)
+    start, held, points, entries = 0, set(), 0.0, 0.0
+    for i, (point, policy) in enumerate(reads):
         network = _network_key(point)
-        shared = network in networks
-        if points + (0.0 if shared else load) > MAX_POINTS_PER_REALIZATION or (
+        parts = (network, (network, policy, point[1]))  # what the read holds: a network, caches
+        # each adds its load unless the batch already holds it
+        load, cache = (0.0 if part in held else need for part, need in zip(parts, _point_load(*point)))
+        if points + load > MAX_POINTS_PER_REALIZATION or (
             entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
         ):
             batches.append(slice(start, i))
-            start, networks, points, entries, shared = i, set(), 0.0, 0.0, False
-        networks.add(network)
-        points, entries = points + (0.0 if shared else load), entries + cache
+            (load, cache), start, held, points, entries = _point_load(*point), i, set(), 0.0, 0.0
+        held.update(parts)
+        points, entries = points + load, entries + cache
     batches.append(slice(start, len(reads)))
     return batches
 
@@ -707,15 +719,11 @@ def estimate_batch(
     would read alone, so each result equals the one-point call bit for bit.
     The seed and every point are checked before anything is sampled.
 
-    The queries are planned as distinct (point, policy) reads: a read that
-    several queries repeat is read once, and its counts are weighted by
-    each query's request law. The reads are ordered so that those of one
-    network (see :func:`_network_key`) are adjacent, then split into
-    batches that fit the per-realization budgets together. A task is one
-    realization index over a batch: the reads of one network share it, and
-    all read one ``fading`` stream, drawn once, as far as the read that
-    needs the most. All batches share one process pool, opened and shut
-    down by this call.
+    The queries are split, in order, into batches that fit the
+    per-realization budgets (:func:`_plan_batches`). A task is one
+    realization index over a batch, whose sharing :func:`_batch_failures`
+    alone decides; each query weights its counts by its request law. All
+    batches share one process pool, opened and shut down by this call.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
@@ -724,13 +732,9 @@ def estimate_batch(
     check_count("seed", seed, 0)
     for point, _, requests in queries:
         _check_point(point, requests)
-    # per network: the distinct reads, in first-seen order
-    networks: dict[tuple, dict] = {}
-    for point, policy, _ in queries:
-        networks.setdefault(_network_key(point), {})[point, policy] = None
-    reads = tuple(read for network in networks.values() for read in network)
-    batches = [reads[part] for part in _plan_batches(reads)]
-    tasks = [partial(_batch_failures, batch, seed, trials_per_content, interference) for batch in batches]
+    reads = tuple((point, policy) for point, policy, _ in queries)
+    batches = _plan_batches(reads)
+    tasks = [partial(_batch_failures, reads[part], seed, trials_per_content, interference) for part in batches]
     processes = min(workers, realizations, _usable_cpus())
     if processes == 1:
         counts = [list(map(task, range(realizations))) for task in tasks]
@@ -741,16 +745,11 @@ def estimate_batch(
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
-    # where the counts of each read are: its batch's, at its index
-    found = {
-        read: (batch_counts, k) for batch, batch_counts in zip(batches, counts) for k, read in enumerate(batch)
-    }
-    results = []
-    for point, policy, requests in queries:
-        batch_counts, k = found[point, policy]
-        failures = np.stack([per_read[k] for per_read in batch_counts])
-        results.append(_estimates(failures, requests, trials_per_content))
-    return results
+    return [
+        _estimates(np.stack([per_read[k] for per_read in batch_counts]), requests, trials_per_content)
+        for part, batch_counts in zip(batches, counts)
+        for k, (_, _, requests) in enumerate(queries[part])
+    ]
 
 
 def _usable_cpus() -> int:

@@ -52,6 +52,9 @@ CASES = (
     Case("sweep_fig4.csv", "sweep", "fig4.spec"),
     Case("sweep_fig4_montecarlo.csv", "sweep", "fig4.spec",
          MC10 + (("engines", "analytic, montecarlo"),), ("--seed", "1")),
+    Case("sweep_fig4_dtilde_montecarlo.csv", "sweep", "fig4.spec",
+         MC10 + (("engines", "analytic, montecarlo"), ("axis2", "d_tilde"),
+                 ("axis2_values", "0.1, 0.3, 0.6")), ("--seed", "1")),
     Case("simulate_fig2.json", "simulate", "fig2.cfg", MC10, ("--seed", "1")),
     Case("simulate_fig2_interference_all.json", "simulate", "fig2.cfg",
          MC10 + (("interference", "all"),), ("--seed", "1")),

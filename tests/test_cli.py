@@ -700,9 +700,11 @@ def test_interference_is_not_a_sweep_key(capsys, tmp_path):
 FIG2_TEXT = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg").read_text()
 
 
-@pytest.mark.parametrize("key, value", [("realizations", "x"), ("guard", "-5"), ("interference", "bogus")])
+@pytest.mark.parametrize("key, value", [("realizations", "x"), ("guard", "-5"), ("interference", "bogus"),
+                                        ("seed", "x"), ("seed", "-3")])
 def test_closed_form_and_monte_carlo_commands_refuse_one_file_alike(capsys, monkeypatch, tmp_path, key, value):
     # analytic checks the Monte-Carlo settings of a point config as simulate does
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
     calls = []
     monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
     path = tmp_path / "fig2.cfg"
@@ -712,6 +714,22 @@ def test_closed_form_and_monte_carlo_commands_refuse_one_file_alike(capsys, monk
         assert (code, out) == (2, ""), command
         assert key in err, command
     assert calls == []
+
+
+def test_simulate_refuses_an_alpha_whose_path_gain_underflows(capsys, monkeypatch, tmp_path):
+    # at alpha = 300 a server at r_mbs = 250 m has a path gain of 250^-300,
+    # which underflows to 0: the simulator refuses it before sampling, the
+    # closed forms still answer
+    calls = []
+    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    path = tmp_path / "fig2.cfg"
+    path.write_text(_with_value(FIG2_TEXT, "alpha", "300"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "alpha" in err and "r_mbs" in err
+    assert calls == []
+    code, out, err = run_cli(capsys, "analytic", "--config", str(path))
+    assert (code, err) == (0, "")
 
 
 #: Values that overflow a float inside the closed forms unless the boundary

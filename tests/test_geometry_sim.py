@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -293,6 +294,14 @@ class TestSimulateRequest:
         out = simulate_request(real, 1, params, stream_rng(8, "fading", 0))
         assert out.sir == math.inf and out.success is True
 
+    def test_interference_underflowing_to_zero_gives_infinite_sir(self):
+        # every interferer gain underflowed to 0: the sum is 0, and the SIR
+        # is +inf as with no interferer, without a division warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sir = _sir(1e-300, np.zeros(3), np.ones((2, 4)))
+        assert sir.tolist() == [math.inf, math.inf]
+
     def test_interference_conventions_differ_inside_serving_disc(self):
         # an interferer closer than the server is silent under the matched
         # convention and audible under the physical one
@@ -566,14 +575,39 @@ class TestSharedFading:
             assert 0 < shared.sum() < self.LIBRARY.size * 7
             assert np.array_equal(shared, single)
 
+    @staticmethod
+    def reader(real, trials, thresholds=(TestRealizationKernel.PARAMS.gamma,)):
+        """A reader of ranks 1..4 of ``real`` under "all", counting each threshold."""
+        groups = _servers(real, np.arange(1, 5), TestRealizationKernel.PARAMS, INTERFERENCE_ALL)
+        reader = _FadeReader(groups, 4, trials)
+        for gamma in thresholds:
+            reader.count(gamma)
+        return reader
+
     def three_readers(self, trials):
         """Readers of widths 4, 5 and 6 under "all", with their realizations."""
         kernel = TestRealizationKernel()
         layouts = [[(100.0, 0.0)], [(100.0, 0.0), (0.0, 200.0)], [(100.0, 0.0), (0.0, 200.0), (300.0, 0.0)]]
         realizations = [kernel.realization(mbs) for mbs in layouts]
-        readers = [_FadeReader(_servers(real, np.arange(1, 5), kernel.PARAMS, INTERFERENCE_ALL), 4,
-                               kernel.PARAMS.gamma, trials) for real in realizations]
-        return readers, realizations
+        return [self.reader(real, trials) for real in realizations], realizations
+
+    def test_one_reader_counts_every_threshold(self):
+        # one association and one SIR reduction serve every registered
+        # threshold; a repeated threshold registers nothing, and each count
+        # equals the one-reader run at that threshold alone
+        real = TestRealizationKernel().realization([(100.0, 0.0), (0.0, 200.0)])
+        params, trials = TestRealizationKernel.PARAMS, 500
+        thresholds = (0.1, params.gamma, 1000.0, params.gamma)
+        reader = self.reader(real, trials, thresholds)
+        assert len(reader.failures) == 3
+        _read_fades([reader], stream_rng(5, "fading", 0))
+        counts = []
+        for gamma in thresholds[:3]:
+            alone = _failures(real, np.arange(1, 5), replace(params, gamma=gamma), stream_rng(5, "fading", 0),
+                              INTERFERENCE_ALL, trials)
+            assert np.array_equal(reader.failures[gamma], alone)
+            counts.append(alone.sum())
+        assert counts[0] < counts[1] < counts[2]  # a higher threshold fails more
 
     def test_memory_flat_in_trials_with_three_readers(self):
         # widths 4, 5 and 6 under "all"; 3 x 4 ranks x 250k trials: the
@@ -589,7 +623,7 @@ class TestSharedFading:
         assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
         for reader, real in zip(readers, realizations, strict=True):
             alone = _failures(real, contents, params, stream_rng(1, "fading", 0), INTERFERENCE_ALL, trials)
-            assert np.array_equal(reader.failures, alone)
+            assert np.array_equal(reader.failures[params.gamma], alone)
             assert np.all((alone[:2] > 0) & (alone[:2] < trials))
 
     def test_reader_done_before_any_draw(self):
@@ -606,15 +640,14 @@ class TestSharedFading:
         stream = CountingExponential(stream_rng(2, "fading", 0))
         tracemalloc.start()
         try:
-            readers = [_FadeReader(_servers(real, contents, params, INTERFERENCE_ALL), 4, params.gamma, trials)
-                       for real in realizations]
+            readers = [self.reader(real, trials) for real in realizations]
             assert [reader.done for reader in readers] == [False, True, False]
             _read_fades(readers, stream)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
-        assert readers[1].failures.tolist() == [trials] * 4
+        assert readers[1].failures[params.gamma].tolist() == [trials] * 4
         needs = [sum(requests.size * trials * (gains.size + 1)
                      for requests, _, _, _, gains in _servers(real, contents, params, INTERFERENCE_ALL))
                  for real in realizations]
@@ -622,7 +655,7 @@ class TestSharedFading:
         assert stream.drawn == max(needs)
         for reader, real in zip(readers[::2], realizations[::2], strict=True):
             alone = _failures(real, contents, params, stream_rng(2, "fading", 0), INTERFERENCE_ALL, trials)
-            assert np.array_equal(reader.failures, alone)
+            assert np.array_equal(reader.failures[params.gamma], alone)
             assert np.all((alone[:2] > 0) & (alone[:2] < trials))
 
     @pytest.mark.parametrize("block", [None, 3])
@@ -677,7 +710,7 @@ class TestSharedFading:
         assert overlapping > 10
         for reader, single in zip(readers, alone, strict=True):
             assert 0 < single[0] < trials  # rank 1's SBS link fails some trials, not all
-            assert np.array_equal(reader.failures, single)
+            assert np.array_equal(reader.failures[params.gamma], single)
 
     def mixed_queries(self):
         """Queries at one seed that interleave the networks and repeat one query.
@@ -714,15 +747,15 @@ class TestSharedFading:
             assert result == estimate_outage(params, policy, library, requests, window=window,
                                              trials_per_content=trials, realizations=3, seed=6)
 
-    #: The batches of the mixed queries' reads, (0.05, ucp), (0.1, pcp),
-    #: (0.1, ucp) and (0.2, pcp), by budget: the reads of one network are
-    #: adjacent, networks in first-seen order. A shared network counts its
-    #: points once, so a point budget never parts the policies of one
-    #: network; the cache budget, which counts each read, does.
+    #: The batches of the mixed queries' (lambda_sbs, policy) reads, by
+    #: budget: slices of the queries in order. A batch counts each network's
+    #: points and each cache set's entries once, so under "points" the last
+    #: query, whose network its batch holds, adds nothing; a network parted
+    #: by the budget is sampled in each task that reads it.
     BATCHES = {
-        "none": [((0.05, "ucp"), (0.1, "pcp"), (0.1, "ucp"), (0.2, "pcp"))],
-        "points": [((0.05, "ucp"), (0.1, "pcp"), (0.1, "ucp")), ((0.2, "pcp"),)],
-        "entries": [((0.05, "ucp"), (0.1, "pcp")), ((0.1, "ucp"),), ((0.2, "pcp"),)],
+        "none": [((0.05, "ucp"), (0.1, "pcp"), (0.2, "pcp"), (0.1, "ucp"), (0.05, "ucp"), (0.1, "pcp"))],
+        "points": [((0.05, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),), ((0.1, "ucp"), (0.05, "ucp"), (0.1, "pcp"))],
+        "entries": [((0.05, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),), ((0.1, "ucp"), (0.05, "ucp")), ((0.1, "pcp"),)],
     }
 
     @pytest.mark.parametrize("budget", list(BATCHES))
@@ -740,9 +773,13 @@ class TestSharedFading:
         elif budget == "entries":
             monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
         tasks = self.recorded_tasks(monkeypatch)
+        readers = []
+        real = geometry_sim._read_fades
+        monkeypatch.setattr(geometry_sim, "_read_fades", lambda rs, rng: readers.append(len(rs)) or real(rs, rng))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
-        # six queries, four reads: a repeated query and a second law are read once
         assert tasks == [batch for batch in self.BATCHES[budget] for _ in range(3)]
+        # a repeated read shares the reader of its first occurrence in the batch
+        assert readers == [len(set(batch)) for batch in tasks]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
@@ -766,7 +803,8 @@ class TestSharedFading:
 
     def test_gamma_points_share_one_network(self, monkeypatch):
         # three thresholds at one (params but gamma, window) under both
-        # policies: the network is sampled once per realization, and each
+        # policies: per realization the network is sampled once, UCP's
+        # caches are drawn once, and each cache set is associated once; each
         # point still reads what it reads alone
         params = self.points()[1][0]
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
@@ -775,11 +813,15 @@ class TestSharedFading:
             for gamma in (0.1, 1.0, 10.0)
             for policy in (CachePolicy.UCP, CachePolicy.PCP)
         ]
-        sampled = []
-        real = geometry_sim._positions
+        sampled, associated, streams = [], [], []
+        real, real_servers, real_stream = geometry_sim._positions, geometry_sim._servers, geometry_sim.stream_rng
         monkeypatch.setattr(geometry_sim, "_positions", lambda *args: sampled.append(args) or real(*args))
+        monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real_servers(*args))
+        monkeypatch.setattr(geometry_sim, "stream_rng", lambda *args: streams.append(args[1]) or real_stream(*args))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
         assert len(sampled) == 3
+        assert len(associated) == 2 * 3  # the UCP and the PCP caches
+        assert [streams.count(name) for name in ("geometry", "caches", "fading")] == [3, 3, 3]
         monkeypatch.undo()
         self.assert_standalone(queries, results, 2)
         # a higher threshold fails more: the gamma points are not copies
@@ -803,27 +845,31 @@ class TestSharedFading:
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
 
+    #: The batches of both policies at the three points under a point budget
+    #: that fits two networks, by query order: point-major queries keep a
+    #: network in one batch; policy-major ones sample each network in two.
+    SPLITS = {"points first": [(0, 4), (4, 6)], "policies first": [(0, 2), (2, 4), (4, 6)]}
+
+    @pytest.mark.parametrize("order", list(SPLITS))
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_over_the_budgets_split_inside_the_call(self, monkeypatch, usable_cpus, recorded_pools, workers):
-        # both policies at three points: one network per point serves both,
-        # and the networks fit the point budget only as (0, 1), (2)
+    def test_run_over_the_budgets_split_inside_the_call(
+        self, monkeypatch, usable_cpus, recorded_pools, workers, order
+    ):
         usable_cpus(2)
         points = self.points()
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
         loads = [geometry_sim._point_load(*point)[0] for point in points]
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
-        reads = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
-        assert [(b.start, b.stop) for b in geometry_sim._plan_batches(reads)] == [(0, 4), (4, 6)]
+        pairs = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
+        reads = pairs if order == "points first" else pairs[::2] + pairs[1::2]
+        splits = [(b.start, b.stop) for b in geometry_sim._plan_batches(reads)]
+        assert splits == self.SPLITS[order]
         tasks = self.recorded_tasks(monkeypatch)
-        queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP) for point in points]
+        queries = [(point, policy, requests) for point, policy in reads]
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3, workers=workers)
-        # each batch holds both policies, mapped over the 3 realizations
-        lambdas = [params.lambda_sbs for params, _, _ in points]
-        assert tasks == [
-            tuple((lam, policy) for lam in part for policy in ("ucp", "pcp"))
-            for part in (lambdas[:2], lambdas[2:])
-            for _ in range(3)
-        ]
+        # each batch, a slice of the queries in order, mapped over the 3 realizations
+        named = [(params.lambda_sbs, policy.value) for (params, _, _), policy in reads]
+        assert tasks == [tuple(named[start:stop]) for start, stop in splits for _ in range(3)]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
