@@ -11,11 +11,11 @@ All Monte-Carlo rows of a sweep share one seed, so its random streams
 serve the whole grid and every variant (common random numbers): along a
 gamma axis this makes estimated outage exactly monotone per trial, since
 only the threshold changes, and the rows of two variants at a grid point
-are paired, drawn on the same networks and fades. They share the draws
+are paired, drawn on the same networks and uniforms. They share the draws
 too: a sweep makes one :func:`estimate_outage` call, with one query per
 distinct Monte-Carlo row input, and in every realization the variants at a
-grid point, and the points of a gamma axis, share one network and all
-points read one fading stream that is drawn once (see :mod:`geometry_sim`).
+grid point, and the points of a gamma axis, share one network (see
+:mod:`geometry_sim`).
 Each row still equals the standalone estimate of its point at the sweep's
 seed bit for bit. Every query is checked before the first realization runs.
 
@@ -28,8 +28,8 @@ interference kernels are evaluated once per distinct parameter set, the
 per-content total outage once per distinct (params, P_c), and a closed-form
 row's value once per distinct (params, policy, library, requests), the
 same key under which both engines keep their values. In a realization,
-Monte-Carlo counts failures once per network and cache set, at every
-threshold, and weights them by each query's request law. Both engines are
+Monte-Carlo associates once per network and cache set, counts failures
+at each threshold, and weights them by each query's request law. Both engines are
 deterministic in these inputs, so a repeated input (the ``none`` variant
 along a d_tilde axis, say) reuses the earlier value exactly, bit for bit.
 These memos live for one sweep and never hold an error.

@@ -26,20 +26,18 @@ Realization kernel
 One generator, ``_servers``, associates all requested ranks of a realization
 at once and yields one group per distinct server (PCP has at most 2, UCP at
 most the SBSs inside r_sbs plus one) with its interferer gains, built once.
-One reducer, ``_read_fades``, serves the groups of several (network, caches)
-pairs from one fading stream: each is a reader with its own cursor that
-takes only whole rows and counts them against each of its thresholds. One
-buffer, allocated once per call, holds the stream from the lowest live
-cursor on: the unread tail moves to its front, a block of at most
-:data:`FADE_BLOCK_DOUBLES` doubles is drawn in place after it once for all
-readers, and every reader counts the failures of its whole rows as views of
-that buffer at once. It holds at most one block plus the widest row and no
-step allocates a second array, so memory stays flat in trials x interferers.
-``_failures`` is its one-reader case. A task of :func:`estimate_batch` is
-one realization index over a batch of (point, policy) reads.
-:func:`simulate_request` draws one trial of one rank's group and keeps its
-tier, distance and SIR. SIRs are reduced with ``einsum``, not a BLAS
-product, so one worker stays one thread.
+Given those gains, independent unit-mean exponential fades make SIR > gamma
+a Bernoulli event of probability prod_i 1 / (1 + gamma * g_i / g_server),
+the Laplace functional the closed forms integrate; ``_success`` computes it
+with one ``log1p`` pass over the group's interferers. A trial therefore
+draws one uniform u, not a fade per link, and fails when u >= p, which
+gives every failure count exactly the law that drawing the fades gives it
+(conditional Monte-Carlo). ``_failures`` counts one association's failures
+at one threshold from a (|C|, trials) block of uniforms. A task of
+:func:`estimate_batch` is one realization index over a batch of (point,
+policy) reads. :func:`simulate_request` draws the fades of one trial of one
+rank's group and keeps its tier, distance and SIR. SIRs are reduced with
+``einsum``, not a BLAS product, so one worker stays one thread.
 
 Interference conventions
 ------------------------
@@ -65,17 +63,21 @@ therefore refuses B > 1 with ConfigError; the closed forms accept any B.
 Before sampling anything it also refuses beta * B = 0, with the closed
 forms' ConfigError (p_sbs is undefined there), a negative seed, an unknown
 interference convention, a window whose expected point count exceeds
-:data:`MAX_POINTS_PER_REALIZATION`, and caches whose expected entries exceed
-:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`. The budgets bound what one task
+:data:`MAX_POINTS_PER_REALIZATION`, caches whose expected entries exceed
+:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, and a library of |C| ranks whose
+block of |C| * trials_per_content uniforms exceeds
+:data:`MAX_UNIFORMS_PER_REALIZATION`. The budgets bound what one task
 holds, so they bound a batch's networks and caches summed: the call splits
-its reads into batches that fit.
+its reads into batches that fit. A batch's reads share one block of
+uniforms, as large as its largest library needs, so the bound on each query
+bounds it.
 
 RNG discipline
 --------------
 One master seed derives independent named streams per realization through
 counter-based Philox generators, so parallel execution is order-independent
 and results never depend on the worker count. Trials within one realization
-share geometry and caches but redraw fading.
+share geometry and caches but draw their own uniforms.
 
 - ``geometry``: the MBS count and positions, then the active-SBS count and
   positions.
@@ -83,15 +85,12 @@ share geometry and caches but redraw fading.
   SBS inside r_sbs, in increasing SBS index. SBSs farther out can never serve and draw no
   cache; interference ignores caches and caches are i.i.d. per SBS, so the
   joint law of every outcome is that of caching at every SBS.
-- ``fading``: per distinct server, in association order (SBSs nearest first,
-  then the MBS), one row per (requested rank, trial) in rank-major order;
-  a row is the serving-link fade followed by the interferer fades, MBSs
-  before SBSs in index order. Drawing the stream in blocks of any size,
-  by ``exponential`` or in place by ``standard_exponential(out=...)``,
-  gives the same values as drawing them one by one, so repeated
-  :func:`simulate_request` calls on a realization's stream draw the trials
-  of an estimate that requests one rank. No draw depends on gamma, so
-  outcomes along a gamma axis share their fades.
+- ``fading``: one block of uniforms drawn by ``random`` in row-major order,
+  row c - 1 holding rank c's trials. A batch draws the rows of its largest
+  library, and a read of |C| ranks compares the first |C| rows, the block
+  it would draw alone. :func:`simulate_request` draws from the generator it
+  is given one row of fades: the serving-link fade, then the interferer
+  fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
 realization index they read the same three streams, and
@@ -100,15 +99,14 @@ keying each object by what it depends on. A network (one window, and
 params equal up to gamma) is drawn once, whatever the policy and the
 threshold. Its caches are drawn once per (policy, library): PCP draws none,
 and UCP draws from ``caches`` only when an SBS lies within r_sbs and
-0 < d < |C|. A reader associates once per (network, caches) and compares
-each block of SIRs against every threshold registered on it, so the points
-of a gamma axis share one association and one SIR reduction. All readers
-read one ``fading`` stream together: each reads the values at the stream
-positions it would read alone, so each result equals its one-point call bit
-for bit, but the stream is drawn once, as far as the reader that needs the
-most. So the estimates of two policies at one point are paired (common
-random numbers): their per-realization outages correlate, and their
-difference varies far less than that of two independent runs.
+0 < d < |C|. Its ranks are associated once per (network, caches), so the
+points of a gamma axis share one association. Every read compares the same
+uniforms, whatever its policy or threshold, so each result equals its
+one-point call bit for bit, and outage is nondecreasing in gamma within a
+realization, as p falls with gamma. So the estimates of two policies at one
+point are paired (common random numbers): a rank both serve from one server
+fails the same trials under both, their per-realization outages correlate,
+and their difference varies far less than that of two independent runs.
 """
 
 from __future__ import annotations
@@ -136,12 +134,6 @@ from .params import (
     check_interference,
 )
 
-#: Most doubles one block of fading draws holds (512 KiB). A block is drawn
-#: larger only when no reader could otherwise finish a row. The fading
-#: buffer holds one block plus the widest row, in a capacity of two blocks
-#: that grows only for a step that needs more.
-FADE_BLOCK_DOUBLES = 1 << 16
-
 #: Most expected points (MBSs plus active SBSs) one realization may sample,
 #: about 250 MB of positions, distances and path gains. The fig2 operating
 #: point needs about 1e4.
@@ -151,6 +143,11 @@ MAX_POINTS_PER_REALIZATION = 5_000_000
 #: one realization may hold: about 170 MB of UCP scores and their partition.
 #: The fig2 operating point needs about 80.
 MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
+
+#: Most uniforms, |C| * trials_per_content, one realization may draw: 80 MB,
+#: and at most as much again for the copy of a server group's rows that is
+#: compared. The fig2 operating point needs 100.
+MAX_UNIFORMS_PER_REALIZATION = 10_000_000
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
 
@@ -417,121 +414,31 @@ def _servers(
         yield np.flatnonzero(server == code), tier, float(dist[index]), gain[index], gain[interferers]
 
 
-class _FadeReader:
-    """One (network, caches)'s server groups, reading their fading rows from a shared stream.
+def _success(signal_gain: float, gains: np.ndarray, gamma: float) -> float:
+    """P(SIR > gamma) of a server group under independent unit-mean exponential fades.
 
-    ``cursor`` is the stream position of the reader's next row and ``width``
-    that row's length. ``failures[gamma]`` counts, per requested rank, the
-    trials whose SIR does not exceed the threshold gamma, registered by
-    :meth:`count` before the first read; a missed rank, in no group, fails
-    every trial. Each block of SIRs is compared against every threshold.
+    ``signal_gain`` and ``gains`` are as in :func:`_sir`. The probability is
+    prod_i 1 / (1 + gamma * g_i / signal_gain): 1 with no interferer, and 0
+    where a term overflows.
     """
-
-    __slots__ = ("_groups", "_ranks", "_trials", "_group", "_row", "_rows", "failures", "cursor", "width")
-
-    def __init__(self, groups, ranks: int, trials: int) -> None:
-        self._groups, self._ranks, self._trials = groups, ranks, trials
-        self.failures: dict[float, np.ndarray] = {}
-        self.cursor = 0
-        self._next_group()
-
-    def count(self, gamma: float) -> None:
-        """Register the threshold ``gamma``; a repeat registers nothing."""
-        self.failures.setdefault(gamma, np.full(self._ranks, self._trials))
-
-    def _next_group(self) -> None:
-        self._group = next(self._groups, None)
-        if self._group is not None:
-            requests, _, _, _, gains = self._group
-            self._row, self._rows, self.width = 0, requests.size * self._trials, gains.size + 1
-
-    @property
-    def done(self) -> bool:
-        return self._group is None
-
-    @property
-    def group_end(self) -> int:
-        """Stream position just past the current group's rows."""
-        return self.cursor + (self._rows - self._row) * self.width
-
-    def read(self, fades: np.ndarray, start: int) -> None:
-        """Count the failures of every whole row of ``fades`` from the cursor on.
-
-        ``fades`` holds the stream from position ``start`` on; the whole
-        rows of a server group are read as one view. A read leaves less than
-        one row unread.
-        """
-        drawn = start + fades.size
-        while self._group is not None:
-            rows = min(self._rows - self._row, (drawn - self.cursor) // self.width)
-            if rows == 0:
-                return
-            stop = self.cursor + rows * self.width
-            requests, _, _, signal_gain, gains = self._group
-            sir = _sir(signal_gain, gains, fades[self.cursor - start : stop - start].reshape(rows, self.width))
-            # rows are rank-major: row k of a group belongs to request k // trials
-            for gamma, failed in self.failures.items():  # every trial counts as failed until it passes
-                passed = self._row + np.flatnonzero(sir > gamma)
-                failed[requests] -= np.bincount(passed // self._trials, minlength=requests.size)
-            self.cursor, self._row = stop, self._row + rows
-            if self._row == self._rows:
-                self._next_group()
+    with np.errstate(over="ignore"):
+        # gamma * g_i first: a zero gain stays 0 where gamma / signal_gain overflows
+        return math.exp(-np.log1p(gamma * gains / signal_gain).sum())
 
 
-def _read_fades(readers: list[_FadeReader], rng: np.random.Generator) -> None:
-    """Let every reader count its failures from the one fading stream ``rng``.
+def _failures(groups, gamma: float, uniforms: np.ndarray) -> np.ndarray:
+    """Per-rank counts of the trials whose SIR does not exceed ``gamma``.
 
-    Readers at the same stream position read the same values, so each
-    reader sees exactly the stream it would draw alone. Blocks hold at most
-    :data:`FADE_BLOCK_DOUBLES` doubles, more only when no reader could
-    otherwise finish a row, and are trimmed to the farthest end of the
-    readers' current server groups: nothing is drawn past the largest
-    reader's need. One buffer, allocated once per call with room for two
-    blocks and grown only when a step needs more, holds the stream from the
-    lowest live cursor, ``start``, up to ``drawn``. Each step moves the
-    unread tail, which is shorter than the widest row, to the buffer's
-    front, draws the new block in place after it with
-    ``rng.standard_exponential(out=...)``, and lets every reader take all
-    its whole rows as views of ``fades``, the filled front of the buffer.
-    It holds at most one block plus the widest row, and no step allocates
-    a second array.
+    ``groups`` are :func:`_servers`' groups of the ranks whose trials are
+    the rows of ``uniforms``. A trial fails when its uniform is not below
+    its group's success probability; a missed rank, in no group, fails
+    every trial.
     """
-    live = [reader for reader in readers if not reader.done]
-    buffer, start, drawn = np.empty(0), 0, 0
-    while live:
-        end = drawn + max(FADE_BLOCK_DOUBLES, min(reader.cursor + reader.width for reader in live) - drawn)
-        end = min(end, max(reader.group_end for reader in live))
-        low = min(reader.cursor for reader in live)
-        tail = buffer[low - start : drawn - start]
-        if end - low > buffer.size:
-            buffer = np.empty(max(end - low, 2 * FADE_BLOCK_DOUBLES))
-        buffer[: tail.size] = tail  # numpy copies overlapping ranges exactly
-        fades = buffer[: end - low]
-        rng.standard_exponential(out=fades[tail.size :])
-        start, drawn = low, end
-        for reader in live:
-            reader.read(fades, start)
-        live = [reader for reader in live if not reader.done]
-
-
-def _failures(
-    realization: NetworkRealization,
-    contents: np.ndarray,
-    params: SystemParams,
-    rng: np.random.Generator,
-    interference: str,
-    trials: int,
-) -> np.ndarray:
-    """Per-rank counts of the ``trials`` whose SIR does not exceed gamma.
-
-    A missed rank fails every trial. The one-point case of
-    :func:`_read_fades`: each block of fading draws is reduced to counts at
-    once, so memory does not grow with trials.
-    """
-    reader = _FadeReader(_servers(realization, contents, params, interference), contents.size, trials)
-    reader.count(params.gamma)
-    _read_fades([reader], rng)
-    return reader.failures[params.gamma]
+    failures = np.full(len(uniforms), uniforms.shape[1])
+    for requests, _, _, signal_gain, gains in groups:
+        p = _success(signal_gain, gains, gamma)
+        failures[requests] = np.count_nonzero(uniforms[requests] >= p, axis=1)
+    return failures
 
 
 def simulate_request(
@@ -548,9 +455,7 @@ def simulate_request(
     fades are drawn in one call of ``rng.exponential(size=n)``; a miss draws
     nothing. Interferers are every other transmitter under ``"all"``, or
     only those at or beyond the serving distance under the default
-    ``"beyond_server"`` (the geometry the closed forms integrate). Repeated
-    calls on one stream draw its rows in the order a server group of
-    :func:`estimate_outage` draws its trials.
+    ``"beyond_server"`` (the geometry the closed forms integrate).
     """
     library_size = realization.sbs_caches.shape[1]
     if not 1 <= content <= library_size:
@@ -607,14 +512,14 @@ def _batch_failures(
     Each object is made once, keyed by what it depends on. A network (see
     :func:`_network_key`) draws its positions from the ``geometry`` stream
     and computes its links once. Its caches are drawn once per (policy,
-    library), UCP's from a fresh ``caches`` stream. A reader associates
+    library), UCP's from a fresh ``caches`` stream. Its ranks are associated
     once per (network, caches): reads whose caches come out equal (as when
-    no SBS lies within r_sbs) share it, and each registers its threshold
-    on it. All readers read the one ``fading`` stream together.
+    no SBS lies within r_sbs) share the server groups. Every read compares
+    the first |C| rows of one block of uniforms from the ``fading`` stream.
     """
     networks: dict[tuple, tuple] = {}
     caches: dict[tuple, np.ndarray] = {}
-    readers: dict[tuple, _FadeReader] = {}
+    associations: dict[tuple, list] = {}
     per_read = []
     for point, policy in reads:
         params, library, window = point
@@ -629,15 +534,15 @@ def _batch_failures(
         if held is None:
             draw = partial(stream_rng, seed, "caches", r_index)
             held = caches[network, policy, library] = _caches(policy, library, near.size, draw)
-        reader = readers.get(key := (network, held.shape, held.tobytes()))
-        if reader is None:
+        groups = associations.get(key := (network, held.shape, held.tobytes()))
+        if groups is None:
             realization = NetworkRealization(mbs, active, held, near)
-            groups = _servers(realization, np.arange(1, library.size + 1), params, interference, links)
-            reader = readers[key] = _FadeReader(groups, library.size, trials_per_content)
-        reader.count(params.gamma)
-        per_read.append((reader, params.gamma))
-    _read_fades(list(readers.values()), stream_rng(seed, "fading", r_index))
-    return [reader.failures[gamma] for reader, gamma in per_read]
+            contents = np.arange(1, library.size + 1)
+            groups = associations[key] = list(_servers(realization, contents, params, interference, links))
+        per_read.append((groups, params.gamma, library.size))
+    rows = max((size for _, _, size in per_read), default=0)
+    uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
+    return [_failures(groups, gamma, uniforms[:size]) for groups, gamma, size in per_read]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -647,7 +552,7 @@ def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow
     return points, entries
 
 
-def _check_point(point: McPoint, requests: RequestDistribution) -> None:
+def _check_point(point: McPoint, requests: RequestDistribution, trials_per_content: int) -> None:
     params, library, window = point
     if requests.size != library.size:
         raise ConfigError(
@@ -675,6 +580,12 @@ def _check_point(point: McPoint, requests: RequestDistribution) -> None:
             f"the caches within r_sbs expect {entries:.3g} entries per realization, over the "
             f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
             "the SBS density or library_size"
+        )
+    if library.size * trials_per_content > MAX_UNIFORMS_PER_REALIZATION:
+        raise ConfigError(
+            f"{library.size} ranks x trials_per_content = {trials_per_content} draw "
+            f"{library.size * trials_per_content:.3g} uniforms per realization, over the simulator's "
+            f"budget of {MAX_UNIFORMS_PER_REALIZATION:.0e}; reduce trials_per_content or library_size"
         )
 
 
@@ -731,7 +642,7 @@ def estimate_batch(
     check_interference(interference)
     check_count("seed", seed, 0)
     for point, _, requests in queries:
-        _check_point(point, requests)
+        _check_point(point, requests, trials_per_content)
     reads = tuple((point, policy) for point, policy, _ in queries)
     batches = _plan_batches(reads)
     tasks = [partial(_batch_failures, reads[part], seed, trials_per_content, interference) for part in batches]

@@ -3,8 +3,9 @@
 These deliberately avoid the closed-form algebra under test: the kernel is
 recomputed as adaptive quadrature of its defining integral, tier outage as
 the defining distance-averaged quadrature of the Laplace-transform success
-probability, and distance laws come from the truncated-Rayleigh CDF written
-out directly.
+probability, distance laws come from the truncated-Rayleigh CDF written
+out directly, and a server group's success probability is the share of
+fade-drawn trials whose SIR exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hetcache import (
     simulate_request,
     stream_rng,
 )
+from hetcache.geometry_sim import _sir
 
 
 def fig2_params(lambda_sbs: float = 0.2, beta: float = 0.05, gamma_db: float = -10.0,
@@ -145,13 +147,24 @@ def unit_fade_request(realization, content: int, params: SystemParams, beyond_se
     return dist, math.inf if interference == 0.0 else power * dist ** -params.alpha / interference
 
 
+def fade_drawn_success(signal_gain: float, gains: np.ndarray, gamma: float, trials: int,
+                       rng: np.random.Generator) -> float:
+    """Share of ``trials`` fade draws of one server group whose SIR exceeds ``gamma``.
+
+    Each trial is one row of independent unit-mean exponential fades drawn
+    by ``exponential``: the serving-link fade, then one per interferer.
+    """
+    fades = rng.exponential(size=(trials, gains.size + 1))
+    return float(np.count_nonzero(_sir(signal_gain, gains, fades) > gamma)) / trials
+
+
 def request_outcomes(params: SystemParams, policy, library, content: int, window, realizations: int,
                      trials: int, seed: int, interference: str = INTERFERENCE_BEYOND_SERVER):
     """``trials`` outcomes of a request for ``content`` in each of ``realizations`` networks.
 
-    Realization r is sampled on the ``geometry``, ``caches`` and ``fading``
-    streams (seed, r) that :func:`estimate_outage` gives it; the outcomes
-    come realization by realization.
+    Realization r is sampled on the ``geometry`` and ``caches`` streams
+    (seed, r) that :func:`estimate_outage` gives it, and its fades are drawn
+    from its ``fading`` stream; the outcomes come realization by realization.
     """
     outcomes = []
     for r in range(realizations):

@@ -186,10 +186,11 @@ class TestOutageSbs:
     def test_benchmark_regression(self):
         assert total_outage(fig2_params(), 1.0).p_out_sbs == pytest.approx(OUT_SBS_FIG2, rel=1e-12, abs=0.0)
 
-    def test_matches_defining_integral(self):
+    @pytest.mark.parametrize("subchannels_b", [1, 2, 3])
+    def test_matches_defining_integral(self, subchannels_b):
         for lam in (0.05, 0.2):
             for p_c in (0.3, 1.0):
-                p = fig2_params(lambda_sbs=lam)
+                p = SystemParams(**{**fig2_params(lambda_sbs=lam).__dict__, "subchannels_b": subchannels_b})
                 assert total_outage(p, p_c).p_out_sbs == pytest.approx(
                     1.0 - success_sbs_integral(p, p_c), abs=1e-7
                 )
@@ -207,10 +208,11 @@ class TestOutageMbs:
     def test_benchmark_regression(self):
         assert total_outage(fig2_params(), 1.0).p_out_mbs == pytest.approx(OUT_MBS_FIG2, rel=1e-12, abs=0.0)
 
-    def test_matches_defining_integral(self):
+    @pytest.mark.parametrize("subchannels_b", [1, 2, 3])
+    def test_matches_defining_integral(self, subchannels_b):
         for lam in (0.05, 0.2):
             for beta in (0.05, 0.5):
-                p = fig2_params(lambda_sbs=lam, beta=beta)
+                p = SystemParams(**{**fig2_params(lambda_sbs=lam, beta=beta).__dict__, "subchannels_b": subchannels_b})
                 assert total_outage(p, 1.0).p_out_mbs == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
 
 

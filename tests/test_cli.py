@@ -353,13 +353,16 @@ class TestExitCodes:
         assert calls == []
         assert [path.name for path in tmp_path.iterdir()] == ["small.spec"]
 
-    def test_out_of_scale_window_refused_before_sampling(self, capsys, tmp_path):
-        text = _load_config("fig2.cfg") | {"r_mbs": "1e7", "realizations": "1"}
+    # an out-of-scale window, and 100 ranks x 100001 trials: 1.00001e7
+    # uniforms per realization, one trial over the budget
+    @pytest.mark.parametrize("key, value", [("r_mbs", "1e7"), ("trials_per_content", "100001")])
+    def test_over_a_simulator_budget_refused_before_sampling(self, capsys, tmp_path, key, value):
+        text = _load_config("fig2.cfg") | {key: value, "realizations": "1"}
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
-        assert "budget" in err
+        assert "budget" in err and key in err
 
     def test_oversized_cache_matrix_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
         # beta = 1 and r_sbs = 200 m put ~2.5e4 SBSs within r_sbs: ~2.5e8 UCP

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -30,17 +29,16 @@ from hetcache import (
 )
 
 from hetcache import geometry_sim
-from hetcache.geometry_sim import (
-    FADE_BLOCK_DOUBLES,
-    _batch_failures,
-    _FadeReader,
-    _failures,
-    _read_fades,
-    _servers,
-    _sir,
-)
+from hetcache.geometry_sim import _batch_failures, _failures, _servers, _sir, _success
 
-from oracles import fig2_params, request_outcomes, thin, truncated_rayleigh_cdf, unit_fade_request
+from oracles import (
+    fade_drawn_success,
+    fig2_params,
+    request_outcomes,
+    thin,
+    truncated_rayleigh_cdf,
+    unit_fade_request,
+)
 
 
 class FixedGains:
@@ -48,9 +46,6 @@ class FixedGains:
 
     def exponential(self, size=None):
         return 1.0 if size is None else np.ones(size)
-
-    def standard_exponential(self, out):
-        out.fill(1.0)
 
 
 def single_content_params(**overrides):
@@ -336,33 +331,6 @@ class TestSimulateRequest:
             simulate_request(real, 1, single_content_params(), FixedGains(), interference="bogus")
 
 
-class CountingExponential:
-    """RNG stub exposing only ``exponential(scale, size)`` with an integer size
-    and ``standard_exponential(out)``; ``outs`` lists the arrays filled in place."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls = 0
-        self.drawn = 0
-        self.largest = 0
-        self.outs = []
-
-    def _count(self, size):
-        self.calls += 1
-        self.drawn += size
-        self.largest = max(self.largest, size)
-
-    def exponential(self, scale=1.0, size=None):
-        assert isinstance(size, int)
-        self._count(size)
-        return self._rng.exponential(scale, size)
-
-    def standard_exponential(self, out):
-        self._count(out.size)
-        self.outs.append(out)
-        self._rng.standard_exponential(out=out)
-
-
 class TestRealizationKernel:
     # Unit fades, alpha = 4, p_sbs = 1, p_mbs = 4. SBS a (1, 0) holds rank 1,
     # b (0, 2) holds rank 2, c (10, 0) lies beyond r_sbs = 5 holding every
@@ -384,13 +352,16 @@ class TestRealizationKernel:
             sbs_caches=caches,
         )
 
-    def expected(self, interference, mbs_near, mbs_far):
-        """(tiers, distances, SIRs) by hand, for MBS gains 4 r^-4."""
+    def gains(self, interference, mbs_near, mbs_far):
+        """(signal gain, interferer gains) of servers a, b and the near MBS, by hand."""
         a, b, c, m1, m2 = self.A, self.B, self.C, 4.0 * mbs_near**-4, 4.0 * mbs_far**-4
         if interference == INTERFERENCE_ALL:
-            sir = [a / (b + c + m1 + m2), b / (a + c + m1 + m2), m1 / (a + b + c + m2)]
-        else:
-            sir = [a / (b + c + m1 + m2), b / (c + m1 + m2), m1 / m2]
+            return [(a, [b, c, m1, m2]), (b, [a, c, m1, m2]), (m1, [a, b, c, m2])]
+        return [(a, [b, c, m1, m2]), (b, [c, m1, m2]), (m1, [m2])]
+
+    def expected(self, interference, mbs_near, mbs_far):
+        """(tiers, distances, SIRs) by hand, for MBS gains 4 r^-4."""
+        sir = [signal / sum(gains) for signal, gains in self.gains(interference, mbs_near, mbs_far)]
         if mbs_near > self.PARAMS.r_mbs:
             return [Tier.SBS, Tier.SBS, Tier.MISS, Tier.MISS], [1.0, 2.0], sir[:2]
         return [Tier.SBS, Tier.SBS, Tier.MBS, Tier.MBS], [1.0, 2.0, mbs_near, mbs_near], sir + sir[2:]
@@ -409,8 +380,6 @@ class TestRealizationKernel:
             expected_groups.append(([2, 3], Tier.MBS, mbs_near))
         assert groups == expected_groups
         failures = [0 if s > self.PARAMS.gamma else trials for s in sir] + [trials] * (4 - n_served)
-        counted = _failures(real, np.arange(1, 5), self.PARAMS, FixedGains(), interference, trials)
-        assert counted.tolist() == failures
         for rank in range(1, 5):
             outs = [simulate_request(real, rank, self.PARAMS, FixedGains(), interference)
                     for _ in range(trials)]
@@ -421,6 +390,53 @@ class TestRealizationKernel:
                 assert all(o.sir == pytest.approx(sir[rank - 1], rel=1e-12) for o in outs)
             else:
                 assert all(o.server_distance is None and o.sir is None for o in outs)
+
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    @pytest.mark.parametrize("mbs_near, mbs_far", [(100.0, 200.0), (300.0, 400.0)])
+    def test_success_probability_against_the_hand_product(self, interference, mbs_near, mbs_far):
+        gamma = self.PARAMS.gamma
+        groups = list(_servers(self.realization([(mbs_near, 0.0), (0.0, mbs_far)]), np.arange(1, 5),
+                               self.PARAMS, interference))
+        successes = [_success(signal_gain, gains, gamma) for _, _, _, signal_gain, gains in groups]
+        hand = [math.prod(1.0 / (1.0 + gamma * g / signal) for g in gains)
+                for signal, gains in self.gains(interference, mbs_near, mbs_far)]
+        assert successes == pytest.approx(hand[: len(groups)], rel=1e-12)
+        # a trial fails when its uniform is not below its group's probability:
+        # the first trial of each served rank draws exactly it, a tie, and fails
+        uniforms = stream_rng(1, "fading", 0).random((4, 50))
+        per_rank = np.full(4, np.nan)  # a missed rank compares nothing and fails every trial
+        for (requests, _, _, _, _), p in zip(groups, successes):
+            per_rank[requests] = p
+        served = ~np.isnan(per_rank)
+        uniforms[served, 0] = per_rank[served]
+        expected = np.where(served, np.count_nonzero(uniforms >= per_rank[:, None], axis=1), 50)
+        assert _failures(groups, gamma, uniforms).tolist() == expected.tolist()
+        assert 0 < expected[0] < 50  # link a passes some trials, not all
+
+    def test_success_probability_bounds(self):
+        # no interferer always succeeds; an overflowing term never does, and
+        # a zero gain adds nothing even where gamma / signal gain overflows
+        assert _success(1.0, np.empty(0), 10.0) == 1.0
+        assert _success(1e-300, np.array([1.0]), 1e10) == 0.0
+        assert _success(1e-300, np.array([0.0]), 1e10) == 1.0
+
+    def test_success_matches_fade_drawn_rate(self):
+        # the identity itself: per server group, the share of 4000 fade-drawn
+        # trials whose SIR exceeds gamma against the exact probability, in a
+        # dense UCP layout (lambda_sbs = 0.2, beta = 0.6) with many groups
+        p = fig2_params(lambda_sbs=0.2, beta=0.6, r_mbs=6.0)
+        lib, trials, z = ContentLibrary(size=20, cache_slots=6), 4000, []
+        for r in range(10):
+            real = realize_network(p, CachePolicy.UCP, lib, SimWindow(40.0, guard=14.0),
+                                   stream_rng(15, "geometry", r), cache_rng=stream_rng(15, "caches", r))
+            fading = stream_rng(15, "fading", r)
+            for _, _, _, signal_gain, gains in _servers(real, np.arange(1, lib.size + 1), p,
+                                                        INTERFERENCE_BEYOND_SERVER):
+                exact = _success(signal_gain, gains, p.gamma)
+                drawn = fade_drawn_success(signal_gain, gains, p.gamma, trials, fading)
+                z.append((drawn - exact) / math.sqrt(exact * (1.0 - exact) / trials))
+        assert len(z) > 50
+        assert max(map(abs, z)) <= 4.0
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
@@ -443,71 +459,10 @@ class TestRealizationKernel:
                 out = simulate_request(real, rank, p, FixedGains(), interference)
                 assert (out.server_distance, out.sir) == expected
 
-    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
-    def test_one_fading_call_per_server_block(self, policy):
-        # a per-rank loop would make |C| * trials calls; the kernel makes at
-        # most (distinct servers) x (blocks per server)
-        # ~16 SBSs within r_sbs among ~320 in a small window
-        p = fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0)
-        window = SimWindow(40.0, guard=0.0)
-        lib = ContentLibrary(size=100, cache_slots=30)
-        contents = np.arange(1, lib.size + 1)
-        trials = 3
-        for r in range(5):
-            real = realize_network(p, policy, lib, window, stream_rng(8, "geometry", r),
-                                   cache_rng=stream_rng(8, "caches", r))
-            counter = CountingExponential(stream_rng(8, "fading", r))
-            _failures(real, contents, p, counter, INTERFERENCE_BEYOND_SERVER, trials)
-            servers = sum(1 for _ in _servers(real, contents, p, INTERFERENCE_BEYOND_SERVER))
-            width = len(real.mbs_points) + len(real.active_sbs_points)
-            blocks = math.ceil(lib.size * trials / max(1, FADE_BLOCK_DOUBLES // width))
-            assert servers * blocks < lib.size * trials
-            assert servers > (policy is CachePolicy.UCP)
-            assert 0 < counter.calls <= servers * blocks
-
-    def test_failure_counts_match_sirs(self, monkeypatch):
-        # blocks of 2 rows split the 7-trial runs of the ranks mid-run; the
-        # counts must equal those of each server's whole SIR matrix, and
-        # those of the default blocks (the fades do not depend on the blocks)
-        p = replace(fig2_params(lambda_sbs=0.2, beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
-        lib = ContentLibrary(size=30, cache_slots=9)
-        real = realize_network(p, CachePolicy.UCP, lib, SimWindow(40.0, guard=0.0),
-                               stream_rng(5, "geometry", 0), cache_rng=stream_rng(5, "caches", 0))
-        contents = np.arange(1, lib.size + 1)
-        default = _failures(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
-        expected = np.full(lib.size, 7)
-        rng = stream_rng(5, "fading", 0)
-        for requests, _, _, signal_gain, gains in _servers(real, contents, p, INTERFERENCE_ALL):
-            rows, width = requests.size * 7, gains.size + 1
-            sir = _sir(signal_gain, gains, rng.exponential(size=rows * width).reshape(rows, width))
-            expected[requests] = 7 - np.count_nonzero(sir.reshape(-1, 7) > p.gamma, axis=1)
-        width = len(real.mbs_points) + len(real.active_sbs_points)  # "all": every point
-        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", 2 * width)
-        split = _failures(real, contents, p, stream_rng(5, "fading", 0), INTERFERENCE_ALL, 7)
-        assert 0 < split.sum() < lib.size * 7
-        assert np.array_equal(split, expected)
-        assert np.array_equal(default, expected)
-
-    def test_memory_flat_in_trials(self):
-        # 4 ranks x 250k trials: a kept SIR matrix alone would be 8 MB
-        real = self.realization([(100.0, 0.0), (0.0, 200.0)])
-        trials = 250_000
-        tracemalloc.start()
-        try:
-            failures = _failures(real, np.arange(1, 5), self.PARAMS, stream_rng(1, "fading", 0),
-                                 INTERFERENCE_ALL, trials)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        sbs_ranks, mbs_ranks = failures[:2], failures[2:]
-        assert np.all((sbs_ranks > 0) & (sbs_ranks < trials))
-        assert np.all(mbs_ranks == trials)  # SIR m1 / (a + b + c + m2) is far below gamma
-        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
-
 
 class TestSharedFading:
     # three grid points of one variant: lambda_sbs 0.05, 0.1 and 0.2 in a small
-    # window, so their interferer sets, server groups and row widths differ
+    # window, so their interferer sets and server groups differ
     WINDOW = SimWindow(40.0, guard=0.0)
     LIBRARY = ContentLibrary(size=30, cache_slots=9)
 
@@ -515,202 +470,62 @@ class TestSharedFading:
         base = replace(fig2_params(beta=1.0, r_mbs=20.0), lambda_mbs=0.005)
         return tuple((replace(base, lambda_sbs=lam), self.LIBRARY, self.WINDOW) for lam in (0.05, 0.1, 0.2))
 
-    def alone(self, point, policy, interference, trials, r, rng=None):
-        """The point's failure counts, fading need and widest row when it reads the stream alone."""
-        params, library, window = point
-        real = realize_network(params, policy, library, window, stream_rng(6, "geometry", r),
-                               cache_rng=stream_rng(6, "caches", r))
-        contents = np.arange(1, library.size + 1)
-        groups = [(requests.size, gains.size + 1)
-                  for requests, _, _, _, gains in _servers(real, contents, params, interference)]
-        need = sum(ranks * trials * width for ranks, width in groups)
-        widest = max((width for _, width in groups), default=0)
-        rng = stream_rng(6, "fading", r) if rng is None else rng
-        return _failures(real, contents, params, rng, interference, trials), need, widest
+    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
+    def test_thresholds_and_policies_paired_in_one_realization(self, interference):
+        # thresholds g1 < g2 < g3 under both policies in one realization: each
+        # rank's failures are nondecreasing in the threshold, and a rank that
+        # PCP and UCP serve from the same server fails the same trials
+        params, library, window = self.points()[2]
+        policies = (CachePolicy.PCP, CachePolicy.UCP)
+        thresholds = (0.05, params.gamma, 1.0)
+        reads = tuple(((replace(params, gamma=gamma), library, window), policy)
+                      for policy in policies for gamma in thresholds)
+        counts = _batch_failures(reads, 6, 200, interference, 0)
+        pcp, ucp = np.reshape(counts, (2, 3, library.size))
+        for per_gamma in (pcp, ucp):
+            assert np.all(np.diff(per_gamma, axis=0) >= 0)
+            assert np.any(np.diff(per_gamma, axis=0) > 0)
+        servers = []
+        for policy in policies:
+            real = realize_network(params, policy, library, window, stream_rng(6, "geometry", 0),
+                                   cache_rng=stream_rng(6, "caches", 0))
+            server = np.full(library.size, -1.0)  # a missed rank has no server
+            for requests, _, distance, _, _ in _servers(real, np.arange(1, library.size + 1), params, interference):
+                server[requests] = distance
+            servers.append(server)
+        same = servers[0] == servers[1]
+        assert 0 < same.sum() < library.size  # some ranks shared, some not
+        assert np.array_equal(pcp[:, same], ucp[:, same])
+        assert not np.array_equal(pcp, ucp)
 
-    def counted_batch(self, monkeypatch, points, policy, interference, trials, r):
-        streams = []
+    def test_one_block_of_uniforms_for_the_largest_library(self, monkeypatch):
+        # libraries of 30 and 12 ranks in one batch: each realization draws
+        # one (30, trials) block, and the 12-rank read compares its first 12
+        # rows, so each query still equals its one-point call
+        (p0, _, window), (p1, _, _) = self.points()[:2]
+        small = ContentLibrary(size=12, cache_slots=4)
+        queries = [((p1, small, window), CachePolicy.UCP, zipf_request_distribution(12, 0.8)),
+                   ((p0, self.LIBRARY, window), CachePolicy.UCP, zipf_request_distribution(30, 0.8))]
+        shapes = []
         real_stream = geometry_sim.stream_rng
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, shape):
+                shapes.append(shape)
+                return self._rng.random(shape)
 
         def stream(seed, name, *indices):
             rng = real_stream(seed, name, *indices)
-            if name == "fading":
-                rng = CountingExponential(rng)
-                streams.append(rng)
-            return rng
+            return Recording(rng) if name == "fading" else rng
 
         monkeypatch.setattr(geometry_sim, "stream_rng", stream)
-        counts = _batch_failures(tuple((point, policy) for point in points), 6, trials, interference, r)
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        assert shapes == [(30, 2)] * 3
         monkeypatch.undo()
-        assert len(streams) == 1  # one fading stream per realization, whatever the points
-        return counts, streams[0]
-
-    @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
-    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
-    def test_draws_the_largest_need_once(self, monkeypatch, policy, interference):
-        points = self.points()
-        for r in range(3):
-            counts, stream = self.counted_batch(monkeypatch, points, policy, interference, 3, r)
-            alone = [self.alone(point, policy, interference, 3, r) for point in points]
-            needs = [need for _, need, _ in alone]
-            assert stream.drawn == max(needs) < sum(needs)
-            # a block exceeds FADE_BLOCK_DOUBLES only to finish a row
-            assert stream.largest <= max(FADE_BLOCK_DOUBLES, *(widest for _, _, widest in alone))
-            for shared, (single, _, _) in zip(counts, alone, strict=True):
-                assert np.array_equal(shared, single)
-
-    @pytest.mark.parametrize("block", [3, 64, 1000])
-    def test_unequal_widths_with_small_blocks(self, monkeypatch, block):
-        # blocks smaller than a row (3), a few rows (64) or many rows (1000):
-        # every point still counts what it counts alone at the default size
-        points = self.points()
-        alone = [self.alone(point, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0) for point in points]
-        expected = [single for single, _, _ in alone]
-        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", block)
-        counts, stream = self.counted_batch(monkeypatch, points, CachePolicy.UCP, INTERFERENCE_ALL, 7, 0)
-        assert stream.calls > 1
-        # a block exceeds the block size only to finish a row
-        assert stream.largest <= max(block, *(widest for _, _, widest in alone))
-        for shared, single in zip(counts, expected, strict=True):
-            assert 0 < shared.sum() < self.LIBRARY.size * 7
-            assert np.array_equal(shared, single)
-
-    @staticmethod
-    def reader(real, trials, thresholds=(TestRealizationKernel.PARAMS.gamma,)):
-        """A reader of ranks 1..4 of ``real`` under "all", counting each threshold."""
-        groups = _servers(real, np.arange(1, 5), TestRealizationKernel.PARAMS, INTERFERENCE_ALL)
-        reader = _FadeReader(groups, 4, trials)
-        for gamma in thresholds:
-            reader.count(gamma)
-        return reader
-
-    def three_readers(self, trials):
-        """Readers of widths 4, 5 and 6 under "all", with their realizations."""
-        kernel = TestRealizationKernel()
-        layouts = [[(100.0, 0.0)], [(100.0, 0.0), (0.0, 200.0)], [(100.0, 0.0), (0.0, 200.0), (300.0, 0.0)]]
-        realizations = [kernel.realization(mbs) for mbs in layouts]
-        return [self.reader(real, trials) for real in realizations], realizations
-
-    def test_one_reader_counts_every_threshold(self):
-        # one association and one SIR reduction serve every registered
-        # threshold; a repeated threshold registers nothing, and each count
-        # equals the one-reader run at that threshold alone
-        real = TestRealizationKernel().realization([(100.0, 0.0), (0.0, 200.0)])
-        params, trials = TestRealizationKernel.PARAMS, 500
-        thresholds = (0.1, params.gamma, 1000.0, params.gamma)
-        reader = self.reader(real, trials, thresholds)
-        assert len(reader.failures) == 3
-        _read_fades([reader], stream_rng(5, "fading", 0))
-        counts = []
-        for gamma in thresholds[:3]:
-            alone = _failures(real, np.arange(1, 5), replace(params, gamma=gamma), stream_rng(5, "fading", 0),
-                              INTERFERENCE_ALL, trials)
-            assert np.array_equal(reader.failures[gamma], alone)
-            counts.append(alone.sum())
-        assert counts[0] < counts[1] < counts[2]  # a higher threshold fails more
-
-    def test_memory_flat_in_trials_with_three_readers(self):
-        # widths 4, 5 and 6 under "all"; 3 x 4 ranks x 250k trials: the
-        # readers' kept SIR matrices alone would be 24 MB
-        contents, params, trials = np.arange(1, 5), TestRealizationKernel.PARAMS, 250_000
-        tracemalloc.start()
-        try:
-            readers, realizations = self.three_readers(trials)
-            _read_fades(readers, stream_rng(1, "fading", 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
-        for reader, real in zip(readers, realizations, strict=True):
-            alone = _failures(real, contents, params, stream_rng(1, "fading", 0), INTERFERENCE_ALL, trials)
-            assert np.array_equal(reader.failures[params.gamma], alone)
-            assert np.all((alone[:2] > 0) & (alone[:2] < trials))
-
-    def test_reader_done_before_any_draw(self):
-        # the middle realization has its one MBS beyond r_mbs and no SBS, so
-        # every rank misses and its reader is done before the first block;
-        # it must not pin the buffer at stream position 0 (4 ranks x 50k
-        # trials x width 5 would keep 8 MB)
-        kernel = TestRealizationKernel()
-        missed = NetworkRealization(mbs_points=np.array([(300.0, 0.0)]), active_sbs_points=np.empty((0, 2)),
-                                    sbs_caches=np.empty((0, 4), dtype=bool))
-        realizations = [kernel.realization([(100.0, 0.0)]), missed,
-                        kernel.realization([(100.0, 0.0), (0.0, 200.0)])]
-        contents, params, trials = np.arange(1, 5), kernel.PARAMS, 50_000
-        stream = CountingExponential(stream_rng(2, "fading", 0))
-        tracemalloc.start()
-        try:
-            readers = [self.reader(real, trials) for real in realizations]
-            assert [reader.done for reader in readers] == [False, True, False]
-            _read_fades(readers, stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * FADE_BLOCK_DOUBLES
-        assert readers[1].failures[params.gamma].tolist() == [trials] * 4
-        needs = [sum(requests.size * trials * (gains.size + 1)
-                     for requests, _, _, _, gains in _servers(real, contents, params, INTERFERENCE_ALL))
-                 for real in realizations]
-        assert needs[1] == 0
-        assert stream.drawn == max(needs)
-        for reader, real in zip(readers[::2], realizations[::2], strict=True):
-            alone = _failures(real, contents, params, stream_rng(2, "fading", 0), INTERFERENCE_ALL, trials)
-            assert np.array_equal(reader.failures[params.gamma], alone)
-            assert np.all((alone[:2] > 0) & (alone[:2] < trials))
-
-    @pytest.mark.parametrize("block", [None, 3])
-    def test_blocks_drawn_in_place_into_one_kept_buffer(self, monkeypatch, block):
-        # every block is drawn in place into the one buffer of the call; a
-        # new buffer appears only when a step needs more room than it has,
-        # so with rows narrower than a block (the default) it never does
-        if block is not None:
-            monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", block)
-        trials = 50_000 if block is None else 200  # 1.2M doubles in default blocks, or 4800 in blocks of 3
-        readers, _ = self.three_readers(trials)
-        stream = CountingExponential(stream_rng(3, "fading", 0))
-        _read_fades(readers, stream)
-        assert stream.calls >= 5 and len(stream.outs) == stream.calls
-        buffers = [stream.outs[0].base]
-        for out in stream.outs:
-            if not np.shares_memory(out, buffers[-1]):
-                buffers.append(out.base)  # a growth
-            assert out.base is buffers[-1]
-        sizes = [buffer.size for buffer in buffers]
-        assert sizes == sorted(set(sizes))  # each growth is larger
-        if block is None:
-            assert sizes == [2 * FADE_BLOCK_DOUBLES]
-        else:
-            assert sizes[-1] < 2 * 6  # a step needs less than a tail and a row, each at most 6
-
-    def test_overlapping_tail_moves_with_rows_wider_than_the_block(self, monkeypatch):
-        # blocks of 3 doubles under rows of 4, 5 and 6: the unread tail often
-        # moves to the buffer's front over a range it overlaps; every reader
-        # still counts what it counts alone at the default block size
-        contents, params, trials = np.arange(1, 5), TestRealizationKernel.PARAMS, 200
-        readers, realizations = self.three_readers(trials)
-        alone = [_failures(real, contents, params, stream_rng(4, "fading", 0), INTERFERENCE_ALL, trials)
-                 for real in realizations]
-        monkeypatch.setattr(geometry_sim, "FADE_BLOCK_DOUBLES", 3)
-        lows = []
-
-        class Watching(CountingExponential):
-            def standard_exponential(self, out):
-                lows.append(min(reader.cursor for reader in readers if not reader.done))
-                super().standard_exponential(out)
-
-        stream = Watching(stream_rng(4, "fading", 0))
-        _read_fades(readers, stream)
-        # the tail of step k starts at its new low cursor and ends where the
-        # block is drawn; it overlaps its target when it moved by less
-        tails = [(out.ctypes.data - out.base.ctypes.data) // out.itemsize for out in stream.outs]
-        overlapping = sum(
-            out.base is before.base and 0 < low - previous < tail
-            for out, before, tail, low, previous in zip(stream.outs[1:], stream.outs, tails[1:], lows[1:], lows)
-        )
-        assert overlapping > 10
-        for reader, single in zip(readers, alone, strict=True):
-            assert 0 < single[0] < trials  # rank 1's SBS link fails some trials, not all
-            assert np.array_equal(reader.failures[params.gamma], single)
+        self.assert_standalone(queries, results, 2)
 
     def mixed_queries(self):
         """Queries at one seed that interleave the networks and repeat one query.
@@ -773,13 +588,13 @@ class TestSharedFading:
         elif budget == "entries":
             monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
         tasks = self.recorded_tasks(monkeypatch)
-        readers = []
-        real = geometry_sim._read_fades
-        monkeypatch.setattr(geometry_sim, "_read_fades", lambda rs, rng: readers.append(len(rs)) or real(rs, rng))
+        associated = []  # the task each association runs in
+        real = geometry_sim._servers
+        monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(len(tasks)) or real(*args))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
         assert tasks == [batch for batch in self.BATCHES[budget] for _ in range(3)]
-        # a repeated read shares the reader of its first occurrence in the batch
-        assert readers == [len(set(batch)) for batch in tasks]
+        # a repeated read shares the association of its first occurrence in the batch
+        assert [associated.count(task) for task in range(1, len(tasks) + 1)] == [len(set(batch)) for batch in tasks]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
@@ -828,20 +643,21 @@ class TestSharedFading:
         ucp = [average.mean for (_, average) in results[::2]]
         assert ucp[0] < ucp[1] < ucp[2]
 
-    def test_reads_with_equal_caches_share_one_reader(self, monkeypatch):
-        # with no SBS both policies' caches are empty, so one reader serves
-        # both; at lambda_sbs = 0.1 their caches differ and each reads alone
+    def test_reads_with_equal_caches_share_one_association(self, monkeypatch):
+        # with no SBS both policies' caches are empty, so one association
+        # serves both; at lambda_sbs = 0.1 their caches differ and each is
+        # associated alone
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
-        readers = []
-        real = geometry_sim._read_fades
-        monkeypatch.setattr(geometry_sim, "_read_fades", lambda rs, rng: readers.append(len(rs)) or real(rs, rng))
+        associated = []
+        real = geometry_sim._servers
+        monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real(*args))
         for lambda_sbs, shared in ((0.0, True), (0.1, False)):
             params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
             point = (params, self.LIBRARY, self.WINDOW)
             queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
-            readers.clear()
+            associated.clear()
             results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
-            assert readers == [1 if shared else 2] * 3
+            assert len(associated) == (1 if shared else 2) * 3
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
 
@@ -1036,6 +852,17 @@ class TestEstimateOutage:
                             window=SimWindow(100.0), realizations=4, workers=2)
         assert recorded_pools == []
 
+    def test_uniforms_over_the_budget_refused_before_sampling(self, monkeypatch):
+        # 4 ranks x 10 trials fill a budget of 40 uniforms; 11 trials exceed it
+        monkeypatch.setattr(geometry_sim, "MAX_UNIFORMS_PER_REALIZATION", 40)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
+                      zipf_request_distribution(4, 0.8), realizations=1, seed=2)
+        assert run(trials_per_content=10)[1].trials == 40
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
+        with pytest.raises(ConfigError, match=r"trials_per_content = 11 draw 44 uniforms.*budget of 4e\+01"):
+            run(trials_per_content=11)
+
     def test_request_size_mismatch(self):
         p = fig2_params()
         with pytest.raises(ConfigError):
@@ -1097,14 +924,14 @@ class TestFrozenDrawOrder:
     PARAMS = fig2_params(lambda_sbs=0.2, r_mbs=60.0)
     LIBRARY = ContentLibrary(size=10, cache_slots=3)
     FAILURES = {
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [9, 9, 7, 13, 15, 12, 14, 14, 13, 13],
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [25, 25, 21, 37, 39, 42, 38, 41, 40, 38],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [10, 9, 9, 19, 17, 19, 18, 19, 19, 19],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [28, 28, 27, 57, 57, 56, 55, 57, 56, 57],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [10, 14, 10, 10, 11, 12, 11, 13, 7, 11],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [33, 34, 26, 31, 32, 32, 29, 37, 25, 33],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [17, 15, 14, 17, 14, 15, 13, 16, 13, 17],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [47, 42, 42, 50, 46, 45, 43, 53, 37, 48],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [7, 7, 9, 15, 14, 11, 13, 13, 14, 13],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [23, 25, 26, 38, 42, 42, 40, 37, 44, 44],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [9, 9, 10, 19, 18, 18, 19, 19, 19, 18],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [28, 28, 31, 55, 57, 56, 57, 55, 59, 58],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [9, 11, 11, 13, 12, 9, 10, 12, 10, 12],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [34, 34, 31, 31, 32, 34, 32, 35, 30, 37],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [16, 14, 14, 17, 15, 15, 15, 17, 14, 16],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [49, 40, 45, 51, 48, 49, 44, 49, 42, 49],
     }
     # request_outcomes for rank 2, 4 realizations x 3 trials: one tier and
     # distance per realization, SIRs per trial. Realization 0 misses; 1 and 3
