@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -526,6 +527,43 @@ class TestSharedFading:
         assert shapes == [(30, 2)] * 3
         monkeypatch.undo()
         self.assert_standalone(queries, results, 2)
+
+    def test_failure_counts_match_the_stream_by_hand(self):
+        # UCP at lambda_sbs = 0.2 under "all", 7 trials: each rank's count is
+        # the number of its row of the fading stream's (30, 7) uniforms not
+        # below its server's hand product, and a missed rank fails all 7
+        point = self.points()[2]
+        params, library, window = point
+        [counts] = _batch_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
+        real = realize_network(params, CachePolicy.UCP, library, window, stream_rng(5, "geometry", 0),
+                               cache_rng=stream_rng(5, "caches", 0))
+        uniforms = stream_rng(5, "fading", 0).random((library.size, 7))
+        expected = [7] * library.size
+        groups = list(_servers(real, np.arange(1, library.size + 1), params, INTERFERENCE_ALL))
+        for requests, _, _, signal_gain, gains in groups:
+            p = math.prod(1.0 / (1.0 + params.gamma * g / signal_gain) for g in gains)
+            for rank in requests:
+                expected[rank] = sum(u >= p for u in uniforms[rank])
+        assert len(groups) > 5
+        assert 0 < sum(expected) < library.size * 7
+        assert counts.tolist() == expected
+
+    def test_memory_bounded_by_the_uniform_block(self):
+        # the three points under both policies, 30 ranks x 20k trials: the
+        # uniforms take 4.8 MB, while one fade per link at the 88 to 330
+        # transmitters of a point would take over 400 MB; the peak stays
+        # within three blocks however many interferers or reads there are
+        reads = tuple((point, policy) for point in self.points() for policy in (CachePolicy.PCP, CachePolicy.UCP))
+        trials = 20_000
+        tracemalloc.start()
+        try:
+            counts = _batch_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * self.LIBRARY.size * trials
+        for per_read in counts:
+            assert 0 < per_read.sum() < self.LIBRARY.size * trials
 
     def mixed_queries(self):
         """Queries at one seed that interleave the networks and repeat one query.
