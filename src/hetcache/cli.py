@@ -144,7 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage analysis of cache-enabled two-tier Poisson networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = "parallel worker cap, at least 1; capped at the realizations and CPUs (default 1)"
+    workers_help = (
+        "parallel worker cap, at least 1; capped at the realizations and CPUs, and serial when "
+        "the run expects too little work for a process pool to pay (default 1)"
+    )
 
     analytic = sub.add_parser("analytic", help="closed-form outage breakdown for one content rank")
     analytic.add_argument("--config", required=True, help="key = value config file")

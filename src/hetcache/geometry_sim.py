@@ -1,10 +1,12 @@
 """Monte-Carlo validation of the closed forms by direct stochastic-geometry simulation.
 
-One trial samples the two Poisson tiers over a finite window, assigns caches,
-associates the reference user at the window center (nearest content-holding
-SBS within r_sbs, else nearest MBS within r_mbs, else miss), draws unit-mean
-exponential fading per link, and tests SIR > gamma. No noise: the model is
-interference limited.
+A realization samples the two Poisson tiers over a finite window, assigns
+caches and associates the reference user at the window center (nearest
+content-holding SBS within r_sbs, else nearest MBS within r_mbs, else miss).
+Under unit-mean exponential fading per link, a trial's SIR > gamma is then a
+Bernoulli event of known probability: the estimator draws one uniform per
+trial against it, while :func:`simulate_request` draws the fades of one
+trial and tests SIR > gamma. No noise: the model is interference limited.
 
 numpy is loaded only for Monte-Carlo: by this module, by the request weight
 vector it reads and by a sweep's seed. The package and the sweeps import
@@ -13,13 +15,33 @@ this module on first use, so closed-form commands never load numpy.
 Process pools
 -------------
 :func:`estimate_batch` runs every Monte-Carlo point of a sweep in one call,
-and :func:`estimate_outage` is its one-point case. When the call may start
-two or more processes it maps all its batches on one process pool, which
-it opens itself and shuts down before it returns or raises; a sweep, which
-makes one call, therefore opens at most one pool. The pool has no more
-processes than the workers asked for, the realizations and the CPUs this
-process may run on (its affinity set, where the platform has one). Serial
-runs never load ``concurrent.futures``.
+and :func:`estimate_outage` is its one-point case. A call opens a process
+pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
+being those this process may run on (its affinity set, where the platform
+has one), and the call's expected work, the realizations times the expected
+points of every batch's distinct networks, reaches :data:`POOL_MIN_POINTS`
+(2e6). It then maps all its batches on one pool of that many processes,
+which it opens itself and shuts down before it returns or raises; a sweep,
+which makes one call, therefore opens at most one pool. Every other call
+runs serially and never loads ``concurrent.futures``. Below the threshold
+the pool's start-up costs more than the second process saves. The
+``simulate`` command on ``fig2.cfg`` (1.01e4 expected points per
+realization) with a pool of 2 forced against 1 worker, command walls on a
+2-vCPU VM, seven alternating pairs each:
+
+====================  ==============  ===============================
+realizations          expected work   2 workers against 1
+====================  ==============  ===============================
+100                   1.0e6           +20 % (slower in 6 of 7)
+150                   1.5e6           -2 % (faster in 4 of 7)
+200                   2.0e6           -8 % (faster in 13 of 14)
+300                   3.0e6           -12 % (faster in 7 of 7)
+500                   5.1e6           -23 % (faster in 7 of 7)
+1000                  1.0e7           -22 % (faster in 7 of 7)
+====================  ==============  ===============================
+
+The ``mc-sparse-pool`` benchmark sweep expects 4.3e5 and runs serially: a
+pool forced on it makes its command 20 % slower (faster in 2 of 7 pairs).
 
 Realization kernel
 ------------------
@@ -34,8 +56,8 @@ draws one uniform u, not a fade per link, and fails when u >= p, which
 gives every failure count exactly the law that drawing the fades gives it
 (conditional Monte-Carlo). ``_failures`` counts one association's failures
 at one threshold from a (|C|, trials) block of uniforms. A task of
-:func:`estimate_batch` is one realization index over a batch of (point,
-policy) reads. :func:`simulate_request` draws the fades of one trial of one
+:func:`estimate_batch` is one realization index over a batch, planned once
+per call. :func:`simulate_request` draws the fades of one trial of one
 rank's group and keeps its tier, distance and SIR. SIRs are reduced with
 ``einsum``, not a BLAS product, so one worker stays one thread.
 
@@ -93,20 +115,24 @@ share geometry and caches but draw their own uniforms.
   fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
-realization index they read the same three streams, and
-:func:`_batch_failures` alone decides what the reads of a batch share,
-keying each object by what it depends on. A network (one window, and
-params equal up to gamma) is drawn once, whatever the policy and the
-threshold. Its caches are drawn once per (policy, library): PCP draws none,
-and UCP draws from ``caches`` only when an SBS lies within r_sbs and
-0 < d < |C|. Its ranks are associated once per (network, caches), so the
-points of a gamma axis share one association. Every read compares the same
-uniforms, whatever its policy or threshold, so each result equals its
-one-point call bit for bit, and outage is nondecreasing in gamma within a
-realization, as p falls with gamma. So the estimates of two policies at one
-point are paired (common random numbers): a rank both serve from one server
-fails the same trials under both, their per-realization outages correlate,
-and their difference varies far less than that of two independent runs.
+realization index they read the same three streams. :func:`_plan_batches`
+decides once per call what the reads of a batch share, keying each object
+by what it depends on, and :func:`_batch_failures` makes each object once
+per realization from that plan. A network (one window, and params equal up
+to gamma) is drawn once, whatever the policy and the threshold. Its caches
+are drawn once per (policy, library): PCP draws none, and UCP draws from
+``caches`` only when an SBS lies within r_sbs and 0 < d < |C|. Its ranks
+are associated once per (network, caches), so the points of a gamma axis
+share one association, and so do PCP and UCP whenever no SBS lies within
+r_sbs. The reads of one association at one threshold compare the same
+uniforms with the same success probabilities, so their failure counts are
+equal and are counted once. Every read compares the same uniforms, whatever
+its policy or threshold, so each result equals its one-point call bit for
+bit, and outage is nondecreasing in gamma within a realization, as p falls
+with gamma. So the estimates of two policies at one point are paired
+(common random numbers): a rank both serve from one server fails the same
+trials under both, their per-realization outages correlate, and their
+difference varies far less than that of two independent runs.
 """
 
 from __future__ import annotations
@@ -115,7 +141,7 @@ import enum
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -148,6 +174,12 @@ MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 #: and at most as much again for the copy of a server group's rows that is
 #: compared. The fig2 operating point needs 100.
 MAX_UNIFORMS_PER_REALIZATION = 10_000_000
+
+#: Least expected work, realizations times the expected points of a call's
+#: distinct networks, for which :func:`estimate_batch` opens a process pool:
+#: below it a second process saves less than the pool costs to start (the
+#: table under "Process pools"). fig2.cfg at 200 realizations expects 2e6.
+POOL_MIN_POINTS = 2_000_000
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
 
@@ -348,13 +380,14 @@ def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray
 
 
 class _Links(NamedTuple):
-    """Every transmitter of a realization, MBSs then SBSs in index order.
+    """Every transmitter of a realization: its ``mbs`` MBSs, then its SBSs in index order.
 
-    ``dist`` is its distance to the reference user and ``gain`` its
+    ``dist`` is each one's distance to the reference user and ``gain`` its
     transmit power times path gain. The caches play no part, so the
     realizations of one network under several cache sets share them.
     """
 
+    mbs: int
     dist: np.ndarray
     gain: np.ndarray
 
@@ -366,48 +399,47 @@ def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams)
     gain = params.p_mbs * path_gain
     if len(sbs_points):  # p_sbs is undefined at beta = 0, where no SBS is active
         gain[len(mbs_points) :] = params.p_sbs * path_gain[len(mbs_points) :]
-    return _Links(dist, gain)
+    return _Links(len(mbs_points), dist, gain)
 
 
 def _servers(
-    realization: NetworkRealization,
+    links: _Links,
+    caches: np.ndarray,
+    cached_sbs: np.ndarray,
     contents: np.ndarray,
     params: SystemParams,
     interference: str,
-    links: _Links | None = None,
 ):
     """Associate every rank in ``contents``; yield one group per distinct server.
 
-    A rank's server is the nearest SBS within r_sbs caching it (ties by
-    index), else the nearest MBS within r_mbs, else none (a miss, in no
-    group). Groups come SBSs nearest first, then the MBS, as (positions in
-    ``contents``, tier, distance, signal gain, interferer gains); a gain is
-    transmit power times path gain, interferers MBSs first, in index order.
-    ``links`` passes the realization's links already computed.
+    ``caches`` and ``cached_sbs`` are a realization's cache rows and the SBSs
+    that hold them, as in :class:`NetworkRealization`. A rank's server is
+    the nearest SBS within r_sbs caching it (ties by index), else the
+    nearest MBS within r_mbs, else none (a miss, in no group). Groups come
+    SBSs nearest first, then the MBS, as (positions in ``contents``, tier,
+    distance, signal gain, interferer gains); a gain is transmit power times
+    path gain, interferers MBSs first, in index order.
     """
-    if links is None:
-        links = _links(realization.mbs_points, realization.active_sbs_points, params)
-    dist, gain = links
-    mbs_dist, sbs_dist = np.split(dist, [len(realization.mbs_points)])
-
-    rows = np.flatnonzero(sbs_dist[realization.cached_sbs] <= params.r_sbs)
+    mbs_count, dist, gain = links
+    sbs_dist = dist[mbs_count:]
+    rows = np.flatnonzero(sbs_dist[cached_sbs] <= params.r_sbs)
     if rows.size < np.count_nonzero(sbs_dist <= params.r_sbs):
         raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
-    rows = rows[np.argsort(sbs_dist[realization.cached_sbs[rows]], kind="stable")]
-    # candidate servers, as indices into dist: the SBSs within r_sbs nearest
-    # first, then the nearest MBS; argmax over the all-True MBS row finds a
-    # rank's first holder
-    mbs = int(np.argmin(mbs_dist)) if mbs_dist.size else -1
-    candidates = np.append(mbs_dist.size + realization.cached_sbs[rows], mbs)
-    holds = np.ones((candidates.size, contents.size), dtype=bool)
-    holds[:-1] = realization.sbs_caches[rows[:, None], contents - 1]
+    rows = rows[np.argsort(sbs_dist[cached_sbs[rows]], kind="stable")]
+    # candidate servers: the SBSs within r_sbs nearest first (code i is
+    # cache row rows[i]), then the nearest MBS (code rows.size); argmax over
+    # the all-True MBS row finds a rank's first holder
+    holds = np.ones((rows.size + 1, contents.size), dtype=bool)
+    holds[:-1] = caches[rows[:, None], contents - 1]
     server = holds.argmax(axis=0)
+    mbs = int(np.argmin(dist[:mbs_count])) if mbs_count else -1
     if mbs < 0 or dist[mbs] > params.r_mbs:
         server[server == rows.size] = -1
 
     beyond = interference == INTERFERENCE_BEYOND_SERVER
-    for code in np.unique(server[server >= 0]):
-        index = candidates[code]
+    # the codes that serve a rank, in increasing order (np.unique would load numpy.ma)
+    for code in np.flatnonzero(np.bincount(server[server >= 0])):
+        index = mbs_count + cached_sbs[rows[code]] if code < rows.size else mbs
         interferers = dist >= dist[index] if beyond else np.ones(dist.size, dtype=bool)
         interferers[index] = False
         tier = Tier.SBS if code < rows.size else Tier.MBS
@@ -461,7 +493,9 @@ def simulate_request(
     if not 1 <= content <= library_size:
         raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
     check_interference(interference)
-    group = next(_servers(realization, np.array([content]), params, interference), None)
+    links = _links(realization.mbs_points, realization.active_sbs_points, params)
+    groups = _servers(links, realization.sbs_caches, realization.cached_sbs, np.array([content]), params, interference)
+    group = next(groups, None)
     if group is None:
         return ServiceOutcome(Tier.MISS, None, None, False)
     _, tier, distance, signal_gain, gains = group
@@ -490,59 +524,65 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
 McPoint = tuple[SystemParams, ContentLibrary, SimWindow]
 
 
-def _network_key(point: McPoint) -> tuple[SystemParams, SimWindow]:
-    """What a point's network is drawn from: its window and its params but gamma.
+@dataclass
+class _Batch:
+    """The reads one task holds, each network and each cache set listed once.
 
-    Positions, links and the SBSs within r_sbs never read gamma, so the
-    points of a gamma axis share one network.
+    ``networks`` holds one (params, window) per distinct network, its params
+    equal up to gamma; ``caches`` one (network index, policy, library) per
+    distinct cache set; ``reads`` one (cache-set index, gamma, |C|) per read,
+    in order. ``points`` and ``entries`` are the networks' expected points
+    and the cache sets' expected entries, summed.
     """
-    params, _, window = point
-    return replace(params, gamma=1.0), window
+
+    networks: list[tuple[SystemParams, SimWindow]] = field(default_factory=list)
+    caches: list[tuple[int, CachePolicy, ContentLibrary]] = field(default_factory=list)
+    reads: list[tuple[int, float, int]] = field(default_factory=list)
+    points: float = 0.0
+    entries: float = 0.0
 
 
 def _batch_failures(
-    reads: tuple[tuple[McPoint, CachePolicy], ...],
+    batch: _Batch,
     seed: int,
     trials_per_content: int,
     interference: str,
     r_index: int,
 ) -> list[np.ndarray]:
-    """Per-content failure counts of each (point, policy) read for realization ``r_index``.
+    """Per-content failure counts of each read of ``batch`` for realization ``r_index``.
 
-    Each object is made once, keyed by what it depends on. A network (see
-    :func:`_network_key`) draws its positions from the ``geometry`` stream
-    and computes its links once. Its caches are drawn once per (policy,
-    library), UCP's from a fresh ``caches`` stream. Its ranks are associated
-    once per (network, caches): reads whose caches come out equal (as when
-    no SBS lies within r_sbs) share the server groups. Every read compares
+    Each network draws its positions from a fresh ``geometry`` stream and
+    computes its links once; each cache set is drawn once, UCP's from a
+    fresh ``caches`` stream. Cache sets of one network that come out equal
+    (as when no SBS lies within r_sbs) share one association, and the reads
+    of one association at one threshold share one count: they compare the
+    same uniforms with the same success probabilities. Every read compares
     the first |C| rows of one block of uniforms from the ``fading`` stream.
     """
-    networks: dict[tuple, tuple] = {}
-    caches: dict[tuple, np.ndarray] = {}
-    associations: dict[tuple, list] = {}
-    per_read = []
-    for point, policy in reads:
-        params, library, window = point
-        network = _network_key(point)
-        if network not in networks:
-            mbs, active = _positions(params, window, stream_rng(seed, "geometry", r_index))
-            links = _links(mbs, active, params)
-            near = np.flatnonzero(links.dist[len(mbs) :] <= params.r_sbs)
-            networks[network] = mbs, active, near, links
-        mbs, active, near, links = networks[network]
-        held = caches.get((network, policy, library))
-        if held is None:
-            draw = partial(stream_rng, seed, "caches", r_index)
-            held = caches[network, policy, library] = _caches(policy, library, near.size, draw)
-        groups = associations.get(key := (network, held.shape, held.tobytes()))
-        if groups is None:
-            realization = NetworkRealization(mbs, active, held, near)
+    networks = []
+    for params, window in batch.networks:
+        mbs, active = _positions(params, window, stream_rng(seed, "geometry", r_index))
+        links = _links(mbs, active, params)
+        networks.append((np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs), links))
+    draw = partial(stream_rng, seed, "caches", r_index)
+    groups: dict[tuple, list] = {}  # server groups by (network index, caches)
+    associations = []  # of each cache set, as a key of groups
+    for n, policy, library in batch.caches:
+        near, links = networks[n]
+        held = _caches(policy, library, near.size, draw)
+        key = n, held.shape, held.tobytes()
+        if key not in groups:
             contents = np.arange(1, library.size + 1)
-            groups = associations[key] = list(_servers(realization, contents, params, interference, links))
-        per_read.append((groups, params.gamma, library.size))
-    rows = max((size for _, _, size in per_read), default=0)
+            groups[key] = list(_servers(links, held, near, contents, batch.networks[n][0], interference))
+        associations.append(key)
+    rows = max(size for _, _, size in batch.reads)
     uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
-    return [_failures(groups, gamma, uniforms[:size]) for groups, gamma, size in per_read]
+    counts: dict[tuple, np.ndarray] = {}
+    for cache_set, gamma, size in batch.reads:
+        key = associations[cache_set], gamma
+        if key not in counts:
+            counts[key] = _failures(groups[associations[cache_set]], gamma, uniforms[:size])
+    return [counts[associations[cache_set], gamma] for cache_set, gamma, _ in batch.reads]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -589,29 +629,44 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
         )
 
 
-def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[slice]:
+def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[_Batch]:
     """Split checked (point, policy) reads, in order, into batches one task may hold.
 
-    Each batch is a slice of consecutive reads whose expected points and
-    cache entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
+    Each batch holds consecutive reads whose expected points and cache
+    entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
     :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed, each network and each
     of its cache sets counted once, as :func:`_batch_failures` holds them.
+    A network is a window and params equal up to gamma: positions, links and
+    the SBSs within r_sbs never read gamma, so the points of a gamma axis
+    share one. A cache set is a network, a policy and a library.
     """
-    batches: list[slice] = []
-    start, held, points, entries = 0, set(), 0.0, 0.0
-    for i, (point, policy) in enumerate(reads):
-        network = _network_key(point)
-        parts = (network, (network, policy, point[1]))  # what the read holds: a network, caches
+    batches: list[_Batch] = []
+    networks: dict[tuple[SystemParams, SimWindow], int] = {}  # index in the last batch
+    cache_sets: dict[tuple, int] = {}
+    for point, policy in reads:
+        params, library, window = point
+        network = replace(params, gamma=1.0), window
+        cache_set = network, policy, library
+        points, entries = _point_load(*point)
         # each adds its load unless the batch already holds it
-        load, cache = (0.0 if part in held else need for part, need in zip(parts, _point_load(*point)))
-        if points + load > MAX_POINTS_PER_REALIZATION or (
-            entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
+        load = 0.0 if network in networks else points
+        cache = 0.0 if cache_set in cache_sets else entries
+        if not batches or (
+            batches[-1].points + load > MAX_POINTS_PER_REALIZATION
+            or batches[-1].entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
         ):
-            batches.append(slice(start, i))
-            (load, cache), start, held, points, entries = _point_load(*point), i, set(), 0.0, 0.0
-        held.update(parts)
-        points, entries = points + load, entries + cache
-    batches.append(slice(start, len(reads)))
+            batches.append(_Batch())
+            networks, cache_sets = {}, {}
+        batch = batches[-1]
+        if network not in networks:
+            networks[network] = len(batch.networks)
+            batch.networks.append((params, window))
+            batch.points += points
+        if cache_set not in cache_sets:
+            cache_sets[cache_set] = len(batch.caches)
+            batch.caches.append((networks[network], policy, library))
+            batch.entries += entries
+        batch.reads.append((cache_sets[cache_set], params.gamma, library.size))
     return batches
 
 
@@ -632,9 +687,12 @@ def estimate_batch(
 
     The queries are split, in order, into batches that fit the
     per-realization budgets (:func:`_plan_batches`). A task is one
-    realization index over a batch, whose sharing :func:`_batch_failures`
-    alone decides; each query weights its counts by its request law. All
-    batches share one process pool, opened and shut down by this call.
+    realization index over a batch, whose plan decides what its reads
+    share; each query weights its counts by its request law. All batches
+    share one process pool, opened and shut down by this call, and only
+    when it pays: when min(workers, realizations, CPUs) > 1 and the expected
+    work, ``realizations`` times the expected points of every batch's
+    networks, reaches :data:`POOL_MIN_POINTS`.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
@@ -643,11 +701,12 @@ def estimate_batch(
     check_count("seed", seed, 0)
     for point, _, requests in queries:
         _check_point(point, requests, trials_per_content)
-    reads = tuple((point, policy) for point, policy, _ in queries)
-    batches = _plan_batches(reads)
-    tasks = [partial(_batch_failures, reads[part], seed, trials_per_content, interference) for part in batches]
+    if not queries:
+        return []
+    batches = _plan_batches([(point, policy) for point, policy, _ in queries])
+    tasks = [partial(_batch_failures, batch, seed, trials_per_content, interference) for batch in batches]
     processes = min(workers, realizations, _usable_cpus())
-    if processes == 1:
+    if processes == 1 or realizations * sum(batch.points for batch in batches) < POOL_MIN_POINTS:
         counts = [list(map(task, range(realizations))) for task in tasks]
     else:
         # imported here so that serial runs never load multiprocessing
@@ -656,10 +715,11 @@ def estimate_batch(
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
+    # each read's counts over the realizations, in query order
+    per_read = (np.stack(read) for batch_counts in counts for read in zip(*batch_counts))
     return [
-        _estimates(np.stack([per_read[k] for per_read in batch_counts]), requests, trials_per_content)
-        for part, batch_counts in zip(batches, counts)
-        for k, (_, _, requests) in enumerate(queries[part])
+        _estimates(failures, requests, trials_per_content)
+        for failures, (_, _, requests) in zip(per_read, queries, strict=True)
     ]
 
 
@@ -717,10 +777,12 @@ def estimate_outage(
 
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
-    index) alone, merged in index order. At most min(workers, realizations,
-    CPUs) processes start; one runs serially, without a pool. A pool is
-    opened for the call and shut down before it returns. The one-query
-    :func:`estimate_batch`.
+    index) alone, merged in index order. A pool of min(workers,
+    realizations, CPUs) processes is opened for the call, and shut down
+    before it returns, only when that is more than one and the expected
+    work, ``realizations`` times the window's expected points, reaches
+    :data:`POOL_MIN_POINTS`; otherwise the call runs serially. The
+    one-query :func:`estimate_batch`.
     """
     window = default_window(params) if window is None else window
     [result] = estimate_batch(

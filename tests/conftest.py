@@ -83,3 +83,15 @@ def recorded_pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return pools
+
+
+@pytest.fixture
+def pool_at_any_work(monkeypatch):
+    """Let a Monte-Carlo call open a pool however little work it expects.
+
+    Sets the pool threshold to 0, so min(workers, realizations, CPUs)
+    alone decides, as it did before the threshold.
+    """
+    from hetcache import geometry_sim
+
+    monkeypatch.setattr(geometry_sim, "POOL_MIN_POINTS", 0)

@@ -184,3 +184,9 @@ def parse_sweep_csv(text: str) -> SweepResult:
         for *axes, variant, engine, avg, se in body
     )
     return SweepResult(tuple(header[:-4]), rows)
+
+
+def batch_reads(batch) -> tuple[tuple[float, str], ...]:
+    """The (lambda_sbs, policy) of each read of a planned Monte-Carlo batch, in order."""
+    cache_sets = [(batch.networks[n][0].lambda_sbs, policy.value) for n, policy, _ in batch.caches]
+    return tuple(cache_sets[c] for c, _, _ in batch.reads)

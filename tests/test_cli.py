@@ -473,6 +473,28 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     assert len(parse_sweep_csv((tmp_path / "fig3.csv").read_text()).rows) == 154
 
 
+def test_small_monte_carlo_runs_load_no_pool_and_no_numpy_ma(tmp_path):
+    # a small simulate and the mc-sparse-pool benchmark sweep, both at two
+    # workers, expect too little work for a pool: they load neither the pool
+    # nor multiprocessing, nor numpy.ma (which np.unique would load)
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CFG)
+    sparse = Path(__file__).parent / "golden" / "mc_sparse_pool_1401.spec"
+    commands = [
+        ["simulate", "--config", str(config), "--workers", "2"],
+        ["sweep", "--spec", str(sparse), "--out", str(tmp_path / "sparse.csv"), "--workers", "2"],
+    ]
+    probe = (
+        "import json, sys; from hetcache.cli import main; "
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(json.dumps([codes, sorted({'numpy.ma', 'concurrent.futures.process', 'multiprocessing'} "
+        "& set(sys.modules))]))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0], []]
+    assert len(parse_sweep_csv((tmp_path / "sparse.csv").read_text()).rows) == 12
+
+
 def test_lazy_names_resolve_from_the_package():
     import hetcache
 

@@ -26,7 +26,7 @@ from hetcache import (
 )
 from hetcache.cli import _load_config, main
 
-from oracles import fig2_params, parse_sweep_csv
+from oracles import batch_reads, fig2_params, parse_sweep_csv
 
 
 def base_setup(size=100, slots=30, delta=0.8):
@@ -317,9 +317,9 @@ class TestEvaluateOnce:
             calls.append((queries, seed, real_estimate(queries, seed, **options)))
             return calls[-1][2]
 
-        def task(reads, *args):
-            tasks.append(reads)
-            return real_task(reads, *args)
+        def task(batch, *args):
+            tasks.append(batch)
+            return real_task(batch, *args)
 
         monkeypatch.setattr(
             experiments, "average_outage", lambda *a: row_inputs.append(a[:4]) or real_average(*a)
@@ -335,7 +335,7 @@ class TestEvaluateOnce:
         assert list(queries) == row_inputs and seed == experiments._sweep_seed(11)
         # each realization reads every point once, for both labels
         assert len(tasks) == 4
-        assert all(len(reads) == 4 == len(set(reads)) for reads in tasks)
+        assert all(len(batch.reads) == 4 == len(set(batch.reads)) == len(batch.caches) for batch in tasks)
         for label in ("ucp", "ucp:zipf"):
             mc_rows = [r for r in rows if (r.variant, r.engine) == (label, "montecarlo")]
             assert [(r.avg_outage, r.std_error) for r in mc_rows] == [
@@ -407,7 +407,9 @@ class TestSharedFading:
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_batches_split_by_the_budget_keep_rows(self, monkeypatch, usable_cpus, recorded_pools, workers):
+    def test_batches_split_by_the_budget_keep_rows(
+        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers
+    ):
         # expected points per realization: 600, 1100 and 2600 in the 1000 m
         # window, each counted once for both variants; a budget of 3000 puts
         # the first two in one batch
@@ -420,9 +422,9 @@ class TestSharedFading:
         tasks = []
         real = geometry_sim._batch_failures
 
-        def task(reads, *args):
-            tasks.append(tuple((params.lambda_sbs, policy.value) for (params, _, _), policy in reads))
-            return real(reads, *args)
+        def task(batch, *args):
+            tasks.append(batch_reads(batch))
+            return real(batch, *args)
 
         monkeypatch.setattr(geometry_sim, "_batch_failures", task)
         whole = run_sweep(replace(spec, workers=1))
@@ -555,7 +557,7 @@ class TestSharedPool:
         spec.write_text(text)
         return main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv"), *flags])
 
-    def test_monte_carlo_rows_share_one_pool(self, usable_cpus, recorded_pools):
+    def test_monte_carlo_rows_share_one_pool(self, usable_cpus, recorded_pools, pool_at_any_work):
         usable_cpus(2)
         pooled = run_sweep(self.mc_spec(workers=2))
         assert [pool.max_workers for pool in recorded_pools] == [2]
@@ -563,12 +565,14 @@ class TestSharedPool:
         assert pooled == run_sweep(self.mc_spec(workers=1))
         assert len(recorded_pools) == 1  # the serial sweep opened none
 
-    def test_real_pool_matches_serial_and_leaves_no_worker(self):
+    def test_real_pool_matches_serial_and_leaves_no_worker(self, pool_at_any_work):
         pooled = run_sweep(self.mc_spec(workers=2))
         assert multiprocessing.active_children() == []
         assert pooled == run_sweep(self.mc_spec(workers=1))
 
-    def test_pool_shut_down_when_a_row_raises(self, monkeypatch, usable_cpus, recorded_pools, tmp_path, capsys):
+    def test_pool_shut_down_when_a_row_raises(
+        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, tmp_path, capsys
+    ):
         # the pcp:zipf caches raise in a task that the pool maps
         usable_cpus(2)
         real = geometry_sim._caches

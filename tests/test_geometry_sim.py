@@ -33,6 +33,7 @@ from hetcache import geometry_sim
 from hetcache.geometry_sim import _batch_failures, _failures, _servers, _sir, _success
 
 from oracles import (
+    batch_reads,
     fade_drawn_success,
     fig2_params,
     request_outcomes,
@@ -51,6 +52,18 @@ class FixedGains:
 
 def single_content_params(**overrides):
     return fig2_params(**overrides)
+
+
+def associate(realization, contents, params, interference):
+    """``_servers``' groups of the ranks in ``contents`` at a realization."""
+    links = geometry_sim._links(realization.mbs_points, realization.active_sbs_points, params)
+    return _servers(links, realization.sbs_caches, realization.cached_sbs, contents, params, interference)
+
+
+def batch_failures(reads, *args):
+    """``_batch_failures`` of (point, policy) reads that one batch holds."""
+    [batch] = geometry_sim._plan_batches(reads)
+    return _batch_failures(batch, *args)
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
@@ -375,7 +388,7 @@ class TestRealizationKernel:
         tiers, distances, sir = self.expected(interference, mbs_near, mbs_far)
         n_served = len(distances)
         groups = [(requests.tolist(), tier, distance) for requests, tier, distance, _, _
-                  in _servers(real, np.arange(1, 5), self.PARAMS, interference)]
+                  in associate(real, np.arange(1, 5), self.PARAMS, interference)]
         expected_groups = [([0], Tier.SBS, 1.0), ([1], Tier.SBS, 2.0)]
         if n_served == 4:
             expected_groups.append(([2, 3], Tier.MBS, mbs_near))
@@ -396,8 +409,8 @@ class TestRealizationKernel:
     @pytest.mark.parametrize("mbs_near, mbs_far", [(100.0, 200.0), (300.0, 400.0)])
     def test_success_probability_against_the_hand_product(self, interference, mbs_near, mbs_far):
         gamma = self.PARAMS.gamma
-        groups = list(_servers(self.realization([(mbs_near, 0.0), (0.0, mbs_far)]), np.arange(1, 5),
-                               self.PARAMS, interference))
+        groups = list(associate(self.realization([(mbs_near, 0.0), (0.0, mbs_far)]), np.arange(1, 5),
+                                self.PARAMS, interference))
         successes = [_success(signal_gain, gains, gamma) for _, _, _, signal_gain, gains in groups]
         hand = [math.prod(1.0 / (1.0 + gamma * g / signal) for g in gains)
                 for signal, gains in self.gains(interference, mbs_near, mbs_far)]
@@ -431,8 +444,8 @@ class TestRealizationKernel:
             real = realize_network(p, CachePolicy.UCP, lib, SimWindow(40.0, guard=14.0),
                                    stream_rng(15, "geometry", r), cache_rng=stream_rng(15, "caches", r))
             fading = stream_rng(15, "fading", r)
-            for _, _, _, signal_gain, gains in _servers(real, np.arange(1, lib.size + 1), p,
-                                                        INTERFERENCE_BEYOND_SERVER):
+            for _, _, _, signal_gain, gains in associate(real, np.arange(1, lib.size + 1), p,
+                                                         INTERFERENCE_BEYOND_SERVER):
                 exact = _success(signal_gain, gains, p.gamma)
                 drawn = fade_drawn_success(signal_gain, gains, p.gamma, trials, fading)
                 z.append((drawn - exact) / math.sqrt(exact * (1.0 - exact) / trials))
@@ -450,7 +463,7 @@ class TestRealizationKernel:
             real = realize_network(p, policy, lib, SimWindow(40.0, guard=0.0),
                                    stream_rng(9, "geometry", r), cache_rng=stream_rng(9, "caches", r))
             served = {}
-            for requests, _, distance, signal_gain, gains in _servers(real, contents, p, interference):
+            for requests, _, distance, signal_gain, gains in associate(real, contents, p, interference):
                 sir = signal_gain / gains.sum() if gains.size else math.inf
                 served.update((int(contents[i]), (distance, sir)) for i in requests)
             for rank in contents:
@@ -481,7 +494,7 @@ class TestSharedFading:
         thresholds = (0.05, params.gamma, 1.0)
         reads = tuple(((replace(params, gamma=gamma), library, window), policy)
                       for policy in policies for gamma in thresholds)
-        counts = _batch_failures(reads, 6, 200, interference, 0)
+        counts = batch_failures(reads, 6, 200, interference, 0)
         pcp, ucp = np.reshape(counts, (2, 3, library.size))
         for per_gamma in (pcp, ucp):
             assert np.all(np.diff(per_gamma, axis=0) >= 0)
@@ -491,7 +504,7 @@ class TestSharedFading:
             real = realize_network(params, policy, library, window, stream_rng(6, "geometry", 0),
                                    cache_rng=stream_rng(6, "caches", 0))
             server = np.full(library.size, -1.0)  # a missed rank has no server
-            for requests, _, distance, _, _ in _servers(real, np.arange(1, library.size + 1), params, interference):
+            for requests, _, distance, _, _ in associate(real, np.arange(1, library.size + 1), params, interference):
                 server[requests] = distance
             servers.append(server)
         same = servers[0] == servers[1]
@@ -534,12 +547,12 @@ class TestSharedFading:
         # below its server's hand product, and a missed rank fails all 7
         point = self.points()[2]
         params, library, window = point
-        [counts] = _batch_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
+        [counts] = batch_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
         real = realize_network(params, CachePolicy.UCP, library, window, stream_rng(5, "geometry", 0),
                                cache_rng=stream_rng(5, "caches", 0))
         uniforms = stream_rng(5, "fading", 0).random((library.size, 7))
         expected = [7] * library.size
-        groups = list(_servers(real, np.arange(1, library.size + 1), params, INTERFERENCE_ALL))
+        groups = list(associate(real, np.arange(1, library.size + 1), params, INTERFERENCE_ALL))
         for requests, _, _, signal_gain, gains in groups:
             p = math.prod(1.0 / (1.0 + params.gamma * g / signal_gain) for g in gains)
             for rank in requests:
@@ -557,7 +570,7 @@ class TestSharedFading:
         trials = 20_000
         tracemalloc.start()
         try:
-            counts = _batch_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
+            counts = batch_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,9 +600,9 @@ class TestSharedFading:
         tasks = []
         real = geometry_sim._batch_failures
 
-        def task(reads, *args):
-            tasks.append(tuple((params.lambda_sbs, policy.value) for (params, _, _), policy in reads))
-            return real(reads, *args)
+        def task(batch, *args):
+            tasks.append(batch_reads(batch))
+            return real(batch, *args)
 
         monkeypatch.setattr(geometry_sim, "_batch_failures", task)
         return tasks
@@ -615,7 +628,7 @@ class TestSharedFading:
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_policy_batches_equal_standalone_estimates(
-        self, monkeypatch, usable_cpus, recorded_pools, workers, trials, budget
+        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, trials, budget
     ):
         usable_cpus(2)
         queries = self.mixed_queries()
@@ -683,19 +696,21 @@ class TestSharedFading:
 
     def test_reads_with_equal_caches_share_one_association(self, monkeypatch):
         # with no SBS both policies' caches are empty, so one association
-        # serves both; at lambda_sbs = 0.1 their caches differ and each is
-        # associated alone
+        # serves both, and one count at their one threshold; at lambda_sbs =
+        # 0.1 their caches differ and each is associated and counted alone
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
-        associated = []
-        real = geometry_sim._servers
+        associated, counted = [], []
+        real, real_failures = geometry_sim._servers, geometry_sim._failures
         monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real(*args))
+        monkeypatch.setattr(geometry_sim, "_failures", lambda *args: counted.append(args) or real_failures(*args))
         for lambda_sbs, shared in ((0.0, True), (0.1, False)):
             params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
             point = (params, self.LIBRARY, self.WINDOW)
             queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
             associated.clear()
+            counted.clear()
             results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
-            assert len(associated) == (1 if shared else 2) * 3
+            assert len(associated) == len(counted) == (1 if shared else 2) * 3
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
 
@@ -707,7 +722,7 @@ class TestSharedFading:
     @pytest.mark.parametrize("order", list(SPLITS))
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_over_the_budgets_split_inside_the_call(
-        self, monkeypatch, usable_cpus, recorded_pools, workers, order
+        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, order
     ):
         usable_cpus(2)
         points = self.points()
@@ -716,7 +731,8 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
         pairs = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
         reads = pairs if order == "points first" else pairs[::2] + pairs[1::2]
-        splits = [(b.start, b.stop) for b in geometry_sim._plan_batches(reads)]
+        stops = np.cumsum([len(batch.reads) for batch in geometry_sim._plan_batches(reads)]).tolist()
+        splits = list(zip([0, *stops], stops))
         assert splits == self.SPLITS[order]
         tasks = self.recorded_tasks(monkeypatch)
         queries = [(point, policy, requests) for point, policy in reads]
@@ -756,7 +772,7 @@ class TestEstimateOutage:
             (1, 30, 8, None),
         ],
     )
-    def test_pool_size_capped(self, usable_cpus, recorded_pools, workers, realizations, cpus, started):
+    def test_pool_size_capped(self, usable_cpus, recorded_pools, pool_at_any_work, workers, realizations, cpus, started):
         usable_cpus(cpus)
         p = fig2_params(lambda_sbs=0.02)
         lib = ContentLibrary(size=4, cache_slots=2)
@@ -767,7 +783,7 @@ class TestEstimateOutage:
         assert all(pool.shut_down for pool in recorded_pools)
         assert pooled == run(workers=1)
 
-    def test_standalone_calls_open_a_pool_each(self, usable_cpus, recorded_pools):
+    def test_standalone_calls_open_a_pool_each(self, usable_cpus, recorded_pools, pool_at_any_work):
         usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
@@ -789,7 +805,7 @@ class TestEstimateOutage:
         assert pooled == run(workers=1)
 
     @pytest.mark.parametrize("cpus,started", [(1, None), (2, 2)])
-    def test_cpu_count_without_an_affinity_set(self, monkeypatch, recorded_pools, cpus, started):
+    def test_cpu_count_without_an_affinity_set(self, monkeypatch, recorded_pools, pool_at_any_work, cpus, started):
         monkeypatch.delattr(geometry_sim.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(geometry_sim.os, "cpu_count", lambda: cpus)
         lib = ContentLibrary(size=4, cache_slots=2)
@@ -798,6 +814,60 @@ class TestEstimateOutage:
         pooled = run(workers=2)
         assert [pool.max_workers for pool in recorded_pools] == ([] if started is None else [started])
         assert pooled == run(workers=1)
+
+    @pytest.mark.parametrize("workers,realizations,cpus,started", [(2, 4, 2, 2), (5000, 3, 8, 3), (3, 30, 2, 2)])
+    def test_pool_opened_only_when_the_work_reaches_the_threshold(
+        self, monkeypatch, usable_cpus, recorded_pools, workers, realizations, cpus, started
+    ):
+        # UCP and PCP at one point and PCP at a second: the expected work
+        # counts each of the two networks once per realization
+        usable_cpus(cpus)
+        lib = ContentLibrary(size=4, cache_slots=2)
+        requests = zipf_request_distribution(4, 0.8)
+        points = [(p, lib, default_window(p)) for p in (fig2_params(lambda_sbs=0.02), fig2_params(lambda_sbs=0.05))]
+        queries = [(points[0], CachePolicy.UCP, requests), (points[0], CachePolicy.PCP, requests),
+                   (points[1], CachePolicy.PCP, requests)]
+        run = partial(geometry_sim.estimate_batch, queries, 2, realizations=realizations)
+        work = realizations * sum(geometry_sim._point_load(*point)[0] for point in points)
+        assert work < geometry_sim.POOL_MIN_POINTS  # a call this small runs serially as it stands
+        serial = run(workers=1)
+        for threshold, pools in (
+            (geometry_sim.POOL_MIN_POINTS, []),
+            (math.nextafter(work, math.inf), []),
+            (work, [started]),
+            (0, [started]),
+        ):
+            monkeypatch.setattr(geometry_sim, "POOL_MIN_POINTS", threshold)
+            recorded_pools.clear()
+            assert run(workers=workers) == serial
+            assert [pool.max_workers for pool in recorded_pools] == pools
+            assert all(pool.shut_down for pool in recorded_pools)
+
+    def test_empty_call_opens_no_pool_and_runs_no_task(self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work):
+        usable_cpus(2)
+        monkeypatch.setattr(geometry_sim, "_batch_failures", lambda *args: pytest.fail("a task ran"))
+        assert geometry_sim.estimate_batch([], 3, realizations=5, workers=2) == []
+        assert recorded_pools == []
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):  # the arguments are still checked
+            geometry_sim.estimate_batch([], -1, workers=2)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_real_pool_matches_serial(self, monkeypatch, usable_cpus, pool_at_any_work, workers):
+        # worker processes, not the in-process stub, give the serial bytes
+        import concurrent.futures
+
+        usable_cpus(3)
+        opened = []
+        real = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: opened.append(max_workers) or real(max_workers=max_workers))
+        p = fig2_params(lambda_sbs=0.02)
+        lib = ContentLibrary(size=10, cache_slots=3)
+        queries = [((p, lib, default_window(p)), policy, zipf_request_distribution(10, 0.8))
+                   for policy in (CachePolicy.UCP, CachePolicy.PCP)]
+        run = partial(geometry_sim.estimate_batch, queries, 5, trials_per_content=2, realizations=30)
+        assert run(workers=workers) == run(workers=1)
+        assert opened == [workers]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_refused(self, workers):
