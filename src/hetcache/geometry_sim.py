@@ -18,30 +18,37 @@ Process pools
 and :func:`estimate_outage` is its one-point case. A call opens a process
 pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
 being those this process may run on (its affinity set, where the platform
-has one), and the call's expected work, the realizations times the expected
-points of every batch's distinct networks, reaches :data:`POOL_MIN_POINTS`
-(2e6). It then maps all its batches on one pool of that many processes,
-which it opens itself and shuts down before it returns or raises; a sweep,
-which makes one call, therefore opens at most one pool. Every other call
-runs serially and never loads ``concurrent.futures``. Below the threshold
-the pool's start-up costs more than the second process saves. The
-``simulate`` command on ``fig2.cfg`` (1.01e4 expected points per
-realization) with a pool of 2 forced against 1 worker, command walls on a
-2-vCPU VM, seven alternating pairs each:
+has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (2e6).
+The work is counted in expected points drawn: per realization, the
+expected points of every batch's distinct networks, plus
+:data:`READ_WORK` (1/8) times, for each read, its network's points (the
+gains its threshold passes over) and its |C| * trials_per_content
+uniforms; the call's work is that times the realizations. It then maps all
+its batches on one pool of that many processes, which it opens itself and
+shuts down before it returns or raises; a sweep, which makes one call,
+therefore opens at most one pool. Every other call runs serially and never
+loads ``concurrent.futures``. Below the threshold the pool's start-up
+costs more than the second process saves. Command walls with a pool of 2
+forced against 1 worker on a 2-vCPU VM shared with other loads,
+alternating pairs (``fig4.spec`` with ``engines = analytic, montecarlo``
+is a gamma axis of 21 reads on one network):
 
-====================  ==============  ===============================
-realizations          expected work   2 workers against 1
-====================  ==============  ===============================
-100                   1.0e6           +20 % (slower in 6 of 7)
-150                   1.5e6           -2 % (faster in 4 of 7)
-200                   2.0e6           -8 % (faster in 13 of 14)
-300                   3.0e6           -12 % (faster in 7 of 7)
-500                   5.1e6           -23 % (faster in 7 of 7)
-1000                  1.0e7           -22 % (faster in 7 of 7)
-====================  ==============  ===============================
-
-The ``mc-sparse-pool`` benchmark sweep expects 4.3e5 and runs serially: a
-pool forced on it makes its command 20 % slower (faster in 2 of 7 pairs).
+==============================================  =============  ==========================
+input                                           expected work  2 workers against 1
+==============================================  =============  ==========================
+``fig2.cfg``, 100 realizations                  1.1e6          +20 % (faster in 1 of 7)
+``fig2.cfg``, 150 realizations                  1.7e6          -2 % (faster in 4 of 7)
+``fig2.cfg``, 200 realizations                  2.3e6          -8 % (faster in 13 of 14)
+``fig2.cfg``, 300 realizations                  3.4e6          -12 % (faster in 7 of 7)
+``fig2.cfg``, 500 realizations                  5.7e6          -23 % (faster in 7 of 7)
+``fig2.cfg``, 1000 realizations                 1.1e7          -22 % (faster in 7 of 7)
+``fig2.cfg``, trials_per_content 100            1.3e6          +6 % (faster in 8 of 15)
+``fig2.cfg``, trials_per_content 1000           2.4e6          -20 % (faster in 12 of 15)
+``fig4.spec``, 50 realizations                  1.8e6          -6 % (faster in 10 of 15)
+``fig4.spec``, 75 realizations                  2.8e6          -9 % (faster in 10 of 15)
+``fig4.spec``, 100 realizations                 3.7e6          -9 % (faster in 12 of 15)
+``mc-sparse-pool`` benchmark sweep              5.5e5          +20 % (2 of 7), 0 % (9 of 15)
+==============================================  =============  ==========================
 
 Realization kernel
 ------------------
@@ -124,12 +131,10 @@ are drawn once per (policy, library): PCP draws none, and UCP draws from
 ``caches`` only when an SBS lies within r_sbs and 0 < d < |C|. Its ranks
 are associated once per (network, caches), so the points of a gamma axis
 share one association, and so do PCP and UCP whenever no SBS lies within
-r_sbs. The reads of one association at one threshold compare the same
-uniforms with the same success probabilities, so their failure counts are
-equal and are counted once. Every read compares the same uniforms, whatever
-its policy or threshold, so each result equals its one-point call bit for
-bit, and outage is nondecreasing in gamma within a realization, as p falls
-with gamma. So the estimates of two policies at one point are paired
+r_sbs. Every read compares the same uniforms, whatever its policy or
+threshold, so each result equals its one-point call bit for bit, and
+outage is nondecreasing in gamma within a realization, as p falls with
+gamma. So the estimates of two policies at one point are paired
 (common random numbers): a rank both serve from one server fails the same
 trials under both, their per-realization outages correlate, and their
 difference varies far less than that of two independent runs.
@@ -175,11 +180,17 @@ MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 #: compared. The fig2 operating point needs 100.
 MAX_UNIFORMS_PER_REALIZATION = 10_000_000
 
-#: Least expected work, realizations times the expected points of a call's
-#: distinct networks, for which :func:`estimate_batch` opens a process pool:
-#: below it a second process saves less than the pool costs to start (the
-#: table under "Process pools"). fig2.cfg at 200 realizations expects 2e6.
-POOL_MIN_POINTS = 2_000_000
+#: Least expected work of a call, in expected points drawn, for which
+#: :func:`estimate_batch` opens a process pool: below it a second process
+#: saves less than the pool costs to start (the table under "Process
+#: pools"). fig2.cfg at 176 realizations expects 2e6.
+POOL_MIN_WORK = 2_000_000
+
+#: The work of one element of a read's pass, one interferer gain of its
+#: network or one uniform it compares, against drawing one point. Serially,
+#: on fig2, a realization takes 70-110 ns per point drawn, 7 ns per gain
+#: that a further threshold passes over and 12-17 ns per further uniform.
+READ_WORK = 0.125
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
 
@@ -532,7 +543,9 @@ class _Batch:
     equal up to gamma; ``caches`` one (network index, policy, library) per
     distinct cache set; ``reads`` one (cache-set index, gamma, |C|) per read,
     in order. ``points`` and ``entries`` are the networks' expected points
-    and the cache sets' expected entries, summed.
+    and the cache sets' expected entries, summed. ``work`` is a
+    realization's expected work: ``points``, plus :data:`READ_WORK` times
+    each read's network points and uniforms, which its pass reads.
     """
 
     networks: list[tuple[SystemParams, SimWindow]] = field(default_factory=list)
@@ -540,6 +553,7 @@ class _Batch:
     reads: list[tuple[int, float, int]] = field(default_factory=list)
     points: float = 0.0
     entries: float = 0.0
+    work: float = 0.0
 
 
 def _batch_failures(
@@ -554,10 +568,9 @@ def _batch_failures(
     Each network draws its positions from a fresh ``geometry`` stream and
     computes its links once; each cache set is drawn once, UCP's from a
     fresh ``caches`` stream. Cache sets of one network that come out equal
-    (as when no SBS lies within r_sbs) share one association, and the reads
-    of one association at one threshold share one count: they compare the
-    same uniforms with the same success probabilities. Every read compares
-    the first |C| rows of one block of uniforms from the ``fading`` stream.
+    (as when no SBS lies within r_sbs) share one association. Every read
+    compares the first |C| rows of one block of uniforms from the
+    ``fading`` stream.
     """
     networks = []
     for params, window in batch.networks:
@@ -577,12 +590,7 @@ def _batch_failures(
         associations.append(key)
     rows = max(size for _, _, size in batch.reads)
     uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
-    counts: dict[tuple, np.ndarray] = {}
-    for cache_set, gamma, size in batch.reads:
-        key = associations[cache_set], gamma
-        if key not in counts:
-            counts[key] = _failures(groups[associations[cache_set]], gamma, uniforms[:size])
-    return [counts[associations[cache_set], gamma] for cache_set, gamma, _ in batch.reads]
+    return [_failures(groups[associations[c]], gamma, uniforms[:size]) for c, gamma, size in batch.reads]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -629,7 +637,7 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
         )
 
 
-def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[_Batch]:
+def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]], trials_per_content: int) -> list[_Batch]:
     """Split checked (point, policy) reads, in order, into batches one task may hold.
 
     Each batch holds consecutive reads whose expected points and cache
@@ -638,7 +646,9 @@ def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[_Batch]:
     of its cache sets counted once, as :func:`_batch_failures` holds them.
     A network is a window and params equal up to gamma: positions, links and
     the SBSs within r_sbs never read gamma, so the points of a gamma axis
-    share one. A cache set is a network, a policy and a library.
+    share one. A cache set is a network, a policy and a library. Each
+    batch also sums its expected work per realization (``_Batch.work``),
+    which reads ``trials_per_content``.
     """
     batches: list[_Batch] = []
     networks: dict[tuple[SystemParams, SimWindow], int] = {}  # index in the last batch
@@ -662,11 +672,13 @@ def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]]) -> list[_Batch]:
             networks[network] = len(batch.networks)
             batch.networks.append((params, window))
             batch.points += points
+            batch.work += points
         if cache_set not in cache_sets:
             cache_sets[cache_set] = len(batch.caches)
             batch.caches.append((networks[network], policy, library))
             batch.entries += entries
         batch.reads.append((cache_sets[cache_set], params.gamma, library.size))
+        batch.work += READ_WORK * (points + library.size * trials_per_content)
     return batches
 
 
@@ -691,8 +703,8 @@ def estimate_batch(
     share; each query weights its counts by its request law. All batches
     share one process pool, opened and shut down by this call, and only
     when it pays: when min(workers, realizations, CPUs) > 1 and the expected
-    work, ``realizations`` times the expected points of every batch's
-    networks, reaches :data:`POOL_MIN_POINTS`.
+    work, ``realizations`` times every batch's work per realization,
+    reaches :data:`POOL_MIN_WORK`.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
@@ -703,10 +715,10 @@ def estimate_batch(
         _check_point(point, requests, trials_per_content)
     if not queries:
         return []
-    batches = _plan_batches([(point, policy) for point, policy, _ in queries])
+    batches = _plan_batches([(point, policy) for point, policy, _ in queries], trials_per_content)
     tasks = [partial(_batch_failures, batch, seed, trials_per_content, interference) for batch in batches]
     processes = min(workers, realizations, _usable_cpus())
-    if processes == 1 or realizations * sum(batch.points for batch in batches) < POOL_MIN_POINTS:
+    if processes == 1 or realizations * sum(batch.work for batch in batches) < POOL_MIN_WORK:
         counts = [list(map(task, range(realizations))) for task in tasks]
     else:
         # imported here so that serial runs never load multiprocessing
@@ -780,9 +792,10 @@ def estimate_outage(
     index) alone, merged in index order. A pool of min(workers,
     realizations, CPUs) processes is opened for the call, and shut down
     before it returns, only when that is more than one and the expected
-    work, ``realizations`` times the window's expected points, reaches
-    :data:`POOL_MIN_POINTS`; otherwise the call runs serially. The
-    one-query :func:`estimate_batch`.
+    work, ``realizations`` times the window's expected points plus
+    :data:`READ_WORK` times those points and the |C| * trials_per_content
+    uniforms, reaches :data:`POOL_MIN_WORK`; otherwise the call runs
+    serially. The one-query :func:`estimate_batch`.
     """
     window = default_window(params) if window is None else window
     [result] = estimate_batch(

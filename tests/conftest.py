@@ -94,4 +94,4 @@ def pool_at_any_work(monkeypatch):
     """
     from hetcache import geometry_sim
 
-    monkeypatch.setattr(geometry_sim, "POOL_MIN_POINTS", 0)
+    monkeypatch.setattr(geometry_sim, "POOL_MIN_WORK", 0)

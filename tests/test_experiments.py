@@ -565,6 +565,22 @@ class TestSharedPool:
         assert pooled == run_sweep(self.mc_spec(workers=1))
         assert len(recorded_pools) == 1  # the serial sweep opened none
 
+    def test_reads_count_toward_the_pool_threshold(self, monkeypatch, usable_cpus, recorded_pools):
+        # fig4's gamma axis: 21 reads of one network, whose points alone
+        # (1.01e4 per realization) sit below the threshold; each read's pass
+        # over the network's gains adds an eighth of them, and a pool pays
+        usable_cpus(2)
+        spec = replace(sweep_spec_from_config(_load_config("fig4.spec"), 1),
+                       engines=("analytic", "montecarlo"), workers=2)
+        point = spec.base.params, spec.base.library, geometry_sim.default_window(spec.base.params, spec.mc.guard)
+        points = geometry_sim._point_load(*point)[0]
+        assert spec.mc.realizations * points < geometry_sim.POOL_MIN_WORK
+        assert spec.mc.realizations * (points + 21 * (points + 100) / 8) >= geometry_sim.POOL_MIN_WORK
+        monkeypatch.setattr(geometry_sim, "_batch_failures",
+                            lambda batch, *args: [np.zeros(size, dtype=int) for _, _, size in batch.reads])
+        assert len(run_sweep(spec).rows) == 42
+        assert [pool.max_workers for pool in recorded_pools] == [2]
+
     def test_real_pool_matches_serial_and_leaves_no_worker(self, pool_at_any_work):
         pooled = run_sweep(self.mc_spec(workers=2))
         assert multiprocessing.active_children() == []

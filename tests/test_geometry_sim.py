@@ -60,10 +60,10 @@ def associate(realization, contents, params, interference):
     return _servers(links, realization.sbs_caches, realization.cached_sbs, contents, params, interference)
 
 
-def batch_failures(reads, *args):
+def batch_failures(reads, seed, trials_per_content, interference, r_index):
     """``_batch_failures`` of (point, policy) reads that one batch holds."""
-    [batch] = geometry_sim._plan_batches(reads)
-    return _batch_failures(batch, *args)
+    [batch] = geometry_sim._plan_batches(reads, trials_per_content)
+    return _batch_failures(batch, seed, trials_per_content, interference, r_index)
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
@@ -696,21 +696,19 @@ class TestSharedFading:
 
     def test_reads_with_equal_caches_share_one_association(self, monkeypatch):
         # with no SBS both policies' caches are empty, so one association
-        # serves both, and one count at their one threshold; at lambda_sbs =
-        # 0.1 their caches differ and each is associated and counted alone
+        # serves both; at lambda_sbs = 0.1 their caches differ and each is
+        # associated alone
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
-        associated, counted = [], []
-        real, real_failures = geometry_sim._servers, geometry_sim._failures
+        associated = []
+        real = geometry_sim._servers
         monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real(*args))
-        monkeypatch.setattr(geometry_sim, "_failures", lambda *args: counted.append(args) or real_failures(*args))
         for lambda_sbs, shared in ((0.0, True), (0.1, False)):
             params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
             point = (params, self.LIBRARY, self.WINDOW)
             queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
             associated.clear()
-            counted.clear()
             results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
-            assert len(associated) == len(counted) == (1 if shared else 2) * 3
+            assert len(associated) == (1 if shared else 2) * 3
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
 
@@ -731,7 +729,7 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
         pairs = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
         reads = pairs if order == "points first" else pairs[::2] + pairs[1::2]
-        stops = np.cumsum([len(batch.reads) for batch in geometry_sim._plan_batches(reads)]).tolist()
+        stops = np.cumsum([len(batch.reads) for batch in geometry_sim._plan_batches(reads, 2)]).tolist()
         splits = list(zip([0, *stops], stops))
         assert splits == self.SPLITS[order]
         tasks = self.recorded_tasks(monkeypatch)
@@ -820,24 +818,26 @@ class TestEstimateOutage:
         self, monkeypatch, usable_cpus, recorded_pools, workers, realizations, cpus, started
     ):
         # UCP and PCP at one point and PCP at a second: the expected work
-        # counts each of the two networks once per realization
+        # counts each of the two networks once per realization, and for each
+        # read an eighth of its network's points and of its 4 x 3 uniforms
         usable_cpus(cpus)
         lib = ContentLibrary(size=4, cache_slots=2)
         requests = zipf_request_distribution(4, 0.8)
         points = [(p, lib, default_window(p)) for p in (fig2_params(lambda_sbs=0.02), fig2_params(lambda_sbs=0.05))]
         queries = [(points[0], CachePolicy.UCP, requests), (points[0], CachePolicy.PCP, requests),
                    (points[1], CachePolicy.PCP, requests)]
-        run = partial(geometry_sim.estimate_batch, queries, 2, realizations=realizations)
-        work = realizations * sum(geometry_sim._point_load(*point)[0] for point in points)
-        assert work < geometry_sim.POOL_MIN_POINTS  # a call this small runs serially as it stands
+        run = partial(geometry_sim.estimate_batch, queries, 2, trials_per_content=3, realizations=realizations)
+        p0, p1 = (geometry_sim._point_load(*point)[0] for point in points)
+        work = realizations * (p0 + (p0 + 12) / 8 + (p0 + 12) / 8 + p1 + (p1 + 12) / 8)  # in the plan's order
+        assert work < geometry_sim.POOL_MIN_WORK  # a call this small runs serially as it stands
         serial = run(workers=1)
         for threshold, pools in (
-            (geometry_sim.POOL_MIN_POINTS, []),
+            (geometry_sim.POOL_MIN_WORK, []),
             (math.nextafter(work, math.inf), []),
             (work, [started]),
             (0, [started]),
         ):
-            monkeypatch.setattr(geometry_sim, "POOL_MIN_POINTS", threshold)
+            monkeypatch.setattr(geometry_sim, "POOL_MIN_WORK", threshold)
             recorded_pools.clear()
             assert run(workers=workers) == serial
             assert [pool.max_workers for pool in recorded_pools] == pools
