@@ -20,11 +20,11 @@ pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
 being those this process may run on (its affinity set, where the platform
 has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (2e6).
 The work is counted in expected points drawn: per realization, the
-expected points of every batch's distinct networks, plus
+expected points of each of the call's distinct networks, plus
 :data:`READ_WORK` (1/8) times, for each read, its network's points (the
 gains its threshold passes over) and its |C| * trials_per_content
-uniforms; the call's work is that times the realizations. It then maps all
-its batches on one pool of that many processes, which it opens itself and
+uniforms; the call's work is that times the realizations. It then maps its
+realizations on one pool of that many processes, which it opens itself and
 shuts down before it returns or raises; a sweep, which makes one call,
 therefore opens at most one pool. Every other call runs serially and never
 loads ``concurrent.futures``. Below the threshold the pool's start-up
@@ -63,10 +63,11 @@ draws one uniform u, not a fade per link, and fails when u >= p, which
 gives every failure count exactly the law that drawing the fades gives it
 (conditional Monte-Carlo). ``_failures`` counts one association's failures
 at one threshold from a (|C|, trials) block of uniforms. A task of
-:func:`estimate_batch` is one realization index over a batch, planned once
-per call. :func:`simulate_request` draws the fades of one trial of one
-rank's group and keeps its tier, distance and SIR. SIRs are reduced with
-``einsum``, not a BLAS product, so one worker stays one thread.
+:func:`estimate_batch` is one realization index over all the call's reads,
+planned once per call. :func:`simulate_request` draws the fades of one
+trial of one rank's group and keeps its tier, distance and SIR. SIRs are
+reduced with ``einsum``, not a BLAS product, so one worker stays one
+thread.
 
 Interference conventions
 ------------------------
@@ -95,11 +96,10 @@ interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, caches whose expected entries exceed
 :data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, and a library of |C| ranks whose
 block of |C| * trials_per_content uniforms exceeds
-:data:`MAX_UNIFORMS_PER_REALIZATION`. The budgets bound what one task
-holds, so they bound a batch's networks and caches summed: the call splits
-its reads into batches that fit. A batch's reads share one block of
-uniforms, as large as its largest library needs, so the bound on each query
-bounds it.
+:data:`MAX_UNIFORMS_PER_REALIZATION`. A task holds one network at a time,
+so these per-point budgets bound what it holds. Its reads share one block
+of uniforms, as large as the largest library needs, so the bound on each
+query bounds it.
 
 RNG discipline
 --------------
@@ -115,29 +115,29 @@ share geometry and caches but draw their own uniforms.
   cache; interference ignores caches and caches are i.i.d. per SBS, so the
   joint law of every outcome is that of caching at every SBS.
 - ``fading``: one block of uniforms drawn by ``random`` in row-major order,
-  row c - 1 holding rank c's trials. A batch draws the rows of its largest
-  library, and a read of |C| ranks compares the first |C| rows, the block
-  it would draw alone. :func:`simulate_request` draws from the generator it
-  is given one row of fades: the serving-link fade, then the interferer
-  fades, MBSs before SBSs in index order.
+  row c - 1 holding rank c's trials. A read of |C| ranks compares the first
+  |C| rows, the block it would draw alone. :func:`simulate_request` draws
+  from the generator it is given one row of fades: the serving-link fade,
+  then the interferer fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
-realization index they read the same three streams. :func:`_plan_batches`
-decides once per call what the reads of a batch share, keying each object
-by what it depends on, and :func:`_batch_failures` makes each object once
-per realization from that plan. A network (one window, and params equal up
-to gamma) is drawn once, whatever the policy and the threshold. Its caches
-are drawn once per (policy, library): PCP draws none, and UCP draws from
-``caches`` only when an SBS lies within r_sbs and 0 < d < |C|. Its ranks
-are associated once per (network, caches), so the points of a gamma axis
-share one association, and so do PCP and UCP whenever no SBS lies within
-r_sbs. Every read compares the same uniforms, whatever its policy or
-threshold, so each result equals its one-point call bit for bit, and
-outage is nondecreasing in gamma within a realization, as p falls with
-gamma. So the estimates of two policies at one point are paired
-(common random numbers): a rank both serve from one server fails the same
-trials under both, their per-realization outages correlate, and their
-difference varies far less than that of two independent runs.
+realization index they read the same three streams. :func:`_plan` decides
+once per call what the reads share, keying each object by what it depends
+on, and :func:`_realization_failures` makes each object once per
+realization from that plan, drawing the networks one at a time. A network
+(one window, and params equal up to gamma) is drawn once, whatever the
+policy and the threshold. Its caches are drawn once per (policy,
+library): PCP draws none, and UCP draws from ``caches`` only when an SBS
+lies within r_sbs and 0 < d < |C|. Its ranks are associated once per
+(network, caches), so the points of a gamma axis share one association,
+and so do PCP and UCP whenever no SBS lies within r_sbs. Every read
+compares the same uniforms, whatever its policy or threshold, so each
+result equals its one-point call bit for bit, and outage is nondecreasing
+in gamma within a realization, as p falls with gamma. So the estimates of
+two policies at one point are paired (common random numbers): a rank both
+serve from one server fails the same trials under both, their
+per-realization outages correlate, and their difference varies far less
+than that of two independent runs.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ import enum
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -165,13 +165,16 @@ from .params import (
     check_interference,
 )
 
-#: Most expected points (MBSs plus active SBSs) one realization may sample,
-#: about 250 MB of positions, distances and path gains. The fig2 operating
-#: point needs about 1e4.
+#: Most expected points (MBSs plus active SBSs) of one network, which a task
+#: holds one at a time. Traced peaks of one realization at beta = 1 and
+#: 4.9e6 points: 235 MB under PCP (2 server groups), 274 MB under UCP (3).
+#: Each server group keeps its own copy of the interferer gains, which no
+#: budget counts: 1e6 points over 87 UCP groups (|C| = 1000, d = 10) took
+#: 728 MB. The fig2 operating point needs about 1e4.
 MAX_POINTS_PER_REALIZATION = 5_000_000
 
 #: Most expected cache-matrix entries, beta * lambda_sbs * pi * r_sbs^2 * |C|,
-#: one realization may hold: about 170 MB of UCP scores and their partition.
+#: of one cache set: about 170 MB of UCP scores and their partition.
 #: The fig2 operating point needs about 80.
 MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 
@@ -535,62 +538,55 @@ def _binary_estimate(failures: int, trials: int) -> McEstimate:
 McPoint = tuple[SystemParams, ContentLibrary, SimWindow]
 
 
-@dataclass
-class _Batch:
-    """The reads one task holds, each network and each cache set listed once.
-
-    ``networks`` holds one (params, window) per distinct network, its params
-    equal up to gamma; ``caches`` one (network index, policy, library) per
-    distinct cache set; ``reads`` one (cache-set index, gamma, |C|) per read,
-    in order. ``points`` and ``entries`` are the networks' expected points
-    and the cache sets' expected entries, summed. ``work`` is a
-    realization's expected work: ``points``, plus :data:`READ_WORK` times
-    each read's network points and uniforms, which its pass reads.
-    """
-
-    networks: list[tuple[SystemParams, SimWindow]] = field(default_factory=list)
-    caches: list[tuple[int, CachePolicy, ContentLibrary]] = field(default_factory=list)
-    reads: list[tuple[int, float, int]] = field(default_factory=list)
-    points: float = 0.0
-    entries: float = 0.0
-    work: float = 0.0
+#: One network of a call's plan: its params (any of its reads', as no draw
+#: reads gamma), its window and, per cache set (policy, library), the
+#: (query index, gamma) of each read.
+_Network = tuple[SystemParams, SimWindow, dict[tuple[CachePolicy, ContentLibrary], list[tuple[int, float]]]]
 
 
-def _batch_failures(
-    batch: _Batch,
+def _realization_failures(
+    networks: Sequence[_Network],
     seed: int,
     trials_per_content: int,
     interference: str,
     r_index: int,
 ) -> list[np.ndarray]:
-    """Per-content failure counts of each read of ``batch`` for realization ``r_index``.
+    """Per-content failure counts of every read of a call for realization ``r_index``, in query order.
 
-    Each network draws its positions from a fresh ``geometry`` stream and
-    computes its links once; each cache set is drawn once, UCP's from a
-    fresh ``caches`` stream. Cache sets of one network that come out equal
-    (as when no SBS lies within r_sbs) share one association. Every read
-    compares the first |C| rows of one block of uniforms from the
-    ``fading`` stream.
+    Draws one block of uniforms from the ``fading`` stream, with the rows of
+    the largest library, then the networks one at a time, each dropped
+    before the next is drawn.
     """
-    networks = []
-    for params, window in batch.networks:
-        mbs, active = _positions(params, window, stream_rng(seed, "geometry", r_index))
-        links = _links(mbs, active, params)
-        networks.append((np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs), links))
+    rows = max(library.size for *_, cache_sets in networks for _, library in cache_sets)
+    uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
+    failures = {}
+    for network in networks:
+        failures.update(_network_failures(network, seed, interference, r_index, uniforms))
+    return [failures[query] for query in range(len(failures))]
+
+
+def _network_failures(network: _Network, seed: int, interference: str, r_index: int, uniforms: np.ndarray):
+    """Yield (query index, per-content failure counts) for each read of one network.
+
+    The network draws its positions from a fresh ``geometry`` stream and
+    computes its links once; each cache set is drawn once, UCP's from a
+    fresh ``caches`` stream. Cache sets that come out equal (as when no SBS
+    lies within r_sbs) share one association. A read of |C| ranks compares
+    the first |C| rows of ``uniforms``.
+    """
+    params, window, cache_sets = network
+    links = _links(*_positions(params, window, stream_rng(seed, "geometry", r_index)), params)
+    near = np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs)
     draw = partial(stream_rng, seed, "caches", r_index)
-    groups: dict[tuple, list] = {}  # server groups by (network index, caches)
-    associations = []  # of each cache set, as a key of groups
-    for n, policy, library in batch.caches:
-        near, links = networks[n]
+    groups: dict[tuple, list] = {}  # server groups by caches
+    for (policy, library), reads in cache_sets.items():
         held = _caches(policy, library, near.size, draw)
-        key = n, held.shape, held.tobytes()
+        key = held.shape, held.tobytes()
         if key not in groups:
             contents = np.arange(1, library.size + 1)
-            groups[key] = list(_servers(links, held, near, contents, batch.networks[n][0], interference))
-        associations.append(key)
-    rows = max(size for _, _, size in batch.reads)
-    uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
-    return [_failures(groups[associations[c]], gamma, uniforms[:size]) for c, gamma, size in batch.reads]
+            groups[key] = list(_servers(links, held, near, contents, params, interference))
+        for query, gamma in reads:
+            yield query, _failures(groups[key], gamma, uniforms[: library.size])
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:
@@ -637,49 +633,29 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
         )
 
 
-def _plan_batches(reads: Sequence[tuple[McPoint, CachePolicy]], trials_per_content: int) -> list[_Batch]:
-    """Split checked (point, policy) reads, in order, into batches one task may hold.
+def _plan(
+    queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]], trials_per_content: int
+) -> tuple[list[_Network], float]:
+    """Group checked queries by network, then by cache set; sum a realization's work.
 
-    Each batch holds consecutive reads whose expected points and cache
-    entries stay within :data:`MAX_POINTS_PER_REALIZATION` and
-    :data:`MAX_CACHE_ENTRIES_PER_REALIZATION` summed, each network and each
-    of its cache sets counted once, as :func:`_batch_failures` holds them.
     A network is a window and params equal up to gamma: positions, links and
     the SBSs within r_sbs never read gamma, so the points of a gamma axis
-    share one. A cache set is a network, a policy and a library. Each
-    batch also sums its expected work per realization (``_Batch.work``),
-    which reads ``trials_per_content``.
+    share one. A cache set is a network's policy and library. The work, in
+    expected points drawn, is each network's points once, plus
+    :data:`READ_WORK` times each read's network points and its
+    |C| * trials_per_content uniforms, which its pass reads.
     """
-    batches: list[_Batch] = []
-    networks: dict[tuple[SystemParams, SimWindow], int] = {}  # index in the last batch
-    cache_sets: dict[tuple, int] = {}
-    for point, policy in reads:
-        params, library, window = point
-        network = replace(params, gamma=1.0), window
-        cache_set = network, policy, library
-        points, entries = _point_load(*point)
-        # each adds its load unless the batch already holds it
-        load = 0.0 if network in networks else points
-        cache = 0.0 if cache_set in cache_sets else entries
-        if not batches or (
-            batches[-1].points + load > MAX_POINTS_PER_REALIZATION
-            or batches[-1].entries + cache > MAX_CACHE_ENTRIES_PER_REALIZATION
-        ):
-            batches.append(_Batch())
-            networks, cache_sets = {}, {}
-        batch = batches[-1]
-        if network not in networks:
-            networks[network] = len(batch.networks)
-            batch.networks.append((params, window))
-            batch.points += points
-            batch.work += points
-        if cache_set not in cache_sets:
-            cache_sets[cache_set] = len(batch.caches)
-            batch.caches.append((networks[network], policy, library))
-            batch.entries += entries
-        batch.reads.append((cache_sets[cache_set], params.gamma, library.size))
-        batch.work += READ_WORK * (points + library.size * trials_per_content)
-    return batches
+    networks: dict[tuple[SystemParams, SimWindow], _Network] = {}
+    work = 0.0
+    for query, ((params, library, window), policy, _) in enumerate(queries):
+        points = _point_load(params, library, window)[0]
+        key = replace(params, gamma=1.0), window
+        if key not in networks:
+            networks[key] = params, window, {}
+            work += points
+        networks[key][2].setdefault((policy, library), []).append((query, params.gamma))
+        work += READ_WORK * (points + library.size * trials_per_content)
+    return list(networks.values()), work
 
 
 def estimate_batch(
@@ -697,14 +673,11 @@ def estimate_batch(
     would read alone, so each result equals the one-point call bit for bit.
     The seed and every point are checked before anything is sampled.
 
-    The queries are split, in order, into batches that fit the
-    per-realization budgets (:func:`_plan_batches`). A task is one
-    realization index over a batch, whose plan decides what its reads
-    share; each query weights its counts by its request law. All batches
-    share one process pool, opened and shut down by this call, and only
-    when it pays: when min(workers, realizations, CPUs) > 1 and the expected
-    work, ``realizations`` times every batch's work per realization,
-    reaches :data:`POOL_MIN_WORK`.
+    The call plans once what its reads share (:func:`_plan`). A task is one
+    realization index over every read (:func:`_realization_failures`); each
+    query weights its counts by its request law. The tasks run serially or
+    on one process pool, by the rule under "Process pools" in the module
+    docstring.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_count("realizations", realizations, 1)
@@ -715,20 +688,20 @@ def estimate_batch(
         _check_point(point, requests, trials_per_content)
     if not queries:
         return []
-    batches = _plan_batches([(point, policy) for point, policy, _ in queries], trials_per_content)
-    tasks = [partial(_batch_failures, batch, seed, trials_per_content, interference) for batch in batches]
+    networks, work = _plan(queries, trials_per_content)
+    task = partial(_realization_failures, networks, seed, trials_per_content, interference)
     processes = min(workers, realizations, _usable_cpus())
-    if processes == 1 or realizations * sum(batch.work for batch in batches) < POOL_MIN_WORK:
-        counts = [list(map(task, range(realizations))) for task in tasks]
+    if processes == 1 or realizations * work < POOL_MIN_WORK:
+        counts = list(map(task, range(realizations)))
     else:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            counts = [list(pool.map(task, range(realizations), chunksize=per_call)) for task in tasks]
+            counts = list(pool.map(task, range(realizations), chunksize=per_call))
     # each read's counts over the realizations, in query order
-    per_read = (np.stack(read) for batch_counts in counts for read in zip(*batch_counts))
+    per_read = (np.stack(read) for read in zip(*counts))
     return [
         _estimates(failures, requests, trials_per_content)
         for failures, (_, _, requests) in zip(per_read, queries, strict=True)
@@ -789,13 +762,9 @@ def estimate_outage(
 
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
-    index) alone, merged in index order. A pool of min(workers,
-    realizations, CPUs) processes is opened for the call, and shut down
-    before it returns, only when that is more than one and the expected
-    work, ``realizations`` times the window's expected points plus
-    :data:`READ_WORK` times those points and the |C| * trials_per_content
-    uniforms, reaches :data:`POOL_MIN_WORK`; otherwise the call runs
-    serially. The one-query :func:`estimate_batch`.
+    index) alone, merged in index order. They run serially or on one
+    process pool, by the rule under "Process pools" in the module
+    docstring. The one-query :func:`estimate_batch`.
     """
     window = default_window(params) if window is None else window
     [result] = estimate_batch(

@@ -72,34 +72,41 @@ def kernel_quadrature(power_ratio: float, alpha: float) -> float:
     return power_ratio ** (1.0 / p) * value
 
 
+def _serving_success_integral(nu: float, rate: float, radius: float) -> float:
+    """integral_0^radius e^(-pi r^2 rate) f(r) dr, f the nearest-server density truncated at radius.
+
+    f(r) = 2 pi nu r e^(-nu pi r^2) / (1 - e^(-nu pi R^2)) is written as
+    2 r e^(-nu pi r^2) / (R^2 phi(nu pi R^2)), phi(x) = (1 - e^(-x)) / x, so
+    a subnormal nu keeps its digits. The integrand peaks near
+    1 / sqrt(2 pi D), D = nu + rate, and is negligible beyond
+    10 / sqrt(pi D): quad is told to split there, or a narrow peak near 0
+    goes unseen.
+    """
+    x = nu * math.pi * radius**2
+    phi = -math.expm1(-x) / x if x > 0.0 else 1.0
+    split = 10.0 / math.sqrt(math.pi * (nu + rate))
+
+    def integrand(r: float) -> float:
+        return 2.0 * r * math.exp(-math.pi * r**2 * (nu + rate)) / (radius**2 * phi)
+
+    value, _ = integrate.quad(integrand, 0.0, radius, epsabs=1e-13, epsrel=1e-12, limit=400,
+                              points=[split] if split < radius else None)
+    return value
+
+
 def success_sbs_integral(params: SystemParams, p_c: float) -> float:
     """integral_0^{r_sbs} L_sbs(gamma r^alpha / p_sbs) f(r) dr by quadrature."""
     ks = kernels(params)
     rate = ks.k1 * params.lambda_mbs + ks.k2 * params.beta * params.lambda_sbs
     nu = params.beta * params.subchannels_b * params.lambda_sbs * p_c
-    norm = -math.expm1(-nu * math.pi * params.r_sbs**2)
-
-    def integrand(r: float) -> float:
-        pdf = 2.0 * math.pi * nu * r * math.exp(-nu * math.pi * r**2) / norm
-        return pdf * math.exp(-math.pi * r**2 * rate)
-
-    value, _ = integrate.quad(integrand, 0.0, params.r_sbs, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    return _serving_success_integral(nu, rate, params.r_sbs)
 
 
 def success_mbs_integral(params: SystemParams) -> float:
     """integral_0^{r_mbs} L_mbs(gamma r^alpha / p_mbs) f(r) dr by quadrature."""
     ks = kernels(params)
     rate = ks.k3 * params.lambda_mbs + ks.k4 * params.beta * params.lambda_sbs
-    nu = params.lambda_mbs
-    norm = -math.expm1(-nu * math.pi * params.r_mbs**2)
-
-    def integrand(r: float) -> float:
-        pdf = 2.0 * math.pi * nu * r * math.exp(-nu * math.pi * r**2) / norm
-        return pdf * math.exp(-math.pi * r**2 * rate)
-
-    value, _ = integrate.quad(integrand, 0.0, params.r_mbs, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    return _serving_success_integral(params.lambda_mbs, rate, params.r_mbs)
 
 
 def truncated_rayleigh_cdf(density: float, radius: float):
@@ -185,8 +192,3 @@ def parse_sweep_csv(text: str) -> SweepResult:
     )
     return SweepResult(tuple(header[:-4]), rows)
 
-
-def batch_reads(batch) -> tuple[tuple[float, str], ...]:
-    """The (lambda_sbs, policy) of each read of a planned Monte-Carlo batch, in order."""
-    cache_sets = [(batch.networks[n][0].lambda_sbs, policy.value) for n, policy, _ in batch.caches]
-    return tuple(cache_sets[c] for c, _, _ in batch.reads)

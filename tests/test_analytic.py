@@ -195,6 +195,13 @@ class TestOutageSbs:
                     1.0 - success_sbs_integral(p, p_c), abs=1e-7
                 )
 
+    def test_subnormal_replication_matches_defining_integral(self):
+        # P_c = 5e-324 leaves a subnormal serving density, whose plain
+        # normalizer 1 - e^(-nu pi r^2) loses its digits
+        p = SystemParams(lambda_mbs=1e-3, lambda_sbs=1.0, beta=1.0, p_max_mbs=1.0, p_max_sbs=1.0,
+                         alpha=4.0, gamma=1.0, r_sbs=10.0, r_mbs=111.0)
+        assert total_outage(p, 5e-324).p_out_sbs == pytest.approx(1.0 - success_sbs_integral(p, 5e-324), abs=1e-7)
+
 
 class TestOutageMbs:
     def test_vanishing_threshold_yields_no_outage(self):
@@ -214,6 +221,13 @@ class TestOutageMbs:
             for beta in (0.05, 0.5):
                 p = SystemParams(**{**fig2_params(lambda_sbs=lam, beta=beta).__dict__, "subchannels_b": subchannels_b})
                 assert total_outage(p, 1.0).p_out_mbs == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
+
+    def test_sharply_peaked_integrand_matches_defining_integral(self):
+        # alpha = 2.25 at gamma = 100 gives D = 489 per m^2: the integrand
+        # lives within 0.26 m of the user, a sliver of [0, r_mbs = 111 m]
+        p = SystemParams(lambda_mbs=1e-3, lambda_sbs=1.0, beta=1.0, p_max_mbs=1.0, p_max_sbs=1.0,
+                         alpha=2.25, gamma=100.0, r_sbs=5.0, r_mbs=111.0)
+        assert total_outage(p, 1.0).p_out_mbs == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
 
 
 class TestTotalOutage:
@@ -389,6 +403,16 @@ class TestRandomizedBounds:
         assert ks.k2 == ks.k3
         for k in (ks.k1, ks.k2, ks.k4):
             assert k >= 0.0 and math.isfinite(k)
+
+    @fast
+    @given(system_params(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_tier_outages_match_defining_integrals(self, p, p_c):
+        # an SBS tier whose serving density underflows to 0 cannot serve,
+        # and its stored outage of 1 carries no weight
+        b = total_outage(p, p_c)
+        if b.p_hit_sbs > 0.0:
+            assert b.p_out_sbs == pytest.approx(1.0 - success_sbs_integral(p, p_c), abs=1e-7)
+        assert b.p_out_mbs == pytest.approx(1.0 - success_mbs_integral(p), abs=1e-7)
 
     @fast
     @given(system_params(), st.floats(0.0, 1.0), st.floats(1.0, 10.0))

@@ -26,7 +26,7 @@ from hetcache import (
 )
 from hetcache.cli import _load_config, main
 
-from oracles import batch_reads, fig2_params, parse_sweep_csv
+from oracles import fig2_params, parse_sweep_csv
 
 
 def base_setup(size=100, slots=30, delta=0.8):
@@ -311,21 +311,21 @@ class TestEvaluateOnce:
         )
         row_inputs, calls, tasks = [], [], []
         real_average, real_estimate = experiments.average_outage, experiments.estimate_outage
-        real_task = geometry_sim._batch_failures
+        real_task = geometry_sim._realization_failures
 
         def estimate(queries, seed, **options):
             calls.append((queries, seed, real_estimate(queries, seed, **options)))
             return calls[-1][2]
 
-        def task(batch, *args):
-            tasks.append(batch)
-            return real_task(batch, *args)
+        def task(networks, *args):
+            tasks.append([reads for *_, cache_sets in networks for reads in cache_sets.values()])
+            return real_task(networks, *args)
 
         monkeypatch.setattr(
             experiments, "average_outage", lambda *a: row_inputs.append(a[:4]) or real_average(*a)
         )
         monkeypatch.setattr(experiments, "estimate_outage", estimate)
-        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
+        monkeypatch.setattr(geometry_sim, "_realization_failures", task)
         rows = run_sweep(spec).rows
         # one closed-form value per grid point, shared by both labels
         assert len(row_inputs) == 4 == len(set(row_inputs))
@@ -333,9 +333,10 @@ class TestEvaluateOnce:
         # labels under the closed forms' keys
         [(queries, seed, estimates)] = calls
         assert list(queries) == row_inputs and seed == experiments._sweep_seed(11)
-        # each realization reads every point once, for both labels
+        # each realization reads every point once, for both labels: four
+        # cache sets of one read each
         assert len(tasks) == 4
-        assert all(len(batch.reads) == 4 == len(set(batch.reads)) == len(batch.caches) for batch in tasks)
+        assert all(sorted(query for [(query, _)] in reads) == [0, 1, 2, 3] for reads in tasks)
         for label in ("ucp", "ucp:zipf"):
             mc_rows = [r for r in rows if (r.variant, r.engine) == (label, "montecarlo")]
             assert [(r.avg_outage, r.std_error) for r in mc_rows] == [
@@ -405,40 +406,6 @@ class TestSharedFading:
                 realizations=3, seed=experiments._sweep_seed(13),
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batches_split_by_the_budget_keep_rows(
-        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers
-    ):
-        # expected points per realization: 600, 1100 and 2600 in the 1000 m
-        # window, each counted once for both variants; a budget of 3000 puts
-        # the first two in one batch
-        usable_cpus(2)
-        s = base_setup(size=10, slots=3)
-        spec = SweepSpec(
-            base=s, axis1=("lambda_sbs", (0.01, 0.02, 0.05)), variants=variants(s, "ucp", "pcp"),
-            engines=("montecarlo",), mc=McBudget(1, 3), seed=2, workers=workers,
-        )
-        tasks = []
-        real = geometry_sim._batch_failures
-
-        def task(batch, *args):
-            tasks.append(batch_reads(batch))
-            return real(batch, *args)
-
-        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
-        whole = run_sweep(replace(spec, workers=1))
-        # one batch holding both variants, mapped over 3 realizations
-        assert tasks == [tuple((lam, p) for lam in (0.01, 0.02, 0.05) for p in ("ucp", "pcp"))] * 3
-        tasks.clear()
-        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", 3000)
-        assert run_sweep(spec) == whole
-        assert tasks == [((0.01, "ucp"), (0.01, "pcp"), (0.02, "ucp"), (0.02, "pcp"))] * 3 + [
-            ((0.05, "ucp"), (0.05, "pcp"))
-        ] * 3
-        # both batches share one pool, shut down before the sweep returns
-        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
-        assert all(pool.shut_down for pool in recorded_pools)
 
 
 class TestCsvRoundTrip:
@@ -576,8 +543,8 @@ class TestSharedPool:
         points = geometry_sim._point_load(*point)[0]
         assert spec.mc.realizations * points < geometry_sim.POOL_MIN_WORK
         assert spec.mc.realizations * (points + 21 * (points + 100) / 8) >= geometry_sim.POOL_MIN_WORK
-        monkeypatch.setattr(geometry_sim, "_batch_failures",
-                            lambda batch, *args: [np.zeros(size, dtype=int) for _, _, size in batch.reads])
+        monkeypatch.setattr(geometry_sim, "_realization_failures",
+                            lambda *args: [np.zeros(100, dtype=int)] * 21)
         assert len(run_sweep(spec).rows) == 42
         assert [pool.max_workers for pool in recorded_pools] == [2]
 

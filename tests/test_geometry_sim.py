@@ -30,10 +30,9 @@ from hetcache import (
 )
 
 from hetcache import geometry_sim
-from hetcache.geometry_sim import _batch_failures, _failures, _servers, _sir, _success
+from hetcache.geometry_sim import _failures, _servers, _sir, _success
 
 from oracles import (
-    batch_reads,
     fade_drawn_success,
     fig2_params,
     request_outcomes,
@@ -60,10 +59,10 @@ def associate(realization, contents, params, interference):
     return _servers(links, realization.sbs_caches, realization.cached_sbs, contents, params, interference)
 
 
-def batch_failures(reads, seed, trials_per_content, interference, r_index):
-    """``_batch_failures`` of (point, policy) reads that one batch holds."""
-    [batch] = geometry_sim._plan_batches(reads, trials_per_content)
-    return _batch_failures(batch, seed, trials_per_content, interference, r_index)
+def realization_failures(reads, seed, trials_per_content, interference, r_index):
+    """``_realization_failures`` of the (point, policy) reads of one call."""
+    networks, _ = geometry_sim._plan([(point, policy, None) for point, policy in reads], trials_per_content)
+    return geometry_sim._realization_failures(networks, seed, trials_per_content, interference, r_index)
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
@@ -494,7 +493,7 @@ class TestSharedFading:
         thresholds = (0.05, params.gamma, 1.0)
         reads = tuple(((replace(params, gamma=gamma), library, window), policy)
                       for policy in policies for gamma in thresholds)
-        counts = batch_failures(reads, 6, 200, interference, 0)
+        counts = realization_failures(reads, 6, 200, interference, 0)
         pcp, ucp = np.reshape(counts, (2, 3, library.size))
         for per_gamma in (pcp, ucp):
             assert np.all(np.diff(per_gamma, axis=0) >= 0)
@@ -513,7 +512,7 @@ class TestSharedFading:
         assert not np.array_equal(pcp, ucp)
 
     def test_one_block_of_uniforms_for_the_largest_library(self, monkeypatch):
-        # libraries of 30 and 12 ranks in one batch: each realization draws
+        # libraries of 30 and 12 ranks in one call: each realization draws
         # one (30, trials) block, and the 12-rank read compares its first 12
         # rows, so each query still equals its one-point call
         (p0, _, window), (p1, _, _) = self.points()[:2]
@@ -547,7 +546,7 @@ class TestSharedFading:
         # below its server's hand product, and a missed rank fails all 7
         point = self.points()[2]
         params, library, window = point
-        [counts] = batch_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
+        [counts] = realization_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
         real = realize_network(params, CachePolicy.UCP, library, window, stream_rng(5, "geometry", 0),
                                cache_rng=stream_rng(5, "caches", 0))
         uniforms = stream_rng(5, "fading", 0).random((library.size, 7))
@@ -570,13 +569,36 @@ class TestSharedFading:
         trials = 20_000
         tracemalloc.start()
         try:
-            counts = batch_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
+            counts = realization_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * self.LIBRARY.size * trials
         for per_read in counts:
             assert 0 < per_read.sum() < self.LIBRARY.size * trials
+
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_memory_of_a_call_is_that_of_its_largest_network(self, policy):
+        # networks of 1e5, 2e5 and 4e5 expected points in one call: a task
+        # drops each network before it draws the next, so the call peaks at
+        # the largest one's own peak, not near their sum (1.4 times it when
+        # a task held them all)
+        library = ContentLibrary(size=5, cache_slots=2)
+        requests = zipf_request_distribution(5, 0.8)
+        queries = []
+        for lambda_sbs in (0.1, 0.2, 0.4):
+            params = fig2_params(lambda_sbs=lambda_sbs, beta=1.0)
+            queries.append(((params, library, default_window(params)), policy, requests))
+
+        def peak(queries):
+            tracemalloc.start()
+            try:
+                geometry_sim.estimate_batch(queries, 3, realizations=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(queries) < 1.1 * peak(queries[-1:])
 
     def mixed_queries(self):
         """Queries at one seed that interleave the networks and repeat one query.
@@ -595,57 +617,47 @@ class TestSharedFading:
             (p1, CachePolicy.PCP, zipf),
         ]
 
-    def recorded_tasks(self, monkeypatch):
-        """The (lambda_sbs, policy) reads of every task, as the call maps them."""
-        tasks = []
-        real = geometry_sim._batch_failures
-
-        def task(batch, *args):
-            tasks.append(batch_reads(batch))
-            return real(batch, *args)
-
-        monkeypatch.setattr(geometry_sim, "_batch_failures", task)
-        return tasks
-
     def assert_standalone(self, queries, results, trials):
         """Each result, in query order, equals its query's one-point call."""
         for ((params, library, window), policy, requests), result in zip(queries, results, strict=True):
             assert result == estimate_outage(params, policy, library, requests, window=window,
                                              trials_per_content=trials, realizations=3, seed=6)
 
-    #: The batches of the mixed queries' (lambda_sbs, policy) reads, by
-    #: budget: slices of the queries in order. A batch counts each network's
-    #: points and each cache set's entries once, so under "points" the last
-    #: query, whose network its batch holds, adds nothing; a network parted
-    #: by the budget is sampled in each task that reads it.
-    BATCHES = {
-        "none": [((0.05, "ucp"), (0.1, "pcp"), (0.2, "pcp"), (0.1, "ucp"), (0.05, "ucp"), (0.1, "pcp"))],
-        "points": [((0.05, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),), ((0.1, "ucp"), (0.05, "ucp"), (0.1, "pcp"))],
-        "entries": [((0.05, "ucp"), (0.1, "pcp")), ((0.2, "pcp"),), ((0.1, "ucp"), (0.05, "ucp")), ((0.1, "pcp"),)],
-    }
+    #: The per-realization budgets as they stand, or tightened to fit only
+    #: the largest network's points, its cache set's entries, or both. A
+    #: task holds one network at a time, so no budget changes what a call
+    #: samples.
+    BUDGETS = ("none", "points", "entries", "both")
 
-    @pytest.mark.parametrize("budget", list(BATCHES))
+    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_mixed_policy_batches_equal_standalone_estimates(
+    def test_one_task_per_realization_samples_each_network_once(
         self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, trials, budget
     ):
         usable_cpus(2)
         queries = self.mixed_queries()
-        # each budget fits the largest network, and its read, alone
         points, entries = geometry_sim._point_load(*self.points()[2])
-        if budget == "points":
+        if budget in ("points", "both"):
             monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", points)
-        elif budget == "entries":
+        if budget in ("entries", "both"):
             monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
-        tasks = self.recorded_tasks(monkeypatch)
-        associated = []  # the task each association runs in
-        real = geometry_sim._servers
-        monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(len(tasks)) or real(*args))
+        tasks, sampled, associated = [], [], []
+        real_task, real_positions, real_servers = (
+            geometry_sim._realization_failures, geometry_sim._positions, geometry_sim._servers
+        )
+        monkeypatch.setattr(geometry_sim, "_realization_failures",
+                            lambda *args: tasks.append(args[-1]) or real_task(*args))
+        monkeypatch.setattr(geometry_sim, "_positions",
+                            lambda params, *args: sampled.append(params.lambda_sbs) or real_positions(params, *args))
+        monkeypatch.setattr(geometry_sim, "_servers",
+                            lambda *args: associated.append(tasks[-1]) or real_servers(*args))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
-        assert tasks == [batch for batch in self.BATCHES[budget] for _ in range(3)]
-        # a repeated read shares the association of its first occurrence in the batch
-        assert [associated.count(task) for task in range(1, len(tasks) + 1)] == [len(set(batch)) for batch in tasks]
+        assert tasks == [0, 1, 2]
+        # four cache sets over three networks: lambda_sbs 0.1 serves UCP and
+        # PCP from one sample, and a repeated query shares its cache set
+        assert sampled == [0.05, 0.1, 0.2] * 3
+        assert associated == [task for task in tasks for _ in range(4)]
         assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
@@ -711,37 +723,6 @@ class TestSharedFading:
             assert len(associated) == (1 if shared else 2) * 3
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
-
-    #: The batches of both policies at the three points under a point budget
-    #: that fits two networks, by query order: point-major queries keep a
-    #: network in one batch; policy-major ones sample each network in two.
-    SPLITS = {"points first": [(0, 4), (4, 6)], "policies first": [(0, 2), (2, 4), (4, 6)]}
-
-    @pytest.mark.parametrize("order", list(SPLITS))
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_over_the_budgets_split_inside_the_call(
-        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, order
-    ):
-        usable_cpus(2)
-        points = self.points()
-        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
-        loads = [geometry_sim._point_load(*point)[0] for point in points]
-        monkeypatch.setattr(geometry_sim, "MAX_POINTS_PER_REALIZATION", sum(loads) - 1)
-        pairs = [(point, policy) for point in points for policy in (CachePolicy.UCP, CachePolicy.PCP)]
-        reads = pairs if order == "points first" else pairs[::2] + pairs[1::2]
-        stops = np.cumsum([len(batch.reads) for batch in geometry_sim._plan_batches(reads, 2)]).tolist()
-        splits = list(zip([0, *stops], stops))
-        assert splits == self.SPLITS[order]
-        tasks = self.recorded_tasks(monkeypatch)
-        queries = [(point, policy, requests) for point, policy in reads]
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3, workers=workers)
-        # each batch, a slice of the queries in order, mapped over the 3 realizations
-        named = [(params.lambda_sbs, policy.value) for (params, _, _), policy in reads]
-        assert tasks == [tuple(named[start:stop]) for start, stop in splits for _ in range(3)]
-        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
-        assert all(pool.shut_down for pool in recorded_pools)
-        monkeypatch.undo()
-        self.assert_standalone(queries, results, 2)
 
 
 class TestEstimateOutage:
@@ -845,7 +826,7 @@ class TestEstimateOutage:
 
     def test_empty_call_opens_no_pool_and_runs_no_task(self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work):
         usable_cpus(2)
-        monkeypatch.setattr(geometry_sim, "_batch_failures", lambda *args: pytest.fail("a task ran"))
+        monkeypatch.setattr(geometry_sim, "_realization_failures", lambda *args: pytest.fail("a task ran"))
         assert geometry_sim.estimate_batch([], 3, realizations=5, workers=2) == []
         assert recorded_pools == []
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):  # the arguments are still checked
