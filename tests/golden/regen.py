@@ -55,6 +55,10 @@ CASES = (
     Case("sweep_fig4_dtilde_montecarlo.csv", "sweep", "fig4.spec",
          MC10 + (("engines", "analytic, montecarlo"), ("axis2", "d_tilde"),
                  ("axis2_values", "0.1, 0.3, 0.6")), ("--seed", "1")),
+    # beta = 1: UCP serves from many SBSs within r_sbs, and the call's work
+    # exceeds POOL_MIN_WORK, so two workers run a process pool
+    Case("sweep_fig4_dense_montecarlo.csv", "sweep", "fig4.spec",
+         (("realizations", "5"), ("beta", "1"), ("engines", "analytic, montecarlo")), ("--seed", "1")),
     Case("simulate_fig2.json", "simulate", "fig2.cfg", MC10, ("--seed", "1")),
     Case("simulate_fig2_interference_all.json", "simulate", "fig2.cfg",
          MC10 + (("interference", "all"),), ("--seed", "1")),
