@@ -61,8 +61,10 @@ the Laplace functional the closed forms integrate; ``_success`` computes it
 with one ``log1p`` pass over the group's interferers. A trial therefore
 draws one uniform u, not a fade per link, and fails when u >= p, which
 gives every failure count exactly the law that drawing the fades gives it
-(conditional Monte-Carlo). ``_failures`` counts one association's failures
-at one threshold from a (|C|, trials) block of uniforms. A task of
+(conditional Monte-Carlo). The reads that share an association are counted
+one server group at a time: the group's rows of the (|C|, trials) block of
+uniforms are taken once and compared with its probability at each read's
+gamma, and the group is dropped before the next is built. A task of
 :func:`estimate_batch` is one realization index over all the call's reads,
 planned once per call. :func:`simulate_request` draws the fades of one
 trial of one rank's group and keeps its tier, distance and SIR. SIRs are
@@ -166,11 +168,12 @@ from .params import (
 )
 
 #: Most expected points (MBSs plus active SBSs) of one network, which a task
-#: holds one at a time. Traced peaks of one realization at beta = 1 and
-#: 4.9e6 points: 235 MB under PCP (2 server groups), 274 MB under UCP (3).
-#: Each server group keeps its own copy of the interferer gains, which no
-#: budget counts: 1e6 points over 87 UCP groups (|C| = 1000, d = 10) took
-#: 728 MB. The fig2 operating point needs about 1e4.
+#: holds one at a time, with one server group's interferer gains. Traced
+#: peaks of one realization at beta = 1, alike under PCP (2 server groups)
+#: and UCP: 48 MB at 1e6 points (UCP 99 groups; |C| = 1000, d = 10,
+#: r_sbs = 5.25 m), 235 MB at 4.9e6 (|C| = 100, d = 30) and 230 MB at 4.8e6
+#: (UCP 845 groups; |C| = 1e4, d = 1, r_sbs = 7.7 m). The fig2 operating
+#: point needs about 1e4.
 MAX_POINTS_PER_REALIZATION = 5_000_000
 
 #: Most expected cache-matrix entries, beta * lambda_sbs * pi * r_sbs^2 * |C|,
@@ -472,21 +475,6 @@ def _success(signal_gain: float, gains: np.ndarray, gamma: float) -> float:
         return math.exp(-np.log1p(gamma * gains / signal_gain).sum())
 
 
-def _failures(groups, gamma: float, uniforms: np.ndarray) -> np.ndarray:
-    """Per-rank counts of the trials whose SIR does not exceed ``gamma``.
-
-    ``groups`` are :func:`_servers`' groups of the ranks whose trials are
-    the rows of ``uniforms``. A trial fails when its uniform is not below
-    its group's success probability; a missed rank, in no group, fails
-    every trial.
-    """
-    failures = np.full(len(uniforms), uniforms.shape[1])
-    for requests, _, _, signal_gain, gains in groups:
-        p = _success(signal_gain, gains, gamma)
-        failures[requests] = np.count_nonzero(uniforms[requests] >= p, axis=1)
-    return failures
-
-
 def simulate_request(
     realization: NetworkRealization,
     content: int,
@@ -570,23 +558,31 @@ def _network_failures(network: _Network, seed: int, interference: str, r_index: 
 
     The network draws its positions from a fresh ``geometry`` stream and
     computes its links once; each cache set is drawn once, UCP's from a
-    fresh ``caches`` stream. Cache sets that come out equal (as when no SBS
-    lies within r_sbs) share one association. A read of |C| ranks compares
-    the first |C| rows of ``uniforms``.
+    fresh ``caches`` stream. Reads of equal caches (as when no SBS lies
+    within r_sbs) share one association and are counted one server group at
+    a time: the group's rows of ``uniforms`` are taken once, a read's trial
+    fails when its uniform is not below the group's success probability at
+    the read's gamma, and the group is dropped before the next is built. A
+    missed rank, in no group, fails every trial. A read of |C| ranks
+    compares the first |C| rows of ``uniforms``.
     """
     params, window, cache_sets = network
     links = _links(*_positions(params, window, stream_rng(seed, "geometry", r_index)), params)
     near = np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs)
     draw = partial(stream_rng, seed, "caches", r_index)
-    groups: dict[tuple, list] = {}  # server groups by caches
+    reads_by_caches: dict[tuple, list[tuple[int, float]]] = {}
     for (policy, library), reads in cache_sets.items():
         held = _caches(policy, library, near.size, draw)
-        key = held.shape, held.tobytes()
-        if key not in groups:
-            contents = np.arange(1, library.size + 1)
-            groups[key] = list(_servers(links, held, near, contents, params, interference))
-        for query, gamma in reads:
-            yield query, _failures(groups[key], gamma, uniforms[: library.size])
+        reads_by_caches.setdefault((held.shape, held.tobytes()), []).extend(reads)
+    for (shape, held), reads in reads_by_caches.items():
+        caches = np.frombuffer(held, dtype=bool).reshape(shape)
+        contents = np.arange(1, shape[1] + 1)
+        failures = {query: np.full(shape[1], uniforms.shape[1]) for query, _ in reads}
+        for requests, _, _, signal_gain, gains in _servers(links, caches, near, contents, params, interference):
+            rows = uniforms[requests]
+            for query, gamma in reads:
+                failures[query][requests] = np.count_nonzero(rows >= _success(signal_gain, gains, gamma), axis=1)
+        yield from failures.items()
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:

@@ -11,6 +11,7 @@ fade-drawn trials whose SIR exceeds the threshold.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import integrate
@@ -181,6 +182,16 @@ def request_outcomes(params: SystemParams, policy, library, content: int, window
         outcomes += [simulate_request(realization, content, params, fading, interference)
                      for _ in range(trials)]
     return outcomes
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak, in bytes, of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def parse_sweep_csv(text: str) -> SweepResult:

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from hetcache import (
 from hetcache.cli import _load_config, main
 from hetcache.experiments import MC_KEYS
 
-from oracles import parse_sweep_csv
+from oracles import parse_sweep_csv, traced_peak
 
 SMALL_CFG = """
 lambda_mbs = 0.0001
@@ -374,12 +373,7 @@ class TestExitCodes:
         }
         cfg = tmp_path / "caches.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced_peak(lambda: run_cli(capsys, "simulate", "--config", str(cfg)))
         assert code == 2
         assert out == ""
         assert "budget" in err and "r_sbs" in err

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -30,13 +29,14 @@ from hetcache import (
 )
 
 from hetcache import geometry_sim
-from hetcache.geometry_sim import _failures, _servers, _sir, _success
+from hetcache.geometry_sim import _servers, _sir, _success
 
 from oracles import (
     fade_drawn_success,
     fig2_params,
     request_outcomes,
     thin,
+    traced_peak,
     truncated_rayleigh_cdf,
     unit_fade_request,
 )
@@ -406,10 +406,10 @@ class TestRealizationKernel:
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("mbs_near, mbs_far", [(100.0, 200.0), (300.0, 400.0)])
-    def test_success_probability_against_the_hand_product(self, interference, mbs_near, mbs_far):
+    def test_success_probability_against_the_hand_product(self, monkeypatch, interference, mbs_near, mbs_far):
         gamma = self.PARAMS.gamma
-        groups = list(associate(self.realization([(mbs_near, 0.0), (0.0, mbs_far)]), np.arange(1, 5),
-                                self.PARAMS, interference))
+        real = self.realization([(mbs_near, 0.0), (0.0, mbs_far)])
+        groups = list(associate(real, np.arange(1, 5), self.PARAMS, interference))
         successes = [_success(signal_gain, gains, gamma) for _, _, _, signal_gain, gains in groups]
         hand = [math.prod(1.0 / (1.0 + gamma * g / signal) for g in gains)
                 for signal, gains in self.gains(interference, mbs_near, mbs_far)]
@@ -423,7 +423,14 @@ class TestRealizationKernel:
         served = ~np.isnan(per_rank)
         uniforms[served, 0] = per_rank[served]
         expected = np.where(served, np.count_nonzero(uniforms >= per_rank[:, None], axis=1), 50)
-        assert _failures(groups, gamma, uniforms).tolist() == expected.tolist()
+        # one read of the hand layout, whose SBSs a and b are those within r_sbs
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: (real.mbs_points, real.active_sbs_points))
+        monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real.sbs_caches[:2])
+        library = ContentLibrary(size=4, cache_slots=1)
+        network = (self.PARAMS, default_window(self.PARAMS), {(CachePolicy.UCP, library): [(0, gamma)]})
+        [(query, failures)] = geometry_sim._network_failures(network, 1, interference, 0, uniforms)
+        assert query == 0
+        assert failures.tolist() == expected.tolist()
         assert 0 < expected[0] < 50  # link a passes some trials, not all
 
     def test_success_probability_bounds(self):
@@ -567,12 +574,7 @@ class TestSharedFading:
         # within three blocks however many interferers or reads there are
         reads = tuple((point, policy) for point in self.points() for policy in (CachePolicy.PCP, CachePolicy.UCP))
         trials = 20_000
-        tracemalloc.start()
-        try:
-            counts = realization_failures(reads, 6, trials, INTERFERENCE_ALL, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        counts, peak = traced_peak(lambda: realization_failures(reads, 6, trials, INTERFERENCE_ALL, 0))
         assert peak < 3 * 8 * self.LIBRARY.size * trials
         for per_read in counts:
             assert 0 < per_read.sum() < self.LIBRARY.size * trials
@@ -589,16 +591,25 @@ class TestSharedFading:
         for lambda_sbs in (0.1, 0.2, 0.4):
             params = fig2_params(lambda_sbs=lambda_sbs, beta=1.0)
             queries.append(((params, library, default_window(params)), policy, requests))
+        assert self.peak(queries) < 1.1 * self.peak(queries[-1:])
 
-        def peak(queries):
-            tracemalloc.start()
-            try:
-                geometry_sim.estimate_batch(queries, 3, realizations=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_memory_of_a_network_is_that_of_its_points_not_its_server_groups(self):
+        # beta = 1 and r_sbs = 16.6 m put ~87 SBSs within r_sbs (72 at seed
+        # 3): UCP with |C| = 1000 and d = 10 serves from each of them, one
+        # server group apiece, where PCP has 2. A network's reads hold one
+        # group's interferer gains at a time, so UCP peaks like PCP, not 12
+        # times higher as when every group was held
+        params = replace(fig2_params(lambda_sbs=0.1, beta=1.0), r_sbs=16.6)
+        library = ContentLibrary(size=1000, cache_slots=10)
+        point = (params, library, default_window(params))
+        requests = zipf_request_distribution(library.size, 0.8)
+        pcp, ucp = (self.peak([(point, policy, requests)]) for policy in (CachePolicy.PCP, CachePolicy.UCP))
+        assert ucp < 1.5 * pcp
 
-        assert peak(queries) < 1.1 * peak(queries[-1:])
+    @staticmethod
+    def peak(queries):
+        """Traced peak of one realization of ``queries`` at seed 3."""
+        return traced_peak(lambda: geometry_sim.estimate_batch(queries, 3, realizations=1))[1]
 
     def mixed_queries(self):
         """Queries at one seed that interleave the networks and repeat one query.
