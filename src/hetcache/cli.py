@@ -7,9 +7,11 @@ offending key), 1 runtime error.
 (:data:`experiments.MC_KEYS`), their reader
 (:meth:`experiments.McBudget.from_config`) and one seed rule: the ``--seed``
 flag, then the HETCACHE_SEED environment variable, then the file's
-``seed``, then 0; :func:`_resolve_seed` alone reads ``seed``. ``analytic``
-checks a config file as ``simulate`` does (:func:`_load_point`), its seed
-too, but uses no seed.
+``seed``, then 0; :func:`_resolve_seed` alone reads ``seed``. The rule
+covers sweep rows too: a sweep hands its master seed to the simulator
+unchanged, so each of its Monte-Carlo rows equals ``simulate`` of that row's
+point at the same seed. ``analytic`` checks a config file as ``simulate``
+does (:func:`_load_point`), its seed too, but uses no seed.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ too: a sweep makes one :func:`estimate_outage` call, with one query per
 distinct Monte-Carlo row input, and in every realization the variants at a
 grid point, and the points of a gamma axis, share one network (see
 :mod:`geometry_sim`).
-Each row still equals the standalone estimate of its point at the sweep's
-seed bit for bit. Every query is checked before the first realization runs.
+Each row still equals ``simulate`` of its point at the same seed, bit for
+bit: the sweep hands its master seed to the simulator unchanged. Every
+query is checked before the first realization runs.
 
 A sweep evaluates each distinct input once. Each axis1 value is applied once,
 a parameter axis2 value once per distinct axis1 parameter set (a d_tilde
@@ -285,25 +286,15 @@ def estimate_outage(
     )
 
 
-def _sweep_seed(master: int) -> int:
-    # One seed for every grid point and every variant, on purpose: common
-    # random numbers along the axes and across the variants, so the rows of
-    # two variants at a grid point are paired. The 0 is the index the
-    # first variant had when each variant drew its own seed; keeping it
-    # keeps that variant's rows.
-    import numpy as np
-
-    return int(np.random.SeedSequence([int(master), 0]).generate_state(1, np.uint64)[0])
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows ordered by (grid index, variant, engine).
 
     Each distinct input is evaluated once: parameters per axis value,
     kernels per parameter set, total outage per (parameter set, P_c), a
     row's value per distinct row input (see the module docstring). All
-    Monte-Carlo rows come from one :func:`estimate_outage` call, which
-    checks every point before any closed-form row is evaluated.
+    Monte-Carlo rows come from one :func:`estimate_outage` call at
+    ``spec.seed``, which checks every point before any closed-form row is
+    evaluated; each row equals ``simulate`` of its point at the same seed.
     """
     return SweepResult(axis_names=spec.axis_names, rows=tuple(_run_rows(spec)))
 
@@ -336,7 +327,7 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     # before its memo stores anything.
     empty = ContentLibrary(spec.base.library.size, 0)
     # Row values per engine, keyed by the row's inputs: equal variants share
-    # them, and the Monte-Carlo keys are the queries of the sweep's seed
+    # them, and the Monte-Carlo keys are the queries of the master seed
     values: dict[str, dict[tuple, tuple | None]] = {engine: {} for engine in _ENGINES}
     plan = []
     for axes, params, axis_library in _grid(spec):
@@ -358,7 +349,7 @@ def _run_rows(spec: SweepSpec) -> list[SweepRow]:
     if montecarlo:
         queries = list(montecarlo)
         # refuses a bad point before any closed-form row
-        estimates = estimate_outage(queries, _sweep_seed(spec.seed), budget=spec.mc, workers=spec.workers)
+        estimates = estimate_outage(queries, spec.seed, budget=spec.mc, workers=spec.workers)
         for key, (_, avg) in zip(queries, estimates):
             montecarlo[key] = (avg.mean, avg.std_error)
     for key in analytic:

@@ -8,9 +8,9 @@ Bernoulli event of known probability: the estimator draws one uniform per
 trial against it, while :func:`simulate_request` draws the fades of one
 trial and tests SIR > gamma. No noise: the model is interference limited.
 
-numpy is loaded only for Monte-Carlo: by this module, by the request weight
-vector it reads and by a sweep's seed. The package and the sweeps import
-this module on first use, so closed-form commands never load numpy.
+numpy is loaded only for Monte-Carlo: by this module and by the request
+weight vector it reads. The package and the sweeps import this module on
+first use, so closed-form commands never load numpy.
 
 Process pools
 -------------
@@ -592,7 +592,8 @@ def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow
     return points, entries
 
 
-def _check_point(point: McPoint, requests: RequestDistribution, trials_per_content: int) -> None:
+def _check_point(point: McPoint, requests: RequestDistribution, trials_per_content: int) -> float:
+    """Refuse a point the simulator cannot run; return its expected points per realization."""
     params, library, window = point
     if requests.size != library.size:
         raise ConfigError(
@@ -627,12 +628,13 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
             f"{library.size * trials_per_content:.3g} uniforms per realization, over the simulator's "
             f"budget of {MAX_UNIFORMS_PER_REALIZATION:.0e}; reduce trials_per_content or library_size"
         )
+    return expected
 
 
 def _plan(
     queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]], trials_per_content: int
 ) -> tuple[list[_Network], float]:
-    """Group checked queries by network, then by cache set; sum a realization's work.
+    """Check each query, then group them by network and cache set; sum a realization's work.
 
     A network is a window and params equal up to gamma: positions, links and
     the SBSs within r_sbs never read gamma, so the points of a gamma axis
@@ -643,8 +645,9 @@ def _plan(
     """
     networks: dict[tuple[SystemParams, SimWindow], _Network] = {}
     work = 0.0
-    for query, ((params, library, window), policy, _) in enumerate(queries):
-        points = _point_load(params, library, window)[0]
+    for query, (point, policy, requests) in enumerate(queries):
+        points = _check_point(point, requests, trials_per_content)
+        params, library, window = point
         key = replace(params, gamma=1.0), window
         if key not in networks:
             networks[key] = params, window, {}
@@ -669,7 +672,8 @@ def estimate_batch(
     would read alone, so each result equals the one-point call bit for bit.
     The seed and every point are checked before anything is sampled.
 
-    The call plans once what its reads share (:func:`_plan`). A task is one
+    The call checks each query and plans once what its reads share
+    (:func:`_plan`). A task is one
     realization index over every read (:func:`_realization_failures`); each
     query weights its counts by its request law. The tasks run serially or
     on one process pool, by the rule under "Process pools" in the module
@@ -680,8 +684,6 @@ def estimate_batch(
     workers = check_count("workers", workers, 1)
     check_interference(interference)
     check_count("seed", seed, 0)
-    for point, _, requests in queries:
-        _check_point(point, requests, trials_per_content)
     if not queries:
         return []
     networks, work = _plan(queries, trials_per_content)

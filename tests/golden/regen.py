@@ -17,6 +17,9 @@ or, writing nothing, list the files that would move (exit 1 if any would) with
 
     python tests/golden/regen.py --check
 
+Either run names, for each sweep CSV that moves, how many of its rows move
+per engine.
+
 A change that moves a golden names each moved file, and why, in CHANGES.md.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib.resources
+import itertools
 import io
 import os
 import sys
@@ -109,6 +113,22 @@ def run(case: Case, workers: int) -> tuple[int, str, str]:
     return code, text, stderr.getvalue()
 
 
+def moved_rows(old: str, new: str) -> dict[str, int]:
+    """The rows of a sweep CSV that move from ``old`` to ``new``, counted per engine.
+
+    Rows are compared by position; a row present in one text only moves.
+    Every engine of either text is counted, so an engine with no moved row
+    reads 0.
+    """
+    old_rows, new_rows = old.splitlines()[1:], new.splitlines()[1:]
+    column = new.splitlines()[0].split(",").index("engine")
+    counts = {row.split(",")[column]: 0 for row in old_rows + new_rows}
+    for before, after in itertools.zip_longest(old_rows, new_rows):
+        if before != after:
+            counts[(after or before).split(",")[column]] += 1
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
@@ -128,14 +148,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{case.golden}: exit {code}: {stderr}", file=sys.stderr)
             return 1
         outputs[case.golden] = text
-    moved = [name for name, text in outputs.items()
-             if not (HERE / name).is_file() or (HERE / name).read_text(encoding="utf-8") != text]
+    old = {name: (HERE / name).read_text(encoding="utf-8") if (HERE / name).is_file() else ""
+           for name in outputs}
+    moved = [name for name, text in outputs.items() if old[name] != text]
     for name in moved:
+        rows = ""
+        if name.endswith(".csv"):
+            counts = moved_rows(old[name], outputs[name])
+            rows = " (moved rows: " + ", ".join(f"{engine} {n}" for engine, n in counts.items()) + ")"
         if check:
-            print(f"would move {name}")
+            print(f"would move {name}{rows}")
         else:
             (HERE / name).write_text(outputs[name], encoding="utf-8", newline="\n")
-            print(f"wrote {name}")
+            print(f"wrote {name}{rows}")
     return 1 if check and moved else 0
 
 

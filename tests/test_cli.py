@@ -670,6 +670,23 @@ class TestSweepSeedRule:
         assert "HETCACHE_SEED" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("policy", ["ucp", "pcp"])
+    def test_monte_carlo_row_equals_simulate_at_the_same_seed(self, capsys, tmp_path, monkeypatch, policy, workers):
+        # one seed rule end to end: a one-point sweep's Monte-Carlo row is
+        # simulate's average of that point at the same --seed
+        monkeypatch.delenv("HETCACHE_SEED", raising=False)
+        flags = ("--seed", "4", "--workers", workers)
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(SMALL_CFG.replace("policy = pcp", f"policy = {policy}"))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *flags)
+        assert code == 0, err
+        average = json.loads(out)["average"]
+        spec = SMALL_CFG + f"axis1 = lambda_sbs\naxis1_values = 0.02\nvariants = {policy}\nengines = montecarlo\n"
+        [row] = parse_sweep_csv(self.sweep_bytes(capsys, tmp_path, spec, *flags).decode()).rows
+        assert 0.0 < row.avg_outage < 1.0
+        assert (row.avg_outage, row.std_error) == (average["mean"], average["std_error"])
+
 
 def _with_value(text, key, value):
     lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
@@ -778,6 +795,33 @@ def test_overflowing_value_named_and_exit_2(capsys, monkeypatch, tmp_path, key, 
         assert (code, out) == (2, ""), (argv[0], err)
         assert key in err, argv[0]
     assert calls == []
+    assert not out_path.exists()
+
+
+#: Boundary refusals of a sweep spec: (key, value or None to drop the key, message).
+REFUSED_SPEC_VALUES = [
+    ("lambda_sbs", "-1", "lambda_sbs must be >= 0, got -1.0"),
+    ("p_max_mbs", "4000", "p_max_mbs must be finite, got inf"),  # 4000 dBm overflows
+    ("p_max_mbs", "-inf", "p_max_mbs must be > 0 W, got 0.0"),
+    ("seed", "", "empty key or value in 'seed ='"),
+    ("axis1_values", "a, b", "key 'axis1_values': expected a list of numbers, got 'a, b'"),
+    ("axis1", None, "missing required key 'axis1'"),
+    ("axis1_values", None, "missing required key 'axis1_values'"),
+    ("engines", ",", "at least one engine is required"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", REFUSED_SPEC_VALUES,
+                         ids=[f"{key}={value}" for key, value, _ in REFUSED_SPEC_VALUES])
+def test_refused_spec_value_named_and_exit_2(capsys, tmp_path, key, value, message):
+    spec, out_path = tmp_path / "input.spec", tmp_path / "out.csv"
+    if value is None:
+        spec.write_text("".join(line + "\n" for line in SMALL_SPEC.splitlines() if not line.startswith(f"{key} =")))
+    else:
+        spec.write_text(_with_value(SMALL_SPEC, key, value))
+    code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert message in err
     assert not out_path.exists()
 
 

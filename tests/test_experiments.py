@@ -295,7 +295,7 @@ class TestEvaluateOnce:
             ("ucp", 0), ("pcp", 2), ("pcp", 5), ("pcp", 9)
         ]
         [(_, alone)] = real(
-            [(s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests)], experiments._sweep_seed(11),
+            [(s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests)], 11,
             budget=McBudget(1, 4), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
@@ -329,10 +329,10 @@ class TestEvaluateOnce:
         rows = run_sweep(spec).rows
         # one closed-form value per grid point, shared by both labels
         assert len(row_inputs) == 4 == len(set(row_inputs))
-        # one call at the sweep's one seed, one query per grid point, shared by both
+        # one call at the master seed, one query per grid point, shared by both
         # labels under the closed forms' keys
         [(queries, seed, estimates)] = calls
-        assert list(queries) == row_inputs and seed == experiments._sweep_seed(11)
+        assert list(queries) == row_inputs and seed == 11
         # each realization reads every point once, for both labels: four
         # cache sets of one read each
         assert len(tasks) == 4
@@ -370,7 +370,7 @@ class TestEvaluateOnce:
 class TestSharedFading:
     # the grid points of every variant read one fading stream per
     # realization; every Monte-Carlo row must equal the standalone estimate
-    # of its point at the sweep's seed
+    # of its point at the master seed
     GRIDS = {
         "lambda_sbs x beta": (("lambda_sbs", (0.01, 0.05)), ("beta", (0.05, 0.2))),
         "d_tilde x gamma": (("d_tilde", (0.2, 0.9)), ("gamma", (-10.0, 5.0))),
@@ -403,7 +403,7 @@ class TestSharedFading:
             _, alone = geometry_sim.estimate_outage(
                 params, variant.policy, library, variant.requests,
                 window=geometry_sim.default_window(params, spec.mc.guard), trials_per_content=trials,
-                realizations=3, seed=experiments._sweep_seed(13),
+                realizations=3, seed=13,
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 

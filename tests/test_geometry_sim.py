@@ -61,7 +61,8 @@ def associate(realization, contents, params, interference):
 
 def realization_failures(reads, seed, trials_per_content, interference, r_index):
     """``_realization_failures`` of the (point, policy) reads of one call."""
-    networks, _ = geometry_sim._plan([(point, policy, None) for point, policy in reads], trials_per_content)
+    queries = [(point, policy, zipf_request_distribution(point[1].size, 0.8)) for point, policy in reads]
+    networks, _ = geometry_sim._plan(queries, trials_per_content)
     return geometry_sim._realization_failures(networks, seed, trials_per_content, interference, r_index)
 
 

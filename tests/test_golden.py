@@ -6,9 +6,14 @@ with the first line that differs; ``python tests/golden/regen.py`` rewrites
 the files when a change means to move them.
 """
 
+import json
+
 import pytest
 
 from golden.regen import CASES, HERE, NUMPY_VERSION_FILE, run
+from oracles import parse_sweep_csv
+
+CASES_BY_NAME = {case.golden: case for case in CASES}
 
 
 def first_difference(want: str, got: str) -> str:
@@ -41,3 +46,15 @@ def test_output_matches_golden(monkeypatch, case, workers):
     assert code == 0, stderr
     want = (HERE / case.golden).read_text(encoding="utf-8")
     assert text == want, f"{case.golden} at {workers} worker(s): {first_difference(want, text)}"
+
+
+def test_sweep_monte_carlo_row_is_the_simulate_golden():
+    # fig4.spec is fig2.cfg swept over gamma; at gamma = -10 dB its pcp:zipf
+    # row is fig2's point, so at one seed and budget the two goldens agree;
+    # this reads the two files and runs nothing
+    simulate, sweep = (CASES_BY_NAME[name] for name in ("simulate_fig2.json", "sweep_fig4_montecarlo.csv"))
+    assert simulate.args == sweep.args and set(simulate.values) <= set(sweep.values)
+    average = json.loads((HERE / simulate.golden).read_text(encoding="utf-8"))["average"]
+    rows = parse_sweep_csv((HERE / sweep.golden).read_text(encoding="utf-8")).rows
+    [row] = [r for r in rows if (r.axes, r.variant, r.engine) == ((-10.0,), "pcp:zipf", "montecarlo")]
+    assert (row.avg_outage, row.std_error) == (average["mean"], average["std_error"])
