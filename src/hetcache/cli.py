@@ -12,6 +12,13 @@ covers sweep rows too: a sweep hands its master seed to the simulator
 unchanged, so each of its Monte-Carlo rows equals ``simulate`` of that row's
 point at the same seed. ``analytic`` checks a config file as ``simulate``
 does (:func:`_load_point`), its seed too, but uses no seed.
+
+Beside HETCACHE_SEED, one more environment variable: :func:`main` sets
+OPENBLAS_NUM_THREADS to 1 before any command can load numpy, unless the
+caller has set it. hetcache makes no use of a second BLAS thread, yet
+OpenBLAS starts one at numpy's import, and on two cores it slows the whole
+command. Pool workers inherit the setting; a program that imports hetcache
+itself keeps its own BLAS threads.
 """
 
 from __future__ import annotations
@@ -172,6 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # read once, when numpy's import starts OpenBLAS, so set before any
+    # command can load numpy; pool workers inherit it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

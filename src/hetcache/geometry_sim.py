@@ -29,26 +29,25 @@ shuts down before it returns or raises; a sweep, which makes one call,
 therefore opens at most one pool. Every other call runs serially and never
 loads ``concurrent.futures``. Below the threshold the pool's start-up
 costs more than the second process saves. Command walls with a pool of 2
-forced against 1 worker on a 2-vCPU VM shared with other loads,
-alternating pairs (``fig4.spec`` with ``engines = analytic, montecarlo``
-is a gamma axis of 21 reads on one network):
+forced against 1 worker, each process running one BLAS thread as the CLI
+sets it, on a 2-vCPU VM shared with other loads: the median ratio of 48
+alternating pairs over three series (``fig4.spec`` with ``engines =
+analytic, montecarlo`` is a gamma axis of 21 reads on one network):
 
 ==============================================  =============  ==========================
 input                                           expected work  2 workers against 1
 ==============================================  =============  ==========================
-``fig2.cfg``, 100 realizations                  1.1e6          +20 % (faster in 1 of 7)
-``fig2.cfg``, 150 realizations                  1.7e6          -2 % (faster in 4 of 7)
-``fig2.cfg``, 200 realizations                  2.3e6          -8 % (faster in 13 of 14)
-``fig2.cfg``, 300 realizations                  3.4e6          -12 % (faster in 7 of 7)
-``fig2.cfg``, 500 realizations                  5.7e6          -23 % (faster in 7 of 7)
-``fig2.cfg``, 1000 realizations                 1.1e7          -22 % (faster in 7 of 7)
-``fig2.cfg``, trials_per_content 100            1.3e6          +6 % (faster in 8 of 15)
-``fig2.cfg``, trials_per_content 1000           2.4e6          -20 % (faster in 12 of 15)
-``fig4.spec``, 50 realizations                  1.8e6          -6 % (faster in 10 of 15)
-``fig4.spec``, 75 realizations                  2.8e6          -9 % (faster in 10 of 15)
-``fig4.spec``, 100 realizations                 3.7e6          -9 % (faster in 12 of 15)
-``mc-sparse-pool`` benchmark sweep              5.5e5          +20 % (2 of 7), 0 % (9 of 15)
+``fig2.cfg``, 100 realizations                  1.1e6          +5 % (faster in 16 of 48)
+``fig2.cfg``, 200 realizations                  2.3e6          -8 % (faster in 37 of 48)
+``fig2.cfg``, 300 realizations                  3.4e6          -15 % (faster in 43 of 48)
+``fig4.spec``, 50 realizations                  1.8e6          -1 % (faster in 24 of 48)
+``fig4.spec``, 100 realizations                 3.7e6          -13 % (faster in 41 of 48)
+``mc-sparse-pool`` benchmark sweep              5.5e5          +6 % (faster in 15 of 48)
 ==============================================  =============  ==========================
+
+The crossover is where it was with OpenBLAS's second thread running in
+every process. While other loads keep the second vCPU busy, 2 workers lose
+on every input: two such series, of 10 and 20 pairs, read +18 % to +34 %.
 
 Realization kernel
 ------------------
@@ -63,13 +62,18 @@ draws one uniform u, not a fade per link, and fails when u >= p, which
 gives every failure count exactly the law that drawing the fades gives it
 (conditional Monte-Carlo). The reads that share an association are counted
 one server group at a time: the group's rows of the (|C|, trials) block of
-uniforms are taken once and compared with its probability at each read's
-gamma, and the group is dropped before the next is built. A task of
+uniforms are taken once and compared with its probability at each distinct
+gamma of those reads, once per gamma however many reads share it, and the
+group is dropped before the next is built. A task of
 :func:`estimate_batch` is one realization index over all the call's reads,
 planned once per call. :func:`simulate_request` draws the fades of one
-trial of one rank's group and keeps its tier, distance and SIR. SIRs are
-reduced with ``einsum``, not a BLAS product, so one worker stays one
-thread.
+trial of one rank's group and keeps its tier, distance and SIR, reduced
+with ``einsum``. The only BLAS products are the two small ``@`` of
+:func:`_estimates`, once per query, but numpy's import starts OpenBLAS's
+thread pool whether or not one runs. The CLI therefore sets
+OPENBLAS_NUM_THREADS to 1 unless the caller has set it (:mod:`cli`), so a
+command and each of its pool workers run one thread; a program that
+imports this module keeps its own BLAS setting.
 
 Interference conventions
 ------------------------
@@ -410,13 +414,16 @@ class _Links(NamedTuple):
 
 
 def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams) -> _Links:
-    dist = _distances(np.concatenate((mbs_points, sbs_points)))
+    mbs = len(mbs_points)
+    dist = np.empty(mbs + len(sbs_points))
+    np.hypot(mbs_points[:, 0], mbs_points[:, 1], out=dist[:mbs])
+    np.hypot(sbs_points[:, 0], sbs_points[:, 1], out=dist[mbs:])
     with np.errstate(divide="ignore"):
-        path_gain = dist ** -params.alpha
-    gain = params.p_mbs * path_gain
+        gain = np.power(dist, -params.alpha)
+    gain[:mbs] *= params.p_mbs
     if len(sbs_points):  # p_sbs is undefined at beta = 0, where no SBS is active
-        gain[len(mbs_points) :] = params.p_sbs * path_gain[len(mbs_points) :]
-    return _Links(len(mbs_points), dist, gain)
+        gain[mbs:] *= params.p_sbs
+    return _Links(mbs, dist, gain)
 
 
 def _servers(
@@ -560,11 +567,12 @@ def _network_failures(network: _Network, seed: int, interference: str, r_index: 
     computes its links once; each cache set is drawn once, UCP's from a
     fresh ``caches`` stream. Reads of equal caches (as when no SBS lies
     within r_sbs) share one association and are counted one server group at
-    a time: the group's rows of ``uniforms`` are taken once, a read's trial
-    fails when its uniform is not below the group's success probability at
-    the read's gamma, and the group is dropped before the next is built. A
-    missed rank, in no group, fails every trial. A read of |C| ranks
-    compares the first |C| rows of ``uniforms``.
+    a time: the group's rows of ``uniforms`` are taken once and, per distinct
+    gamma of those reads, a trial fails when its uniform is not below the
+    group's success probability at that gamma; the group is dropped before
+    the next is built. Reads at one gamma share one count array, yielded
+    for each. A missed rank, in no group, fails every trial. A read of |C|
+    ranks compares the first |C| rows of ``uniforms``.
     """
     params, window, cache_sets = network
     links = _links(*_positions(params, window, stream_rng(seed, "geometry", r_index)), params)
@@ -577,12 +585,13 @@ def _network_failures(network: _Network, seed: int, interference: str, r_index: 
     for (shape, held), reads in reads_by_caches.items():
         caches = np.frombuffer(held, dtype=bool).reshape(shape)
         contents = np.arange(1, shape[1] + 1)
-        failures = {query: np.full(shape[1], uniforms.shape[1]) for query, _ in reads}
+        failures = {gamma: np.full(shape[1], uniforms.shape[1]) for _, gamma in reads}
         for requests, _, _, signal_gain, gains in _servers(links, caches, near, contents, params, interference):
             rows = uniforms[requests]
-            for query, gamma in reads:
-                failures[query][requests] = np.count_nonzero(rows >= _success(signal_gain, gains, gamma), axis=1)
-        yield from failures.items()
+            for gamma, counts in failures.items():
+                counts[requests] = np.count_nonzero(rows >= _success(signal_gain, gains, gamma), axis=1)
+        for query, gamma in reads:
+            yield query, failures[gamma]
 
 
 def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow) -> tuple[float, float]:

@@ -15,6 +15,7 @@ from hetcache import (
     CachePolicy,
     experiments,
     geometry_sim,
+    parse_config_text,
     replication_probability,
     setup_from_config,
     total_outage,
@@ -487,6 +488,40 @@ def test_small_monte_carlo_runs_load_no_pool_and_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0], []]
     assert len(parse_sweep_csv((tmp_path / "sparse.csv").read_text()).rows) == 12
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_monte_carlo_command_runs_one_blas_thread_unless_the_caller_sets_it(tmp_path, preset, expected):
+    # the CLI defaults OPENBLAS_NUM_THREADS to 1 before numpy loads, so a
+    # Monte-Carlo command runs one OS thread; a caller's own value is kept.
+    # In-process main() calls set the variable in this process too, so the
+    # child's environment is built here, not inherited
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CFG)
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import json, os, sys; from hetcache.cli import main; "
+        f"code = main(['simulate', '--config', {str(config)!r}]); "
+        "assert 'numpy' in sys.modules; "
+        "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task'))]))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    code, value, threads = json.loads(out.stdout.strip().splitlines()[-1])
+    assert (code, value) == (0, expected)
+    if preset is None:
+        assert threads == 1
+
+
+def test_library_calls_leave_the_blas_threads_alone(monkeypatch):
+    # only the CLI entry sets the variable: a program that imports hetcache
+    # keeps its own BLAS setting
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    setup = setup_from_config(parse_config_text(SMALL_CFG))
+    geometry_sim.estimate_outage(setup.params, setup.policy, setup.library, setup.requests, realizations=2)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_lazy_names_resolve_from_the_package():

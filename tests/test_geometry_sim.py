@@ -736,6 +736,37 @@ class TestSharedFading:
             assert (results[0] == results[1]) is shared
             self.assert_standalone(queries, results, 2)
 
+    @pytest.mark.parametrize("lambda_sbs", [0.0, 0.1])
+    def test_each_threshold_counted_once_per_server_group(self, monkeypatch, lambda_sbs):
+        # five reads at two thresholds, UCP and PCP at each and one repeated:
+        # each server group takes one success probability per distinct
+        # gamma, not one per read, whether the policies share an association
+        # (no SBS) or not; each result still equals its one-point call
+        params = replace(self.points()[0][0], lambda_sbs=lambda_sbs)
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        queries = [
+            ((replace(params, gamma=gamma), self.LIBRARY, self.WINDOW), policy, requests)
+            for gamma in (0.1, 1.0)
+            for policy in (CachePolicy.UCP, CachePolicy.PCP)
+        ]
+        queries.append(queries[0])
+        groups, successes = [], []
+        real_servers, real_success = geometry_sim._servers, geometry_sim._success
+
+        def servers(*args):
+            for group in real_servers(*args):
+                groups.append(group)
+                yield group
+
+        monkeypatch.setattr(geometry_sim, "_servers", servers)
+        monkeypatch.setattr(geometry_sim, "_success", lambda *args: successes.append(args) or real_success(*args))
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        assert groups
+        assert len(successes) == 2 * len(groups)
+        monkeypatch.undo()
+        self.assert_standalone(queries, results, 2)
+        assert results[4] == results[0]
+
 
 class TestEstimateOutage:
     def test_determinism_and_worker_invariance(self):
