@@ -19,6 +19,22 @@ caller has set it. hetcache makes no use of a second BLAS thread, yet
 OpenBLAS starts one at numpy's import, and on two cores it slows the whole
 command. Pool workers inherit the setting; a program that imports hetcache
 itself keeps its own BLAS threads.
+
+:func:`run` is the entry of ``python -m hetcache`` and of the ``hetcache``
+script: it runs :func:`main`, flushes stdout and stderr and ends the
+process with ``os._exit``, skipping the interpreter's teardown (mypy exits
+the same way). Teardown frees every module, numpy's most of all: from the
+end of :func:`main` to the process's exit it took 18.5 ms after the
+``mc-sparse-pool`` benchmark sweep and 9.4 ms after ``analytic-grid``,
+against 1.4 and 0.8 ms with ``os._exit`` (medians of 15 runs, 2-vCPU VM).
+Nothing is lost by skipping it: the only files a command opens are
+closed by their ``with`` blocks, and a Monte-Carlo call shuts its process
+pool down, its workers joined, before it returns or raises
+(:func:`geometry_sim.estimate_batch`). A flush that fails, as into a closed
+pipe or a full disk, falls back to ``sys.exit``, so the interpreter reports
+the failure and its exit status as it would without the fast exit.
+:func:`main` returns its code and never exits, for callers in the same
+process.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from .analytic import total_outage
 from .errors import ConfigError
@@ -197,5 +214,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Exit with :func:`main`'s code without the interpreter's teardown; see the module docstring."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a closed pipe or a full disk: let the interpreter report it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -25,8 +25,9 @@ expected points of each of the call's distinct networks, plus
 gains its threshold passes over) and its |C| * trials_per_content
 uniforms; the call's work is that times the realizations. It then maps its
 realizations on one pool of that many processes, which it opens itself and
-shuts down before it returns or raises; a sweep, which makes one call,
-therefore opens at most one pool. Every other call runs serially and never
+shuts down before it returns or raises (the CLI's exit without teardown,
+:func:`cli.run`, relies on it); a sweep, which makes one call, therefore
+opens at most one pool. Every other call runs serially and never
 loads ``concurrent.futures``. Below the threshold the pool's start-up
 costs more than the second process saves. Command walls with a pool of 2
 forced against 1 worker, each process running one BLAS thread as the CLI
@@ -51,9 +52,12 @@ on every input: two such series, of 10 and 20 pairs, read +18 % to +34 %.
 
 Realization kernel
 ------------------
-One generator, ``_servers``, associates all requested ranks of a realization
-at once and yields one group per distinct server (PCP has at most 2, UCP at
-most the SBSs inside r_sbs plus one) with its interferer gains, built once.
+One generator, ``_servers``, associates every rank of a cache set at once
+and yields one group per distinct server (PCP has at most 2, UCP at most
+the SBSs inside r_sbs plus one) with its interferer gains, built once. When
+no SBS lies within r_sbs, the common case at sparse densities, its one
+group is the nearest MBS's (or none), found without matching any cache,
+and its ranks are a slice, so the rows of uniforms it compares are a view.
 Given those gains, independent unit-mean exponential fades make SIR > gamma
 a Bernoulli event of probability prod_i 1 / (1 + gamma * g_i / g_server),
 the Laplace functional the closed forms integrate; ``_success`` computes it
@@ -66,11 +70,12 @@ uniforms are taken once and compared with its probability at each distinct
 gamma of those reads, once per gamma however many reads share it, and the
 group is dropped before the next is built. A task of
 :func:`estimate_batch` is one realization index over all the call's reads,
-planned once per call. :func:`simulate_request` draws the fades of one
-trial of one rank's group and keeps its tier, distance and SIR, reduced
-with ``einsum``. The only BLAS products are the two small ``@`` of
-:func:`_estimates`, once per query, but numpy's import starts OpenBLAS's
-thread pool whether or not one runs. The CLI therefore sets
+planned once per call. It builds each named stream once and rewinds it
+per network (see "RNG discipline"). :func:`simulate_request` draws the
+fades of one trial of one rank's group and keeps its tier, distance and
+SIR, reduced with ``einsum``. The only BLAS products are the two small
+``@`` of :func:`_estimates`, once per query, but numpy's import starts
+OpenBLAS's thread pool whether or not one runs. The CLI therefore sets
 OPENBLAS_NUM_THREADS to 1 unless the caller has set it (:mod:`cli`), so a
 command and each of its pool workers run one thread; a program that
 imports this module keeps its own BLAS setting.
@@ -127,9 +132,14 @@ share geometry and caches but draw their own uniforms.
   then the interferer fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
-realization index they read the same three streams. :func:`_plan` decides
-once per call what the reads share, keying each object by what it depends
-on, and :func:`_realization_failures` makes each object once per
+realization index they read the same three streams. A task builds each of
+them once per realization, the ``caches`` stream only if a cache set draws:
+every network reads the ``geometry`` stream from its start, and every UCP
+cache set the ``caches`` stream, by restoring the starting state of the
+stream's bit generator. That draws exactly what a fresh stream draws and
+takes about 1 us, where building a stream takes about 20 us. :func:`_plan`
+decides once per call what the reads share, keying each object by what it
+depends on, and :func:`_realization_failures` makes each object once per
 realization from that plan, drawing the networks one at a time. A network
 (one window, and params equal up to gamma) is drawn once, whatever the
 policy and the threshold. Its caches are drawn once per (policy,
@@ -274,8 +284,8 @@ class NetworkRealization:
     ``sbs_caches[i, c-1]`` means rank c is cached there. ``cached_sbs`` is
     strictly increasing; None means every active SBS, in order.
     :func:`realize_network` gives caches only to the SBSs within r_sbs, the
-    only ones that can serve; association refuses a realization in which an
-    SBS within r_sbs has no row.
+    only ones that can serve; :func:`simulate_request` refuses a realization
+    in which an SBS within r_sbs has no row.
     """
 
     mbs_points: np.ndarray
@@ -426,48 +436,50 @@ def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams)
     return _Links(mbs, dist, gain)
 
 
-def _servers(
-    links: _Links,
-    caches: np.ndarray,
-    cached_sbs: np.ndarray,
-    contents: np.ndarray,
-    params: SystemParams,
-    interference: str,
-):
-    """Associate every rank in ``contents``; yield one group per distinct server.
+def _servers(links: _Links, caches: np.ndarray, cached_sbs: np.ndarray, params: SystemParams, interference: str):
+    """Associate the rank of each column of ``caches``; yield one group per distinct server.
 
-    ``caches`` and ``cached_sbs`` are a realization's cache rows and the SBSs
-    that hold them, as in :class:`NetworkRealization`. A rank's server is
-    the nearest SBS within r_sbs caching it (ties by index), else the
-    nearest MBS within r_mbs, else none (a miss, in no group). Groups come
-    SBSs nearest first, then the MBS, as (positions in ``contents``, tier,
-    distance, signal gain, interferer gains); a gain is transmit power times
-    path gain, interferers MBSs first, in index order.
+    ``caches`` and ``cached_sbs`` are cache rows and the SBSs that hold them,
+    as in :class:`NetworkRealization`, with one column per rank to associate.
+    A rank's server is the nearest SBS within r_sbs caching it (ties by
+    index), else the nearest MBS within r_mbs, else none (a miss, in no
+    group). An SBS within r_sbs that holds no row serves nothing. Groups
+    come SBSs nearest first, then the MBS, as (columns, tier, distance,
+    signal gain, interferer gains); a gain is transmit power times path
+    gain, interferers MBSs first, in index order. With no row within r_sbs
+    every rank goes to the MBS, if it serves, and its columns are a slice.
     """
     mbs_count, dist, gain = links
     sbs_dist = dist[mbs_count:]
     rows = np.flatnonzero(sbs_dist[cached_sbs] <= params.r_sbs)
-    if rows.size < np.count_nonzero(sbs_dist <= params.r_sbs):
-        raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
+    mbs = int(np.argmin(dist[:mbs_count])) if mbs_count else -1
+    mbs_serves = mbs >= 0 and dist[mbs] <= params.r_mbs
+    beyond = interference == INTERFERENCE_BEYOND_SERVER
+
+    def group(requests, index: int, tier: Tier):
+        interferers = dist >= dist[index] if beyond else np.ones(dist.size, dtype=bool)
+        interferers[index] = False
+        return requests, tier, float(dist[index]), gain[index], gain[interferers]
+
+    if not rows.size:
+        if mbs_serves:
+            yield group(slice(0, caches.shape[1]), mbs, Tier.MBS)
+        return
     rows = rows[np.argsort(sbs_dist[cached_sbs[rows]], kind="stable")]
     # candidate servers: the SBSs within r_sbs nearest first (code i is
     # cache row rows[i]), then the nearest MBS (code rows.size); argmax over
     # the all-True MBS row finds a rank's first holder
-    holds = np.ones((rows.size + 1, contents.size), dtype=bool)
-    holds[:-1] = caches[rows[:, None], contents - 1]
+    holds = np.ones((rows.size + 1, caches.shape[1]), dtype=bool)
+    holds[:-1] = caches[rows]
     server = holds.argmax(axis=0)
-    mbs = int(np.argmin(dist[:mbs_count])) if mbs_count else -1
-    if mbs < 0 or dist[mbs] > params.r_mbs:
+    if not mbs_serves:
         server[server == rows.size] = -1
-
-    beyond = interference == INTERFERENCE_BEYOND_SERVER
     # the codes that serve a rank, in increasing order (np.unique would load numpy.ma)
     for code in np.flatnonzero(np.bincount(server[server >= 0])):
-        index = mbs_count + cached_sbs[rows[code]] if code < rows.size else mbs
-        interferers = dist >= dist[index] if beyond else np.ones(dist.size, dtype=bool)
-        interferers[index] = False
-        tier = Tier.SBS if code < rows.size else Tier.MBS
-        yield np.flatnonzero(server == code), tier, float(dist[index]), gain[index], gain[interferers]
+        if code < rows.size:
+            yield group(np.flatnonzero(server == code), mbs_count + cached_sbs[rows[code]], Tier.SBS)
+        else:
+            yield group(np.flatnonzero(server == code), mbs, Tier.MBS)
 
 
 def _success(signal_gain: float, gains: np.ndarray, gamma: float) -> float:
@@ -503,8 +515,11 @@ def simulate_request(
         raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
     check_interference(interference)
     links = _links(realization.mbs_points, realization.active_sbs_points, params)
-    groups = _servers(links, realization.sbs_caches, realization.cached_sbs, np.array([content]), params, interference)
-    group = next(groups, None)
+    sbs_dist, cached_sbs = links.dist[links.mbs :], realization.cached_sbs
+    if np.count_nonzero(sbs_dist[cached_sbs] <= params.r_sbs) < np.count_nonzero(sbs_dist <= params.r_sbs):
+        raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
+    column = realization.sbs_caches[:, content - 1 : content]
+    group = next(_servers(links, column, cached_sbs, params, interference), None)
     if group is None:
         return ServiceOutcome(Tier.MISS, None, None, False)
     _, tier, distance, signal_gain, gains = group
@@ -550,43 +565,71 @@ def _realization_failures(
 
     Draws one block of uniforms from the ``fading`` stream, with the rows of
     the largest library, then the networks one at a time, each dropped
-    before the next is drawn.
+    before the next is drawn. The ``geometry`` stream is built once and each
+    network draws from its start; so is the ``caches`` stream, on first use.
     """
     rows = max(library.size for *_, cache_sets in networks for _, library in cache_sets)
     uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
+    geometry = _rewound(partial(stream_rng, seed, "geometry", r_index))
+    caches = _rewound(partial(stream_rng, seed, "caches", r_index))
     failures = {}
     for network in networks:
-        failures.update(_network_failures(network, seed, interference, r_index, uniforms))
+        failures.update(_network_failures(network, geometry(), caches, interference, uniforms))
     return [failures[query] for query in range(len(failures))]
 
 
-def _network_failures(network: _Network, seed: int, interference: str, r_index: int, uniforms: np.ndarray):
+def _rewound(make: Callable[[], np.random.Generator]) -> Callable[[], np.random.Generator]:
+    """A callable that gives the generator ``make()`` builds, at its start on every call.
+
+    The generator is built on the first call; a later call restores its bit
+    generator's starting state, which draws what a fresh one draws and costs
+    far less than building it ("RNG discipline").
+    """
+    rng, start = None, None
+
+    def at_start() -> np.random.Generator:
+        nonlocal rng, start
+        if rng is None:
+            rng = make()
+            start = rng.bit_generator.state
+        else:
+            rng.bit_generator.state = start
+        return rng
+
+    return at_start
+
+
+def _network_failures(
+    network: _Network,
+    geometry: np.random.Generator,
+    cache_rng: Callable[[], np.random.Generator],
+    interference: str,
+    uniforms: np.ndarray,
+):
     """Yield (query index, per-content failure counts) for each read of one network.
 
-    The network draws its positions from a fresh ``geometry`` stream and
-    computes its links once; each cache set is drawn once, UCP's from a
-    fresh ``caches`` stream. Reads of equal caches (as when no SBS lies
-    within r_sbs) share one association and are counted one server group at
-    a time: the group's rows of ``uniforms`` are taken once and, per distinct
-    gamma of those reads, a trial fails when its uniform is not below the
-    group's success probability at that gamma; the group is dropped before
-    the next is built. Reads at one gamma share one count array, yielded
-    for each. A missed rank, in no group, fails every trial. A read of |C|
-    ranks compares the first |C| rows of ``uniforms``.
+    The network draws its positions from ``geometry`` and computes its links
+    once; each cache set is drawn once, UCP's from ``cache_rng()``, which
+    gives the ``caches`` stream at its start. Reads of equal caches (as when
+    no SBS lies within r_sbs) share one association and are counted one
+    server group at a time: the group's rows of ``uniforms`` are taken once
+    and, per distinct gamma of those reads, a trial fails when its uniform
+    is not below the group's success probability at that gamma; the group
+    is dropped before the next is built. Reads at one gamma share one count
+    array, yielded for each. A missed rank, in no group, fails every trial.
+    A read of |C| ranks compares the first |C| rows of ``uniforms``.
     """
     params, window, cache_sets = network
-    links = _links(*_positions(params, window, stream_rng(seed, "geometry", r_index)), params)
+    links = _links(*_positions(params, window, geometry), params)
     near = np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs)
-    draw = partial(stream_rng, seed, "caches", r_index)
     reads_by_caches: dict[tuple, list[tuple[int, float]]] = {}
     for (policy, library), reads in cache_sets.items():
-        held = _caches(policy, library, near.size, draw)
+        held = _caches(policy, library, near.size, cache_rng)
         reads_by_caches.setdefault((held.shape, held.tobytes()), []).extend(reads)
     for (shape, held), reads in reads_by_caches.items():
         caches = np.frombuffer(held, dtype=bool).reshape(shape)
-        contents = np.arange(1, shape[1] + 1)
         failures = {gamma: np.full(shape[1], uniforms.shape[1]) for _, gamma in reads}
-        for requests, _, _, signal_gain, gains in _servers(links, caches, near, contents, params, interference):
+        for requests, _, _, signal_gain, gains in _servers(links, caches, near, params, interference):
             rows = uniforms[requests]
             for gamma, counts in failures.items():
                 counts[requests] = np.count_nonzero(rows >= _success(signal_gain, gains, gamma), axis=1)

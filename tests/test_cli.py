@@ -5,6 +5,7 @@ import importlib.resources
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -989,3 +990,170 @@ def test_cache_slots_key_gives_the_bytes_of_its_d_tilde(capsys, monkeypatch, tmp
     for args in (["analytic", "--content-rank", "1"], ["analytic", "--content-rank", "50"], ["simulate"]):
         outputs = [run_cli(capsys, *args, "--config", str(path)) for path in (normalized, slots)]
         assert outputs[0][0] == 0 and outputs[0] == outputs[1], args
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def cli_env(buffered=False):
+    """The environment of a CLI child: this process's, minus HETCACHE_SEED.
+
+    ``buffered`` unsets PYTHONUNBUFFERED, so the child's stdout is a block
+    buffer that the fast exit must flush.
+    """
+    env = {key: value for key, value in os.environ.items() if key not in ("HETCACHE_SEED", "PYTHONUNBUFFERED")}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def cli_process(argv, entry="run", buffered=False, **streams):
+    """Run the CLI as its own process through ``cli.run`` or, as without the fast exit, ``sys.exit(main())``.
+
+    The child's stdout and stderr are captured unless ``streams`` redirects them.
+    """
+    if entry == "run":
+        command = [sys.executable, "-m", "hetcache", *argv]
+    else:
+        command = [sys.executable, "-c", f"import sys; from hetcache.cli import main; sys.exit(main({argv!r}))"]
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run(command, env=cli_env(buffered), timeout=120, **streams)
+
+
+class TestFastExit:
+    # the CLI process ends with os._exit after flushing its streams; a
+    # failed flush takes the interpreter's own exit, as without the fast exit
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_sweep_output_complete_when_redirected_to_files(self, tmp_path, buffered):
+        out_csv, stdout, stderr = tmp_path / "sparse.csv", tmp_path / "stdout", tmp_path / "stderr"
+        with open(stdout, "wb") as out, open(stderr, "wb") as err:
+            done = cli_process(["sweep", "--spec", str(GOLDEN / "mc_sparse_pool_1401.spec"), "--out", str(out_csv)],
+                               buffered=buffered, stdout=out, stderr=err)
+        assert done.returncode == 0
+        assert stdout.read_text() == f"wrote 12 rows to {out_csv}\n"
+        assert stderr.read_bytes() == b""
+        assert out_csv.read_bytes() == (GOLDEN / "sweep_mc_sparse_pool.csv").read_bytes()
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_exit_codes_keep_their_meaning(self, tmp_path, buffered):
+        done = cli_process(["analytic", "--config", "fig2.cfg"], buffered=buffered)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, (GOLDEN / "analytic_fig2_rank1.json").read_bytes(), b"")
+        missing = tmp_path / "missing.cfg"
+        done = cli_process(["analytic", "--config", str(missing)], buffered=buffered)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", f"config error: config file not found: {missing}\n".encode())
+        done = cli_process(["analytic", "--config", "fig2.cfg", "--bogus"], buffered=buffered)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"unrecognized arguments: --bogus" in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full to fail a write")
+    def test_runtime_error_exits_1(self):
+        # the sweep runs, then writing its CSV to a full device raises
+        done = cli_process(["sweep", "--spec", "fig3.spec", "--out", "/dev/full"])
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.startswith(b"error: ") and b"No space left on device" in done.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("target", ["closed pipe", "full device"])
+    def test_failed_output_reported_as_without_the_fast_exit(self, buffered, target):
+        # a reader that closed before the command wrote, or a full device:
+        # the command neither hangs nor exits 0, and its exit status and
+        # diagnostic are those of sys.exit(main())
+        if target == "full device" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full to fail a write")
+        outcomes = []
+        for entry in ("run", "sys.exit"):
+            if target == "closed pipe":
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+            else:
+                write_end = os.open("/dev/full", os.O_WRONLY)
+            try:
+                done = cli_process(["analytic", "--config", "fig2.cfg"], entry=entry, buffered=buffered,
+                                   stdout=write_end)
+            finally:
+                os.close(write_end)
+            outcomes.append((done.returncode, done.stderr))
+        assert outcomes[0] == outcomes[1]
+        code, stderr = outcomes[0]
+        assert code == (120 if buffered else 1)
+        assert (b"Broken pipe" if target == "closed pipe" else b"No space left on device") in stderr
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="a pool needs 2 CPUs")
+    def test_pool_workers_gone_at_exit(self, capsys, tmp_path):
+        # 200 realizations of fig2 at 2 workers expect 2.3e6 of work, so the
+        # command runs a pool; once it exits no process of its group is left,
+        # and it prints what main prints in process. Output goes to files,
+        # so a worker left holding it cannot stall the wait
+        config, stdout, stderr = tmp_path / "fig2.cfg", tmp_path / "stdout", tmp_path / "stderr"
+        config.write_text(_with_value(FIG2_TEXT, "realizations", "200"))
+        argv = ["simulate", "--config", str(config), "--workers", "2", "--seed", "5"]
+        with open(stdout, "wb") as out, open(stderr, "wb") as err:
+            child = subprocess.Popen([sys.executable, "-m", "hetcache", *argv], env=cli_env(), stdout=out,
+                                     stderr=err, start_new_session=True)
+        assert child.wait(timeout=120) == 0
+        try:
+            os.killpg(child.pid, 0)
+        except ProcessLookupError:
+            pass
+        else:
+            os.killpg(child.pid, signal.SIGKILL)
+            pytest.fail("worker processes outlived the command")
+        assert stderr.read_bytes() == b""
+        assert stdout.read_text() == run_cli(capsys, *argv)[1]
+
+    def test_main_returns_its_code_in_process(self, capsys, monkeypatch, small_cfg):
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code}) in process"))
+        assert run_cli(capsys, "analytic", "--config", small_cfg)[0] == 0
+        assert run_cli(capsys, "analytic", "--config", "does-not-exist.cfg")[0] == 2
+        assert run_cli(capsys, "analytic", "--config", small_cfg, "--bogus")[0] == 2
+
+    def test_run_flushes_then_exits_at_once_or_falls_back(self, monkeypatch):
+        from hetcache import cli
+
+        class Stream:
+            def __init__(self, error=None):
+                self.flushed, self.error = 0, error
+
+            def flush(self):
+                self.flushed += 1
+                if self.error:
+                    raise self.error
+
+        class Exited(Exception):
+            pass
+
+        def fast_exit(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(os, "_exit", fast_exit)
+        out, err = Stream(), Stream()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(Exited) as exited:
+            cli.run()
+        assert (exited.value.args, out.flushed, err.flushed) == ((3,), 1, 1)
+        monkeypatch.setattr(sys, "stdout", Stream(BrokenPipeError(32, "Broken pipe")))
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == 3
+
+    def test_script_and_module_run_one_function(self, monkeypatch):
+        # the [project.scripts] entry and python -m hetcache both call cli.run
+        import runpy
+
+        from hetcache import cli
+
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+            script = tomllib.load(handle)["project"]["scripts"]["hetcache"]
+        module, _, name = script.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+        called = []
+        monkeypatch.setattr(cli, "run", lambda: called.append("run"))
+        monkeypatch.delitem(sys.modules, "hetcache.__main__", raising=False)
+        runpy.run_module("hetcache", run_name="__main__")
+        assert called == ["run"]

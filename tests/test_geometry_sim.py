@@ -54,9 +54,9 @@ def single_content_params(**overrides):
 
 
 def associate(realization, contents, params, interference):
-    """``_servers``' groups of the ranks in ``contents`` at a realization."""
+    """``_servers``' groups of the ranks in ``contents`` at a realization, by position in ``contents``."""
     links = geometry_sim._links(realization.mbs_points, realization.active_sbs_points, params)
-    return _servers(links, realization.sbs_caches, realization.cached_sbs, contents, params, interference)
+    return _servers(links, realization.sbs_caches[:, contents - 1], realization.cached_sbs, params, interference)
 
 
 def realization_failures(reads, seed, trials_per_content, interference, r_index):
@@ -239,10 +239,16 @@ class TestRealizeNetwork:
                                cached_sbs=[1, 0])
 
     def test_serving_sbs_without_cache_row_refused(self):
+        # SBS 0 lies within r_sbs = 5 m but holds no cache row, while SBS 1
+        # at 30 m holds one; with SBS 0 moved out to 6 m the same rows are a
+        # valid realization, and with no MBS the request misses
+        params = single_content_params()
         real = NetworkRealization(np.empty((0, 2)), [(1.0, 0.0), (30.0, 0.0)],
                                   np.ones((1, 1), bool), cached_sbs=[1])
-        with pytest.raises(ConfigError):
-            simulate_request(real, 1, single_content_params(), FixedGains())
+        with pytest.raises(ConfigError, match="within r_sbs can serve but the realization holds no cache for it"):
+            simulate_request(real, 1, params, FixedGains())
+        real.active_sbs_points[0] = (6.0, 0.0)
+        assert simulate_request(real, 1, params, FixedGains()).tier is Tier.MISS
 
     def test_points_inside_window(self):
         p = fig2_params(lambda_sbs=0.01)
@@ -429,7 +435,8 @@ class TestRealizationKernel:
         monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real.sbs_caches[:2])
         library = ContentLibrary(size=4, cache_slots=1)
         network = (self.PARAMS, default_window(self.PARAMS), {(CachePolicy.UCP, library): [(0, gamma)]})
-        [(query, failures)] = geometry_sim._network_failures(network, 1, interference, 0, uniforms)
+        streams = stream_rng(1, "geometry", 0), partial(stream_rng, 1, "caches", 0)
+        [(query, failures)] = geometry_sim._network_failures(network, *streams, interference, uniforms)
         assert query == 0
         assert failures.tolist() == expected.tolist()
         assert 0 < expected[0] < 50  # link a passes some trials, not all
@@ -690,6 +697,33 @@ class TestSharedFading:
         geometry_sim.estimate_batch(self.mixed_queries(), 6, realizations=3)
         # four reads, three networks: lambda_sbs 0.1 serves UCP and PCP from one sample
         assert sampled == [0.05, 0.1, 0.2] * 3
+
+    def test_each_stream_built_once_per_realization(self, monkeypatch):
+        # three networks, UCP caches at two of them, SBSs within r_sbs: a
+        # realization builds one geometry, one fading and at most one caches
+        # stream, and each network and each UCP cache set reads its stream
+        # from the start, so each query still equals its one-point call
+        queries = self.mixed_queries()
+        tasks, streams, cache_draws = [], [], []
+        real_task, real_stream, real_caches = (
+            geometry_sim._realization_failures, geometry_sim.stream_rng, geometry_sim._caches
+        )
+        monkeypatch.setattr(geometry_sim, "_realization_failures",
+                            lambda *args: tasks.append(args[-1]) or real_task(*args))
+        monkeypatch.setattr(geometry_sim, "stream_rng", lambda *args: streams.append(args[1:]) or real_stream(*args))
+        monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real_caches(
+            *args[:-1], lambda: cache_draws.append(tasks[-1]) or args[-1]()))
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        assert tasks == [0, 1, 2]
+        for r_index in tasks:
+            built = [name for name, index in streams if index == r_index]
+            drew_caches = r_index in cache_draws
+            assert sorted(built) == sorted(["geometry", "fading"] + ["caches"] * drew_caches)
+        assert len(streams) == sum(1 for _, index in streams if index in tasks)
+        # some realization draws two UCP cache sets from its one caches stream
+        assert max(cache_draws.count(r_index) for r_index in tasks) == 2
+        monkeypatch.undo()
+        self.assert_standalone(queries, results, 2)
 
     def test_gamma_points_share_one_network(self, monkeypatch):
         # three thresholds at one (params but gamma, window) under both
