@@ -63,9 +63,19 @@ CASES = (
     # exceeds POOL_MIN_WORK, so two workers run a process pool
     Case("sweep_fig4_dense_montecarlo.csv", "sweep", "fig4.spec",
          (("realizations", "5"), ("beta", "1"), ("engines", "analytic, montecarlo")), ("--seed", "1")),
+    # alpha = 3: the path gains take the non-integer exponent -1.5 of a
+    # squared distance
+    Case("sweep_fig4_alpha3_montecarlo.csv", "sweep", "fig4.spec",
+         MC10 + (("alpha", "3"), ("engines", "analytic, montecarlo")), ("--seed", "1")),
     Case("simulate_fig2.json", "simulate", "fig2.cfg", MC10, ("--seed", "1")),
     Case("simulate_fig2_interference_all.json", "simulate", "fig2.cfg",
          MC10 + (("interference", "all"),), ("--seed", "1")),
+    # beta = 1 and r_sbs = 30 m put ~57 SBSs within r_sbs, and d_tilde = 0.1
+    # gives UCP up to one server group per SBS, each with every other link
+    # as an interferer
+    Case("simulate_fig2_ucp_many_groups_all.json", "simulate", "fig2.cfg",
+         MC10 + (("lambda_sbs", "0.02"), ("beta", "1"), ("r_sbs", "30"), ("d_tilde", "0.1"),
+                 ("policy", "ucp"), ("interference", "all")), ("--seed", "1")),
     Case("sweep_mc_sparse_pool.csv", "sweep", "mc_sparse_pool_1401.spec"),
 )
 
