@@ -52,12 +52,22 @@ on every input: two such series, of 10 and 20 pairs, read +18 % to +34 %.
 
 Realization kernel
 ------------------
-One generator, ``_servers``, associates every rank of a cache set at once
-and yields one group per distinct server (PCP has at most 2, UCP at most
-the SBSs inside r_sbs plus one) with its interferer gains, built once. When
-no SBS lies within r_sbs, the common case at sparse densities, its one
-group is the nearest MBS's (or none), found without matching any cache,
-and its ranks are a slice, so the rows of uniforms it compares are a view.
+A network's links (``_links``) are each transmitter's squared distance
+x^2 + y^2 and its gain p * (x^2 + y^2)^(-alpha/2), so no link takes a
+square root: every test of association (the radii, the nearest MBS, the
+order of the SBSs, the interferers at or beyond the server) compares
+squared distances, and :func:`realize_network` gives cache rows by the
+same ``x^2 + y^2 <= r_sbs^2``. Only a reported server distance, in
+:func:`simulate_request`, is a ``hypot``, of that one server's
+coordinates; the estimator reads none. (On the VM of the pool table, at
+2600 links, ``hypot`` takes 7.6 ns per link and x * x + y * y 1.5 ns.) One
+generator, ``_servers``, associates every rank of a cache set at once and
+yields one group per distinct server (PCP has at most 2, UCP at most the
+SBSs inside r_sbs plus one) with its interferer gains, built once. When
+the cache set has no row, as when no SBS lies within r_sbs, the common
+case at sparse densities, its one group is the nearest MBS's (or none),
+yielded before any row is gathered, and its ranks are a slice, so the rows
+of uniforms it compares are a view.
 Given those gains, independent unit-mean exponential fades make SIR > gamma
 a Bernoulli event of probability prod_i 1 / (1 + gamma * g_i / g_server),
 the Laplace functional the closed forms integrate; ``_success`` computes it
@@ -208,8 +218,10 @@ POOL_MIN_WORK = 2_000_000
 
 #: The work of one element of a read's pass, one interferer gain of its
 #: network or one uniform it compares, against drawing one point. Serially,
-#: on fig2, a realization takes 70-110 ns per point drawn, 7 ns per gain
-#: that a further threshold passes over and 12-17 ns per further uniform.
+#: on fig2 under PCP (1e4 points), a realization takes 34-35 ns per point
+#: drawn, 3-4 ns per gain that a further threshold passes over and 15-35 ns
+#: per further uniform, drawn and compared (the spread of a difference of
+#: two run times).
 READ_WORK = 0.125
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
@@ -269,10 +281,6 @@ def sample_ppp(intensity: float, window: SimWindow, rng: np.random.Generator) ->
         raise DomainError(f"intensity must be >= 0, got {intensity}")
     count = int(rng.poisson(intensity * window.area()))
     return window.sample_points(count, rng)
-
-
-def _distances(points: np.ndarray) -> np.ndarray:
-    return np.hypot(points[:, 0], points[:, 1])
 
 
 @dataclass(eq=False)
@@ -339,7 +347,7 @@ def realize_network(
     """
     _check_window(params, window)
     mbs, active = _positions(params, window, rng)
-    near = np.flatnonzero(_distances(active) <= params.r_sbs)
+    near = _near(_squared_norms(active), params)  # the rule association applies
     caches = _caches(policy, library, near.size, lambda: rng if cache_rng is None else cache_rng)
     return NetworkRealization(
         mbs_points=mbs, active_sbs_points=active, sbs_caches=caches, cached_sbs=near
@@ -413,27 +421,46 @@ def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray
 class _Links(NamedTuple):
     """Every transmitter of a realization: its ``mbs`` MBSs, then its SBSs in index order.
 
-    ``dist`` is each one's distance to the reference user and ``gain`` its
-    transmit power times path gain. The caches play no part, so the
-    realizations of one network under several cache sets share them.
+    ``sq`` is each one's squared distance to the reference user, x^2 + y^2,
+    and ``gain`` its transmit power times path gain, p * (x^2 + y^2)^(-alpha/2):
+    a distance is only compared or raised to a power, so none is taken; only
+    :func:`simulate_request` reports one, the ``hypot`` of its server's
+    coordinates. The caches play no part, so the realizations of one network
+    under several cache sets share them.
     """
 
     mbs: int
-    dist: np.ndarray
+    sq: np.ndarray
     gain: np.ndarray
+
+
+def _squared_norms(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x^2 + y^2 of each row of ``points``, shape (n, 2), into ``out`` if given.
+
+    Finite for any point of a :class:`SimWindow`, whose side^2 is finite.
+    """
+    x, y = points[:, 0], points[:, 1]
+    out = np.multiply(x, x, out=out)
+    out += y * y
+    return out
+
+
+def _near(sbs_sq: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The indices of the SBSs within r_sbs, from their squared distances."""
+    return np.flatnonzero(sbs_sq <= params.r_sbs * params.r_sbs)
 
 
 def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams) -> _Links:
     mbs = len(mbs_points)
-    dist = np.empty(mbs + len(sbs_points))
-    np.hypot(mbs_points[:, 0], mbs_points[:, 1], out=dist[:mbs])
-    np.hypot(sbs_points[:, 0], sbs_points[:, 1], out=dist[mbs:])
-    with np.errstate(divide="ignore"):
-        gain = np.power(dist, -params.alpha)
+    sq = np.empty(mbs + len(sbs_points))
+    _squared_norms(mbs_points, sq[:mbs])
+    _squared_norms(sbs_points, sq[mbs:])
+    with np.errstate(divide="ignore", over="ignore"):  # a link at or next to the origin: infinite gain
+        gain = np.power(sq, -0.5 * params.alpha)
     gain[:mbs] *= params.p_mbs
     if len(sbs_points):  # p_sbs is undefined at beta = 0, where no SBS is active
         gain[mbs:] *= params.p_sbs
-    return _Links(mbs, dist, gain)
+    return _Links(mbs, sq, gain)
 
 
 def _servers(links: _Links, caches: np.ndarray, cached_sbs: np.ndarray, params: SystemParams, interference: str):
@@ -444,28 +471,31 @@ def _servers(links: _Links, caches: np.ndarray, cached_sbs: np.ndarray, params: 
     A rank's server is the nearest SBS within r_sbs caching it (ties by
     index), else the nearest MBS within r_mbs, else none (a miss, in no
     group). An SBS within r_sbs that holds no row serves nothing. Groups
-    come SBSs nearest first, then the MBS, as (columns, tier, distance,
-    signal gain, interferer gains); a gain is transmit power times path
-    gain, interferers MBSs first, in index order. With no row within r_sbs
-    every rank goes to the MBS, if it serves, and its columns are a slice.
+    come SBSs nearest first, then the MBS, as (columns, tier, server's link
+    index, signal gain, interferer gains); a gain is transmit power times
+    path gain, interferers MBSs first, in index order. Every test is on the
+    squared distances of ``links``: the radii, the nearest MBS, the order of
+    the SBSs and, under "beyond_server", the interferers at or beyond the
+    server. With no cache row (no SBS within r_sbs, in the estimator) every
+    rank goes to the MBS, if it serves, before any row is gathered, and its
+    columns are a slice.
     """
-    mbs_count, dist, gain = links
-    sbs_dist = dist[mbs_count:]
-    rows = np.flatnonzero(sbs_dist[cached_sbs] <= params.r_sbs)
-    mbs = int(np.argmin(dist[:mbs_count])) if mbs_count else -1
-    mbs_serves = mbs >= 0 and dist[mbs] <= params.r_mbs
+    mbs_count, sq, gain = links.mbs, links.sq, links.gain
+    mbs = int(np.argmin(sq[:mbs_count])) if mbs_count else -1
+    mbs_serves = mbs >= 0 and sq[mbs] <= params.r_mbs * params.r_mbs
     beyond = interference == INTERFERENCE_BEYOND_SERVER
 
     def group(requests, index: int, tier: Tier):
-        interferers = dist >= dist[index] if beyond else np.ones(dist.size, dtype=bool)
+        interferers = sq >= sq[index] if beyond else np.ones(sq.size, dtype=bool)
         interferers[index] = False
-        return requests, tier, float(dist[index]), gain[index], gain[interferers]
+        return requests, tier, index, gain[index], gain[interferers]
 
+    rows = _near(sq[mbs_count:][cached_sbs], params) if cached_sbs.size else cached_sbs
     if not rows.size:
         if mbs_serves:
             yield group(slice(0, caches.shape[1]), mbs, Tier.MBS)
         return
-    rows = rows[np.argsort(sbs_dist[cached_sbs[rows]], kind="stable")]
+    rows = rows[np.argsort(sq[mbs_count + cached_sbs[rows]], kind="stable")]
     # candidate servers: the SBSs within r_sbs nearest first (code i is
     # cache row rows[i]), then the nearest MBS (code rows.size); argmax over
     # the all-True MBS row finds a rank's first holder
@@ -515,16 +545,17 @@ def simulate_request(
         raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
     check_interference(interference)
     links = _links(realization.mbs_points, realization.active_sbs_points, params)
-    sbs_dist, cached_sbs = links.dist[links.mbs :], realization.cached_sbs
-    if np.count_nonzero(sbs_dist[cached_sbs] <= params.r_sbs) < np.count_nonzero(sbs_dist <= params.r_sbs):
+    sbs_sq, cached_sbs = links.sq[links.mbs :], realization.cached_sbs
+    if _near(sbs_sq[cached_sbs], params).size < _near(sbs_sq, params).size:
         raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
     column = realization.sbs_caches[:, content - 1 : content]
     group = next(_servers(links, column, cached_sbs, params, interference), None)
     if group is None:
         return ServiceOutcome(Tier.MISS, None, None, False)
-    _, tier, distance, signal_gain, gains = group
+    _, tier, index, signal_gain, gains = group
     [sir] = _sir(signal_gain, gains, rng.exponential(size=gains.size + 1).reshape(1, -1))
-    return ServiceOutcome(tier, distance, float(sir), bool(sir > params.gamma))
+    x, y = realization.mbs_points[index] if tier is Tier.MBS else realization.active_sbs_points[index - links.mbs]
+    return ServiceOutcome(tier, float(np.hypot(x, y)), float(sir), bool(sir > params.gamma))
 
 
 class McEstimate(NamedTuple):
@@ -621,7 +652,7 @@ def _network_failures(
     """
     params, window, cache_sets = network
     links = _links(*_positions(params, window, geometry), params)
-    near = np.flatnonzero(links.dist[links.mbs :] <= params.r_sbs)
+    near = _near(links.sq[links.mbs :], params)
     reads_by_caches: dict[tuple, list[tuple[int, float]]] = {}
     for (policy, library), reads in cache_sets.items():
         held = _caches(policy, library, near.size, cache_rng)
@@ -632,7 +663,7 @@ def _network_failures(
         for requests, _, _, signal_gain, gains in _servers(links, caches, near, params, interference):
             rows = uniforms[requests]
             for gamma, counts in failures.items():
-                counts[requests] = np.count_nonzero(rows >= _success(signal_gain, gains, gamma), axis=1)
+                counts[requests] = (rows >= _success(signal_gain, gains, gamma)).sum(axis=1)
         for query, gamma in reads:
             yield query, failures[gamma]
 

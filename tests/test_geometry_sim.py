@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from hetcache import (
@@ -54,9 +55,17 @@ def single_content_params(**overrides):
 
 
 def associate(realization, contents, params, interference):
-    """``_servers``' groups of the ranks in ``contents`` at a realization, by position in ``contents``."""
+    """``_servers``' groups of the ranks in ``contents`` at a realization, by position in ``contents``.
+
+    Each group carries its server's distance, ``np.hypot`` of its
+    coordinates, in place of the server's link index.
+    """
     links = geometry_sim._links(realization.mbs_points, realization.active_sbs_points, params)
-    return _servers(links, realization.sbs_caches[:, contents - 1], realization.cached_sbs, params, interference)
+    points = np.concatenate([realization.mbs_points, realization.active_sbs_points])
+    for requests, tier, index, signal_gain, gains in _servers(
+        links, realization.sbs_caches[:, contents - 1], realization.cached_sbs, params, interference
+    ):
+        yield requests, tier, float(np.hypot(*points[index])), signal_gain, gains
 
 
 def realization_failures(reads, seed, trials_per_content, interference, r_index):
@@ -250,6 +259,32 @@ class TestRealizeNetwork:
         real.active_sbs_points[0] = (6.0, 0.0)
         assert simulate_request(real, 1, params, FixedGains()).tier is Tier.MISS
 
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_links_on_their_radius_serve(self, monkeypatch, beyond):
+        # squared distances decide "within", in realize_network as in
+        # association: an SBS at (3, 4) sits exactly at r_sbs = 5 and an MBS
+        # at (150, 200) exactly at r_mbs = 250, so the SBS gets a cache row
+        # and serves rank 1 and the MBS serves rank 2, in a realization and
+        # in the estimator; one ulp farther out, both ranks miss
+        params = single_content_params()
+        out = (lambda y: math.nextafter(y, math.inf)) if beyond else (lambda y: y)
+        layout = np.array([[150.0, out(200.0)]]), np.array([[3.0, out(4.0)]])
+        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: layout)
+        library = ContentLibrary(size=2, cache_slots=1)
+        real = realize_network(params, CachePolicy.PCP, library, default_window(params),
+                               stream_rng(0, "geometry", 0))
+        outcomes = [simulate_request(real, rank, params, FixedGains()) for rank in (1, 2)]
+        per_content, _ = estimate_outage(params, CachePolicy.PCP, library, zipf_request_distribution(2, 0.0),
+                                         realizations=3, seed=1)
+        if beyond:
+            assert real.cached_sbs.tolist() == []
+            assert [o.tier for o in outcomes] == [Tier.MISS, Tier.MISS]
+            assert [e.mean for e in per_content] == [1.0, 1.0]
+        else:
+            assert real.cached_sbs.tolist() == [0]
+            assert [(o.tier, o.server_distance) for o in outcomes] == [(Tier.SBS, 5.0), (Tier.MBS, 250.0)]
+            assert [e.mean for e in per_content] == [0.0, 0.0]
+
     def test_points_inside_window(self):
         p = fig2_params(lambda_sbs=0.01)
         lib = ContentLibrary(size=5, cache_slots=1)
@@ -351,6 +386,16 @@ class TestSimulateRequest:
             simulate_request(real, 1, single_content_params(), FixedGains(), interference="bogus")
 
 
+@st.composite
+def link_layouts(draw):
+    """MBS and SBS positions in a window of half-side 0.5 m to 500 km, often on its edge."""
+    half = draw(st.floats(0.5, 5e5))
+    edge = st.sampled_from([half, -half, math.nextafter(half, 0.0), -math.nextafter(half, 0.0)])
+    point = st.tuples(*[st.one_of(st.floats(-half, half), edge)] * 2)
+    mbs, sbs = draw(st.lists(point, max_size=4)), draw(st.lists(point, max_size=16))
+    return np.array(mbs, dtype=float).reshape(-1, 2), np.array(sbs, dtype=float).reshape(-1, 2)
+
+
 class TestRealizationKernel:
     # Unit fades, alpha = 4, p_sbs = 1, p_mbs = 4. SBS a (1, 0) holds rank 1,
     # b (0, 2) holds rank 2, c (10, 0) lies beyond r_sbs = 5 holding every
@@ -440,6 +485,33 @@ class TestRealizationKernel:
         assert query == 0
         assert failures.tolist() == expected.tolist()
         assert 0 < expected[0] < 50  # link a passes some trials, not all
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(link_layouts(), st.sampled_from([2.5, 3.0, 3.5, 4.0, 5.0]))
+    def test_links_against_the_hypot_gains(self, layout, alpha):
+        # p * (x^2 + y^2)^(-alpha/2) stays within a few ulps of p * hypot^-alpha;
+        # a link at or next to the origin is +inf in both
+        mbs, sbs = layout
+        params = fig2_params(alpha=alpha)
+        links = geometry_sim._links(mbs, sbs, params)
+        dist = np.hypot(*np.concatenate([mbs, sbs]).T)
+        power = np.repeat([params.p_mbs, params.p_sbs], [len(mbs), len(sbs)])
+        with np.errstate(divide="ignore", over="ignore"):
+            expected = power * np.power(dist, -alpha)
+        np.testing.assert_allclose(links.gain, expected, rtol=1e-14, atol=0.0)
+
+    def test_links_at_the_extremes(self):
+        # a link at the origin, or so near it that its squared distance
+        # underflows or its gain overflows, has an infinite gain, without a
+        # RuntimeWarning (which the suite turns into an error); the corners
+        # of the largest window SimWindow accepts keep a finite squared distance
+        half = SimWindow(1.3e154).covered_radius()
+        sbs = np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-140]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            links = geometry_sim._links(np.array([[half, -half]]), sbs, fig2_params())
+        assert math.isfinite(links.sq[0]) and links.gain[0] == 0.0
+        assert links.sq[1:].tolist() == [0.0, 0.0, 1e-280] and links.gain[1:].tolist() == [math.inf] * 3
 
     def test_success_probability_bounds(self):
         # no interferer always succeeds; an overflowing term never does, and
@@ -613,6 +685,33 @@ class TestSharedFading:
         requests = zipf_request_distribution(library.size, 0.8)
         pcp, ucp = (self.peak([(point, policy, requests)]) for policy in (CachePolicy.PCP, CachePolicy.UCP))
         assert ucp < 1.5 * pcp
+
+    def test_no_hypot_per_link_in_the_estimator(self, monkeypatch):
+        # PCP and UCP with SBSs within r_sbs: gains and every association test
+        # come from squared distances, so np.hypot computes at most one
+        # element per server group, not one per link
+        point = self.points()[2]
+        requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
+        queries = [(point, policy, requests) for policy in (CachePolicy.PCP, CachePolicy.UCP)]
+        tiers, elements = [], []
+        real_servers, real_hypot = geometry_sim._servers, np.hypot
+
+        def servers(*args):
+            for group in real_servers(*args):
+                tiers.append(group[1])
+                yield group
+
+        def hypot(*args, **kwargs):
+            elements.append(np.broadcast(*args[:2]).size)
+            return real_hypot(*args, **kwargs)
+
+        monkeypatch.setattr(geometry_sim, "_servers", servers)
+        monkeypatch.setattr(np, "hypot", hypot)
+        results = geometry_sim.estimate_batch(queries, 6, realizations=3)
+        assert Tier.SBS in tiers
+        assert sum(elements) <= len(tiers)
+        monkeypatch.undo()
+        self.assert_standalone(queries, results, 1)
 
     @staticmethod
     def peak(queries):
