@@ -82,7 +82,6 @@ _LAZY = {
             "default_window",
             "estimate_outage",
             "realize_network",
-            "sample_ppp",
             "simulate_request",
             "stream_rng",
         ),

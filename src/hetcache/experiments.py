@@ -70,6 +70,7 @@ from .params import (
     SystemParams,
     check_count,
     check_guard,
+    check_realizations,
     db_to_linear,
     get_float,
     get_int,
@@ -128,7 +129,7 @@ class McBudget:
 
     def __post_init__(self) -> None:
         check_count("trials_per_content", self.trials_per_content, 1)
-        check_count("realizations", self.realizations, 1)
+        check_realizations(self.realizations)
         check_guard(self.guard)
 
     @classmethod

@@ -18,10 +18,10 @@ Process pools
 and :func:`estimate_outage` is its one-point case. A call opens a process
 pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
 being those this process may run on (its affinity set, where the platform
-has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (2e6).
+has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (6e6).
 The work is counted in expected points drawn: per realization, the
 expected points of each of the call's distinct networks, plus
-:data:`READ_WORK` (1/8) times, for each read, its network's points (the
+:data:`READ_WORK` (1/4) times, for each read, its network's points (the
 gains its threshold passes over) and its |C| * trials_per_content
 uniforms; the call's work is that times the realizations. It then maps its
 realizations on one pool of that many processes, which it opens itself and
@@ -31,43 +31,49 @@ opens at most one pool. Every other call runs serially and never
 loads ``concurrent.futures``. Below the threshold the pool's start-up
 costs more than the second process saves. Command walls with a pool of 2
 forced against 1 worker, each process running one BLAS thread as the CLI
-sets it, on a 2-vCPU VM shared with other loads: the median ratio of 48
-alternating pairs over three series (``fig4.spec`` with ``engines =
+sets it, on a 2-vCPU VM shared with other loads: the median ratio of 24
+alternating pairs in each of three series (``fig4.spec`` with ``engines =
 analytic, montecarlo`` is a gamma axis of 21 reads on one network):
 
-==============================================  =============  ==========================
-input                                           expected work  2 workers against 1
-==============================================  =============  ==========================
-``fig2.cfg``, 100 realizations                  1.1e6          +5 % (faster in 16 of 48)
-``fig2.cfg``, 200 realizations                  2.3e6          -8 % (faster in 37 of 48)
-``fig2.cfg``, 300 realizations                  3.4e6          -15 % (faster in 43 of 48)
-``fig4.spec``, 50 realizations                  1.8e6          -1 % (faster in 24 of 48)
-``fig4.spec``, 100 realizations                 3.7e6          -13 % (faster in 41 of 48)
-``mc-sparse-pool`` benchmark sweep              5.5e5          +6 % (faster in 15 of 48)
-==============================================  =============  ==========================
+==================================  =============  ===============================
+input                               expected work  2 workers against 1, by series
+==================================  =============  ===============================
+``fig2.cfg``, 100 realizations      1.3e6          +31 %, +33 %, +45 %
+``fig2.cfg``, 200 realizations      2.5e6          +29 %, +30 %, +30 %
+``fig2.cfg``, 300 realizations      3.8e6          +29 %, +33 %, +27 %
+``fig2.cfg``, 600 realizations      7.6e6          -5 %, +23 %, +5 %
+``fig2.cfg``, 1000 realizations     1.3e7          -18 %, +17 %, -17 %
+``fig4.spec``, 50 realizations      3.2e6          +3 %, +26 %, +6 %
+``fig4.spec``, 100 realizations     6.4e6          -10 %, +23 %, -5 %
+``mc-sparse-pool`` benchmark sweep  6.6e5          +9 %, +35 %, +11 %
+==================================  =============  ===============================
 
-The crossover is where it was with OpenBLAS's second thread running in
-every process. While other loads keep the second vCPU busy, 2 workers lose
-on every input: two such series, of 10 and 20 pairs, read +18 % to +34 %.
+In the first and third series 2 workers were faster in 21 and 23 of 24
+pairs at fig2's 1000 realizations and in 20 and 15 at fig4's 100; in the
+second, while other loads kept the second vCPU busy, they lost on every
+input. A point costs about 19 ns to draw (:data:`READ_WORK`), so the
+pool's start-up outweighs several hundred realizations of fig2.
 
 Realization kernel
 ------------------
-A network's links (``_links``) are each transmitter's squared distance
-x^2 + y^2 and its gain p * (x^2 + y^2)^(-alpha/2), so no link takes a
-square root: every test of association (the radii, the nearest MBS, the
-order of the SBSs, the interferers at or beyond the server) compares
-squared distances, and :func:`realize_network` gives cache rows by the
-same ``x^2 + y^2 <= r_sbs^2``. Only a reported server distance, in
-:func:`simulate_request`, is a ``hypot``, of that one server's
-coordinates; the estimator reads none. (On the VM of the pool table, at
-2600 links, ``hypot`` takes 7.6 ns per link and x * x + y * y 1.5 ns.) One
-generator, ``_servers``, associates every rank of a cache set at once and
-yields one group per distinct server (PCP has at most 2, UCP at most the
-SBSs inside r_sbs plus one) with its interferer gains, built once. When
-the cache set has no row, as when no SBS lies within r_sbs, the common
-case at sparse densities, its one group is the nearest MBS's (or none),
-yielded before any row is gathered, and its ranks are a slice, so the rows
-of uniforms it compares are a view.
+A network is drawn as its transmitters' squared distances to the reference
+user and nothing more (``_squared_distances``): the window is a disc
+centered on the user, and given its count a Poisson process there has
+i.i.d. squared distances uniform on [0, R^2) (the mapping theorem), so a
+point costs one uniform and no angle. Every test of association (the radii,
+the nearest MBS, the order of the SBSs, the interferers at or beyond the
+server) compares squared distances, and a link's gain is p * sq^(-alpha/2)
+(``_links``), so no link takes a square root either.
+:func:`realize_network` draws the same squared distances, then one angle
+per point, and gives cache rows by the same ``x^2 + y^2 <= r_sbs^2``; only
+a reported server distance, in :func:`simulate_request`, is a ``hypot``, of
+that one server's coordinates. One generator, ``_servers``, associates
+every rank of a cache set at once and yields one group per distinct server
+(PCP has at most 2, UCP at most the SBSs inside r_sbs plus one) with its
+interferer gains, built once. When the cache set has no row, as when no SBS
+lies within r_sbs, the common case at sparse densities, its one group is
+the nearest MBS's (or none), yielded before any row is gathered, and its
+ranks are a slice, so the rows of uniforms it compares are a view.
 Given those gains, independent unit-mean exponential fades make SIR > gamma
 a Bernoulli event of probability prod_i 1 / (1 + gamma * g_i / g_server),
 the Laplace functional the closed forms integrate; ``_success`` computes it
@@ -80,9 +86,9 @@ uniforms are taken once and compared with its probability at each distinct
 gamma of those reads, once per gamma however many reads share it, and the
 group is dropped before the next is built. A task of
 :func:`estimate_batch` is one realization index over all the call's reads,
-planned once per call. It builds each named stream once and rewinds it
-per network (see "RNG discipline"). :func:`simulate_request` draws the
-fades of one trial of one rank's group and keeps its tier, distance and
+planned once per call. It reads each named stream from one generator
+that the call reuses (see "RNG discipline"). :func:`simulate_request`
+draws the fades of one trial of one rank's group and keeps its tier, distance and
 SIR, reduced with ``einsum``. The only BLAS products are the two small
 ``@`` of :func:`_estimates`, once per query, but numpy's import starts
 OpenBLAS's thread pool whether or not one runs. The CLI therefore sets
@@ -124,13 +130,18 @@ query bounds it.
 
 RNG discipline
 --------------
-One master seed derives independent named streams per realization through
-counter-based Philox generators, so parallel execution is order-independent
-and results never depend on the worker count. Trials within one realization
-share geometry and caches but draw their own uniforms.
+One master seed gives three named streams, each one PCG64DXSM generator
+seeded by ``SeedSequence(seed, spawn_key=(stream id,))``. Realization r
+reads each stream advanced by r * :data:`STREAM_SPACING` (2^64) draws, a
+jump of O(log r) steps (:func:`stream_rng`), so any worker rebuilds any
+realization's streams without coordination, and results never depend on
+the worker count. Trials within one realization share geometry and caches
+but draw their own uniforms.
 
-- ``geometry``: the MBS count and positions, then the active-SBS count and
-  positions.
+- ``geometry``: the MBS count, the MBSs' squared distances, the active-SBS
+  count, then the SBSs' squared distances, one uniform per point.
+  :func:`realize_network` then draws one angle per point, MBSs first, so
+  its points lie at the estimator's distances.
 - ``caches``: UCP with 0 < d < |C| only, one row of |C| uniform scores per
   SBS inside r_sbs, in increasing SBS index. SBSs farther out can never serve and draw no
   cache; interference ignores caches and caches are i.i.d. per SBS, so the
@@ -142,12 +153,14 @@ share geometry and caches but draw their own uniforms.
   then the interferer fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
-realization index they read the same three streams. A task builds each of
-them once per realization, the ``caches`` stream only if a cache set draws:
-every network reads the ``geometry`` stream from its start, and every UCP
-cache set the ``caches`` stream, by restoring the starting state of the
-stream's bit generator. That draws exactly what a fresh stream draws and
-takes about 1 us, where building a stream takes about 20 us. :func:`_plan`
+realization index they read the same three streams. A call builds the
+generator of each stream once and reuses it (``_Streams``): the fading
+block, every network's ``geometry`` draws and every UCP cache set's
+``caches`` draws read their stream from realization r's start, which the
+call reaches by restoring the generator's starting state and advancing it
+(a pool worker builds its own, once per batch of realizations it is sent).
+That draws exactly what :func:`stream_rng` draws and takes about 4 us,
+where building a SeedSequence and a generator takes about 18 us. :func:`_plan`
 decides once per call what the reads share, keying each object by what it
 depends on, and :func:`_realization_failures` makes each object once per
 realization from that plan, drawing the networks one at a time. A network
@@ -178,7 +191,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidRankError
+from .errors import ConfigError, InvalidRankError
 from .params import (
     DEFAULT_GUARD,
     INTERFERENCE_BEYOND_SERVER,
@@ -189,15 +202,17 @@ from .params import (
     check_count,
     check_guard,
     check_interference,
+    check_realizations,
 )
 
 #: Most expected points (MBSs plus active SBSs) of one network, which a task
 #: holds one at a time, with one server group's interferer gains. Traced
 #: peaks of one realization at beta = 1, alike under PCP (2 server groups)
-#: and UCP: 48 MB at 1e6 points (UCP 99 groups; |C| = 1000, d = 10,
-#: r_sbs = 5.25 m), 235 MB at 4.9e6 (|C| = 100, d = 30) and 230 MB at 4.8e6
-#: (UCP 845 groups; |C| = 1e4, d = 1, r_sbs = 7.7 m). The fig2 operating
-#: point needs about 1e4.
+#: and UCP: 40 MB at 1e6 points (UCP 88 groups; |C| = 1000, d = 10,
+#: r_sbs = 5.25 m) and, measured while the estimator still drew positions
+#: (which left the peak at 1e6 points unchanged), 235 MB at 4.9e6
+#: (|C| = 100, d = 30) and 230 MB at 4.8e6 (UCP 845 groups; |C| = 1e4,
+#: d = 1, r_sbs = 7.7 m). The fig2 operating point needs about 1e4.
 MAX_POINTS_PER_REALIZATION = 5_000_000
 
 #: Most expected cache-matrix entries, beta * lambda_sbs * pi * r_sbs^2 * |C|,
@@ -213,40 +228,82 @@ MAX_UNIFORMS_PER_REALIZATION = 10_000_000
 #: Least expected work of a call, in expected points drawn, for which
 #: :func:`estimate_batch` opens a process pool: below it a second process
 #: saves less than the pool costs to start (the table under "Process
-#: pools"). fig2.cfg at 176 realizations expects 2e6.
-POOL_MIN_WORK = 2_000_000
+#: pools"). fig2.cfg at 475 realizations expects 6e6.
+POOL_MIN_WORK = 6_000_000
 
 #: The work of one element of a read's pass, one interferer gain of its
 #: network or one uniform it compares, against drawing one point. Serially,
-#: on fig2 under PCP (1e4 points), a realization takes 34-35 ns per point
-#: drawn, 3-4 ns per gain that a further threshold passes over and 15-35 ns
-#: per further uniform, drawn and compared (the spread of a difference of
-#: two run times).
-READ_WORK = 0.125
+#: on fig2 under PCP (1e4 points, 200 realizations, min of 9 runs), a
+#: realization takes 19 ns per point drawn, 5-6 ns per gain that a further
+#: threshold passes over and 4-21 ns per further uniform, drawn and compared
+#: (the spread of a difference of two run times).
+READ_WORK = 0.25
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
 
+#: The spacing, in draws, of the realizations' streams: realization r reads
+#: the (seed, stream) generator advanced by r * STREAM_SPACING. One
+#: realization draws at most about 1e7 values from a stream (the
+#: per-realization budgets cap its points, cache entries and uniforms), far
+#: fewer than 2^64, so no two realizations' streams overlap. PCG64DXSM's
+#: period is 2^128, so the streams wrap at r = 2^64: :func:`estimate_batch`
+#: and the sweeps' budget refuse 2^64 realizations or more
+#: (:func:`params.check_realizations`).
+STREAM_SPACING = 1 << 64
 
-def stream_rng(seed: int, stream: str, *indices: int) -> np.random.Generator:
-    """Independent named RNG substream, keyed by (seed, stream, indices).
 
-    Counter-based (Philox under a spawn-key SeedSequence): any worker can
-    reconstruct any stream without coordination.
+def stream_rng(seed: int, stream: str, r: int = 0) -> np.random.Generator:
+    """Realization ``r``'s substream of the named RNG stream at ``seed``, as a new generator.
+
+    One PCG64DXSM per (seed, stream), seeded by ``SeedSequence(seed,
+    spawn_key=(stream id,))``; realization r, for 0 <= r < 2^64, reads it
+    advanced by r * :data:`STREAM_SPACING` draws, a jump of O(log r) steps,
+    so any worker can rebuild any stream without coordination.
     """
     try:
         sid = _STREAM_IDS[stream]
     except KeyError:
         raise ConfigError(f"unknown RNG stream {stream!r}") from None
-    key = np.random.SeedSequence(entropy=int(seed), spawn_key=(sid, *(int(i) for i in indices)))
-    return np.random.Generator(np.random.Philox(key))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=(sid,)))
+    bits.advance(int(r) * STREAM_SPACING)
+    return np.random.Generator(bits)
+
+
+class _Streams:
+    """The named streams of one seed, one reused generator per stream, for one call.
+
+    ``at(stream, r)`` gives a generator that draws what ``stream_rng(seed,
+    stream, r)`` draws: it builds the stream's generator on first use, then
+    restores its starting state and advances it, so no realization builds a
+    SeedSequence or a bit generator. The generator is valid until the next
+    ``at`` of the same stream.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._built: dict[str, tuple[np.random.Generator, dict]] = {}
+
+    def at(self, stream: str, r: int) -> np.random.Generator:
+        if stream not in self._built:
+            rng = stream_rng(self.seed, stream)
+            self._built[stream] = rng, rng.bit_generator.state
+        rng, start = self._built[stream]
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(r * STREAM_SPACING)
+        return rng
 
 
 @dataclass(frozen=True)
 class SimWindow:
-    """Square simulation window of side ``side`` centered on the reference user.
+    """Simulation window: the disc of area side^2 centered on the reference user.
 
-    The window must contain the disc of radius r_mbs plus the guard margin;
-    :func:`realize_network` and :func:`estimate_outage` enforce this.
+    Its radius is side / sqrt(pi), so it expects as many points as the
+    side x side square centered on the user. A window is accepted when
+    side / 2, that square's inscribed radius (:meth:`covered_radius`),
+    reaches r_mbs plus the guard margin; :func:`realize_network` and
+    :func:`estimate_outage` enforce this. For a path gain that falls with
+    distance, no region of its area holds more expected interference than
+    the disc (the bathtub principle), so it misses no more than that square.
     """
 
     side: float
@@ -260,27 +317,45 @@ class SimWindow:
     def area(self) -> float:
         return self.side**2
 
-    def covered_radius(self) -> float:
-        """Radius of the largest origin-centered disc inside the window."""
-        return self.side / 2.0
+    def radius(self) -> float:
+        """Radius of the disc, side / sqrt(pi)."""
+        return self.side / math.sqrt(math.pi)
 
-    def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n i.i.d. uniform positions in the window, shape (n, 2)."""
-        half = self.side / 2.0
-        return rng.uniform(-half, half, size=(n, 2))
+    def covered_radius(self) -> float:
+        """side / 2: the radius that must reach r_mbs + guard, inside the disc's radius."""
+        return self.side / 2.0
 
 
 def default_window(params: SystemParams, guard: float = DEFAULT_GUARD) -> SimWindow:
-    """Square window of side max(1000 m, 2 * (r_mbs + guard))."""
+    """Disc of the area of a square of side max(1000 m, 2 * (r_mbs + guard))."""
     return SimWindow(max(1000.0, 2.0 * (params.r_mbs + guard)), guard=guard)
 
 
-def sample_ppp(intensity: float, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
-    """One draw of a homogeneous Poisson process on the window, shape (n, 2)."""
-    if not intensity >= 0.0:
-        raise DomainError(f"intensity must be >= 0, got {intensity}")
-    count = int(rng.poisson(intensity * window.area()))
-    return window.sample_points(count, rng)
+def _squared_distances(params: SystemParams, window: SimWindow, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """The MBS count and every transmitter's squared distance to the reference user, MBSs first.
+
+    Draws from ``rng`` the MBS count, the MBSs' squared distances, the
+    active-SBS count, then the SBSs': given its count, a Poisson process on
+    a disc of radius R centered on the user has i.i.d. squared distances
+    uniform on [0, R^2) (the mapping theorem), so each point takes one
+    uniform. Active SBSs are drawn at density beta * lambda_sbs, as
+    :func:`realize_network` says.
+    """
+    area = window.area()
+    mbs = int(rng.poisson(params.lambda_mbs * area))
+    head = rng.random(mbs)
+    sq = np.empty(mbs + int(rng.poisson(params.beta * params.lambda_sbs * area)))
+    sq[:mbs] = head
+    rng.random(out=sq[mbs:])
+    sq *= window.radius() ** 2
+    return mbs, sq
+
+
+def _place(sq: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Points at squared distances ``sq`` from the origin, at uniform angles drawn from ``rng``, shape (n, 2)."""
+    angle = rng.uniform(0.0, 2.0 * math.pi, sq.size)
+    r = np.sqrt(sq)
+    return np.stack((r * np.cos(angle), r * np.sin(angle)), axis=1)
 
 
 @dataclass(eq=False)
@@ -340,24 +415,23 @@ def realize_network(
     Active SBSs are drawn directly at density beta * lambda_sbs: by the
     independent-thinning theorem this is distributionally identical to
     sampling at lambda_sbs and retaining with probability beta, at a
-    fraction of the point count. Only the SBSs within r_sbs of the reference
-    user get a cache row (``cached_sbs``): no other SBS can serve, and caches
-    play no part in interference. PCP caches are the top d ranks; UCP caches
-    are independent uniform d-subsets per SBS, drawn from ``cache_rng``.
+    fraction of the point count. ``rng`` gives the squared distances that
+    the estimator draws (:func:`_squared_distances`), then one uniform angle
+    per point, MBSs first, so the points lie at the estimator's distances.
+    Only the SBSs within r_sbs of the reference user get a cache row
+    (``cached_sbs``): no other SBS can serve, and caches play no part in
+    interference. PCP caches are the top d ranks; UCP caches are independent
+    uniform d-subsets per SBS, drawn from ``cache_rng``.
     """
     _check_window(params, window)
-    mbs, active = _positions(params, window, rng)
+    mbs, sq = _squared_distances(params, window, rng)
+    points = _place(sq, rng)
+    active = points[mbs:]
     near = _near(_squared_norms(active), params)  # the rule association applies
     caches = _caches(policy, library, near.size, lambda: rng if cache_rng is None else cache_rng)
     return NetworkRealization(
-        mbs_points=mbs, active_sbs_points=active, sbs_caches=caches, cached_sbs=near
+        mbs_points=points[:mbs], active_sbs_points=active, sbs_caches=caches, cached_sbs=near
     )
-
-
-def _positions(params: SystemParams, window: SimWindow, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The MBS positions, then the active-SBS positions, drawn from ``rng``."""
-    mbs = sample_ppp(params.lambda_mbs, window, rng)
-    return mbs, sample_ppp(params.beta * params.lambda_sbs, window, rng)
 
 
 def _caches(
@@ -421,9 +495,9 @@ def _sir(signal_gain: float, gains: np.ndarray, fades: np.ndarray) -> np.ndarray
 class _Links(NamedTuple):
     """Every transmitter of a realization: its ``mbs`` MBSs, then its SBSs in index order.
 
-    ``sq`` is each one's squared distance to the reference user, x^2 + y^2,
-    and ``gain`` its transmit power times path gain, p * (x^2 + y^2)^(-alpha/2):
-    a distance is only compared or raised to a power, so none is taken; only
+    ``sq`` is each one's squared distance to the reference user, and
+    ``gain`` its transmit power times path gain, p * sq^(-alpha/2): a
+    distance is only compared or raised to a power, so none is taken; only
     :func:`simulate_request` reports one, the ``hypot`` of its server's
     coordinates. The caches play no part, so the realizations of one network
     under several cache sets share them.
@@ -434,15 +508,12 @@ class _Links(NamedTuple):
     gain: np.ndarray
 
 
-def _squared_norms(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x^2 + y^2 of each row of ``points``, shape (n, 2), into ``out`` if given.
-
-    Finite for any point of a :class:`SimWindow`, whose side^2 is finite.
-    """
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 of each row of ``points``, shape (n, 2)."""
     x, y = points[:, 0], points[:, 1]
-    out = np.multiply(x, x, out=out)
-    out += y * y
-    return out
+    sq = x * x
+    sq += y * y
+    return sq
 
 
 def _near(sbs_sq: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -450,15 +521,12 @@ def _near(sbs_sq: np.ndarray, params: SystemParams) -> np.ndarray:
     return np.flatnonzero(sbs_sq <= params.r_sbs * params.r_sbs)
 
 
-def _links(mbs_points: np.ndarray, sbs_points: np.ndarray, params: SystemParams) -> _Links:
-    mbs = len(mbs_points)
-    sq = np.empty(mbs + len(sbs_points))
-    _squared_norms(mbs_points, sq[:mbs])
-    _squared_norms(sbs_points, sq[mbs:])
+def _links(mbs: int, sq: np.ndarray, params: SystemParams) -> _Links:
+    """The links of transmitters at squared distances ``sq``, the first ``mbs`` of them MBSs."""
     with np.errstate(divide="ignore", over="ignore"):  # a link at or next to the origin: infinite gain
         gain = np.power(sq, -0.5 * params.alpha)
     gain[:mbs] *= params.p_mbs
-    if len(sbs_points):  # p_sbs is undefined at beta = 0, where no SBS is active
+    if sq.size > mbs:  # p_sbs is undefined at beta = 0, where no SBS is active
         gain[mbs:] *= params.p_sbs
     return _Links(mbs, sq, gain)
 
@@ -544,7 +612,8 @@ def simulate_request(
     if not 1 <= content <= library_size:
         raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
     check_interference(interference)
-    links = _links(realization.mbs_points, realization.active_sbs_points, params)
+    points = np.concatenate((realization.mbs_points, realization.active_sbs_points))
+    links = _links(len(realization.mbs_points), _squared_norms(points), params)
     sbs_sq, cached_sbs = links.sq[links.mbs :], realization.cached_sbs
     if _near(sbs_sq[cached_sbs], params).size < _near(sbs_sq, params).size:
         raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
@@ -554,7 +623,7 @@ def simulate_request(
         return ServiceOutcome(Tier.MISS, None, None, False)
     _, tier, index, signal_gain, gains = group
     [sir] = _sir(signal_gain, gains, rng.exponential(size=gains.size + 1).reshape(1, -1))
-    x, y = realization.mbs_points[index] if tier is Tier.MBS else realization.active_sbs_points[index - links.mbs]
+    x, y = points[index]
     return ServiceOutcome(tier, float(np.hypot(x, y)), float(sir), bool(sir > params.gamma))
 
 
@@ -587,7 +656,7 @@ _Network = tuple[SystemParams, SimWindow, dict[tuple[CachePolicy, ContentLibrary
 
 def _realization_failures(
     networks: Sequence[_Network],
-    seed: int,
+    streams: _Streams,
     trials_per_content: int,
     interference: str,
     r_index: int,
@@ -596,38 +665,16 @@ def _realization_failures(
 
     Draws one block of uniforms from the ``fading`` stream, with the rows of
     the largest library, then the networks one at a time, each dropped
-    before the next is drawn. The ``geometry`` stream is built once and each
-    network draws from its start; so is the ``caches`` stream, on first use.
+    before the next is drawn. Each network reads the ``geometry`` stream
+    from its start, and each UCP cache set the ``caches`` stream.
     """
     rows = max(library.size for *_, cache_sets in networks for _, library in cache_sets)
-    uniforms = stream_rng(seed, "fading", r_index).random((rows, trials_per_content))
-    geometry = _rewound(partial(stream_rng, seed, "geometry", r_index))
-    caches = _rewound(partial(stream_rng, seed, "caches", r_index))
+    uniforms = streams.at("fading", r_index).random((rows, trials_per_content))
+    caches = partial(streams.at, "caches", r_index)
     failures = {}
     for network in networks:
-        failures.update(_network_failures(network, geometry(), caches, interference, uniforms))
+        failures.update(_network_failures(network, streams.at("geometry", r_index), caches, interference, uniforms))
     return [failures[query] for query in range(len(failures))]
-
-
-def _rewound(make: Callable[[], np.random.Generator]) -> Callable[[], np.random.Generator]:
-    """A callable that gives the generator ``make()`` builds, at its start on every call.
-
-    The generator is built on the first call; a later call restores its bit
-    generator's starting state, which draws what a fresh one draws and costs
-    far less than building it ("RNG discipline").
-    """
-    rng, start = None, None
-
-    def at_start() -> np.random.Generator:
-        nonlocal rng, start
-        if rng is None:
-            rng = make()
-            start = rng.bit_generator.state
-        else:
-            rng.bit_generator.state = start
-        return rng
-
-    return at_start
 
 
 def _network_failures(
@@ -639,8 +686,8 @@ def _network_failures(
 ):
     """Yield (query index, per-content failure counts) for each read of one network.
 
-    The network draws its positions from ``geometry`` and computes its links
-    once; each cache set is drawn once, UCP's from ``cache_rng()``, which
+    The network draws its squared distances from ``geometry`` and computes
+    its links once; each cache set is drawn once, UCP's from ``cache_rng()``, which
     gives the ``caches`` stream at its start. Reads of equal caches (as when
     no SBS lies within r_sbs) share one association and are counted one
     server group at a time: the group's rows of ``uniforms`` are taken once
@@ -651,7 +698,7 @@ def _network_failures(
     A read of |C| ranks compares the first |C| rows of ``uniforms``.
     """
     params, window, cache_sets = network
-    links = _links(*_positions(params, window, geometry), params)
+    links = _links(*_squared_distances(params, window, geometry), params)
     near = _near(links.sq[links.mbs :], params)
     reads_by_caches: dict[tuple, list[tuple[int, float]]] = {}
     for (policy, library), reads in cache_sets.items():
@@ -763,14 +810,14 @@ def estimate_batch(
     docstring.
     """
     trials_per_content = check_count("trials_per_content", trials_per_content, 1)
-    realizations = check_count("realizations", realizations, 1)
+    realizations = check_realizations(realizations)
     workers = check_count("workers", workers, 1)
     check_interference(interference)
-    check_count("seed", seed, 0)
+    seed = check_count("seed", seed, 0)
     if not queries:
         return []
     networks, work = _plan(queries, trials_per_content)
-    task = partial(_realization_failures, networks, seed, trials_per_content, interference)
+    task = partial(_realization_failures, networks, _Streams(seed), trials_per_content, interference)
     processes = min(workers, realizations, _usable_cpus())
     if processes == 1 or realizations * work < POOL_MIN_WORK:
         counts = list(map(task, range(realizations)))

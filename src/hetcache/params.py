@@ -65,6 +65,20 @@ def check_count(name: str, value: int, least: int) -> int:
     return int(value)
 
 
+def check_realizations(realizations: int) -> int:
+    """The realization count as a plain int; refuses one below 1 or from 2**64 up.
+
+    Realization r reads its RNG streams 2**64 * r draws in, which wraps
+    PCG64DXSM's period of 2**128 at r = 2**64 (``geometry_sim.STREAM_SPACING``).
+    """
+    realizations = check_count("realizations", realizations, 1)
+    if realizations >= 2**64:
+        raise ConfigError(
+            f"realizations must be below 2**64, where the realizations' RNG streams wrap, got {realizations}"
+        )
+    return realizations
+
+
 def _check_fits_float(name: str, value: int, error: type[ConfigError]) -> None:
     if value > sys.float_info.max:  # the closed forms take it as a float
         raise error(f"{name} must be at most {sys.float_info.max:.6g}, the largest float")

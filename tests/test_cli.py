@@ -365,11 +365,30 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err and key in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_realizations_beyond_the_stream_spacing_refused_before_sampling(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # realization r reads its streams advanced by r * 2^64 draws, which
+        # wrap at r = 2^64: 2^64 realizations are refused, naming the key,
+        # before any realization or sweep row
+        calls = []
+        monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
+        path, out_path = tmp_path / "input.txt", tmp_path / "out.csv"
+        path.write_text(_with_value(MC_SPEC if command == "sweep" else SMALL_CFG, "realizations", str(2**64)))
+        source = ["--spec", str(path), "--out", str(out_path)] if command == "sweep" else ["--config", str(path)]
+        code, out, err = run_cli(capsys, command, *source)
+        assert (code, out) == (2, "")
+        assert "realizations must be below 2**64" in err
+        assert calls == []
+        assert not out_path.exists()
+
     def test_oversized_cache_matrix_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
         # beta = 1 and r_sbs = 200 m put ~2.5e4 SBSs within r_sbs: ~2.5e8 UCP
         # cache entries (~2 GB of scores), though the window holds ~2e5 points
         calls = []
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
         text = _load_config("fig2.cfg") | {
             "beta": "1", "r_sbs": "200", "library_size": "10000", "policy": "ucp", "realizations": "1",
         }
@@ -583,12 +602,11 @@ print(json.dumps([missing, codes, calls]))
     assert codes == [0, 0]
     # one call for simulate and one for the sweep, whatever its variants
     assert calls["geometry_sim.estimate_outage"] == 1 + 1
-    # a realization opens one geometry stream per network, whatever the
-    # policies and thresholds on it, and one fading stream: simulate's 20
-    # realizations, then the sweep's 2, whose 2 gamma points share one
-    # network; PCP draws no cache, and no SBS lies within r_sbs here, so UCP
-    # opens no caches stream either
-    assert calls["geometry_sim.stream_rng"] == 20 * (1 + 1) + 2 * (1 + 1)
+    # a call builds each stream it reads once, whatever the realizations,
+    # networks, policies and thresholds that read it: the geometry and
+    # fading streams of simulate, then of the sweep; PCP draws no cache, and
+    # no SBS lies within r_sbs here, so UCP opens no caches stream either
+    assert calls["geometry_sim.stream_rng"] == 2 + 2
     assert calls["analytic.average_outage"] == 2 * 2
 
 
@@ -633,7 +651,7 @@ def test_fewer_than_one_worker_exit_2(capsys, small_cfg, small_spec, tmp_path, c
 @pytest.mark.parametrize("source", ["flag", "environment", "config"])
 def test_negative_seed_exit_2(capsys, monkeypatch, tmp_path, command, source):
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     monkeypatch.delenv("HETCACHE_SEED", raising=False)
     text = SMALL_CFG if command == "simulate" else MC_SPEC
     assert "\nseed = 3\n" in text
@@ -749,7 +767,7 @@ def test_both_commands_read_the_monte_carlo_keys(capsys, monkeypatch, tmp_path, 
 
 def test_bad_interference_convention_named_and_exit_2(capsys, monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     path = tmp_path / "input.cfg"
     path.write_text(SMALL_CFG + "interference = bogus\n")
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
@@ -772,13 +790,13 @@ def test_interference_is_not_a_sweep_key(capsys, tmp_path):
 FIG2_TEXT = importlib.resources.files("hetcache").joinpath("configs", "fig2.cfg").read_text()
 
 
-@pytest.mark.parametrize("key, value", [("realizations", "x"), ("guard", "-5"), ("interference", "bogus"),
-                                        ("seed", "x"), ("seed", "-3")])
+@pytest.mark.parametrize("key, value", [("realizations", "x"), ("realizations", str(2**64)), ("guard", "-5"),
+                                        ("interference", "bogus"), ("seed", "x"), ("seed", "-3")])
 def test_closed_form_and_monte_carlo_commands_refuse_one_file_alike(capsys, monkeypatch, tmp_path, key, value):
     # analytic checks the Monte-Carlo settings of a point config as simulate does
     monkeypatch.delenv("HETCACHE_SEED", raising=False)
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     path = tmp_path / "fig2.cfg"
     path.write_text(_with_value(FIG2_TEXT, key, value))
     for command in ("analytic", "simulate"):
@@ -793,7 +811,7 @@ def test_simulate_refuses_an_alpha_whose_path_gain_underflows(capsys, monkeypatc
     # which underflows to 0: the simulator refuses it before sampling, the
     # closed forms still answer
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     path = tmp_path / "fig2.cfg"
     path.write_text(_with_value(FIG2_TEXT, "alpha", "300"))
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
@@ -815,7 +833,7 @@ OVERFLOW_ROWS = [("beta", "5e-324"), ("beta", "1e-320"),
                          ids=["beta-5e-324", "beta-1e-320", "subchannels_b-10**400", "library_size-10**400"])
 def test_overflowing_value_named_and_exit_2(capsys, monkeypatch, tmp_path, key, value):
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     config, spec, out_path = tmp_path / "point.cfg", tmp_path / "beta.spec", tmp_path / "out.csv"
     config.write_text(_with_value(FIG2_TEXT, key, value))
     # a beta-axis sweep: the beta row as an axis value, the others as a file key
@@ -908,7 +926,7 @@ EXTREME_ROWS = [
                               "p_max_sbs-underflow", "p_max_mbs-underflow"])
 def test_extreme_value_runs_or_is_named(capsys, monkeypatch, tmp_path, values, named):
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     text = FIG2_TEXT
     for key, value in values.items():
         text = _with_value(text, key, value)
@@ -965,7 +983,7 @@ def test_zero_beta_refused_alike_by_every_command(capsys, monkeypatch, usable_cp
     # closed forms do, before it samples anything or opens a pool
     usable_cpus(2)
     calls = []
-    monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
     config, spec, out_path = tmp_path / "point.cfg", tmp_path / "beta.spec", tmp_path / "out.csv"
     config.write_text(_with_value(FIG2_TEXT, "beta", "0"))
     spec.write_text(_with_value(FIG2_TEXT, "realizations", "2")
@@ -1083,12 +1101,12 @@ class TestFastExit:
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="a pool needs 2 CPUs")
     def test_pool_workers_gone_at_exit(self, capsys, tmp_path):
-        # 200 realizations of fig2 at 2 workers expect 2.3e6 of work, so the
+        # 600 realizations of fig2 at 2 workers expect 7.6e6 of work, so the
         # command runs a pool; once it exits no process of its group is left,
         # and it prints what main prints in process. Output goes to files,
         # so a worker left holding it cannot stall the wait
         config, stdout, stderr = tmp_path / "fig2.cfg", tmp_path / "stdout", tmp_path / "stderr"
-        config.write_text(_with_value(FIG2_TEXT, "realizations", "200"))
+        config.write_text(_with_value(FIG2_TEXT, "realizations", "600"))
         argv = ["simulate", "--config", str(config), "--workers", "2", "--seed", "5"]
         with open(stdout, "wb") as out, open(stderr, "wb") as err:
             child = subprocess.Popen([sys.executable, "-m", "hetcache", *argv], env=cli_env(), stdout=out,

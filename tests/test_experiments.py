@@ -535,14 +535,14 @@ class TestSharedPool:
     def test_reads_count_toward_the_pool_threshold(self, monkeypatch, usable_cpus, recorded_pools):
         # fig4's gamma axis: 21 reads of one network, whose points alone
         # (1.01e4 per realization) sit below the threshold; each read's pass
-        # over the network's gains adds an eighth of them, and a pool pays
+        # over the network's gains adds a quarter of them, and a pool pays
         usable_cpus(2)
         spec = replace(sweep_spec_from_config(_load_config("fig4.spec"), 1),
                        engines=("analytic", "montecarlo"), workers=2)
         point = spec.base.params, spec.base.library, geometry_sim.default_window(spec.base.params, spec.mc.guard)
         points = geometry_sim._point_load(*point)[0]
         assert spec.mc.realizations * points < geometry_sim.POOL_MIN_WORK
-        assert spec.mc.realizations * (points + 21 * (points + 100) / 8) >= geometry_sim.POOL_MIN_WORK
+        assert spec.mc.realizations * (points + 21 * (points + 100) / 4) >= geometry_sim.POOL_MIN_WORK
         monkeypatch.setattr(geometry_sim, "_realization_failures",
                             lambda *args: [np.zeros(100, dtype=int)] * 21)
         assert len(run_sweep(spec).rows) == 42
@@ -576,7 +576,7 @@ class TestSharedPool:
         # simulator's budget: refused before any row, realization or pool
         usable_cpus(2)
         calls = []
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
         real = experiments.average_outage
         monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a) or real(*a))
         text = self.MC_SPEC.replace("axis1_values = 0.01, 0.05", "axis1_values = 0.01, 20000")
@@ -591,7 +591,7 @@ class TestSharedPool:
         # Monte-Carlo call samples anything or opens a pool
         usable_cpus(2)
         calls = []
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: calls.append(a))
         text = self.MC_SPEC.replace("axis1 = lambda_sbs", "axis1 = beta")
         text = text.replace("axis1_values = 0.01, 0.05", "axis1_values = 0, 0.05")
         assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2

@@ -22,7 +22,6 @@ from hetcache import (
     default_window,
     estimate_outage,
     realize_network,
-    sample_ppp,
     sbs_hit_probability,
     simulate_request,
     stream_rng,
@@ -60,8 +59,8 @@ def associate(realization, contents, params, interference):
     Each group carries its server's distance, ``np.hypot`` of its
     coordinates, in place of the server's link index.
     """
-    links = geometry_sim._links(realization.mbs_points, realization.active_sbs_points, params)
     points = np.concatenate([realization.mbs_points, realization.active_sbs_points])
+    links = geometry_sim._links(len(realization.mbs_points), geometry_sim._squared_norms(points), params)
     for requests, tier, index, signal_gain, gains in _servers(
         links, realization.sbs_caches[:, contents - 1], realization.cached_sbs, params, interference
     ):
@@ -72,7 +71,9 @@ def realization_failures(reads, seed, trials_per_content, interference, r_index)
     """``_realization_failures`` of the (point, policy) reads of one call."""
     queries = [(point, policy, zipf_request_distribution(point[1].size, 0.8)) for point, policy in reads]
     networks, _ = geometry_sim._plan(queries, trials_per_content)
-    return geometry_sim._realization_failures(networks, seed, trials_per_content, interference, r_index)
+    return geometry_sim._realization_failures(
+        networks, geometry_sim._Streams(seed), trials_per_content, interference, r_index
+    )
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
@@ -101,12 +102,29 @@ class TestStreams:
         with pytest.raises(ConfigError):
             stream_rng(7, "nope")
 
+    @pytest.mark.parametrize("name, sid", [("geometry", 1), ("caches", 2), ("fading", 3)])
+    @pytest.mark.parametrize("r", [0, 1, 5, 2**64 - 1])
+    def test_realization_r_is_the_base_generator_advanced_by_r_times_2_64(self, name, sid, r):
+        # one PCG64DXSM per (seed, stream), jumped by hand; the estimator's
+        # reused generator gives the same draws, also after serving another r
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(7, spawn_key=(sid,)))
+        bits.advance(r * 2**64)
+        expected = np.random.Generator(bits).random(6)
+        assert stream_rng(7, name, r).random(6).tolist() == expected.tolist()
+        streams = geometry_sim._Streams(7)
+        streams.at(name, 3).random(2)
+        assert streams.at(name, r).random(6).tolist() == expected.tolist()
+
 
 class TestWindow:
     def test_area_and_coverage(self):
-        sq = SimWindow(1000.0)
-        assert sq.area() == 1e6
-        assert sq.covered_radius() == 500.0
+        # the disc of the 1000 m square's area; accepted while side / 2
+        # reaches r_mbs + guard, as the square was
+        disc = SimWindow(1000.0)
+        assert disc.area() == 1e6
+        assert disc.radius() == 1000.0 / math.sqrt(math.pi)
+        assert math.pi * disc.radius() ** 2 == pytest.approx(disc.area(), rel=1e-15)
+        assert disc.covered_radius() == 500.0
 
     @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf, 1.4e154])
     def test_side_needs_a_finite_positive_area(self, side):
@@ -118,12 +136,6 @@ class TestWindow:
         wide = default_window(fig2_params(r_mbs=400.0))
         assert wide.side == 1300.0
 
-    def test_points_stay_inside(self):
-        rng = stream_rng(1, "geometry", 0)
-        sq = SimWindow(100.0)
-        pts = sq.sample_points(1000, rng)
-        assert np.all(np.abs(pts) <= 50.0)
-
     def test_too_small_window_rejected(self):
         p = fig2_params()
         lib = ContentLibrary(size=10, cache_slots=3)
@@ -132,28 +144,65 @@ class TestWindow:
                             stream_rng(0, "geometry", 0))
 
 
-class TestSamplePpp:
+def sbs_squared_distances(intensity, window, rng):
+    """The SBS squared distances the sampler draws at active-SBS density ``intensity`` and no MBS."""
+    params = replace(fig2_params(lambda_sbs=intensity, beta=1.0), lambda_mbs=0.0)
+    mbs, sq = geometry_sim._squared_distances(params, window, rng)
+    assert mbs == 0
+    return sq
+
+
+class TestSquaredDistances:
     def test_zero_intensity_empty(self):
-        pts = sample_ppp(0.0, SimWindow(1000.0), stream_rng(0, "geometry", 0))
-        assert pts.shape == (0, 2)
+        sq = sbs_squared_distances(0.0, SimWindow(1000.0), stream_rng(0, "geometry", 0))
+        assert sq.shape == (0,)
 
     def test_determinism(self):
         win = SimWindow(500.0)
-        a = sample_ppp(0.01, win, stream_rng(13, "geometry", 2))
-        b = sample_ppp(0.01, win, stream_rng(13, "geometry", 2))
+        a = sbs_squared_distances(0.01, win, stream_rng(13, "geometry", 2))
+        b = sbs_squared_distances(0.01, win, stream_rng(13, "geometry", 2))
         assert np.array_equal(a, b)
 
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(Exception):
-            sample_ppp(-1.0, SimWindow(100.0), stream_rng(0, "geometry", 0))
-
     def test_count_law(self):
-        # mean count over 1e4 draws within the 1e-4-significance band
+        # mean count on the disc of area 1e6 over 1e4 draws within the
+        # 1e-4-significance band of Poisson(lambda * side^2)
         win = SimWindow(1000.0)
         rng = stream_rng(11, "geometry", 0)
-        counts = np.array([len(sample_ppp(0.01, win, rng)) for _ in range(10000)])
+        counts = np.array([sbs_squared_distances(0.01, win, rng).size for _ in range(10000)])
         z = (counts.mean() - 1e4) / (math.sqrt(1e4) / math.sqrt(counts.size))
         assert abs(z) <= 3.89  # two-sided 1e-4 quantile
+
+    def test_squared_distances_uniform_on_the_disc(self):
+        # given the count, r^2 / R^2 ~ U(0, 1) (the mapping theorem): KS at
+        # significance 1e-3 over the ~1e4 points of one draw
+        win = SimWindow(1000.0)
+        sq = sbs_squared_distances(0.01, win, stream_rng(12, "geometry", 0))
+        assert sq.size > 9000
+        assert np.all((sq >= 0.0) & (sq < win.radius() ** 2))
+        assert stats.kstest(sq / win.radius() ** 2, "uniform").pvalue > 1e-3
+
+    def test_one_uniform_per_point_after_each_count(self):
+        # the MBS count, the MBS draws, the SBS count, the SBS draws: one
+        # double per point, drawn by random() after its tier's count
+        params = fig2_params(lambda_sbs=0.2)
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def poisson(self, lam):
+                calls.append("count")
+                return self._rng.poisson(lam)
+
+            def random(self, size=None, out=None):
+                calls.append(np.size(out) if size is None else size)
+                return self._rng.random(size, out=out)
+
+        mbs, sq = geometry_sim._squared_distances(params, default_window(params),
+                                                  Recording(stream_rng(3, "geometry", 0)))
+        assert calls == ["count", mbs, "count", sq.size - mbs]
+        assert 0 < mbs < sq.size
 
 
 class TestThinning:
@@ -169,14 +218,14 @@ class TestThinning:
         direct_counts, thinned_counts = [], []
         direct_nn, thinned_nn = [], []
         for _ in range(10000):
-            pts = sample_ppp(beta * lam, win, rng_a)
-            direct_counts.append(len(pts))
-            if len(pts):
-                direct_nn.append(float(np.hypot(pts[:, 0], pts[:, 1]).min()))
-            kept = thin(sample_ppp(lam, win, rng_b), beta, rng_b)
+            sq = sbs_squared_distances(beta * lam, win, rng_a)
+            direct_counts.append(len(sq))
+            if len(sq):
+                direct_nn.append(float(sq.min()))
+            kept = thin(sbs_squared_distances(lam, win, rng_b), beta, rng_b)
             thinned_counts.append(len(kept))
             if len(kept):
-                thinned_nn.append(float(np.hypot(kept[:, 0], kept[:, 1]).min()))
+                thinned_nn.append(float(kept.min()))
         dc = np.array(direct_counts, dtype=float)
         tc = np.array(thinned_counts, dtype=float)
         z = (dc.mean() - tc.mean()) / math.sqrt(dc.var(ddof=1) / dc.size + tc.var(ddof=1) / tc.size)
@@ -264,12 +313,15 @@ class TestRealizeNetwork:
         # squared distances decide "within", in realize_network as in
         # association: an SBS at (3, 4) sits exactly at r_sbs = 5 and an MBS
         # at (150, 200) exactly at r_mbs = 250, so the SBS gets a cache row
-        # and serves rank 1 and the MBS serves rank 2, in a realization and
-        # in the estimator; one ulp farther out, both ranks miss
+        # and serves rank 1 and the MBS serves rank 2, in a realization and,
+        # at squared distances 25 and 62500, in the estimator; one ulp
+        # farther out, both ranks miss
         params = single_content_params()
         out = (lambda y: math.nextafter(y, math.inf)) if beyond else (lambda y: y)
-        layout = np.array([[150.0, out(200.0)]]), np.array([[3.0, out(4.0)]])
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: layout)
+        mbs, sbs = np.array([[150.0, out(200.0)]]), np.array([[3.0, out(4.0)]])
+        sq = np.array([out(62500.0), out(25.0)])
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: (1, sq.copy()))
+        monkeypatch.setattr(geometry_sim, "_place", lambda *args: np.concatenate([mbs, sbs]))
         library = ContentLibrary(size=2, cache_slots=1)
         real = realize_network(params, CachePolicy.PCP, library, default_window(params),
                                stream_rng(0, "geometry", 0))
@@ -285,13 +337,18 @@ class TestRealizeNetwork:
             assert [(o.tier, o.server_distance) for o in outcomes] == [(Tier.SBS, 5.0), (Tier.MBS, 250.0)]
             assert [e.mean for e in per_content] == [0.0, 0.0]
 
-    def test_points_inside_window(self):
+    def test_points_at_the_estimators_distances_inside_the_disc(self):
+        # realize_network draws the estimator's squared distances, then the
+        # angles: its points lie within R, at those distances
         p = fig2_params(lambda_sbs=0.01)
         lib = ContentLibrary(size=5, cache_slots=1)
         win = default_window(p)
         real = realize_network(p, CachePolicy.UCP, lib, win, stream_rng(4, "geometry", 0))
-        assert np.all(np.abs(real.active_sbs_points) <= win.side / 2)
-        assert np.all(np.abs(real.mbs_points) <= win.side / 2)
+        mbs, sq = geometry_sim._squared_distances(p, win, stream_rng(4, "geometry", 0))
+        points = np.concatenate([real.mbs_points, real.active_sbs_points])
+        assert len(real.mbs_points) == mbs > 50 and len(points) == sq.size > 500
+        assert np.all(np.hypot(*points.T) <= win.radius())
+        np.testing.assert_allclose(geometry_sim._squared_norms(points), sq, rtol=1e-12, atol=0.0)
 
 
 class TestSimulateRequest:
@@ -476,7 +533,9 @@ class TestRealizationKernel:
         uniforms[served, 0] = per_rank[served]
         expected = np.where(served, np.count_nonzero(uniforms >= per_rank[:, None], axis=1), 50)
         # one read of the hand layout, whose SBSs a and b are those within r_sbs
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: (real.mbs_points, real.active_sbs_points))
+        points = np.concatenate([real.mbs_points, real.active_sbs_points])
+        monkeypatch.setattr(geometry_sim, "_squared_distances",
+                            lambda *args: (len(real.mbs_points), geometry_sim._squared_norms(points)))
         monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real.sbs_caches[:2])
         library = ContentLibrary(size=4, cache_slots=1)
         network = (self.PARAMS, default_window(self.PARAMS), {(CachePolicy.UCP, library): [(0, gamma)]})
@@ -493,8 +552,9 @@ class TestRealizationKernel:
         # a link at or next to the origin is +inf in both
         mbs, sbs = layout
         params = fig2_params(alpha=alpha)
-        links = geometry_sim._links(mbs, sbs, params)
-        dist = np.hypot(*np.concatenate([mbs, sbs]).T)
+        points = np.concatenate([mbs, sbs])
+        links = geometry_sim._links(len(mbs), geometry_sim._squared_norms(points), params)
+        dist = np.hypot(*points.T)
         power = np.repeat([params.p_mbs, params.p_sbs], [len(mbs), len(sbs)])
         with np.errstate(divide="ignore", over="ignore"):
             expected = power * np.power(dist, -alpha)
@@ -503,13 +563,15 @@ class TestRealizationKernel:
     def test_links_at_the_extremes(self):
         # a link at the origin, or so near it that its squared distance
         # underflows or its gain overflows, has an infinite gain, without a
-        # RuntimeWarning (which the suite turns into an error); the corners
-        # of the largest window SimWindow accepts keep a finite squared distance
-        half = SimWindow(1.3e154).covered_radius()
+        # RuntimeWarning (which the suite turns into an error); the edge of
+        # the largest disc SimWindow accepts keeps a finite squared distance
+        window = SimWindow(1.3e154)
+        edge = np.array([[window.radius(), 0.0]])
         sbs = np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-140]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            links = geometry_sim._links(np.array([[half, -half]]), sbs, fig2_params())
+            sq = geometry_sim._squared_norms(np.concatenate([edge, sbs]))
+            links = geometry_sim._links(1, sq, fig2_params())
         assert math.isfinite(links.sq[0]) and links.gain[0] == 0.0
         assert links.sq[1:].tolist() == [0.0, 0.0, 1e-280] and links.gain[1:].tolist() == [math.inf] * 3
 
@@ -607,7 +669,7 @@ class TestSharedFading:
         queries = [((p1, small, window), CachePolicy.UCP, zipf_request_distribution(12, 0.8)),
                    ((p0, self.LIBRARY, window), CachePolicy.UCP, zipf_request_distribution(30, 0.8))]
         shapes = []
-        real_stream = geometry_sim.stream_rng
+        real_stream = geometry_sim._Streams.at
 
         class Recording:
             def __init__(self, rng):
@@ -617,11 +679,11 @@ class TestSharedFading:
                 shapes.append(shape)
                 return self._rng.random(shape)
 
-        def stream(seed, name, *indices):
-            rng = real_stream(seed, name, *indices)
+        def stream(streams, name, r):
+            rng = real_stream(streams, name, r)
             return Recording(rng) if name == "fading" else rng
 
-        monkeypatch.setattr(geometry_sim, "stream_rng", stream)
+        monkeypatch.setattr(geometry_sim._Streams, "at", stream)
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
         assert shapes == [(30, 2)] * 3
         monkeypatch.undo()
@@ -735,11 +797,11 @@ class TestSharedFading:
             (p1, CachePolicy.PCP, zipf),
         ]
 
-    def assert_standalone(self, queries, results, trials):
+    def assert_standalone(self, queries, results, trials, realizations=3):
         """Each result, in query order, equals its query's one-point call."""
         for ((params, library, window), policy, requests), result in zip(queries, results, strict=True):
             assert result == estimate_outage(params, policy, library, requests, window=window,
-                                             trials_per_content=trials, realizations=3, seed=6)
+                                             trials_per_content=trials, realizations=realizations, seed=6)
 
     #: The per-realization budgets as they stand, or tightened to fit only
     #: the largest network's points, its cache set's entries, or both. A
@@ -761,13 +823,13 @@ class TestSharedFading:
         if budget in ("entries", "both"):
             monkeypatch.setattr(geometry_sim, "MAX_CACHE_ENTRIES_PER_REALIZATION", entries)
         tasks, sampled, associated = [], [], []
-        real_task, real_positions, real_servers = (
-            geometry_sim._realization_failures, geometry_sim._positions, geometry_sim._servers
+        real_task, real_sample, real_servers = (
+            geometry_sim._realization_failures, geometry_sim._squared_distances, geometry_sim._servers
         )
         monkeypatch.setattr(geometry_sim, "_realization_failures",
                             lambda *args: tasks.append(args[-1]) or real_task(*args))
-        monkeypatch.setattr(geometry_sim, "_positions",
-                            lambda params, *args: sampled.append(params.lambda_sbs) or real_positions(params, *args))
+        monkeypatch.setattr(geometry_sim, "_squared_distances",
+                            lambda params, *args: sampled.append(params.lambda_sbs) or real_sample(params, *args))
         monkeypatch.setattr(geometry_sim, "_servers",
                             lambda *args: associated.append(tasks[-1]) or real_servers(*args))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
@@ -786,43 +848,64 @@ class TestSharedFading:
 
     def test_shared_network_sampled_once_per_realization(self, monkeypatch):
         sampled = []
-        real = geometry_sim._positions
+        real = geometry_sim._squared_distances
 
-        def positions(params, *args):
+        def sample(params, *args):
             sampled.append(params.lambda_sbs)
             return real(params, *args)
 
-        monkeypatch.setattr(geometry_sim, "_positions", positions)
+        monkeypatch.setattr(geometry_sim, "_squared_distances", sample)
         geometry_sim.estimate_batch(self.mixed_queries(), 6, realizations=3)
         # four reads, three networks: lambda_sbs 0.1 serves UCP and PCP from one sample
         assert sampled == [0.05, 0.1, 0.2] * 3
 
-    def test_each_stream_built_once_per_realization(self, monkeypatch):
+    @pytest.mark.parametrize("realizations", [1, 3, 12])
+    def test_each_stream_built_once_per_call(self, monkeypatch, realizations):
         # three networks, UCP caches at two of them, SBSs within r_sbs: a
-        # realization builds one geometry, one fading and at most one caches
-        # stream, and each network and each UCP cache set reads its stream
-        # from the start, so each query still equals its one-point call
+        # call builds one SeedSequence and one bit generator per stream it
+        # reads, whatever its realizations; each realization, network and
+        # UCP cache set restores and advances its stream, and the geometry
+        # stream gives one double per point, so each query still equals its
+        # one-point call
         queries = self.mixed_queries()
-        tasks, streams, cache_draws = [], [], []
-        real_task, real_stream, real_caches = (
-            geometry_sim._realization_failures, geometry_sim.stream_rng, geometry_sim._caches
-        )
-        monkeypatch.setattr(geometry_sim, "_realization_failures",
-                            lambda *args: tasks.append(args[-1]) or real_task(*args))
-        monkeypatch.setattr(geometry_sim, "stream_rng", lambda *args: streams.append(args[1:]) or real_stream(*args))
-        monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real_caches(
-            *args[:-1], lambda: cache_draws.append(tasks[-1]) or args[-1]()))
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
-        assert tasks == [0, 1, 2]
-        for r_index in tasks:
-            built = [name for name, index in streams if index == r_index]
-            drew_caches = r_index in cache_draws
-            assert sorted(built) == sorted(["geometry", "fading"] + ["caches"] * drew_caches)
-        assert len(streams) == sum(1 for _, index in streams if index in tasks)
-        # some realization draws two UCP cache sets from its one caches stream
-        assert max(cache_draws.count(r_index) for r_index in tasks) == 2
+        keys, built, doubles, points = [], [], [], []
+        real_seeds, real_bits = np.random.SeedSequence, np.random.PCG64DXSM
+        real_stream, real_sample = geometry_sim._Streams.at, geometry_sim._squared_distances
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def poisson(self, lam):
+                return self._rng.poisson(lam)
+
+            def random(self, size=None, out=None):
+                doubles.append(np.size(out) if size is None else size)
+                return self._rng.random(size, out=out)
+
+        def stream(streams, name, r):
+            rng = real_stream(streams, name, r)
+            return Recording(rng) if name == "geometry" else rng
+
+        def sample(*args):
+            mbs, sq = real_sample(*args)
+            points.append(sq.size)
+            return mbs, sq
+
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda *args, **kwargs: keys.append(kwargs["spawn_key"]) or real_seeds(*args, **kwargs))
+        monkeypatch.setattr(np.random, "PCG64DXSM", lambda *args: built.append(args) or real_bits(*args))
+        monkeypatch.setattr(geometry_sim._Streams, "at", stream)
+        monkeypatch.setattr(geometry_sim, "_squared_distances", sample)
+        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=realizations)
+        assert len(keys) == len(set(keys)) == len(built)
+        assert {(1,), (3,)} <= set(keys) <= {(1,), (2,), (3,)}
+        if realizations > 1:
+            assert (2,) in keys  # some realization draws UCP caches
+        assert len(points) == 3 * realizations
+        assert sum(doubles) == sum(points) > 0
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 2)
+        self.assert_standalone(queries, results, 2, realizations)
 
     def test_gamma_points_share_one_network(self, monkeypatch):
         # three thresholds at one (params but gamma, window) under both
@@ -837,10 +920,10 @@ class TestSharedFading:
             for policy in (CachePolicy.UCP, CachePolicy.PCP)
         ]
         sampled, associated, streams = [], [], []
-        real, real_servers, real_stream = geometry_sim._positions, geometry_sim._servers, geometry_sim.stream_rng
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *args: sampled.append(args) or real(*args))
+        real, real_servers, real_stream = geometry_sim._squared_distances, geometry_sim._servers, geometry_sim._Streams.at
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: sampled.append(args) or real(*args))
         monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real_servers(*args))
-        monkeypatch.setattr(geometry_sim, "stream_rng", lambda *args: streams.append(args[1]) or real_stream(*args))
+        monkeypatch.setattr(geometry_sim._Streams, "at", lambda *args: streams.append(args[1]) or real_stream(*args))
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
         assert len(sampled) == 3
         assert len(associated) == 2 * 3  # the UCP and the PCP caches
@@ -976,7 +1059,7 @@ class TestEstimateOutage:
     ):
         # UCP and PCP at one point and PCP at a second: the expected work
         # counts each of the two networks once per realization, and for each
-        # read an eighth of its network's points and of its 4 x 3 uniforms
+        # read a quarter of its network's points and of its 4 x 3 uniforms
         usable_cpus(cpus)
         lib = ContentLibrary(size=4, cache_slots=2)
         requests = zipf_request_distribution(4, 0.8)
@@ -985,7 +1068,7 @@ class TestEstimateOutage:
                    (points[1], CachePolicy.PCP, requests)]
         run = partial(geometry_sim.estimate_batch, queries, 2, trials_per_content=3, realizations=realizations)
         p0, p1 = (geometry_sim._point_load(*point)[0] for point in points)
-        work = realizations * (p0 + (p0 + 12) / 8 + (p0 + 12) / 8 + p1 + (p1 + 12) / 8)  # in the plan's order
+        work = realizations * (p0 + (p0 + 12) / 4 + (p0 + 12) / 4 + p1 + (p1 + 12) / 4)  # in the plan's order
         assert work < geometry_sim.POOL_MIN_WORK  # a call this small runs serially as it stands
         serial = run(workers=1)
         for threshold, pools in (
@@ -1070,11 +1153,13 @@ class TestEstimateOutage:
         req = zipf_request_distribution(2, 0.0)
         with pytest.raises(ConfigError):
             estimate_outage(p, CachePolicy.UCP, lib, req, realizations=0)
+        with pytest.raises(ConfigError, match=r"realizations must be below 2\*\*64"):
+            estimate_outage(p, CachePolicy.UCP, lib, req, realizations=2**64)
         with pytest.raises(ConfigError):
             estimate_outage(p, CachePolicy.UCP, lib, req, trials_per_content=0)
 
     def test_refused_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
 
         def call(p, lib, **options):
             requests = zipf_request_distribution(lib.size, 0.8)
@@ -1091,7 +1176,7 @@ class TestEstimateOutage:
 
     @pytest.mark.parametrize("name", ["trials_per_content", "realizations", "workers", "seed"])
     def test_non_integer_count_refused_before_sampling(self, monkeypatch, name):
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
         lib = ContentLibrary(size=4, cache_slots=2)
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got 1.5"):
             estimate_outage(fig2_params(), CachePolicy.UCP, lib, zipf_request_distribution(4, 0.8),
@@ -1109,7 +1194,7 @@ class TestEstimateOutage:
         assert type(numpy[1].trials) is int
 
     def test_too_small_window_refused_before_any_pool(self, monkeypatch, usable_cpus, recorded_pools):
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
         usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         with pytest.raises(ConfigError, match=r"covered radius 50.0 m.*r_mbs \+ guard = 500.0 m"):
@@ -1124,7 +1209,7 @@ class TestEstimateOutage:
         run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
                       zipf_request_distribution(4, 0.8), realizations=1, seed=2)
         assert run(trials_per_content=10)[1].trials == 40
-        monkeypatch.setattr(geometry_sim, "_positions", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
         with pytest.raises(ConfigError, match=r"trials_per_content = 11 draw 44 uniforms.*budget of 4e\+01"):
             run(trials_per_content=11)
 
@@ -1189,34 +1274,35 @@ class TestFrozenDrawOrder:
     PARAMS = fig2_params(lambda_sbs=0.2, r_mbs=60.0)
     LIBRARY = ContentLibrary(size=10, cache_slots=3)
     FAILURES = {
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [7, 7, 9, 15, 14, 11, 13, 13, 14, 13],
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [23, 25, 26, 38, 42, 42, 40, 37, 44, 44],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [9, 9, 10, 19, 18, 18, 19, 19, 19, 18],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [28, 28, 31, 55, 57, 56, 57, 55, 59, 58],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [9, 11, 11, 13, 12, 9, 10, 12, 10, 12],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [34, 34, 31, 31, 32, 34, 32, 35, 30, 37],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [16, 14, 14, 17, 15, 15, 15, 17, 14, 16],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [49, 40, 45, 51, 48, 49, 44, 49, 42, 49],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [7, 8, 7, 17, 16, 17, 16, 17, 18, 17],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [22, 23, 26, 51, 50, 50, 53, 52, 54, 55],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [9, 9, 9, 20, 20, 20, 20, 20, 20, 20],
+        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [27, 28, 29, 60, 60, 60, 60, 60, 60, 60],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [10, 14, 13, 16, 12, 14, 12, 14, 14, 14],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [32, 41, 41, 47, 37, 42, 40, 42, 42, 47],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [14, 16, 16, 18, 15, 17, 17, 18, 15, 18],
+        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [42, 48, 48, 54, 46, 51, 49, 55, 49, 54],
     }
     # request_outcomes for rank 2, 4 realizations x 3 trials: one tier and
-    # distance per realization, SIRs per trial. Realization 0 misses; 1 and 3
-    # are served alike under both policies, 2 by an SBS (PCP) or the MBS (UCP).
-    TIERS = {CachePolicy.PCP: "xmss", CachePolicy.UCP: "xmms"}
+    # distance per realization, SIRs per trial. Realizations 0 and 2 are
+    # served alike by an SBS under both policies and conventions (no
+    # transmitter lies inside the serving disc), 1 by the MBS, and 3 by an
+    # SBS (PCP) or not at all (UCP).
+    TIERS = {CachePolicy.PCP: "smss", CachePolicy.UCP: "smsx"}
     DISTANCES = {
-        CachePolicy.PCP: [None, 8.082734321373445, 0.29624465940983874, 4.581370335280274],
-        CachePolicy.UCP: [None, 8.082734321373445, 50.29091763056887, 4.581370335280274],
+        CachePolicy.PCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850876, 3.631030559021704],
+        CachePolicy.UCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850876, None],
     }
+    SIRS_R0 = [28227.360671001254, 2641.59961038647, 3016.8929110973877]
     SIRS_R1 = {
-        INTERFERENCE_BEYOND_SERVER: [0.19482283043074977, 1.1709469720895378, 7.0184229202387325],
-        INTERFERENCE_ALL: [0.10794929372123432, 0.10369980913731539, 2.8481188941369338],
+        INTERFERENCE_BEYOND_SERVER: [0.04440086604734423, 0.053724011578903184, 0.0048872310856553245],
+        INTERFERENCE_ALL: [0.0007217913244784772, 0.00011775004734793119, 0.0002979927696814715],
     }
-    SIRS_R2 = {
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER): [5646.498322354418, 2999.7947742304036, 14722.570038626058],
-        (CachePolicy.PCP, INTERFERENCE_ALL): [5646.498322354418, 2999.7947742304036, 14722.570038626058],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER): [0.056512931930099146, 0.17013841395269602, 0.07151087222883568],
-        (CachePolicy.UCP, INTERFERENCE_ALL): [7.3738256177046415e-09, 1.776130381400901e-09, 2.8444938710826768e-08],
+    SIRS_R2 = [1.9249303802334894, 108.17298913515813, 292.1079034125976]
+    SIRS_R3 = {
+        CachePolicy.PCP: [1.6094503575202967, 0.43755647800169445, 0.3045129929522959],
+        CachePolicy.UCP: [None] * 3,
     }
-    SIRS_R3 = [0.07901233606544349, 0.7768535547395935, 1.1513207514236021]
 
     @pytest.mark.parametrize("policy, interference, trials", list(FAILURES))
     def test_estimate_outage_failure_counts(self, policy, interference, trials):
@@ -1237,7 +1323,7 @@ class TestFrozenDrawOrder:
         expected_tiers = [tiers[t] for t in self.TIERS[policy] for _ in range(3)]
         assert [o.tier for o in outcomes] == expected_tiers
         assert [o.server_distance for o in outcomes] == [d for d in self.DISTANCES[policy] for _ in range(3)]
-        sirs = [None] * 3 + self.SIRS_R1[interference] + self.SIRS_R2[policy, interference] + self.SIRS_R3
+        sirs = self.SIRS_R0 + self.SIRS_R1[interference] + self.SIRS_R2 + self.SIRS_R3[policy]
         for outcome, sir in zip(outcomes, sirs, strict=True):
             if sir is None:
                 assert outcome.sir is None and outcome.success is False
