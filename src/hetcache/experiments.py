@@ -117,8 +117,8 @@ class McBudget:
 
     The budget, ``realizations`` network realizations with
     ``trials_per_content`` request trials per content in each, and
-    ``guard``, the margin in m between the disc of radius r_mbs and the
-    window edge. The field defaults are the config defaults (the margin's
+    ``guard``, the least margin in m between the disc of radius r_mbs and
+    the window's edge. The field defaults are the config defaults (the margin's
     lives in :data:`params.DEFAULT_GUARD`); :meth:`from_config` alone reads
     the keys.
     """

@@ -264,8 +264,11 @@ def stream_rng(seed: int, stream: str, r: int = 0) -> np.random.Generator:
         sid = _STREAM_IDS[stream]
     except KeyError:
         raise ConfigError(f"unknown RNG stream {stream!r}") from None
+    r = int(r)
+    if not 0 <= r < STREAM_SPACING:  # any other index reads a stream of [0, 2^64) again
+        raise ConfigError(f"realization index must lie in [0, 2**64), got {r}")
     bits = np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=(sid,)))
-    bits.advance(int(r) * STREAM_SPACING)
+    bits.advance(r * STREAM_SPACING)
     return np.random.Generator(bits)
 
 
@@ -687,8 +690,8 @@ def _network_failures(
     """Yield (query index, per-content failure counts) for each read of one network.
 
     The network draws its squared distances from ``geometry`` and computes
-    its links once; each cache set is drawn once, UCP's from ``cache_rng()``, which
-    gives the ``caches`` stream at its start. Reads of equal caches (as when
+    its links once; each cache set is drawn once, UCP's from
+    ``cache_rng()``, which gives the ``caches`` stream at its start. Reads of equal caches (as when
     no SBS lies within r_sbs) share one association and are counted one
     server group at a time: the group's rows of ``uniforms`` are taken once
     and, per distinct gamma of those reads, a trial fails when its uniform

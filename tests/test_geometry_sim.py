@@ -102,6 +102,13 @@ class TestStreams:
         with pytest.raises(ConfigError):
             stream_rng(7, "nope")
 
+    @pytest.mark.parametrize("r", [-1, 2**64])
+    def test_index_outside_the_period_refused(self, r):
+        # advancing by r * 2^64 wraps at r = 2^64: such an index would read
+        # the stream of another realization again
+        with pytest.raises(ConfigError, match=r"realization index must lie in \[0, 2\*\*64\)"):
+            stream_rng(7, "geometry", r)
+
     @pytest.mark.parametrize("name, sid", [("geometry", 1), ("caches", 2), ("fading", 3)])
     @pytest.mark.parametrize("r", [0, 1, 5, 2**64 - 1])
     def test_realization_r_is_the_base_generator_advanced_by_r_times_2_64(self, name, sid, r):
