@@ -18,7 +18,7 @@ Process pools
 and :func:`estimate_outage` is its one-point case. A call opens a process
 pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
 being those this process may run on (its affinity set, where the platform
-has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (6e6).
+has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (1e7).
 The work is counted in expected points drawn: per realization, the
 expected points of each of the call's distinct networks, plus
 :data:`READ_WORK` (1/4) times, for each read, its network's points (the
@@ -29,30 +29,37 @@ shuts down before it returns or raises (the CLI's exit without teardown,
 :func:`cli.run`, relies on it); a sweep, which makes one call, therefore
 opens at most one pool. Every other call runs serially and never
 loads ``concurrent.futures``. Below the threshold the pool's start-up
-costs more than the second process saves. Command walls with a pool of 2
-forced against 1 worker, each process running one BLAS thread as the CLI
-sets it, on a 2-vCPU VM shared with other loads: the median ratio of 24
-alternating pairs in each of three series (``fig4.spec`` with ``engines =
-analytic, montecarlo`` is a gamma axis of 21 reads on one network):
+costs more than the second process saves, or about as much. Command walls
+with a pool of 2 forced against 1 worker, each process running one BLAS
+thread as the CLI sets it, on a 2-vCPU VM shared with other loads: the
+median ratio of 24 alternating pairs in each of two sets of three series
+(``fig4.spec`` with ``engines = analytic, montecarlo`` is a gamma axis of
+21 reads on one network):
 
-==================================  =============  ===============================
-input                               expected work  2 workers against 1, by series
-==================================  =============  ===============================
+==================================  =============  =====================  ======================
+input                               expected work  2 workers against 1,   2 workers against 1,
+                                                   series 1-3             series 4-6
+==================================  =============  =====================  ======================
 ``fig2.cfg``, 100 realizations      1.3e6          +31 %, +33 %, +45 %
 ``fig2.cfg``, 200 realizations      2.5e6          +29 %, +30 %, +30 %
 ``fig2.cfg``, 300 realizations      3.8e6          +29 %, +33 %, +27 %
-``fig2.cfg``, 600 realizations      7.6e6          -5 %, +23 %, +5 %
-``fig2.cfg``, 1000 realizations     1.3e7          -18 %, +17 %, -17 %
+``fig2.cfg``, 600 realizations      7.6e6          -5 %, +23 %, +5 %      +23 %, -11 %, -9 %
+``fig2.cfg``, 800 realizations      1.0e7                                 -13 %, -13 %, -13 %
+``fig2.cfg``, 1000 realizations     1.3e7          -18 %, +17 %, -17 %    -15 %, -21 %, -17 %
 ``fig4.spec``, 50 realizations      3.2e6          +3 %, +26 %, +6 %
-``fig4.spec``, 100 realizations     6.4e6          -10 %, +23 %, -5 %
+``fig4.spec``, 100 realizations     6.4e6          -10 %, +23 %, -5 %     -8 %, -6 %, -9 %
+``fig4.spec``, 160 realizations     1.0e7                                 -17 %, -14 %, -16 %
 ``mc-sparse-pool`` benchmark sweep  6.6e5          +9 %, +35 %, +11 %
-==================================  =============  ===============================
+==================================  =============  =====================  ======================
 
-In the first and third series 2 workers were faster in 21 and 23 of 24
-pairs at fig2's 1000 realizations and in 20 and 15 at fig4's 100; in the
-second, while other loads kept the second vCPU busy, they lost on every
-input. A point costs about 19 ns to draw (:data:`READ_WORK`), so the
-pool's start-up outweighs several hundred realizations of fig2.
+Series 2 ran while other loads held the second vCPU. Below 4e6 of work
+2 workers lost in every series. From 1e7 they won in every series of the
+second set, in 18 to 24 of its 24 pairs; that is the threshold. Between,
+the inputs disagree: fig4 at 6.4e6 won in 5 of 6 series, by 5-10 %, and
+fig2 at 7.6e6 in 3 of 6, though serially they take 17.0 and 17.6 ns per
+unit of work (min of 7 in-process calls), so :data:`READ_WORK` weighs
+them alike. A point costs about 19 ns to draw, so the pool's
+start-up outweighs several hundred realizations of fig2.
 
 Realization kernel
 ------------------
@@ -195,6 +202,7 @@ from .errors import ConfigError, InvalidRankError
 from .params import (
     DEFAULT_GUARD,
     INTERFERENCE_BEYOND_SERVER,
+    STREAM_SPACING,
     CachePolicy,
     ContentLibrary,
     RequestDistribution,
@@ -227,9 +235,9 @@ MAX_UNIFORMS_PER_REALIZATION = 10_000_000
 
 #: Least expected work of a call, in expected points drawn, for which
 #: :func:`estimate_batch` opens a process pool: below it a second process
-#: saves less than the pool costs to start (the table under "Process
-#: pools"). fig2.cfg at 475 realizations expects 6e6.
-POOL_MIN_WORK = 6_000_000
+#: saves less than the pool costs to start, or about as much (the table
+#: under "Process pools"). fig2.cfg at 790 realizations expects 1e7.
+POOL_MIN_WORK = 10_000_000
 
 #: The work of one element of a read's pass, one interferer gain of its
 #: network or one uniform it compares, against drawing one point. Serially,
@@ -240,17 +248,6 @@ POOL_MIN_WORK = 6_000_000
 READ_WORK = 0.25
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
-
-#: The spacing, in draws, of the realizations' streams: realization r reads
-#: the (seed, stream) generator advanced by r * STREAM_SPACING. One
-#: realization draws at most about 1e7 values from a stream (the
-#: per-realization budgets cap its points, cache entries and uniforms), far
-#: fewer than 2^64, so no two realizations' streams overlap. PCG64DXSM's
-#: period is 2^128, so the streams wrap at r = 2^64: :func:`estimate_batch`
-#: and the sweeps' budget refuse 2^64 realizations or more
-#: (:func:`params.check_realizations`).
-STREAM_SPACING = 1 << 64
-
 
 def stream_rng(seed: int, stream: str, r: int = 0) -> np.random.Generator:
     """Realization ``r``'s substream of the named RNG stream at ``seed``, as a new generator.
@@ -264,12 +261,19 @@ def stream_rng(seed: int, stream: str, r: int = 0) -> np.random.Generator:
         sid = _STREAM_IDS[stream]
     except KeyError:
         raise ConfigError(f"unknown RNG stream {stream!r}") from None
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=(sid,)))
+    return _seek(np.random.Generator(bits), None, r)
+
+
+def _seek(rng: np.random.Generator, start: dict | None, r: int) -> np.random.Generator:
+    """``rng`` set to its stream's ``start`` state (None: it is there) and advanced to realization r."""
     r = int(r)
     if not 0 <= r < STREAM_SPACING:  # any other index reads a stream of [0, 2^64) again
         raise ConfigError(f"realization index must lie in [0, 2**64), got {r}")
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=(sid,)))
-    bits.advance(r * STREAM_SPACING)
-    return np.random.Generator(bits)
+    if start is not None:
+        rng.bit_generator.state = start
+    rng.bit_generator.advance(r * STREAM_SPACING)
+    return rng
 
 
 class _Streams:
@@ -290,10 +294,7 @@ class _Streams:
         if stream not in self._built:
             rng = stream_rng(self.seed, stream)
             self._built[stream] = rng, rng.bit_generator.state
-        rng, start = self._built[stream]
-        rng.bit_generator.state = start
-        rng.bit_generator.advance(r * STREAM_SPACING)
-        return rng
+        return _seek(*self._built[stream], r)
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,9 @@ class SimWindow:
     """Simulation window: the disc of area side^2 centered on the reference user.
 
     Its radius is side / sqrt(pi), so it expects as many points as the
-    side x side square centered on the user. A window is accepted when
-    side / 2, that square's inscribed radius (:meth:`covered_radius`),
-    reaches r_mbs plus the guard margin; :func:`realize_network` and
+    side x side square centered on the user. A window is accepted as that
+    square was, when side / 2 reaches r_mbs plus the guard margin (the
+    disc's radius then exceeds it by 13 %); :func:`realize_network` and
     :func:`estimate_outage` enforce this. For a path gain that falls with
     distance, no region of its area holds more expected interference than
     the disc (the bathtub principle), so it misses no more than that square.
@@ -323,10 +324,6 @@ class SimWindow:
     def radius(self) -> float:
         """Radius of the disc, side / sqrt(pi)."""
         return self.side / math.sqrt(math.pi)
-
-    def covered_radius(self) -> float:
-        """side / 2: the radius that must reach r_mbs + guard, inside the disc's radius."""
-        return self.side / 2.0
 
 
 def default_window(params: SystemParams, guard: float = DEFAULT_GUARD) -> SimWindow:
@@ -398,9 +395,9 @@ class NetworkRealization:
 
 
 def _check_window(params: SystemParams, window: SimWindow) -> None:
-    if window.covered_radius() < params.r_mbs + window.guard:
+    if window.side / 2.0 < params.r_mbs + window.guard:
         raise ConfigError(
-            f"window (covered radius {window.covered_radius()} m) does not contain "
+            f"window side / 2 = {window.side / 2.0} m must reach "
             f"r_mbs + guard = {params.r_mbs + window.guard} m"
         )
 

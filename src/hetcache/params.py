@@ -65,14 +65,25 @@ def check_count(name: str, value: int, least: int) -> int:
     return int(value)
 
 
+#: The spacing, in draws, of the Monte-Carlo realizations' RNG streams:
+#: realization r reads each named stream's PCG64DXSM generator advanced by
+#: r * STREAM_SPACING (:func:`geometry_sim.stream_rng`). One realization
+#: draws at most about 1e7 values from a stream (the per-realization budgets
+#: cap its points, cache entries and uniforms), far fewer than 2**64, so no
+#: two realizations' streams overlap. The generator's period is 2**128, so
+#: the streams wrap at r = 2**64; :func:`check_realizations` refuses 2**64
+#: realizations or more.
+STREAM_SPACING = 1 << 64
+
+
 def check_realizations(realizations: int) -> int:
     """The realization count as a plain int; refuses one below 1 or from 2**64 up.
 
-    Realization r reads its RNG streams 2**64 * r draws in, which wraps
-    PCG64DXSM's period of 2**128 at r = 2**64 (``geometry_sim.STREAM_SPACING``).
+    Realization r reads its RNG streams r * :data:`STREAM_SPACING` draws in,
+    which wraps the generator's period of 2**128 at r = 2**64.
     """
     realizations = check_count("realizations", realizations, 1)
-    if realizations >= 2**64:
+    if realizations >= STREAM_SPACING:
         raise ConfigError(
             f"realizations must be below 2**64, where the realizations' RNG streams wrap, got {realizations}"
         )

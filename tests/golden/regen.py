@@ -59,8 +59,7 @@ CASES = (
     Case("sweep_fig4_dtilde_montecarlo.csv", "sweep", "fig4.spec",
          MC10 + (("engines", "analytic, montecarlo"), ("axis2", "d_tilde"),
                  ("axis2_values", "0.1, 0.3, 0.6")), ("--seed", "1")),
-    # beta = 1: UCP serves from many SBSs within r_sbs, and the call's work
-    # exceeds POOL_MIN_WORK, so two workers run a process pool
+    # beta = 1: UCP serves from many SBSs within r_sbs
     Case("sweep_fig4_dense_montecarlo.csv", "sweep", "fig4.spec",
          (("realizations", "5"), ("beta", "1"), ("engines", "analytic, montecarlo")), ("--seed", "1")),
     # alpha = 3: the path gains take the non-integer exponent -1.5 of a

@@ -1101,12 +1101,12 @@ class TestFastExit:
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="a pool needs 2 CPUs")
     def test_pool_workers_gone_at_exit(self, capsys, tmp_path):
-        # 600 realizations of fig2 at 2 workers expect 7.6e6 of work, so the
+        # 800 realizations of fig2 at 2 workers expect 1.0e7 of work, so the
         # command runs a pool; once it exits no process of its group is left,
         # and it prints what main prints in process. Output goes to files,
         # so a worker left holding it cannot stall the wait
         config, stdout, stderr = tmp_path / "fig2.cfg", tmp_path / "stdout", tmp_path / "stderr"
-        config.write_text(_with_value(FIG2_TEXT, "realizations", "600"))
+        config.write_text(_with_value(FIG2_TEXT, "realizations", "800"))
         argv = ["simulate", "--config", str(config), "--workers", "2", "--seed", "5"]
         with open(stdout, "wb") as out, open(stderr, "wb") as err:
             child = subprocess.Popen([sys.executable, "-m", "hetcache", *argv], env=cli_env(), stdout=out,

@@ -533,12 +533,13 @@ class TestSharedPool:
         assert len(recorded_pools) == 1  # the serial sweep opened none
 
     def test_reads_count_toward_the_pool_threshold(self, monkeypatch, usable_cpus, recorded_pools):
-        # fig4's gamma axis: 21 reads of one network, whose points alone
-        # (1.01e4 per realization) sit below the threshold; each read's pass
-        # over the network's gains adds a quarter of them, and a pool pays
+        # fig4's gamma axis at 160 realizations: 21 reads of one network,
+        # whose points alone (1.01e4 per realization) sit below the
+        # threshold; each read's pass over the network's gains adds a
+        # quarter of them, and a pool pays
         usable_cpus(2)
-        spec = replace(sweep_spec_from_config(_load_config("fig4.spec"), 1),
-                       engines=("analytic", "montecarlo"), workers=2)
+        spec = sweep_spec_from_config(_load_config("fig4.spec"), 1)
+        spec = replace(spec, engines=("analytic", "montecarlo"), workers=2, mc=replace(spec.mc, realizations=160))
         point = spec.base.params, spec.base.library, geometry_sim.default_window(spec.base.params, spec.mc.guard)
         points = geometry_sim._point_load(*point)[0]
         assert spec.mc.realizations * points < geometry_sim.POOL_MIN_WORK

@@ -131,7 +131,12 @@ class TestWindow:
         assert disc.area() == 1e6
         assert disc.radius() == 1000.0 / math.sqrt(math.pi)
         assert math.pi * disc.radius() ** 2 == pytest.approx(disc.area(), rel=1e-15)
-        assert disc.covered_radius() == 500.0
+        params = fig2_params()  # r_mbs + guard = 500 m
+        geometry_sim._check_window(params, disc)
+        # refused below side / 2 = 500 m, though the disc's 563.6 m radius would contain 500 m
+        assert SimWindow(999.0).radius() > 500.0
+        with pytest.raises(ConfigError, match=r"side / 2 = 499.5 m must reach r_mbs \+ guard = 500.0 m"):
+            geometry_sim._check_window(params, SimWindow(999.0))
 
     @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf, 1.4e154])
     def test_side_needs_a_finite_positive_area(self, side):
@@ -875,7 +880,7 @@ class TestSharedFading:
         # stream gives one double per point, so each query still equals its
         # one-point call
         queries = self.mixed_queries()
-        keys, built, doubles, points = [], [], [], []
+        keys, built, doubles, points, reads = [], [], [], [], []
         real_seeds, real_bits = np.random.SeedSequence, np.random.PCG64DXSM
         real_stream, real_sample = geometry_sim._Streams.at, geometry_sim._squared_distances
 
@@ -891,6 +896,7 @@ class TestSharedFading:
                 return self._rng.random(size, out=out)
 
         def stream(streams, name, r):
+            reads.append((name, r))
             rng = real_stream(streams, name, r)
             return Recording(rng) if name == "geometry" else rng
 
@@ -905,10 +911,11 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim._Streams, "at", stream)
         monkeypatch.setattr(geometry_sim, "_squared_distances", sample)
         results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=realizations)
-        assert len(keys) == len(set(keys)) == len(built)
-        assert {(1,), (3,)} <= set(keys) <= {(1,), (2,), (3,)}
-        if realizations > 1:
-            assert (2,) in keys  # some realization draws UCP caches
+        assert sorted(keys) == [(1,), (2,), (3,)] and len(built) == 3
+        # some realization draws two UCP cache sets from its one caches
+        # stream, so the stream is reset within a realization too
+        cache_reads = [r for name, r in reads if name == "caches"]
+        assert max(cache_reads.count(r) for r in range(realizations)) == 2
         assert len(points) == 3 * realizations
         assert sum(doubles) == sum(points) > 0
         monkeypatch.undo()
@@ -1204,7 +1211,7 @@ class TestEstimateOutage:
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
         usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
-        with pytest.raises(ConfigError, match=r"covered radius 50.0 m.*r_mbs \+ guard = 500.0 m"):
+        with pytest.raises(ConfigError, match=r"side / 2 = 50.0 m must reach r_mbs \+ guard = 500.0 m"):
             estimate_outage(fig2_params(), CachePolicy.PCP, lib, zipf_request_distribution(4, 0.8),
                             window=SimWindow(100.0), realizations=4, workers=2)
         assert recorded_pools == []
