@@ -71,10 +71,10 @@ point costs one uniform and no angle. Every test of association (the radii,
 the nearest MBS, the order of the SBSs, the interferers at or beyond the
 server) compares squared distances, and a link's gain is p * sq^(-alpha/2)
 (``_links``), so no link takes a square root either.
-:func:`realize_network` draws the same squared distances, then one angle
-per point, and gives cache rows by the same ``x^2 + y^2 <= r_sbs^2``; only
-a reported server distance, in :func:`simulate_request`, is a ``hypot``, of
-that one server's coordinates. One generator, ``_servers``, associates
+:func:`realize_network` keeps the same squared distances and gives cache
+rows by the same ``sq <= r_sbs^2``; only a reported server distance, in
+:func:`simulate_request`, is a square root, of that one server's
+``sq``. One generator, ``_servers``, associates
 every rank of a cache set at once and yields one group per distinct server
 (PCP has at most 2, UCP at most the SBSs inside r_sbs plus one) with its
 interferer gains, built once. When the cache set has no row, as when no SBS
@@ -146,9 +146,8 @@ the worker count. Trials within one realization share geometry and caches
 but draw their own uniforms.
 
 - ``geometry``: the MBS count, the MBSs' squared distances, the active-SBS
-  count, then the SBSs' squared distances, one uniform per point.
-  :func:`realize_network` then draws one angle per point, MBSs first, so
-  its points lie at the estimator's distances.
+  count, then the SBSs' squared distances, one uniform per point, for
+  the estimator and :func:`realize_network` alike.
 - ``caches``: UCP with 0 < d < |C| only, one row of |C| uniform scores per
   SBS inside r_sbs, in increasing SBS index. SBSs farther out can never serve and draw no
   cache; interference ignores caches and caches are i.i.d. per SBS, so the
@@ -198,7 +197,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRankError
+from .errors import ConfigError
 from .params import (
     DEFAULT_GUARD,
     INTERFERENCE_BEYOND_SERVER,
@@ -210,6 +209,7 @@ from .params import (
     check_count,
     check_guard,
     check_interference,
+    check_rank,
     check_realizations,
 )
 
@@ -255,13 +255,16 @@ def stream_rng(seed: int, stream: str, r: int = 0) -> np.random.Generator:
     One PCG64DXSM per (seed, stream), seeded by ``SeedSequence(seed,
     spawn_key=(stream id,))``; realization r, for 0 <= r < 2^64, reads it
     advanced by r * :data:`STREAM_SPACING` draws, a jump of O(log r) steps,
-    so any worker can rebuild any stream without coordination.
+    so any worker can rebuild any stream without coordination. A seed or
+    index that is not an integer >= 0 is refused.
     """
+    seed = check_count("seed", seed, 0)
+    r = check_count("realization index", r, 0)
     try:
         sid = _STREAM_IDS[stream]
     except KeyError:
         raise ConfigError(f"unknown RNG stream {stream!r}") from None
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(int(seed), spawn_key=(sid,)))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(sid,)))
     return _seek(np.random.Generator(bits), None, r)
 
 
@@ -351,24 +354,18 @@ def _squared_distances(params: SystemParams, window: SimWindow, rng: np.random.G
     return mbs, sq
 
 
-def _place(sq: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Points at squared distances ``sq`` from the origin, at uniform angles drawn from ``rng``, shape (n, 2)."""
-    angle = rng.uniform(0.0, 2.0 * math.pi, sq.size)
-    r = np.sqrt(sq)
-    return np.stack((r * np.cos(angle), r * np.sin(angle)), axis=1)
-
-
 @dataclass(eq=False)
 class NetworkRealization:
     """One sampled network snapshot; treat as immutable after construction.
 
-    ``sbs_caches`` is the cache incidence matrix of the SBSs that hold a
-    cache: row i is the content set of active SBS ``cached_sbs[i]``, and
-    ``sbs_caches[i, c-1]`` means rank c is cached there. ``cached_sbs`` is
-    strictly increasing; None means every active SBS, in order.
-    :func:`realize_network` gives caches only to the SBSs within r_sbs, the
-    only ones that can serve; :func:`simulate_request` refuses a realization
-    in which an SBS within r_sbs has no row.
+    ``mbs_points`` and ``active_sbs_points`` hold each transmitter's squared
+    distance to the reference user, 1-D. ``sbs_caches`` is the cache
+    incidence matrix of the SBSs that hold a cache: row i is the content set
+    of active SBS ``cached_sbs[i]``, and ``sbs_caches[i, c-1]`` means rank c
+    is cached there. ``cached_sbs`` is strictly increasing; None means every
+    active SBS, in order. :func:`realize_network` gives caches only to the
+    SBSs within r_sbs, the only ones that can serve; :func:`simulate_request`
+    refuses a realization in which an SBS within r_sbs has no row.
     """
 
     mbs_points: np.ndarray
@@ -377,8 +374,8 @@ class NetworkRealization:
     cached_sbs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.mbs_points = np.asarray(self.mbs_points, dtype=float).reshape(-1, 2)
-        self.active_sbs_points = np.asarray(self.active_sbs_points, dtype=float).reshape(-1, 2)
+        self.mbs_points = _squared_distance_array("mbs_points", self.mbs_points)
+        self.active_sbs_points = _squared_distance_array("active_sbs_points", self.active_sbs_points)
         self.sbs_caches = np.asarray(self.sbs_caches, dtype=bool)
         n_active = len(self.active_sbs_points)
         if self.cached_sbs is None:
@@ -392,6 +389,15 @@ class NetworkRealization:
             and np.all(np.diff(self.cached_sbs) > 0)
         ):
             raise ConfigError(f"cached_sbs must be strictly increasing indices in [0, {n_active})")
+
+
+def _squared_distance_array(name: str, values) -> np.ndarray:
+    """``values`` as 1-D squared distances; refuses any other shape (n x 2 positions), a negative or a NaN."""
+    sq = np.asarray(values, dtype=float)
+    if sq.ndim != 1 or not np.all(sq >= 0.0):
+        least = np.min(sq, initial=math.inf)
+        raise ConfigError(f"{name} must be 1-D squared distances >= 0, got shape {sq.shape}, least {least}")
+    return sq
 
 
 def _check_window(params: SystemParams, window: SimWindow) -> None:
@@ -415,22 +421,19 @@ def realize_network(
     Active SBSs are drawn directly at density beta * lambda_sbs: by the
     independent-thinning theorem this is distributionally identical to
     sampling at lambda_sbs and retaining with probability beta, at a
-    fraction of the point count. ``rng`` gives the squared distances that
-    the estimator draws (:func:`_squared_distances`), then one uniform angle
-    per point, MBSs first, so the points lie at the estimator's distances.
+    fraction of the point count. The realization keeps the squared
+    distances that the estimator draws from ``rng`` (:func:`_squared_distances`).
     Only the SBSs within r_sbs of the reference user get a cache row
     (``cached_sbs``): no other SBS can serve, and caches play no part in
     interference. PCP caches are the top d ranks; UCP caches are independent
-    uniform d-subsets per SBS, drawn from ``cache_rng``.
+    uniform d-subsets per SBS, drawn from ``cache_rng`` (None: ``rng``).
     """
     _check_window(params, window)
     mbs, sq = _squared_distances(params, window, rng)
-    points = _place(sq, rng)
-    active = points[mbs:]
-    near = _near(_squared_norms(active), params)  # the rule association applies
+    near = _near(sq[mbs:], params)  # the rule association applies
     caches = _caches(policy, library, near.size, lambda: rng if cache_rng is None else cache_rng)
     return NetworkRealization(
-        mbs_points=points[:mbs], active_sbs_points=active, sbs_caches=caches, cached_sbs=near
+        mbs_points=sq[:mbs], active_sbs_points=sq[mbs:], sbs_caches=caches, cached_sbs=near
     )
 
 
@@ -498,22 +501,14 @@ class _Links(NamedTuple):
     ``sq`` is each one's squared distance to the reference user, and
     ``gain`` its transmit power times path gain, p * sq^(-alpha/2): a
     distance is only compared or raised to a power, so none is taken; only
-    :func:`simulate_request` reports one, the ``hypot`` of its server's
-    coordinates. The caches play no part, so the realizations of one network
+    :func:`simulate_request` reports one, the square root of its server's
+    ``sq``. The caches play no part, so the realizations of one network
     under several cache sets share them.
     """
 
     mbs: int
     sq: np.ndarray
     gain: np.ndarray
-
-
-def _squared_norms(points: np.ndarray) -> np.ndarray:
-    """x^2 + y^2 of each row of ``points``, shape (n, 2)."""
-    x, y = points[:, 0], points[:, 1]
-    sq = x * x
-    sq += y * y
-    return sq
 
 
 def _near(sbs_sq: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -606,14 +601,13 @@ def simulate_request(
     fades are drawn in one call of ``rng.exponential(size=n)``; a miss draws
     nothing. Interferers are every other transmitter under ``"all"``, or
     only those at or beyond the serving distance under the default
-    ``"beyond_server"`` (the geometry the closed forms integrate).
+    ``"beyond_server"`` (the geometry the closed forms integrate). The
+    server distance is the square root of its squared distance.
     """
-    library_size = realization.sbs_caches.shape[1]
-    if not 1 <= content <= library_size:
-        raise InvalidRankError(f"content rank must lie in 1..{library_size}, got {content}")
+    check_rank(content, realization.sbs_caches.shape[1])
     check_interference(interference)
-    points = np.concatenate((realization.mbs_points, realization.active_sbs_points))
-    links = _links(len(realization.mbs_points), _squared_norms(points), params)
+    sq = np.concatenate((realization.mbs_points, realization.active_sbs_points))
+    links = _links(realization.mbs_points.size, sq, params)
     sbs_sq, cached_sbs = links.sq[links.mbs :], realization.cached_sbs
     if _near(sbs_sq[cached_sbs], params).size < _near(sbs_sq, params).size:
         raise ConfigError("an SBS within r_sbs can serve but the realization holds no cache for it")
@@ -623,8 +617,7 @@ def simulate_request(
         return ServiceOutcome(Tier.MISS, None, None, False)
     _, tier, index, signal_gain, gains = group
     [sir] = _sir(signal_gain, gains, rng.exponential(size=gains.size + 1).reshape(1, -1))
-    x, y = points[index]
-    return ServiceOutcome(tier, float(np.hypot(x, y)), float(sir), bool(sir > params.gamma))
+    return ServiceOutcome(tier, math.sqrt(sq[index]), float(sir), bool(sir > params.gamma))
 
 
 class McEstimate(NamedTuple):
@@ -766,10 +759,10 @@ def _plan(
 ) -> tuple[list[_Network], float]:
     """Check each query, then group them by network and cache set; sum a realization's work.
 
-    A network is a window and params equal up to gamma: positions, links and
-    the SBSs within r_sbs never read gamma, so the points of a gamma axis
-    share one. A cache set is a network's policy and library. The work, in
-    expected points drawn, is each network's points once, plus
+    A network is a window and params equal up to gamma: squared distances,
+    links and the SBSs within r_sbs never read gamma, so the points of a
+    gamma axis share one. A cache set is a network's policy and library.
+    The work, in expected points drawn, is each network's points once, plus
     :data:`READ_WORK` times each read's network points and its
     |C| * trials_per_content uniforms, which its pass reads.
     """

@@ -58,7 +58,7 @@ def check_count(name: str, value: int, least: int) -> int:
 
     numpy integers pass, as in :func:`replication_probability`.
     """
-    if not isinstance(value, numbers.Integral):
+    if not (type(value) is int or isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
@@ -336,13 +336,18 @@ class CachePolicy(enum.Enum):
     PCP = "pcp"
 
 
+def check_rank(c: int, size: int) -> None:
+    """Refuse a content rank that is not an integer in 1..size; numpy integers pass."""
+    if not ((type(c) is int or isinstance(c, numbers.Integral)) and 1 <= c <= size):
+        raise InvalidRankError(f"content rank must lie in 1..{size}, got {c}")
+
+
 def replication_probability(policy: CachePolicy, c: int, library: ContentLibrary) -> float:
     """Probability P_c that content rank c is cached at a given SBS.
 
     UCP: d / |C| for every rank. PCP: 1 for c <= d, else 0.
     """
-    if not ((type(c) is int or isinstance(c, numbers.Integral)) and 1 <= c <= library.size):
-        raise InvalidRankError(f"content rank must lie in 1..{library.size}, got {c}")
+    check_rank(c, library.size)
     if policy is CachePolicy.UCP:
         return library.cache_slots / library.size
     return 1.0 if c <= library.cache_slots else 0.0

@@ -125,6 +125,13 @@ def thin(points: np.ndarray, keep_prob: float, rng: np.random.Generator) -> np.n
     return points[rng.random(len(points)) < keep_prob]
 
 
+def squared_norms(xy) -> np.ndarray:
+    """x^2 + y^2 of each (x, y) in ``xy``: the squared distances to the origin of a hand layout."""
+    points = np.asarray(xy, dtype=float).reshape(-1, 2)
+    x, y = points[:, 0], points[:, 1]
+    return x * x + y * y
+
+
 def unit_fade_request(realization, content: int, params: SystemParams, beyond_server: bool):
     """(server distance or None, SIR or None) of one request with every fade 1.
 
@@ -133,8 +140,8 @@ def unit_fade_request(realization, content: int, params: SystemParams, beyond_se
     else nearest MBS within r_mbs, else a miss; interference sums P r^-alpha
     over every other transmitter, or only those at or beyond the server.
     """
-    sbs = np.hypot(*realization.active_sbs_points.T)
-    mbs = np.hypot(*realization.mbs_points.T)
+    sbs = np.sqrt(realization.active_sbs_points)
+    mbs = np.sqrt(realization.mbs_points)
     rows = {int(j): i for i, j in enumerate(realization.cached_sbs)}
     holders = [j for j in range(sbs.size)
                if sbs[j] <= params.r_sbs and realization.sbs_caches[rows[j], content - 1]]

@@ -1,7 +1,11 @@
+import importlib
 import math
+import sys
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from hetcache import (
     zipf_request_distribution,
 )
 
+import hetcache
 from hetcache import geometry_sim
 from hetcache.geometry_sim import _servers, _sir, _success
 
@@ -35,6 +40,7 @@ from oracles import (
     fade_drawn_success,
     fig2_params,
     request_outcomes,
+    squared_norms,
     thin,
     traced_peak,
     truncated_rayleigh_cdf,
@@ -56,15 +62,15 @@ def single_content_params(**overrides):
 def associate(realization, contents, params, interference):
     """``_servers``' groups of the ranks in ``contents`` at a realization, by position in ``contents``.
 
-    Each group carries its server's distance, ``np.hypot`` of its
-    coordinates, in place of the server's link index.
+    Each group carries its server's distance, the square root of its
+    squared distance, in place of the server's link index.
     """
-    points = np.concatenate([realization.mbs_points, realization.active_sbs_points])
-    links = geometry_sim._links(len(realization.mbs_points), geometry_sim._squared_norms(points), params)
+    sq = np.concatenate([realization.mbs_points, realization.active_sbs_points])
+    links = geometry_sim._links(realization.mbs_points.size, sq, params)
     for requests, tier, index, signal_gain, gains in _servers(
         links, realization.sbs_caches[:, contents - 1], realization.cached_sbs, params, interference
     ):
-        yield requests, tier, float(np.hypot(*points[index])), signal_gain, gains
+        yield requests, tier, math.sqrt(sq[index]), signal_gain, gains
 
 
 def realization_failures(reads, seed, trials_per_content, interference, r_index):
@@ -77,15 +83,12 @@ def realization_failures(reads, seed, trials_per_content, interference, r_index)
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
-    sbs = np.array(sbs_xy, dtype=float).reshape(-1, 2)
-    caches = np.zeros((len(sbs), library_size), dtype=bool)
+    """A realization of the hand layout at (x, y) positions ``sbs_xy`` and ``mbs_xy``."""
+    sbs = squared_norms(sbs_xy)
+    caches = np.zeros((sbs.size, library_size), dtype=bool)
     for j, has in enumerate(cached):
         caches[j, 0] = has
-    return NetworkRealization(
-        mbs_points=np.array(mbs_xy, dtype=float).reshape(-1, 2),
-        active_sbs_points=sbs,
-        sbs_caches=caches,
-    )
+    return NetworkRealization(mbs_points=squared_norms(mbs_xy), active_sbs_points=sbs, sbs_caches=caches)
 
 
 class TestStreams:
@@ -95,6 +98,7 @@ class TestStreams:
         c = stream_rng(7, "caches", 3).random(5)
         d = stream_rng(7, "geometry", 4).random(5)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, stream_rng(np.int64(7), "geometry", np.uint64(3)).random(5))
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
@@ -102,12 +106,23 @@ class TestStreams:
         with pytest.raises(ConfigError):
             stream_rng(7, "nope")
 
-    @pytest.mark.parametrize("r", [-1, 2**64])
-    def test_index_outside_the_period_refused(self, r):
+    def test_index_outside_the_period_refused(self):
         # advancing by r * 2^64 wraps at r = 2^64: such an index would read
         # the stream of another realization again
         with pytest.raises(ConfigError, match=r"realization index must lie in \[0, 2\*\*64\)"):
-            stream_rng(7, "geometry", r)
+            stream_rng(7, "geometry", 2**64)
+
+    @pytest.mark.parametrize("seed, r, message", [
+        (1.5, 0, "seed must be an integer, got 1.5"),
+        (-1, 0, "seed must be >= 0, got -1"),
+        (1, 1.5, "realization index must be an integer, got 1.5"),
+        (1, -1, "realization index must be >= 0, got -1"),
+    ])
+    def test_seed_and_index_must_be_integers_from_0(self, seed, r, message):
+        # 1.5 read seed 1's stream, or realization 1's, and a negative seed
+        # raised numpy's ValueError
+        with pytest.raises(ConfigError, match=message):
+            stream_rng(seed, "geometry", r)
 
     @pytest.mark.parametrize("name, sid", [("geometry", 1), ("caches", 2), ("fading", 3)])
     @pytest.mark.parametrize("r", [0, 1, 5, 2**64 - 1])
@@ -247,7 +262,7 @@ class TestThinning:
 
 
 def within_r_sbs(real, params):
-    return np.flatnonzero(np.hypot(*real.active_sbs_points.T) <= params.r_sbs)
+    return np.flatnonzero(np.sqrt(real.active_sbs_points) <= params.r_sbs)
 
 
 class TestRealizeNetwork:
@@ -303,37 +318,45 @@ class TestRealizeNetwork:
 
     def test_cached_sbs_validated(self):
         with pytest.raises(ConfigError):
-            NetworkRealization(np.empty((0, 2)), np.zeros((2, 2)), np.ones((1, 1), bool))
+            NetworkRealization(np.empty(0), np.zeros(2), np.ones((1, 1), bool))
         with pytest.raises(ConfigError):
-            NetworkRealization(np.empty((0, 2)), np.zeros((2, 2)), np.ones((2, 1), bool),
-                               cached_sbs=[1, 0])
+            NetworkRealization(np.empty(0), np.zeros(2), np.ones((2, 1), bool), cached_sbs=[1, 0])
+
+    @pytest.mark.parametrize("field", ["mbs_points", "active_sbs_points"])
+    @pytest.mark.parametrize("values, message", [
+        # (n, 2) positions would flatten into 2n bogus squared distances
+        ([(1.0, 0.0), (0.0, 2.0)], r"shape \(2, 2\)"),
+        ([[1.0]], r"shape \(1, 1\)"),
+        ([1.0, -1e-300], "least -1e-300"),
+        ([math.nan, 1.0], "least nan"),
+    ])
+    def test_squared_distances_validated(self, field, values, message):
+        layout = {"mbs_points": np.empty(0), "active_sbs_points": np.empty(0)} | {field: values}
+        with pytest.raises(ConfigError, match=f"{field} must be 1-D squared distances >= 0, got .*{message}"):
+            NetworkRealization(**layout, sbs_caches=np.ones((0, 1), bool), cached_sbs=[])
 
     def test_serving_sbs_without_cache_row_refused(self):
         # SBS 0 lies within r_sbs = 5 m but holds no cache row, while SBS 1
         # at 30 m holds one; with SBS 0 moved out to 6 m the same rows are a
         # valid realization, and with no MBS the request misses
         params = single_content_params()
-        real = NetworkRealization(np.empty((0, 2)), [(1.0, 0.0), (30.0, 0.0)],
-                                  np.ones((1, 1), bool), cached_sbs=[1])
+        real = NetworkRealization(np.empty(0), [1.0, 900.0], np.ones((1, 1), bool), cached_sbs=[1])
         with pytest.raises(ConfigError, match="within r_sbs can serve but the realization holds no cache for it"):
             simulate_request(real, 1, params, FixedGains())
-        real.active_sbs_points[0] = (6.0, 0.0)
+        real.active_sbs_points[0] = 36.0
         assert simulate_request(real, 1, params, FixedGains()).tier is Tier.MISS
 
     @pytest.mark.parametrize("beyond", [False, True])
     def test_links_on_their_radius_serve(self, monkeypatch, beyond):
         # squared distances decide "within", in realize_network as in
-        # association: an SBS at (3, 4) sits exactly at r_sbs = 5 and an MBS
-        # at (150, 200) exactly at r_mbs = 250, so the SBS gets a cache row
-        # and serves rank 1 and the MBS serves rank 2, in a realization and,
-        # at squared distances 25 and 62500, in the estimator; one ulp
-        # farther out, both ranks miss
+        # association: an SBS at squared distance 25 sits exactly at
+        # r_sbs = 5 and an MBS at 62500 exactly at r_mbs = 250, so the SBS
+        # gets a cache row and serves rank 1 and the MBS serves rank 2, in a
+        # realization and in the estimator; one ulp farther out, both ranks miss
         params = single_content_params()
         out = (lambda y: math.nextafter(y, math.inf)) if beyond else (lambda y: y)
-        mbs, sbs = np.array([[150.0, out(200.0)]]), np.array([[3.0, out(4.0)]])
         sq = np.array([out(62500.0), out(25.0)])
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: (1, sq.copy()))
-        monkeypatch.setattr(geometry_sim, "_place", lambda *args: np.concatenate([mbs, sbs]))
         library = ContentLibrary(size=2, cache_slots=1)
         real = realize_network(params, CachePolicy.PCP, library, default_window(params),
                                stream_rng(0, "geometry", 0))
@@ -349,18 +372,51 @@ class TestRealizeNetwork:
             assert [(o.tier, o.server_distance) for o in outcomes] == [(Tier.SBS, 5.0), (Tier.MBS, 250.0)]
             assert [e.mean for e in per_content] == [0.0, 0.0]
 
-    def test_points_at_the_estimators_distances_inside_the_disc(self):
-        # realize_network draws the estimator's squared distances, then the
-        # angles: its points lie within R, at those distances
+    @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
+    def test_squared_distances_are_the_estimators(self, policy):
+        # a realization keeps the squared distances the estimator draws on
+        # the same geometry stream, bit for bit, MBSs first
         p = fig2_params(lambda_sbs=0.01)
         lib = ContentLibrary(size=5, cache_slots=1)
         win = default_window(p)
-        real = realize_network(p, CachePolicy.UCP, lib, win, stream_rng(4, "geometry", 0))
+        real = realize_network(p, policy, lib, win, stream_rng(4, "geometry", 0))
         mbs, sq = geometry_sim._squared_distances(p, win, stream_rng(4, "geometry", 0))
-        points = np.concatenate([real.mbs_points, real.active_sbs_points])
-        assert len(real.mbs_points) == mbs > 50 and len(points) == sq.size > 500
-        assert np.all(np.hypot(*points.T) <= win.radius())
-        np.testing.assert_allclose(geometry_sim._squared_norms(points), sq, rtol=1e-12, atol=0.0)
+        assert real.mbs_points.size == mbs > 50 and sq.size > 500
+        assert np.array_equal(np.concatenate([real.mbs_points, real.active_sbs_points]), sq)
+        assert np.all(sq < win.radius() ** 2)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench_layers(monkeypatch):
+    """perfbench's ``layers`` module, imported from its directory; its modules are unloaded afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield importlib.import_module("layers")
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+def test_benchmark_sim_layer_runs(perfbench_layers, monkeypatch):
+    # the per-layer benchmark calls stream_rng, realize_network and
+    # simulate_request and reads len() of a realization's point arrays:
+    # with each timed function called once, every sim.* metric that
+    # sim_layer declares is set, finite and positive
+    def one_call(fn, *args, **kwargs):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    monkeypatch.setattr(perfbench_layers, "per_call", one_call)
+    metrics = {}
+    perfbench_layers.sim_layer(hetcache, 7, metrics)
+    declared = {name for name, _ in perfbench_layers.PER_LAYER if name.startswith("sim.")}
+    assert set(metrics) == declared - {"sim.realization_ms", "sim.estimate_outage_s"}  # those two: pool_layer
+    assert {name: value for name, value in metrics.items() if not (math.isfinite(value) and value > 0)} == {}
 
 
 class TestSimulateRequest:
@@ -444,10 +500,13 @@ class TestSimulateRequest:
         assert out.sir == pytest.approx(16.0, rel=1e-12)
         assert out.success is False  # SIR must strictly exceed gamma
 
-    def test_invalid_rank(self):
+    @pytest.mark.parametrize("rank", [0, 2, 1.5])
+    def test_invalid_rank(self, rank):
+        # 1.5 died in numpy slicing with TypeError; a numpy integer is a rank
         real = make_realization([(1.0, 0.0)], [True])
-        with pytest.raises(InvalidRankError):
-            simulate_request(real, 2, single_content_params(), stream_rng(9, "fading", 0))
+        with pytest.raises(InvalidRankError, match=f"content rank must lie in 1..1, got {rank}"):
+            simulate_request(real, rank, single_content_params(), stream_rng(9, "fading", 0))
+        assert simulate_request(real, np.int64(1), single_content_params(), FixedGains()).tier is Tier.SBS
 
     def test_unknown_interference_convention(self):
         real = make_realization([(1.0, 0.0)], [True])
@@ -481,8 +540,8 @@ class TestRealizationKernel:
         caches[0, 0] = caches[1, 1] = True
         caches[2, :] = True
         return NetworkRealization(
-            mbs_points=np.array(mbs_xy, dtype=float),
-            active_sbs_points=np.array([(1.0, 0.0), (0.0, 2.0), (10.0, 0.0)]),
+            mbs_points=squared_norms(mbs_xy),
+            active_sbs_points=squared_norms([(1.0, 0.0), (0.0, 2.0), (10.0, 0.0)]),
             sbs_caches=caches,
         )
 
@@ -545,9 +604,8 @@ class TestRealizationKernel:
         uniforms[served, 0] = per_rank[served]
         expected = np.where(served, np.count_nonzero(uniforms >= per_rank[:, None], axis=1), 50)
         # one read of the hand layout, whose SBSs a and b are those within r_sbs
-        points = np.concatenate([real.mbs_points, real.active_sbs_points])
-        monkeypatch.setattr(geometry_sim, "_squared_distances",
-                            lambda *args: (len(real.mbs_points), geometry_sim._squared_norms(points)))
+        sq = np.concatenate([real.mbs_points, real.active_sbs_points])
+        monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: (real.mbs_points.size, sq.copy()))
         monkeypatch.setattr(geometry_sim, "_caches", lambda *args: real.sbs_caches[:2])
         library = ContentLibrary(size=4, cache_slots=1)
         network = (self.PARAMS, default_window(self.PARAMS), {(CachePolicy.UCP, library): [(0, gamma)]})
@@ -565,7 +623,7 @@ class TestRealizationKernel:
         mbs, sbs = layout
         params = fig2_params(alpha=alpha)
         points = np.concatenate([mbs, sbs])
-        links = geometry_sim._links(len(mbs), geometry_sim._squared_norms(points), params)
+        links = geometry_sim._links(len(mbs), squared_norms(points), params)
         dist = np.hypot(*points.T)
         power = np.repeat([params.p_mbs, params.p_sbs], [len(mbs), len(sbs)])
         with np.errstate(divide="ignore", over="ignore"):
@@ -582,7 +640,7 @@ class TestRealizationKernel:
         sbs = np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-140]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sq = geometry_sim._squared_norms(np.concatenate([edge, sbs]))
+            sq = squared_norms(np.concatenate([edge, sbs]))
             links = geometry_sim._links(1, sq, fig2_params())
         assert math.isfinite(links.sq[0]) and links.gain[0] == 0.0
         assert links.sq[1:].tolist() == [0.0, 0.0, 1e-280] and links.gain[1:].tolist() == [math.inf] * 3
@@ -762,8 +820,7 @@ class TestSharedFading:
 
     def test_no_hypot_per_link_in_the_estimator(self, monkeypatch):
         # PCP and UCP with SBSs within r_sbs: gains and every association test
-        # come from squared distances, so np.hypot computes at most one
-        # element per server group, not one per link
+        # come from squared distances, so np.hypot is never called
         point = self.points()[2]
         requests = zipf_request_distribution(self.LIBRARY.size, 0.8)
         queries = [(point, policy, requests) for policy in (CachePolicy.PCP, CachePolicy.UCP)]
@@ -783,7 +840,7 @@ class TestSharedFading:
         monkeypatch.setattr(np, "hypot", hypot)
         results = geometry_sim.estimate_batch(queries, 6, realizations=3)
         assert Tier.SBS in tiers
-        assert sum(elements) <= len(tiers)
+        assert elements == []
         monkeypatch.undo()
         self.assert_standalone(queries, results, 1)
 
@@ -1304,8 +1361,8 @@ class TestFrozenDrawOrder:
     # SBS (PCP) or not at all (UCP).
     TIERS = {CachePolicy.PCP: "smss", CachePolicy.UCP: "smsx"}
     DISTANCES = {
-        CachePolicy.PCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850876, 3.631030559021704],
-        CachePolicy.UCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850876, None],
+        CachePolicy.PCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850875, 3.631030559021704],
+        CachePolicy.UCP: [0.44327642763039116, 55.399598140233024, 0.7751262214850875, None],
     }
     SIRS_R0 = [28227.360671001254, 2641.59961038647, 3016.8929110973877]
     SIRS_R1 = {
