@@ -9,9 +9,9 @@ they re-parse exactly.
 
 All Monte-Carlo rows of a sweep share one seed, so its random streams
 serve the whole grid and every variant (common random numbers): along a
-gamma axis this makes estimated outage exactly monotone per trial, since
-only the threshold changes, and the rows of two variants at a grid point
-are paired, drawn on the same networks and uniforms. They share the draws
+gamma axis this makes estimated outage exactly monotone per realization,
+since only the threshold changes, and the rows of two variants at a grid
+point are paired, drawn on the same networks and uniforms. They share the draws
 too: a sweep makes one :func:`estimate_outage` call, with one query per
 distinct Monte-Carlo row input, and in every realization the variants at a
 grid point, and the points of a gamma axis, share one network (see
@@ -107,7 +107,8 @@ class Variant(NamedTuple):
 
 
 #: The Monte-Carlo keys that ``simulate`` and ``sweep`` both read: the
-#: fields of :class:`McBudget`, and the master seed.
+#: fields of :class:`McBudget`, the master seed, and the legacy count of
+#: trials per content, which :meth:`McBudget.from_config` accepts at 1 only.
 MC_KEYS = frozenset({"realizations", "trials_per_content", "seed", "guard"})
 
 
@@ -115,28 +116,32 @@ MC_KEYS = frozenset({"realizations", "trials_per_content", "seed", "guard"})
 class McBudget:
     """The Monte-Carlo settings that ``simulate`` and ``sweep`` both read.
 
-    The budget, ``realizations`` network realizations with
-    ``trials_per_content`` request trials per content in each, and
-    ``guard``, the least margin in m between the disc of radius r_mbs and
-    the window's edge. The field defaults are the config defaults (the margin's
-    lives in :data:`params.DEFAULT_GUARD`); :meth:`from_config` alone reads
-    the keys.
+    The budget, ``realizations`` network realizations with one request per
+    content in each, and ``guard``, the least margin in m between the disc
+    of radius r_mbs and the window's edge. The field defaults are the config
+    defaults (the margin's lives in :data:`params.DEFAULT_GUARD`);
+    :meth:`from_config` alone reads the keys.
     """
 
-    trials_per_content: int = 1
     realizations: int = 100
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        check_count("trials_per_content", self.trials_per_content, 1)
         check_realizations(self.realizations)
         check_guard(self.guard)
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> McBudget:
-        """The settings a config file gives, with the field default for each key it omits."""
+        """The settings a config file gives, with the field default for each key it omits.
+
+        The legacy count of trials per content is refused unless it is 1.
+        """
+        if get_int(cfg, "trials_per_content", 1) != 1:
+            raise ConfigError(
+                f"trials_per_content must be 1, got {cfg['trials_per_content']}: a realization "
+                "simulates one request per content; to cut the standard error, raise realizations"
+            )
         return cls(
-            trials_per_content=get_int(cfg, "trials_per_content", cls.trials_per_content),
             realizations=get_int(cfg, "realizations", cls.realizations),
             guard=get_float(cfg, "guard", cls.guard),
         )
@@ -281,10 +286,7 @@ def estimate_outage(
         ((params, library, default_window(params, budget.guard)), policy, requests)
         for params, policy, library, requests in queries
     ]
-    return estimate_batch(
-        windowed, seed,
-        trials_per_content=budget.trials_per_content, realizations=budget.realizations, **options,
-    )
+    return estimate_batch(windowed, seed, realizations=budget.realizations, **options)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

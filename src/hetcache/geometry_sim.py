@@ -3,10 +3,11 @@
 A realization samples the two Poisson tiers over a finite window, assigns
 caches and associates the reference user at the window center (nearest
 content-holding SBS within r_sbs, else nearest MBS within r_mbs, else miss).
-Under unit-mean exponential fading per link, a trial's SIR > gamma is then a
-Bernoulli event of known probability: the estimator draws one uniform per
-trial against it, while :func:`simulate_request` draws the fades of one
-trial and tests SIR > gamma. No noise: the model is interference limited.
+Under unit-mean exponential fading per link, a request's SIR > gamma is then
+a Bernoulli event of known probability: the estimator draws one uniform per
+(realization, rank) against it, while :func:`simulate_request` draws the
+fades of one request and tests SIR > gamma. No noise: the model is
+interference limited.
 
 numpy is loaded only for Monte-Carlo: by this module and by the request
 weight vector it reads. The package and the sweeps import this module on
@@ -18,48 +19,21 @@ Process pools
 and :func:`estimate_outage` is its one-point case. A call opens a process
 pool only when it pays: when min(workers, realizations, CPUs) > 1, the CPUs
 being those this process may run on (its affinity set, where the platform
-has one), and the call's expected work reaches :data:`POOL_MIN_WORK` (1e7).
+has one), and the call's expected work reaches :data:`POOL_MIN_WORK`.
 The work is counted in expected points drawn: per realization, the
 expected points of each of the call's distinct networks, plus
-:data:`READ_WORK` (1/4) times, for each read, its network's points (the
-gains its threshold passes over) and its |C| * trials_per_content
-uniforms; the call's work is that times the realizations. It then maps its
-realizations on one pool of that many processes, which it opens itself and
-shuts down before it returns or raises (the CLI's exit without teardown,
-:func:`cli.run`, relies on it); a sweep, which makes one call, therefore
-opens at most one pool. Every other call runs serially and never
-loads ``concurrent.futures``. Below the threshold the pool's start-up
-costs more than the second process saves, or about as much. Command walls
-with a pool of 2 forced against 1 worker, each process running one BLAS
-thread as the CLI sets it, on a 2-vCPU VM shared with other loads: the
-median ratio of 24 alternating pairs in each of two sets of three series
-(``fig4.spec`` with ``engines = analytic, montecarlo`` is a gamma axis of
-21 reads on one network):
-
-==================================  =============  =====================  ======================
-input                               expected work  2 workers against 1,   2 workers against 1,
-                                                   series 1-3             series 4-6
-==================================  =============  =====================  ======================
-``fig2.cfg``, 100 realizations      1.3e6          +31 %, +33 %, +45 %
-``fig2.cfg``, 200 realizations      2.5e6          +29 %, +30 %, +30 %
-``fig2.cfg``, 300 realizations      3.8e6          +29 %, +33 %, +27 %
-``fig2.cfg``, 600 realizations      7.6e6          -5 %, +23 %, +5 %      +23 %, -11 %, -9 %
-``fig2.cfg``, 800 realizations      1.0e7                                 -13 %, -13 %, -13 %
-``fig2.cfg``, 1000 realizations     1.3e7          -18 %, +17 %, -17 %    -15 %, -21 %, -17 %
-``fig4.spec``, 50 realizations      3.2e6          +3 %, +26 %, +6 %
-``fig4.spec``, 100 realizations     6.4e6          -10 %, +23 %, -5 %     -8 %, -6 %, -9 %
-``fig4.spec``, 160 realizations     1.0e7                                 -17 %, -14 %, -16 %
-``mc-sparse-pool`` benchmark sweep  6.6e5          +9 %, +35 %, +11 %
-==================================  =============  =====================  ======================
-
-Series 2 ran while other loads held the second vCPU. Below 4e6 of work
-2 workers lost in every series. From 1e7 they won in every series of the
-second set, in 18 to 24 of its 24 pairs; that is the threshold. Between,
-the inputs disagree: fig4 at 6.4e6 won in 5 of 6 series, by 5-10 %, and
-fig2 at 7.6e6 in 3 of 6, though serially they take 17.0 and 17.6 ns per
-unit of work (min of 7 in-process calls), so :data:`READ_WORK` weighs
-them alike. A point costs about 19 ns to draw, so the pool's
-start-up outweighs several hundred realizations of fig2.
+:data:`READ_WORK` times, for each read, its network's points (the
+gains its threshold passes over) and its |C| uniforms; the call's work is
+that times the realizations. It then maps its realizations on one pool of
+that many processes, which it opens itself and shuts down before it
+returns or raises (the CLI's exit without teardown, :func:`cli.run`,
+relies on it); a sweep, which makes one call, therefore opens at most one
+pool. Every other call runs serially and never loads
+``concurrent.futures``. Below the threshold the pool's start-up costs more
+than the second process saves, or about as much: the command walls that
+set it, a pool of 2 forced against 1 worker on ``fig2.cfg`` and
+``fig4.spec`` at several budgets, are in ``CHANGES.md`` (PR 34 and its
+review round).
 
 Realization kernel
 ------------------
@@ -80,23 +54,23 @@ every rank of a cache set at once and yields one group per distinct server
 interferer gains, built once. When the cache set has no row, as when no SBS
 lies within r_sbs, the common case at sparse densities, its one group is
 the nearest MBS's (or none), yielded before any row is gathered, and its
-ranks are a slice, so the rows of uniforms it compares are a view.
+ranks are a slice, so the uniforms it compares are a view.
 Given those gains, independent unit-mean exponential fades make SIR > gamma
 a Bernoulli event of probability prod_i 1 / (1 + gamma * g_i / g_server),
 the Laplace functional the closed forms integrate; ``_success`` computes it
-with one ``log1p`` pass over the group's interferers. A trial therefore
+with one ``log1p`` pass over the group's interferers. A rank therefore
 draws one uniform u, not a fade per link, and fails when u >= p, which
-gives every failure count exactly the law that drawing the fades gives it
+gives every failure exactly the law that drawing the fades gives it
 (conditional Monte-Carlo). The reads that share an association are counted
-one server group at a time: the group's rows of the (|C|, trials) block of
-uniforms are taken once and compared with its probability at each distinct
-gamma of those reads, once per gamma however many reads share it, and the
-group is dropped before the next is built. A task of
+one server group at a time: the group's entries of the |C| uniforms are
+taken once and compared with its probability at each distinct gamma of
+those reads, once per gamma however many reads share it, and the group is
+dropped before the next is built. A task of
 :func:`estimate_batch` is one realization index over all the call's reads,
 planned once per call. It reads each named stream from one generator
 that the call reuses (see "RNG discipline"). :func:`simulate_request`
-draws the fades of one trial of one rank's group and keeps its tier, distance and
-SIR, reduced with ``einsum``. The only BLAS products are the two small
+draws the fades of one request of one rank's group and keeps its tier, distance and
+SIR, reduced with ``einsum``. The only BLAS product is the small
 ``@`` of :func:`_estimates`, once per query, but numpy's import starts
 OpenBLAS's thread pool whether or not one runs. The CLI therefore sets
 OPENBLAS_NUM_THREADS to 1 unless the caller has set it (:mod:`cli`), so a
@@ -128,12 +102,11 @@ Before sampling anything it also refuses beta * B = 0, with the closed
 forms' ConfigError (p_sbs is undefined there), a negative seed, an unknown
 interference convention, a window whose expected point count exceeds
 :data:`MAX_POINTS_PER_REALIZATION`, caches whose expected entries exceed
-:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, and a library of |C| ranks whose
-block of |C| * trials_per_content uniforms exceeds
-:data:`MAX_UNIFORMS_PER_REALIZATION`. A task holds one network at a time,
-so these per-point budgets bound what it holds. Its reads share one block
-of uniforms, as large as the largest library needs, so the bound on each
-query bounds it.
+:data:`MAX_CACHE_ENTRIES_PER_REALIZATION`, and a library whose |C|
+uniforms exceed :data:`MAX_UNIFORMS_PER_REALIZATION`. A task holds one
+network at a time, so these per-point budgets bound what it holds. Its
+reads share one vector of uniforms, as long as the largest library needs,
+so the bound on each query bounds it.
 
 RNG discipline
 --------------
@@ -142,8 +115,7 @@ seeded by ``SeedSequence(seed, spawn_key=(stream id,))``. Realization r
 reads each stream advanced by r * :data:`STREAM_SPACING` (2^64) draws, a
 jump of O(log r) steps (:func:`stream_rng`), so any worker rebuilds any
 realization's streams without coordination, and results never depend on
-the worker count. Trials within one realization share geometry and caches
-but draw their own uniforms.
+the worker count.
 
 - ``geometry``: the MBS count, the MBSs' squared distances, the active-SBS
   count, then the SBSs' squared distances, one uniform per point, for
@@ -152,21 +124,21 @@ but draw their own uniforms.
   SBS inside r_sbs, in increasing SBS index. SBSs farther out can never serve and draw no
   cache; interference ignores caches and caches are i.i.d. per SBS, so the
   joint law of every outcome is that of caching at every SBS.
-- ``fading``: one block of uniforms drawn by ``random`` in row-major order,
-  row c - 1 holding rank c's trials. A read of |C| ranks compares the first
-  |C| rows, the block it would draw alone. :func:`simulate_request` draws
+- ``fading``: one uniform per rank, drawn by ``random`` in rank order,
+  entry c - 1 holding rank c's. A read of |C| ranks compares the first
+  |C|, the uniforms it would draw alone. :func:`simulate_request` draws
   from the generator it is given one row of fades: the serving-link fade,
   then the interferer fades, MBSs before SBSs in index order.
 
 All queries of one :func:`estimate_batch` call share its seed, so for a
 realization index they read the same three streams. A call builds the
 generator of each stream once and reuses it (``_Streams``): the fading
-block, every network's ``geometry`` draws and every UCP cache set's
+uniforms, every network's ``geometry`` draws and every UCP cache set's
 ``caches`` draws read their stream from realization r's start, which the
 call reaches by restoring the generator's starting state and advancing it
 (a pool worker builds its own, once per batch of realizations it is sent).
-That draws exactly what :func:`stream_rng` draws and takes about 4 us,
-where building a SeedSequence and a generator takes about 18 us. :func:`_plan`
+That draws exactly what :func:`stream_rng` draws, at a fraction of the
+cost of building a SeedSequence and a generator (``CHANGES.md``, PR 34). :func:`_plan`
 decides once per call what the reads share, keying each object by what it
 depends on, and :func:`_realization_failures` makes each object once per
 realization from that plan, drawing the networks one at a time. A network
@@ -180,7 +152,7 @@ compares the same uniforms, whatever its policy or threshold, so each
 result equals its one-point call bit for bit, and outage is nondecreasing
 in gamma within a realization, as p falls with gamma. So the estimates of
 two policies at one point are paired (common random numbers): a rank both
-serve from one server fails the same trials under both, their
+serve from one server fails in the same realizations under both, their
 per-realization outages correlate, and their difference varies far less
 than that of two independent runs.
 """
@@ -214,37 +186,30 @@ from .params import (
 )
 
 #: Most expected points (MBSs plus active SBSs) of one network, which a task
-#: holds one at a time, with one server group's interferer gains. Traced
-#: peaks of one realization at beta = 1, alike under PCP (2 server groups)
-#: and UCP: 40 MB at 1e6 points (UCP 88 groups; |C| = 1000, d = 10,
-#: r_sbs = 5.25 m) and, measured while the estimator still drew positions
-#: (which left the peak at 1e6 points unchanged), 235 MB at 4.9e6
-#: (|C| = 100, d = 30) and 230 MB at 4.8e6 (UCP 845 groups; |C| = 1e4,
-#: d = 1, r_sbs = 7.7 m). The fig2 operating point needs about 1e4.
+#: holds one at a time, with one server group's interferer gains. The traced
+#: peaks of one realization under PCP and UCP are in ``CHANGES.md`` (PRs 28,
+#: 29 and 34). The fig2 operating point needs about 1e4.
 MAX_POINTS_PER_REALIZATION = 5_000_000
 
 #: Most expected cache-matrix entries, beta * lambda_sbs * pi * r_sbs^2 * |C|,
-#: of one cache set: about 170 MB of UCP scores and their partition.
-#: The fig2 operating point needs about 80.
+#: of one cache set: UCP takes 8 bytes per entry for its scores and 8 more
+#: for their partition. The fig2 operating point needs about 80.
 MAX_CACHE_ENTRIES_PER_REALIZATION = 10_000_000
 
-#: Most uniforms, |C| * trials_per_content, one realization may draw: 80 MB,
-#: and at most as much again for the copy of a server group's rows that is
+#: Most uniforms, one per rank (|C|), one realization may draw: 8 bytes each,
+#: and at most as much again for the copy of a server group's entries that is
 #: compared. The fig2 operating point needs 100.
 MAX_UNIFORMS_PER_REALIZATION = 10_000_000
 
 #: Least expected work of a call, in expected points drawn, for which
 #: :func:`estimate_batch` opens a process pool: below it a second process
-#: saves less than the pool costs to start, or about as much (the table
-#: under "Process pools"). fig2.cfg at 790 realizations expects 1e7.
+#: saves less than the pool costs to start, or about as much (see "Process
+#: pools"). fig2.cfg at 790 realizations expects 1e7.
 POOL_MIN_WORK = 10_000_000
 
 #: The work of one element of a read's pass, one interferer gain of its
-#: network or one uniform it compares, against drawing one point. Serially,
-#: on fig2 under PCP (1e4 points, 200 realizations, min of 9 runs), a
-#: realization takes 19 ns per point drawn, 5-6 ns per gain that a further
-#: threshold passes over and 4-21 ns per further uniform, drawn and compared
-#: (the spread of a difference of two run times).
+#: network or one uniform it compares, against drawing one point; set from
+#: serial per-element timings on fig2 under PCP (``CHANGES.md``, PR 34).
 READ_WORK = 0.25
 
 _STREAM_IDS = {"geometry": 1, "caches": 2, "fading": 3}
@@ -330,8 +295,15 @@ class SimWindow:
 
 
 def default_window(params: SystemParams, guard: float = DEFAULT_GUARD) -> SimWindow:
-    """Disc of the area of a square of side max(1000 m, 2 * (r_mbs + guard))."""
-    return SimWindow(max(1000.0, 2.0 * (params.r_mbs + guard)), guard=guard)
+    """Disc of the area of a square of side max(1000 m, 2 * (r_mbs + guard)).
+
+    A side whose area overflows is refused, naming r_mbs and guard.
+    """
+    side = max(1000.0, 2.0 * (params.r_mbs + guard))
+    if not math.isfinite(side * side):
+        raise ConfigError(f"window side 2 * (r_mbs + guard) = {side:g} m has no finite area; "
+                          "reduce guard or r_mbs")
+    return SimWindow(side, guard=guard)
 
 
 def _squared_distances(params: SystemParams, window: SimWindow, rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -621,20 +593,16 @@ def simulate_request(
 
 
 class McEstimate(NamedTuple):
-    """Binary Monte-Carlo estimate with its binomial standard error.
+    """Binary Monte-Carlo estimate with its standard error.
 
-    A plain record: it iterates as (mean, std_error, trials) and compares
+    ``std_error`` is None from one realization, which estimates none. A
+    plain record: it iterates as (mean, std_error, trials) and compares
     equal to that tuple.
     """
 
     mean: float
-    std_error: float
+    std_error: float | None
     trials: int
-
-
-def _binary_estimate(failures: int, trials: int) -> McEstimate:
-    mean = failures / trials
-    return McEstimate(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
 
 
 #: One Monte-Carlo grid point: the parameters, the library and the window.
@@ -648,21 +616,17 @@ _Network = tuple[SystemParams, SimWindow, dict[tuple[CachePolicy, ContentLibrary
 
 
 def _realization_failures(
-    networks: Sequence[_Network],
-    streams: _Streams,
-    trials_per_content: int,
-    interference: str,
-    r_index: int,
+    networks: Sequence[_Network], streams: _Streams, interference: str, r_index: int
 ) -> list[np.ndarray]:
-    """Per-content failure counts of every read of a call for realization ``r_index``, in query order.
+    """Per-rank failures of every read of a call for realization ``r_index``, in query order.
 
-    Draws one block of uniforms from the ``fading`` stream, with the rows of
-    the largest library, then the networks one at a time, each dropped
-    before the next is drawn. Each network reads the ``geometry`` stream
-    from its start, and each UCP cache set the ``caches`` stream.
+    Draws one uniform per rank of the largest library from the ``fading``
+    stream, then the networks one at a time, each dropped before the next
+    is drawn. Each network reads the ``geometry`` stream from its start, and
+    each UCP cache set the ``caches`` stream.
     """
-    rows = max(library.size for *_, cache_sets in networks for _, library in cache_sets)
-    uniforms = streams.at("fading", r_index).random((rows, trials_per_content))
+    size = max(library.size for *_, cache_sets in networks for _, library in cache_sets)
+    uniforms = streams.at("fading", r_index).random(size)
     caches = partial(streams.at, "caches", r_index)
     failures = {}
     for network in networks:
@@ -677,18 +641,18 @@ def _network_failures(
     interference: str,
     uniforms: np.ndarray,
 ):
-    """Yield (query index, per-content failure counts) for each read of one network.
+    """Yield (query index, per-rank failures) for each read of one network.
 
     The network draws its squared distances from ``geometry`` and computes
     its links once; each cache set is drawn once, UCP's from
     ``cache_rng()``, which gives the ``caches`` stream at its start. Reads of equal caches (as when
     no SBS lies within r_sbs) share one association and are counted one
-    server group at a time: the group's rows of ``uniforms`` are taken once
-    and, per distinct gamma of those reads, a trial fails when its uniform
-    is not below the group's success probability at that gamma; the group
-    is dropped before the next is built. Reads at one gamma share one count
-    array, yielded for each. A missed rank, in no group, fails every trial.
-    A read of |C| ranks compares the first |C| rows of ``uniforms``.
+    server group at a time: the group's entries of ``uniforms`` are taken
+    once and, per distinct gamma of those reads, a rank fails when its
+    uniform is not below the group's success probability at that gamma; the
+    group is dropped before the next is built. Reads at one gamma share one
+    bool array, yielded for each. A missed rank, in no group, fails. A read
+    of |C| ranks compares the first |C| entries of ``uniforms``.
     """
     params, window, cache_sets = network
     links = _links(*_squared_distances(params, window, geometry), params)
@@ -699,11 +663,11 @@ def _network_failures(
         reads_by_caches.setdefault((held.shape, held.tobytes()), []).extend(reads)
     for (shape, held), reads in reads_by_caches.items():
         caches = np.frombuffer(held, dtype=bool).reshape(shape)
-        failures = {gamma: np.full(shape[1], uniforms.shape[1]) for _, gamma in reads}
+        failures = {gamma: np.ones(shape[1], dtype=bool) for _, gamma in reads}
         for requests, _, _, signal_gain, gains in _servers(links, caches, near, params, interference):
-            rows = uniforms[requests]
-            for gamma, counts in failures.items():
-                counts[requests] = (rows >= _success(signal_gain, gains, gamma)).sum(axis=1)
+            drawn = uniforms[requests]
+            for gamma, failed in failures.items():
+                failed[requests] = drawn >= _success(signal_gain, gains, gamma)
         for query, gamma in reads:
             yield query, failures[gamma]
 
@@ -715,7 +679,7 @@ def _point_load(params: SystemParams, library: ContentLibrary, window: SimWindow
     return points, entries
 
 
-def _check_point(point: McPoint, requests: RequestDistribution, trials_per_content: int) -> float:
+def _check_point(point: McPoint, requests: RequestDistribution) -> float:
     """Refuse a point the simulator cannot run; return its expected points per realization."""
     params, library, window = point
     if requests.size != library.size:
@@ -737,7 +701,7 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
     if expected > MAX_POINTS_PER_REALIZATION:
         raise ConfigError(
             f"a {window.side:g} m window expects {expected:.3g} points per realization, over "
-            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce r_mbs or the densities"
+            f"the simulator's budget of {MAX_POINTS_PER_REALIZATION:.0e}; reduce guard, r_mbs or the densities"
         )
     if entries > MAX_CACHE_ENTRIES_PER_REALIZATION:
         raise ConfigError(
@@ -745,45 +709,41 @@ def _check_point(point: McPoint, requests: RequestDistribution, trials_per_conte
             f"simulator's budget of {MAX_CACHE_ENTRIES_PER_REALIZATION:.0e}; reduce r_sbs, "
             "the SBS density or library_size"
         )
-    if library.size * trials_per_content > MAX_UNIFORMS_PER_REALIZATION:
+    if library.size > MAX_UNIFORMS_PER_REALIZATION:
         raise ConfigError(
-            f"{library.size} ranks x trials_per_content = {trials_per_content} draw "
-            f"{library.size * trials_per_content:.3g} uniforms per realization, over the simulator's "
-            f"budget of {MAX_UNIFORMS_PER_REALIZATION:.0e}; reduce trials_per_content or library_size"
+            f"library_size = {library.size} draws one uniform per rank per realization, over the "
+            f"simulator's budget of {MAX_UNIFORMS_PER_REALIZATION:.0e} uniforms; reduce library_size"
         )
     return expected
 
 
-def _plan(
-    queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]], trials_per_content: int
-) -> tuple[list[_Network], float]:
+def _plan(queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]]) -> tuple[list[_Network], float]:
     """Check each query, then group them by network and cache set; sum a realization's work.
 
     A network is a window and params equal up to gamma: squared distances,
     links and the SBSs within r_sbs never read gamma, so the points of a
     gamma axis share one. A cache set is a network's policy and library.
     The work, in expected points drawn, is each network's points once, plus
-    :data:`READ_WORK` times each read's network points and its
-    |C| * trials_per_content uniforms, which its pass reads.
+    :data:`READ_WORK` times each read's network points and its |C|
+    uniforms, which its pass reads.
     """
     networks: dict[tuple[SystemParams, SimWindow], _Network] = {}
     work = 0.0
     for query, (point, policy, requests) in enumerate(queries):
-        points = _check_point(point, requests, trials_per_content)
+        points = _check_point(point, requests)
         params, library, window = point
         key = replace(params, gamma=1.0), window
         if key not in networks:
             networks[key] = params, window, {}
             work += points
         networks[key][2].setdefault((policy, library), []).append((query, params.gamma))
-        work += READ_WORK * (points + library.size * trials_per_content)
+        work += READ_WORK * (points + library.size)
     return list(networks.values()), work
 
 
 def estimate_batch(
     queries: Sequence[tuple[McPoint, CachePolicy, RequestDistribution]],
     seed: int,
-    trials_per_content: int = 1,
     realizations: int = 100,
     workers: int = 1,
     interference: str = INTERFERENCE_BEYOND_SERVER,
@@ -798,35 +758,31 @@ def estimate_batch(
     The call checks each query and plans once what its reads share
     (:func:`_plan`). A task is one
     realization index over every read (:func:`_realization_failures`); each
-    query weights its counts by its request law. The tasks run serially or
+    query weights its failures by its request law. The tasks run serially or
     on one process pool, by the rule under "Process pools" in the module
     docstring.
     """
-    trials_per_content = check_count("trials_per_content", trials_per_content, 1)
     realizations = check_realizations(realizations)
     workers = check_count("workers", workers, 1)
     check_interference(interference)
     seed = check_count("seed", seed, 0)
     if not queries:
         return []
-    networks, work = _plan(queries, trials_per_content)
-    task = partial(_realization_failures, networks, _Streams(seed), trials_per_content, interference)
+    networks, work = _plan(queries)
+    task = partial(_realization_failures, networks, _Streams(seed), interference)
     processes = min(workers, realizations, _usable_cpus())
     if processes == 1 or realizations * work < POOL_MIN_WORK:
-        counts = list(map(task, range(realizations)))
+        failures = list(map(task, range(realizations)))
     else:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         per_call = max(1, realizations // (4 * processes))  # realizations sent to a worker at once
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            counts = list(pool.map(task, range(realizations), chunksize=per_call))
-    # each read's counts over the realizations, in query order
-    per_read = (np.stack(read) for read in zip(*counts))
-    return [
-        _estimates(failures, requests, trials_per_content)
-        for failures, (_, _, requests) in zip(per_read, queries, strict=True)
-    ]
+            failures = list(pool.map(task, range(realizations), chunksize=per_call))
+    # each read's failures over the realizations, in query order
+    per_read = (np.stack(read) for read in zip(*failures))
+    return [_estimates(matrix, requests) for matrix, (_, _, requests) in zip(per_read, queries, strict=True)]
 
 
 def _usable_cpus() -> int:
@@ -836,26 +792,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _estimates(
-    failure_matrix: np.ndarray, requests: RequestDistribution, trials_per_content: int
-) -> tuple[list[McEstimate], McEstimate]:
-    """Per-content and average estimates from (realizations, |C|) failure counts."""
+def _estimates(failure_matrix: np.ndarray, requests: RequestDistribution) -> tuple[list[McEstimate], McEstimate]:
+    """Per-content and average estimates from a (realizations, |C|) bool failure matrix.
+
+    With one realization every standard error is None.
+    """
     realizations, size = failure_matrix.shape
-    failures = failure_matrix.sum(axis=0)
-    trials = realizations * trials_per_content
-    per_content = [_binary_estimate(int(f), trials) for f in failures]
-    per_realization = failure_matrix @ requests.weights / trials_per_content
+    per_content = []
+    for failures in failure_matrix.sum(axis=0).tolist():
+        mean = failures / realizations
+        se = math.sqrt(mean * (1.0 - mean) / realizations) if realizations > 1 else None
+        per_content.append(McEstimate(mean=mean, std_error=se, trials=realizations))
+    per_realization = failure_matrix @ requests.weights
     # bounded like the closed forms: the weights' sum, and with it the mean
-    # of rows that fail every trial, may miss 1 by an ulp
+    # of realizations that fail every rank, may miss 1 by an ulp
     avg_mean = min(max(float(per_realization.mean()), 0.0), 1.0)
-    if realizations > 1:
-        avg_se = float(per_realization.std(ddof=1)) / math.sqrt(realizations)
-    else:
-        # single cluster: fall back to independence propagation
-        means = failures / trials
-        avg_se = math.sqrt(float((requests.weights**2) @ (means * (1.0 - means) / trials)))
-    average = McEstimate(mean=avg_mean, std_error=avg_se, trials=trials * size)
-    return per_content, average
+    avg_se = float(per_realization.std(ddof=1)) / math.sqrt(realizations) if realizations > 1 else None
+    return per_content, McEstimate(mean=avg_mean, std_error=avg_se, trials=realizations * size)
 
 
 def estimate_outage(
@@ -864,7 +817,6 @@ def estimate_outage(
     library: ContentLibrary,
     requests: RequestDistribution,
     window: SimWindow | None = None,
-    trials_per_content: int = 1,
     realizations: int = 100,
     seed: int = 0,
     workers: int = 1,
@@ -872,14 +824,14 @@ def estimate_outage(
 ) -> tuple[list[McEstimate], McEstimate]:
     """Stratified outage estimator.
 
-    Every content rank is simulated ``realizations * trials_per_content``
-    times; the average outage weights the per-content means by the request
-    probabilities. Per-content standard errors use the binomial formula
-    (exact for trials_per_content == 1, where a content's trials are
-    independent across realizations). The strata share realizations, so the
-    average's standard error is propagated through that clustering: it is
-    the sample standard error of the per-realization request-weighted means,
-    which independence-based propagation would badly understate.
+    Every content rank is simulated once per realization; the average
+    outage weights the per-content means by the request probabilities. A
+    rank's outcomes are independent across realizations, so its standard
+    error is the binomial one, exactly. The strata share realizations, so
+    the average's standard error is propagated through that clustering: it
+    is the sample standard error of the per-realization request-weighted
+    means, which independence-based propagation would badly understate.
+    One realization estimates no standard error: each is None.
 
     Fully deterministic given the seed, for any worker count: realizations
     are independent tasks whose streams derive from (seed, realization
@@ -890,7 +842,6 @@ def estimate_outage(
     window = default_window(params) if window is None else window
     [result] = estimate_batch(
         [((params, library, window), policy, requests)], seed,
-        trials_per_content=trials_per_content, realizations=realizations, workers=workers,
-        interference=interference,
+        realizations=realizations, workers=workers, interference=interference,
     )
     return result

@@ -1,3 +1,4 @@
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # package too when pytest alone put src/ on sys.path
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(autouse=True)
@@ -95,3 +98,18 @@ def pool_at_any_work(monkeypatch):
     from hetcache import geometry_sim
 
     monkeypatch.setattr(geometry_sim, "POOL_MIN_WORK", 0)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Import a benchmark module by name from ``perfbench/``, which stays read-only.
+
+    Every module loaded from that directory is unloaded afterwards.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield importlib.import_module
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]

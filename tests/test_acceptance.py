@@ -112,9 +112,7 @@ def test_criterion_3_analytic_monte_carlo_agreement():
         for ci, (label, policy, lib, requests) in enumerate(combo_table()):
             analytic = average_outage(p, policy, lib, requests)
             seed = int(np.random.SeedSequence([3000, ci]).generate_state(1, np.uint64)[0])
-            _, mc = estimate_outage(
-                p, policy, lib, requests, realizations=100, trials_per_content=1, seed=seed
-            )
+            _, mc = estimate_outage(p, policy, lib, requests, realizations=100, seed=seed)
             tolerance = max(0.02, 3.0 * mc.std_error)
             diff = abs(mc.mean - analytic)
             lines.append(f"lambda={lam} {label}: |{mc.mean:.4f}-{analytic:.4f}|={diff:.4f} tol={tolerance:.4f}")
@@ -196,7 +194,7 @@ def test_criterion_5_qualitative_figure_reproduction():
         assert all(b >= a - 1e-12 for a, b in zip(cv, cv[1:]))
     mc_spec = SweepSpec(
         base=setup, axis1=("gamma", (-20.0, -10.0, 0.0, 10.0)),
-        variants=(variants[2],), engines=("montecarlo",), mc=McBudget(1, 40), seed=5,
+        variants=(variants[2],), engines=("montecarlo",), mc=McBudget(40), seed=5,
     )
     mc_curve = [r.avg_outage for r in run_sweep(mc_spec).rows]
     assert all(b >= a for a, b in zip(mc_curve, mc_curve[1:]))
@@ -253,7 +251,6 @@ d_tilde = 0.4
 policy = pcp
 delta = 0.8
 realizations = 15
-trials_per_content = 1
 """
 
 MINI_SPEC = MINI_CFG + """

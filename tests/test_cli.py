@@ -21,8 +21,8 @@ from hetcache import (
     setup_from_config,
     total_outage,
 )
-from hetcache.cli import _load_config, main
-from hetcache.experiments import MC_KEYS
+from hetcache.cli import POINT_KEYS, SWEEP_FILE_KEYS, _check_unknown_keys, _load_config, main
+from hetcache.experiments import MC_KEYS, McBudget
 
 from oracles import parse_sweep_csv, traced_peak
 
@@ -41,7 +41,6 @@ d_tilde = 0.4
 policy = pcp
 delta = 0.8
 realizations = 20
-trials_per_content = 1
 seed = 3
 """
 
@@ -354,9 +353,9 @@ class TestExitCodes:
         assert calls == []
         assert [path.name for path in tmp_path.iterdir()] == ["small.spec"]
 
-    # an out-of-scale window, and 100 ranks x 100001 trials: 1.00001e7
-    # uniforms per realization, one trial over the budget
-    @pytest.mark.parametrize("key, value", [("r_mbs", "1e7"), ("trials_per_content", "100001")])
+    # an out-of-scale window, and 10000001 ranks: one uniform per rank and
+    # realization, one over the budget
+    @pytest.mark.parametrize("key, value", [("r_mbs", "1e7"), ("library_size", "10000001")])
     def test_over_a_simulator_budget_refused_before_sampling(self, capsys, tmp_path, key, value):
         text = _load_config("fig2.cfg") | {key: value, "realizations": "1"}
         cfg = tmp_path / "wide.cfg"
@@ -763,6 +762,78 @@ def test_both_commands_read_the_monte_carlo_keys(capsys, monkeypatch, tmp_path, 
     assert f"'{key}'" in err
     assert "unknown key" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "sweep"])
+def test_legacy_trials_key_accepted_at_one_only(capsys, monkeypatch, tmp_path, command):
+    # a realization simulates one request per content: the key may still be
+    # set, to 1, with the bytes of a file that omits it; any other value
+    # exits 2 naming it and the key to raise instead
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
+    text = SMALL_CFG if command != "sweep" else MC_SPEC
+    outputs = []
+    for extra in ("", "trials_per_content = 1\n", "trials_per_content = 2\n"):
+        path, out_path = tmp_path / "input.txt", tmp_path / "out.csv"
+        path.write_text(text + extra)
+        out_path.unlink(missing_ok=True)
+        args = ["--spec", str(path), "--out", str(out_path)] if command == "sweep" else ["--config", str(path)]
+        code, out, err = run_cli(capsys, command, *args)
+        outputs.append((code, out, err, out_path.read_text() if out_path.exists() else None))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    code, out, err, csv = outputs[2]
+    assert (code, out, csv) == (2, "", None)
+    assert "trials_per_content must be 1, got 2" in err and "realizations" in err
+
+
+def test_benchmark_inputs_pass_the_config_boundary(perfbench, monkeypatch):
+    # the benchmark writes its own inputs, trials_per_content = 1 among their
+    # keys, and runs them on every commit: each workload's input passes the
+    # unknown-key check and the readers of its command; nothing is sampled
+    monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
+    workloads = perfbench("workloads")
+    for workload in workloads.WORKLOADS.values():
+        cfg = parse_config_text(workload.input_text(1))
+        if workload.command == "sweep":
+            _check_unknown_keys(cfg, SWEEP_FILE_KEYS)
+            experiments.sweep_spec_from_config(cfg, 1)
+        else:
+            _check_unknown_keys(cfg, POINT_KEYS)
+            McBudget.from_config(cfg)
+            setup_from_config(cfg)
+
+
+@pytest.mark.parametrize("guard, reason", [("1e154", "no finite area"), ("1e6", "budget")])
+def test_window_refusals_name_guard(capsys, tmp_path, guard, reason):
+    # a guard of 1e154 m overflows the default window's area, and one of
+    # 1e6 m makes a window of 4e10 expected points
+    path = tmp_path / "wide.cfg"
+    path.write_text(_with_value(SMALL_CFG, "guard", guard))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "guard" in err and reason in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_one_realization_reports_no_standard_error(capsys, monkeypatch, tmp_path, command):
+    # one realization estimates no standard error: JSON null for the average
+    # and every rank, and an empty CSV field, as on closed-form rows
+    monkeypatch.delenv("HETCACHE_SEED", raising=False)
+    if command == "simulate":
+        path = tmp_path / "fig2.cfg"
+        path.write_text(_with_value(FIG2_TEXT, "realizations", "1"))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["average"]["std_error"] is None
+        assert [rank["std_error"] for rank in payload["per_content"]] == [None] * 100
+        assert 0.0 <= payload["average"]["mean"] <= 1.0
+        return
+    path, out_path = tmp_path / "mc.spec", tmp_path / "out.csv"
+    path.write_text(_with_value(MC_SPEC, "realizations", "1"))
+    assert run_cli(capsys, "sweep", "--spec", str(path), "--out", str(out_path))[0] == 0
+    rows = parse_sweep_csv(out_path.read_text()).rows
+    assert {row.engine for row in rows} == {"analytic", "montecarlo"}
+    assert all(row.std_error is None for row in rows)
 
 
 def test_bad_interference_convention_named_and_exit_2(capsys, monkeypatch, tmp_path):

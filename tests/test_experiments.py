@@ -95,15 +95,27 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             SweepSpec(base=s, axis1=("beta", (0.1,)), variants=variants(s, "pcp"), seed=-1)
 
-    @pytest.mark.parametrize("trials, realizations", [(0, 10), (1, 0), (-1, 10), (1, -3)])
-    def test_monte_carlo_budget_below_one_refused(self, trials, realizations):
-        with pytest.raises(ConfigError, match="must be >= 1"):
-            McBudget(trials_per_content=trials, realizations=realizations)
+    @pytest.mark.parametrize("realizations", [0, -3])
+    def test_monte_carlo_budget_below_one_refused(self, realizations):
+        with pytest.raises(ConfigError, match="realizations must be >= 1"):
+            McBudget(realizations=realizations)
 
-    @pytest.mark.parametrize("field, value", [("trials_per_content", 1.5), ("realizations", 2.5)])
-    def test_non_integer_monte_carlo_budget_refused(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value}"):
-            McBudget(**{field: value})
+    def test_non_integer_monte_carlo_budget_refused(self):
+        with pytest.raises(ConfigError, match="realizations must be an integer, got 2.5"):
+            McBudget(realizations=2.5)
+
+    @pytest.mark.parametrize("value, message", [
+        ("2", "trials_per_content must be 1, got 2: .*raise realizations"),
+        ("0", "trials_per_content must be 1, got 0"),
+        ("100001", "trials_per_content must be 1, got 100001"),
+        ("1.5", "key 'trials_per_content': expected an integer"),
+    ])
+    def test_legacy_trials_key_refused_unless_one(self, value, message):
+        # a realization simulates one request per content; the key is still
+        # read, and only 1, the budget of a file without it, is accepted
+        assert McBudget.from_config({"trials_per_content": "1"}) == McBudget.from_config({}) == McBudget()
+        with pytest.raises(ConfigError, match=message):
+            McBudget.from_config({"trials_per_content": value})
 
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("workers", 2.0)])
     def test_non_integer_seed_or_workers_refused(self, field, value):
@@ -117,7 +129,7 @@ class TestSweepSpecValidation:
         def spec(integer):
             return SweepSpec(
                 base=s, axis1=("lambda_sbs", (0.02,)), variants=variants(s, "pcp"),
-                engines=("montecarlo",), mc=McBudget(integer(2), integer(3)), seed=integer(5),
+                engines=("montecarlo",), mc=McBudget(integer(3)), seed=integer(5),
                 workers=integer(1),
             )
 
@@ -129,7 +141,7 @@ class TestRunSweep:
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
             base=s, axis1=("lambda_sbs", (0.02,)), variants=variants(s, "pcp"),
-            engines=("analytic", "montecarlo"), mc=McBudget(1, 10), seed=3,
+            engines=("analytic", "montecarlo"), mc=McBudget(10), seed=3,
         )
         res = run_sweep(spec)
         assert len(res.rows) == 2
@@ -141,7 +153,7 @@ class TestRunSweep:
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
             base=s, axis1=("lambda_sbs", (0.02, 0.05)), variants=variants(s, "pcp", "none"),
-            engines=("analytic", "montecarlo"), mc=McBudget(1, 10), seed=3,
+            engines=("analytic", "montecarlo"), mc=McBudget(10), seed=3,
         )
         assert run_sweep(spec) == run_sweep(spec)
 
@@ -192,7 +204,7 @@ class TestRunSweep:
         spec = SweepSpec(
             base=s, axis1=("gamma", (-20.0, -10.0, 0.0, 10.0)),
             variants=variants(s, "pcp"), engines=("montecarlo",),
-            mc=McBudget(1, 25), seed=5,
+            mc=McBudget(25), seed=5,
         )
         res = run_sweep(spec)
         curve = [r.avg_outage for r in res.rows]
@@ -279,7 +291,7 @@ class TestEvaluateOnce:
         s = base_setup(size=10, slots=3)
         spec = SweepSpec(
             base=s, axis1=("d_tilde", (0.2, 0.5, 0.9)), variants=variants(s, "none", "pcp"),
-            engines=("montecarlo",), mc=McBudget(1, 4), seed=11,
+            engines=("montecarlo",), mc=McBudget(4), seed=11,
         )
         calls = []
         real = experiments.estimate_outage
@@ -296,7 +308,7 @@ class TestEvaluateOnce:
         ]
         [(_, alone)] = real(
             [(s.params, CachePolicy.UCP, ContentLibrary(10, 0), s.requests)], 11,
-            budget=McBudget(1, 4), workers=1,
+            budget=McBudget(4), workers=1,
         )
         none_rows = [(r.avg_outage, r.std_error) for r in rows if r.variant == "none"]
         assert none_rows == [(alone.mean, alone.std_error)] * 3
@@ -307,7 +319,7 @@ class TestEvaluateOnce:
         spec = SweepSpec(
             base=s, axis1=("d_tilde", (0.2, 0.5)), axis2=("beta", (0.05, 0.5)),
             variants=(ucp, ucp._replace(label="ucp:zipf")), engines=("analytic", "montecarlo"),
-            mc=McBudget(1, 4), seed=11,
+            mc=McBudget(4), seed=11,
         )
         row_inputs, calls, tasks = [], [], []
         real_average, real_estimate = experiments.average_outage, experiments.estimate_outage
@@ -376,19 +388,20 @@ class TestSharedFading:
         "d_tilde x gamma": (("d_tilde", (0.2, 0.9)), ("gamma", (-10.0, 5.0))),
     }
 
-    def spec(self, grid, trials, workers):
+    def spec(self, grid, realizations, workers):
         s = base_setup(size=10, slots=3)
         axis1, axis2 = self.GRIDS[grid]
         return SweepSpec(
             base=s, axis1=axis1, axis2=axis2, variants=variants(s, "none", "ucp", "pcp"),
-            engines=("montecarlo",), mc=McBudget(trials, 3), seed=13, workers=workers,
+            engines=("montecarlo",), mc=McBudget(realizations), seed=13, workers=workers,
         )
 
+    # at one realization every row's standard error is None, as alone
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("realizations", [1, 3])
     @pytest.mark.parametrize("grid", list(GRIDS))
-    def test_rows_equal_standalone_estimates(self, grid, trials, workers):
-        spec = self.spec(grid, trials, workers)
+    def test_rows_equal_standalone_estimates(self, grid, realizations, workers):
+        spec = self.spec(grid, realizations, workers)
         rows = run_sweep(spec).rows
         assert multiprocessing.active_children() == []
         for row in rows:
@@ -402,8 +415,7 @@ class TestSharedFading:
                     params = replace(params, **{name: db_to_linear(value) if name == "gamma" else value})
             _, alone = geometry_sim.estimate_outage(
                 params, variant.policy, library, variant.requests,
-                window=geometry_sim.default_window(params, spec.mc.guard), trials_per_content=trials,
-                realizations=3, seed=13,
+                window=geometry_sim.default_window(params, spec.mc.guard), realizations=realizations, seed=13,
             )
             assert (row.avg_outage, row.std_error) == (alone.mean, alone.std_error)
 
@@ -414,7 +426,7 @@ class TestCsvRoundTrip:
         spec = SweepSpec(
             base=s, axis1=("d_tilde", (0.1, 0.3)), axis2=("beta", (0.05, 0.5)),
             variants=variants(s, "ucp", "pcp"), engines=("analytic", "montecarlo"),
-            mc=McBudget(1, 5), seed=11,
+            mc=McBudget(5), seed=11,
         )
         res = run_sweep(spec)
         path = tmp_path / "sweep.csv"
@@ -516,7 +528,7 @@ class TestSharedPool:
         s = base_setup(size=10, slots=3)
         return SweepSpec(
             base=s, axis1=("lambda_sbs", (0.02, 0.05)), variants=variants(s, "pcp", "ucp"),
-            engines=("analytic", "montecarlo"), mc=McBudget(1, 6), seed=7, workers=workers,
+            engines=("analytic", "montecarlo"), mc=McBudget(6), seed=7, workers=workers,
         )
 
     def run_cli_sweep(self, tmp_path, text, *flags):
@@ -614,7 +626,8 @@ class TestSharedPool:
         monkeypatch.setattr(experiments, "average_outage", lambda *a: calls.append(a) or real(*a))
         text = self.MC_SPEC.replace("realizations = 4", f"{key} = 0")
         assert self.run_cli_sweep(tmp_path, text, "--workers", "2") == 2
-        assert f"{key} must be >= 1" in capsys.readouterr().err
+        message = "realizations must be >= 1" if key == "realizations" else "trials_per_content must be 1, got 0"
+        assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out.csv").exists()
 

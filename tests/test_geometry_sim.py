@@ -1,11 +1,8 @@
-import importlib
 import math
-import sys
 import time
 import warnings
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,13 +70,11 @@ def associate(realization, contents, params, interference):
         yield requests, tier, math.sqrt(sq[index]), signal_gain, gains
 
 
-def realization_failures(reads, seed, trials_per_content, interference, r_index):
+def realization_failures(reads, seed, interference, r_index):
     """``_realization_failures`` of the (point, policy) reads of one call."""
     queries = [(point, policy, zipf_request_distribution(point[1].size, 0.8)) for point, policy in reads]
-    networks, _ = geometry_sim._plan(queries, trials_per_content)
-    return geometry_sim._realization_failures(
-        networks, geometry_sim._Streams(seed), trials_per_content, interference, r_index
-    )
+    networks, _ = geometry_sim._plan(queries)
+    return geometry_sim._realization_failures(networks, geometry_sim._Streams(seed), interference, r_index)
 
 
 def make_realization(sbs_xy, cached, mbs_xy=(), library_size=1):
@@ -386,22 +381,7 @@ class TestRealizeNetwork:
         assert np.all(sq < win.radius() ** 2)
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture
-def perfbench_layers(monkeypatch):
-    """perfbench's ``layers`` module, imported from its directory; its modules are unloaded afterwards."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    try:
-        yield importlib.import_module("layers")
-    finally:
-        for name, module in list(sys.modules.items()):
-            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
-                del sys.modules[name]
-
-
-def test_benchmark_sim_layer_runs(perfbench_layers, monkeypatch):
+def test_benchmark_sim_layer_runs(perfbench, monkeypatch):
     # the per-layer benchmark calls stream_rng, realize_network and
     # simulate_request and reads len() of a realization's point arrays:
     # with each timed function called once, every sim.* metric that
@@ -411,10 +391,11 @@ def test_benchmark_sim_layer_runs(perfbench_layers, monkeypatch):
         fn()
         return time.perf_counter() - start
 
-    monkeypatch.setattr(perfbench_layers, "per_call", one_call)
+    layers = perfbench("layers")
+    monkeypatch.setattr(layers, "per_call", one_call)
     metrics = {}
-    perfbench_layers.sim_layer(hetcache, 7, metrics)
-    declared = {name for name, _ in perfbench_layers.PER_LAYER if name.startswith("sim.")}
+    layers.sim_layer(hetcache, 7, metrics)
+    declared = {name for name, _ in layers.PER_LAYER if name.startswith("sim.")}
     assert set(metrics) == declared - {"sim.realization_ms", "sim.estimate_outage_s"}  # those two: pool_layer
     assert {name: value for name, value in metrics.items() if not (math.isfinite(value) and value > 0)} == {}
 
@@ -594,15 +575,16 @@ class TestRealizationKernel:
         hand = [math.prod(1.0 / (1.0 + gamma * g / signal) for g in gains)
                 for signal, gains in self.gains(interference, mbs_near, mbs_far)]
         assert successes == pytest.approx(hand[: len(groups)], rel=1e-12)
-        # a trial fails when its uniform is not below its group's probability:
-        # the first trial of each served rank draws exactly it, a tie, and fails
-        uniforms = stream_rng(1, "fading", 0).random((4, 50))
-        per_rank = np.full(4, np.nan)  # a missed rank compares nothing and fails every trial
+        # a rank fails when its uniform is not below its group's probability:
+        # rank 1 draws exactly it, a tie, and fails; rank 2 draws the float
+        # just below it and passes
+        uniforms = stream_rng(1, "fading", 0).random(4)
+        per_rank = np.full(4, np.nan)  # a missed rank compares nothing and fails
         for (requests, _, _, _, _), p in zip(groups, successes):
             per_rank[requests] = p
         served = ~np.isnan(per_rank)
-        uniforms[served, 0] = per_rank[served]
-        expected = np.where(served, np.count_nonzero(uniforms >= per_rank[:, None], axis=1), 50)
+        uniforms[0], uniforms[1] = per_rank[0], np.nextafter(per_rank[1], 0.0)
+        expected = np.where(served, uniforms >= per_rank, True)
         # one read of the hand layout, whose SBSs a and b are those within r_sbs
         sq = np.concatenate([real.mbs_points, real.active_sbs_points])
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: (real.mbs_points.size, sq.copy()))
@@ -613,7 +595,7 @@ class TestRealizationKernel:
         [(query, failures)] = geometry_sim._network_failures(network, *streams, interference, uniforms)
         assert query == 0
         assert failures.tolist() == expected.tolist()
-        assert 0 < expected[0] < 50  # link a passes some trials, not all
+        assert expected[:2].tolist() == [True, False]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(link_layouts(), st.sampled_from([2.5, 3.0, 3.5, 4.0, 5.0]))
@@ -705,15 +687,15 @@ class TestSharedFading:
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     def test_thresholds_and_policies_paired_in_one_realization(self, interference):
         # thresholds g1 < g2 < g3 under both policies in one realization: each
-        # rank's failures are nondecreasing in the threshold, and a rank that
-        # PCP and UCP serve from the same server fails the same trials
+        # rank's failure is nondecreasing in the threshold, and a rank that
+        # PCP and UCP serve from the same server fails alike
         params, library, window = self.points()[2]
         policies = (CachePolicy.PCP, CachePolicy.UCP)
         thresholds = (0.05, params.gamma, 1.0)
         reads = tuple(((replace(params, gamma=gamma), library, window), policy)
                       for policy in policies for gamma in thresholds)
-        counts = realization_failures(reads, 6, 200, interference, 0)
-        pcp, ucp = np.reshape(counts, (2, 3, library.size))
+        failed = realization_failures(reads, 6, interference, 0)
+        pcp, ucp = np.reshape(failed, (2, 3, library.size)).astype(int)
         for per_gamma in (pcp, ucp):
             assert np.all(np.diff(per_gamma, axis=0) >= 0)
             assert np.any(np.diff(per_gamma, axis=0) > 0)
@@ -732,8 +714,8 @@ class TestSharedFading:
 
     def test_one_block_of_uniforms_for_the_largest_library(self, monkeypatch):
         # libraries of 30 and 12 ranks in one call: each realization draws
-        # one (30, trials) block, and the 12-rank read compares its first 12
-        # rows, so each query still equals its one-point call
+        # 30 uniforms, and the 12-rank read compares the first 12, so each
+        # query still equals its one-point call
         (p0, _, window), (p1, _, _) = self.points()[:2]
         small = ContentLibrary(size=12, cache_slots=4)
         queries = [((p1, small, window), CachePolicy.UCP, zipf_request_distribution(12, 0.8)),
@@ -754,42 +736,30 @@ class TestSharedFading:
             return Recording(rng) if name == "fading" else rng
 
         monkeypatch.setattr(geometry_sim._Streams, "at", stream)
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
-        assert shapes == [(30, 2)] * 3
+        results = geometry_sim.estimate_batch(queries, 6, realizations=3)
+        assert shapes == [30] * 3
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 2)
+        self.assert_standalone(queries, results)
 
     def test_failure_counts_match_the_stream_by_hand(self):
-        # UCP at lambda_sbs = 0.2 under "all", 7 trials: each rank's count is
-        # the number of its row of the fading stream's (30, 7) uniforms not
-        # below its server's hand product, and a missed rank fails all 7
+        # UCP at lambda_sbs = 0.2 under "all": a rank fails when its entry of
+        # the fading stream's 30 uniforms is not below its server's hand
+        # product, and a missed rank fails
         point = self.points()[2]
         params, library, window = point
-        [counts] = realization_failures(((point, CachePolicy.UCP),), 5, 7, INTERFERENCE_ALL, 0)
+        [failed] = realization_failures(((point, CachePolicy.UCP),), 5, INTERFERENCE_ALL, 0)
         real = realize_network(params, CachePolicy.UCP, library, window, stream_rng(5, "geometry", 0),
                                cache_rng=stream_rng(5, "caches", 0))
-        uniforms = stream_rng(5, "fading", 0).random((library.size, 7))
-        expected = [7] * library.size
+        uniforms = stream_rng(5, "fading", 0).random(library.size)
+        expected = [True] * library.size
         groups = list(associate(real, np.arange(1, library.size + 1), params, INTERFERENCE_ALL))
         for requests, _, _, signal_gain, gains in groups:
             p = math.prod(1.0 / (1.0 + params.gamma * g / signal_gain) for g in gains)
             for rank in requests:
-                expected[rank] = sum(u >= p for u in uniforms[rank])
+                expected[rank] = bool(uniforms[rank] >= p)
         assert len(groups) > 5
-        assert 0 < sum(expected) < library.size * 7
-        assert counts.tolist() == expected
-
-    def test_memory_bounded_by_the_uniform_block(self):
-        # the three points under both policies, 30 ranks x 20k trials: the
-        # uniforms take 4.8 MB, while one fade per link at the 88 to 330
-        # transmitters of a point would take over 400 MB; the peak stays
-        # within three blocks however many interferers or reads there are
-        reads = tuple((point, policy) for point in self.points() for policy in (CachePolicy.PCP, CachePolicy.UCP))
-        trials = 20_000
-        counts, peak = traced_peak(lambda: realization_failures(reads, 6, trials, INTERFERENCE_ALL, 0))
-        assert peak < 3 * 8 * self.LIBRARY.size * trials
-        for per_read in counts:
-            assert 0 < per_read.sum() < self.LIBRARY.size * trials
+        assert 0 < sum(expected) < library.size
+        assert failed.tolist() == expected
 
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
     def test_memory_of_a_call_is_that_of_its_largest_network(self, policy):
@@ -842,7 +812,7 @@ class TestSharedFading:
         assert Tier.SBS in tiers
         assert elements == []
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 1)
+        self.assert_standalone(queries, results)
 
     @staticmethod
     def peak(queries):
@@ -866,11 +836,11 @@ class TestSharedFading:
             (p1, CachePolicy.PCP, zipf),
         ]
 
-    def assert_standalone(self, queries, results, trials, realizations=3):
+    def assert_standalone(self, queries, results, realizations=3):
         """Each result, in query order, equals its query's one-point call."""
         for ((params, library, window), policy, requests), result in zip(queries, results, strict=True):
             assert result == estimate_outage(params, policy, library, requests, window=window,
-                                             trials_per_content=trials, realizations=realizations, seed=6)
+                                             realizations=realizations, seed=6)
 
     #: The per-realization budgets as they stand, or tightened to fit only
     #: the largest network's points, its cache set's entries, or both. A
@@ -879,10 +849,10 @@ class TestSharedFading:
     BUDGETS = ("none", "points", "entries", "both")
 
     @pytest.mark.parametrize("budget", BUDGETS)
-    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("realizations", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_task_per_realization_samples_each_network_once(
-        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, trials, budget
+        self, monkeypatch, usable_cpus, recorded_pools, pool_at_any_work, workers, realizations, budget
     ):
         usable_cpus(2)
         queries = self.mixed_queries()
@@ -901,16 +871,17 @@ class TestSharedFading:
                             lambda params, *args: sampled.append(params.lambda_sbs) or real_sample(params, *args))
         monkeypatch.setattr(geometry_sim, "_servers",
                             lambda *args: associated.append(tasks[-1]) or real_servers(*args))
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=trials, realizations=3, workers=workers)
-        assert tasks == [0, 1, 2]
+        results = geometry_sim.estimate_batch(queries, 6, realizations=realizations, workers=workers)
+        assert tasks == list(range(realizations))
         # four cache sets over three networks: lambda_sbs 0.1 serves UCP and
         # PCP from one sample, and a repeated query shares its cache set
-        assert sampled == [0.05, 0.1, 0.2] * 3
+        assert sampled == [0.05, 0.1, 0.2] * realizations
         assert associated == [task for task in tasks for _ in range(4)]
-        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 else [])
+        # one realization is one task: it never opens a pool
+        assert [pool.max_workers for pool in recorded_pools] == ([2] if workers == 2 and realizations > 1 else [])
         assert all(pool.shut_down for pool in recorded_pools)
         monkeypatch.undo()
-        self.assert_standalone(queries, results, trials)
+        self.assert_standalone(queries, results, realizations)
         assert results[5] == results[1]  # the repeat equals its first occurrence
         # the policies differ where a cache can serve: the reads are not copies
         assert results[1][0] != results[3][0]
@@ -967,7 +938,7 @@ class TestSharedFading:
         monkeypatch.setattr(np.random, "PCG64DXSM", lambda *args: built.append(args) or real_bits(*args))
         monkeypatch.setattr(geometry_sim._Streams, "at", stream)
         monkeypatch.setattr(geometry_sim, "_squared_distances", sample)
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=realizations)
+        results = geometry_sim.estimate_batch(queries, 6, realizations=realizations)
         assert sorted(keys) == [(1,), (2,), (3,)] and len(built) == 3
         # some realization draws two UCP cache sets from its one caches
         # stream, so the stream is reset within a realization too
@@ -976,7 +947,7 @@ class TestSharedFading:
         assert len(points) == 3 * realizations
         assert sum(doubles) == sum(points) > 0
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 2, realizations)
+        self.assert_standalone(queries, results, realizations)
 
     def test_gamma_points_share_one_network(self, monkeypatch):
         # three thresholds at one (params but gamma, window) under both
@@ -995,12 +966,12 @@ class TestSharedFading:
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *args: sampled.append(args) or real(*args))
         monkeypatch.setattr(geometry_sim, "_servers", lambda *args: associated.append(args) or real_servers(*args))
         monkeypatch.setattr(geometry_sim._Streams, "at", lambda *args: streams.append(args[1]) or real_stream(*args))
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        results = geometry_sim.estimate_batch(queries, 6, realizations=3)
         assert len(sampled) == 3
         assert len(associated) == 2 * 3  # the UCP and the PCP caches
         assert [streams.count(name) for name in ("geometry", "caches", "fading")] == [3, 3, 3]
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 2)
+        self.assert_standalone(queries, results)
         # a higher threshold fails more: the gamma points are not copies
         ucp = [average.mean for (_, average) in results[::2]]
         assert ucp[0] < ucp[1] < ucp[2]
@@ -1018,10 +989,10 @@ class TestSharedFading:
             point = (params, self.LIBRARY, self.WINDOW)
             queries = [(point, policy, requests) for policy in (CachePolicy.UCP, CachePolicy.PCP)]
             associated.clear()
-            results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+            results = geometry_sim.estimate_batch(queries, 6, realizations=3)
             assert len(associated) == (1 if shared else 2) * 3
             assert (results[0] == results[1]) is shared
-            self.assert_standalone(queries, results, 2)
+            self.assert_standalone(queries, results)
 
     @pytest.mark.parametrize("lambda_sbs", [0.0, 0.1])
     def test_each_threshold_counted_once_per_server_group(self, monkeypatch, lambda_sbs):
@@ -1047,11 +1018,11 @@ class TestSharedFading:
 
         monkeypatch.setattr(geometry_sim, "_servers", servers)
         monkeypatch.setattr(geometry_sim, "_success", lambda *args: successes.append(args) or real_success(*args))
-        results = geometry_sim.estimate_batch(queries, 6, trials_per_content=2, realizations=3)
+        results = geometry_sim.estimate_batch(queries, 6, realizations=3)
         assert groups
         assert len(successes) == 2 * len(groups)
         monkeypatch.undo()
-        self.assert_standalone(queries, results, 2)
+        self.assert_standalone(queries, results)
         assert results[4] == results[0]
 
 
@@ -1060,12 +1031,9 @@ class TestEstimateOutage:
         p = fig2_params(lambda_sbs=0.02)
         lib = ContentLibrary(size=10, cache_slots=3)
         req = zipf_request_distribution(10, 0.8)
-        ref_pc, ref_avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                          realizations=30, trials_per_content=2, seed=5)
-        again_pc, again_avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                              realizations=30, trials_per_content=2, seed=5)
-        parallel_pc, parallel_avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                                    realizations=30, trials_per_content=2,
+        ref_pc, ref_avg = estimate_outage(p, CachePolicy.UCP, lib, req, realizations=30, seed=5)
+        again_pc, again_avg = estimate_outage(p, CachePolicy.UCP, lib, req, realizations=30, seed=5)
+        parallel_pc, parallel_avg = estimate_outage(p, CachePolicy.UCP, lib, req, realizations=30,
                                                     seed=5, workers=3)
         assert ref_pc == again_pc and ref_avg == again_avg
         assert ref_pc == parallel_pc and ref_avg == parallel_avg
@@ -1130,16 +1098,16 @@ class TestEstimateOutage:
     ):
         # UCP and PCP at one point and PCP at a second: the expected work
         # counts each of the two networks once per realization, and for each
-        # read a quarter of its network's points and of its 4 x 3 uniforms
+        # read a quarter of its network's points and of its 4 uniforms
         usable_cpus(cpus)
         lib = ContentLibrary(size=4, cache_slots=2)
         requests = zipf_request_distribution(4, 0.8)
         points = [(p, lib, default_window(p)) for p in (fig2_params(lambda_sbs=0.02), fig2_params(lambda_sbs=0.05))]
         queries = [(points[0], CachePolicy.UCP, requests), (points[0], CachePolicy.PCP, requests),
                    (points[1], CachePolicy.PCP, requests)]
-        run = partial(geometry_sim.estimate_batch, queries, 2, trials_per_content=3, realizations=realizations)
+        run = partial(geometry_sim.estimate_batch, queries, 2, realizations=realizations)
         p0, p1 = (geometry_sim._point_load(*point)[0] for point in points)
-        work = realizations * (p0 + (p0 + 12) / 4 + (p0 + 12) / 4 + p1 + (p1 + 12) / 4)  # in the plan's order
+        work = realizations * (p0 + (p0 + 4) / 4 + (p0 + 4) / 4 + p1 + (p1 + 4) / 4)  # in the plan's order
         assert work < geometry_sim.POOL_MIN_WORK  # a call this small runs serially as it stands
         serial = run(workers=1)
         for threshold, pools in (
@@ -1176,7 +1144,7 @@ class TestEstimateOutage:
         lib = ContentLibrary(size=10, cache_slots=3)
         queries = [((p, lib, default_window(p)), policy, zipf_request_distribution(10, 0.8))
                    for policy in (CachePolicy.UCP, CachePolicy.PCP)]
-        run = partial(geometry_sim.estimate_batch, queries, 5, trials_per_content=2, realizations=30)
+        run = partial(geometry_sim.estimate_batch, queries, 5, realizations=30)
         assert run(workers=workers) == run(workers=1)
         assert opened == [workers]
 
@@ -1198,9 +1166,9 @@ class TestEstimateOutage:
         )
         lib = ContentLibrary(size=size, cache_slots=2)
         req = zipf_request_distribution(size, delta)
-        per_content, avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                           realizations=realizations, trials_per_content=2, seed=1)
-        assert all(est.mean == 1.0 and est.std_error == 0.0 for est in per_content)
+        per_content, avg = estimate_outage(p, CachePolicy.UCP, lib, req, realizations=realizations, seed=1)
+        std_error = None if realizations == 1 else 0.0  # one realization estimates none
+        assert all(est.mean == 1.0 and est.std_error == std_error for est in per_content)
         if size == 5:  # five uniform weights sum to exactly 1
             assert avg.mean == 1.0 and avg.std_error == 0.0
         else:  # other weights may miss 1 by an ulp, but the mean stays a probability
@@ -1210,13 +1178,16 @@ class TestEstimateOutage:
         p = fig2_params(lambda_sbs=0.02)
         lib = ContentLibrary(size=4, cache_slots=2)
         req = zipf_request_distribution(4, 0.0)
-        per_content, avg = estimate_outage(p, CachePolicy.PCP, lib, req,
-                                           realizations=50, trials_per_content=1, seed=2)
+        per_content, avg = estimate_outage(p, CachePolicy.PCP, lib, req, realizations=50, seed=2)
         for est in per_content:
             assert est.trials == 50
             assert est.std_error == math.sqrt(est.mean * (1.0 - est.mean) / est.trials)
         assert avg.trials == 200
         assert avg.mean == pytest.approx(float(np.mean([e.mean for e in per_content])), rel=1e-12)
+        # one realization estimates no standard error
+        per_content, avg = estimate_outage(p, CachePolicy.PCP, lib, req, realizations=1, seed=2)
+        assert [est.std_error for est in (*per_content, avg)] == [None] * 5
+        assert avg.trials == 4
 
     def test_invalid_budgets(self):
         p = fig2_params()
@@ -1226,8 +1197,6 @@ class TestEstimateOutage:
             estimate_outage(p, CachePolicy.UCP, lib, req, realizations=0)
         with pytest.raises(ConfigError, match=r"realizations must be below 2\*\*64"):
             estimate_outage(p, CachePolicy.UCP, lib, req, realizations=2**64)
-        with pytest.raises(ConfigError):
-            estimate_outage(p, CachePolicy.UCP, lib, req, trials_per_content=0)
 
     def test_refused_before_sampling(self, monkeypatch):
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
@@ -1245,7 +1214,7 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError, match="cache.*budget"):
             call(wide, ContentLibrary(size=10_000, cache_slots=3000))
 
-    @pytest.mark.parametrize("name", ["trials_per_content", "realizations", "workers", "seed"])
+    @pytest.mark.parametrize("name", ["realizations", "workers", "seed"])
     def test_non_integer_count_refused_before_sampling(self, monkeypatch, name):
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
         lib = ContentLibrary(size=4, cache_slots=2)
@@ -1257,7 +1226,7 @@ class TestEstimateOutage:
         usable_cpus(2)
         lib = ContentLibrary(size=4, cache_slots=2)
         requests = zipf_request_distribution(4, 0.8)
-        counts = dict(trials_per_content=2, realizations=3, seed=5, workers=2)
+        counts = dict(realizations=3, seed=5, workers=2)
         plain = estimate_outage(fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib, requests, **counts)
         numpy = estimate_outage(fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib, requests,
                                 **{key: np.int64(value) for key, value in counts.items()})
@@ -1274,15 +1243,17 @@ class TestEstimateOutage:
         assert recorded_pools == []
 
     def test_uniforms_over_the_budget_refused_before_sampling(self, monkeypatch):
-        # 4 ranks x 10 trials fill a budget of 40 uniforms; 11 trials exceed it
-        monkeypatch.setattr(geometry_sim, "MAX_UNIFORMS_PER_REALIZATION", 40)
-        lib = ContentLibrary(size=4, cache_slots=2)
-        run = partial(estimate_outage, fig2_params(lambda_sbs=0.02), CachePolicy.PCP, lib,
-                      zipf_request_distribution(4, 0.8), realizations=1, seed=2)
-        assert run(trials_per_content=10)[1].trials == 40
+        # 4 ranks fill a budget of 4 uniforms, one per rank; 5 exceed it
+        monkeypatch.setattr(geometry_sim, "MAX_UNIFORMS_PER_REALIZATION", 4)
+
+        def run(size):
+            return estimate_outage(fig2_params(lambda_sbs=0.02), CachePolicy.PCP, ContentLibrary(size, 2),
+                                   zipf_request_distribution(size, 0.8), realizations=1, seed=2)
+
+        assert run(4)[1].trials == 4
         monkeypatch.setattr(geometry_sim, "_squared_distances", lambda *a, **k: pytest.fail("sampled"))
-        with pytest.raises(ConfigError, match=r"trials_per_content = 11 draw 44 uniforms.*budget of 4e\+01"):
-            run(trials_per_content=11)
+        with pytest.raises(ConfigError, match=r"library_size = 5 draws one uniform per rank.*budget of 4e\+00"):
+            run(5)
 
     def test_request_size_mismatch(self):
         p = fig2_params()
@@ -1297,8 +1268,7 @@ class TestEstimateOutage:
         means, errors = [], []
         for lam in (0.05, 0.1, 0.2):
             p = fig2_params(lambda_sbs=lam)
-            _, avg = estimate_outage(p, CachePolicy.UCP, lib, req,
-                                     realizations=150, trials_per_content=30, seed=6)
+            _, avg = estimate_outage(p, CachePolicy.UCP, lib, req, realizations=1000, seed=6)
             means.append(avg.mean)
             errors.append(avg.std_error)
         for i in range(len(means) - 1):
@@ -1345,14 +1315,10 @@ class TestFrozenDrawOrder:
     PARAMS = fig2_params(lambda_sbs=0.2, r_mbs=60.0)
     LIBRARY = ContentLibrary(size=10, cache_slots=3)
     FAILURES = {
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 1): [7, 8, 7, 17, 16, 17, 16, 17, 18, 17],
-        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER, 3): [22, 23, 26, 51, 50, 50, 53, 52, 54, 55],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 1): [9, 9, 9, 20, 20, 20, 20, 20, 20, 20],
-        (CachePolicy.PCP, INTERFERENCE_ALL, 3): [27, 28, 29, 60, 60, 60, 60, 60, 60, 60],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 1): [10, 14, 13, 16, 12, 14, 12, 14, 14, 14],
-        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER, 3): [32, 41, 41, 47, 37, 42, 40, 42, 42, 47],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 1): [14, 16, 16, 18, 15, 17, 17, 18, 15, 18],
-        (CachePolicy.UCP, INTERFERENCE_ALL, 3): [42, 48, 48, 54, 46, 51, 49, 55, 49, 54],
+        (CachePolicy.PCP, INTERFERENCE_BEYOND_SERVER): [7, 8, 7, 17, 16, 17, 16, 17, 18, 17],
+        (CachePolicy.PCP, INTERFERENCE_ALL): [9, 9, 9, 20, 20, 20, 20, 20, 20, 20],
+        (CachePolicy.UCP, INTERFERENCE_BEYOND_SERVER): [10, 14, 13, 16, 12, 14, 12, 14, 14, 14],
+        (CachePolicy.UCP, INTERFERENCE_ALL): [14, 16, 16, 18, 15, 17, 17, 18, 15, 18],
     }
     # request_outcomes for rank 2, 4 realizations x 3 trials: one tier and
     # distance per realization, SIRs per trial. Realizations 0 and 2 are
@@ -1375,14 +1341,14 @@ class TestFrozenDrawOrder:
         CachePolicy.UCP: [None] * 3,
     }
 
-    @pytest.mark.parametrize("policy, interference, trials", list(FAILURES))
-    def test_estimate_outage_failure_counts(self, policy, interference, trials):
+    @pytest.mark.parametrize("policy, interference", list(FAILURES))
+    def test_estimate_outage_failure_counts(self, policy, interference):
         per_content, _ = estimate_outage(
             self.PARAMS, policy, self.LIBRARY, zipf_request_distribution(10, 0.8),
-            realizations=20, trials_per_content=trials, seed=8, interference=interference,
+            realizations=20, seed=8, interference=interference,
         )
         counts = [round(est.mean * est.trials) for est in per_content]
-        assert counts == self.FAILURES[policy, interference, trials]
+        assert counts == self.FAILURES[policy, interference]
 
     @pytest.mark.parametrize("interference", [INTERFERENCE_BEYOND_SERVER, INTERFERENCE_ALL])
     @pytest.mark.parametrize("policy", [CachePolicy.PCP, CachePolicy.UCP])
